@@ -10,11 +10,11 @@ Two targets:
   function of physical parallelism, so it is asserted only when the machine
   exposes at least :data:`CORES_FOR_FLOOR` cores (CI runners do; the test
   skips loudly on smaller boxes after still asserting parity).
-* ``dispatch_overhead`` — a deliberately small scenario through the full
-  leased-shard machinery (plan → lease → pickle → worker → merge) versus the
-  thread path.  Its gate is an overhead *cap*, meaningful on any core count
-  including single-core containers: scheduling must never cost more than
-  :data:`OVERHEAD_CAP`x the plain path.
+* ``dispatch_overhead`` — a deliberately small scenario leased to a process
+  pool (plan → lease → pickle → worker → merge) versus the same leases run
+  in-process on the thread path.  Its gate is an overhead *cap*, meaningful
+  on any core count including single-core containers: the process boundary
+  must never cost more than :data:`OVERHEAD_CAP`x the in-process path.
 
 Running under pytest asserts the gates and — when ``BENCH_distributed.json``
 exists and was recorded on a multi-core machine — that the speedup has not
@@ -49,8 +49,8 @@ PROCESSES = 4
 #: The speedup floor only makes sense with real parallelism underneath.
 CORES_FOR_FLOOR = 4
 SPEEDUP_FLOORS = {"full": 2.5, "quick": 1.2}
-#: Cap on scheduler+pickle+process overhead, gated on any machine: even on a
-#: single core the leased path must stay within this factor of the plain one.
+#: Cap on pickle+process overhead, gated on any machine: even on a single
+#: core the process pool must stay within this factor of the in-process path.
 OVERHEAD_CAP = 2.5
 
 SUITE_FAMILIES = {
@@ -120,7 +120,7 @@ def measure_process_speedup() -> Dict[str, float]:
 
 
 def measure_dispatch_overhead() -> Dict[str, float]:
-    """Full leased-shard machinery on a tiny sweep vs the plain thread path."""
+    """A tiny sweep's leases on a process pool vs in-process (thread path)."""
     scenario = figure2_scenario(
         small=True, devices=["IonQ-11Q"], families=["ghz", "hamiltonian_simulation"]
     )
@@ -191,8 +191,8 @@ def test_dispatch_overhead():
         f"(ratio {result['overhead_ratio']:.2f}, cap {OVERHEAD_CAP})"
     )
     assert result["overhead_ratio"] <= OVERHEAD_CAP, (
-        f"leased-shard dispatch costs {result['overhead_ratio']:.2f}x the plain "
-        f"path (cap {OVERHEAD_CAP}x) — scheduler overhead regressed"
+        f"process-pool dispatch costs {result['overhead_ratio']:.2f}x the "
+        f"in-process path (cap {OVERHEAD_CAP}x) — process overhead regressed"
     )
 
 

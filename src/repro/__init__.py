@@ -33,7 +33,7 @@ The package provides:
 * :mod:`repro.suite` — the registry-driven suite layer: decorator-registered
   benchmark families, hashable :class:`~repro.suite.BenchmarkSpec` objects
   with lazy memoized construction, declarative :class:`~repro.suite.Sweep` /
-  :class:`~repro.suite.Scenario` definitions and sharded, resumable
+  :class:`~repro.suite.Scenario` definitions and leased, resumable
   execution through :func:`repro.suite.run_scenario` (see ``docs/suite.md``).
 * :mod:`repro.experiments` — thin scenario definitions regenerating every
   table and figure.

@@ -1,14 +1,15 @@
-"""Process-parallel sweep execution: leased shards on a worker-process pool.
+"""Leased sweep execution, in-process or on a worker-process pool.
 
-The suite runner stays the single entry point — ``run_scenario(...,
-executor="process", processes=N)`` plans the scenario's pending units into
-picklable :class:`ShardTask` chunks, drives them through a
-:class:`ProcessShardExecutor` via the leased :class:`WorkQueue` scheduler,
-and merges the streamed outcomes back into the usual
+The suite runner stays the single entry point — every ``run_scenario``
+call plans the scenario's pending units into picklable :class:`ShardTask`
+chunks, drives them through an executor via the leased :class:`WorkQueue`
+scheduler (an :class:`InProcessExecutor` for ``executor="thread"``, a
+:class:`ProcessShardExecutor` for ``executor="process", processes=N``), and
+merges the streamed outcomes back into the usual
 :class:`~repro.suite.results.SuiteResult`.  See ``docs/distributed.md``.
 """
 
-from .executor import ProcessShardExecutor, default_start_method
+from .executor import InProcessExecutor, ProcessShardExecutor, default_start_method
 from .plan import (
     Lease,
     LeaseResult,
@@ -20,6 +21,7 @@ from .plan import (
 from .scheduler import WorkQueue, run_leases
 
 __all__ = [
+    "InProcessExecutor",
     "Lease",
     "LeaseResult",
     "ProcessShardExecutor",

@@ -1,5 +1,11 @@
 """Shard executors: where a leased task actually runs.
 
+:class:`InProcessExecutor` is the thread path of ``run_scenario``: it runs
+each lease synchronously in the calling process, on engines it keeps per
+engine configuration (each with ``max_workers`` threads), so it can use
+what cannot cross a process boundary — a backend instance, the caller's
+benchmark registry, Mitigator instances.
+
 :class:`ProcessShardExecutor` is the GIL-breaking path — a
 ``concurrent.futures.ProcessPoolExecutor`` whose workers are initialised
 spawn-safely from plain configuration (see
@@ -19,16 +25,97 @@ values and must return :class:`~repro.distributed.plan.LeaseResult`.
 from __future__ import annotations
 
 import multiprocessing
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
 
+from ..devices import get_device
 from ..exceptions import DistributedError
+from ..execution import ExecutionEngine
+from ..suite.sweep import EngineConfig
 from ..telemetry import get_tracer
-from .plan import Lease
-from .worker import execute_lease, initialize_worker
+from .plan import Lease, LeaseResult
+from .worker import execute_lease, initialize_worker, run_lease
 
-__all__ = ["ProcessShardExecutor", "default_start_method"]
+__all__ = ["InProcessExecutor", "ProcessShardExecutor", "default_start_method"]
+
+
+class InProcessExecutor:
+    """Runs each lease synchronously in this process (capacity 1).
+
+    Args:
+        max_workers: Worker-pool size of each engine.
+        backend: Backend instance (or name) every engine uses in place of
+            the tasks' backend.
+        registry: Benchmark registry the specs build from (default: global).
+        mitigators: Mitigator instances, matched to tasks by technique name.
+
+    :meth:`submit` returns an already completed future.  An exception
+    propagates from it unchanged, so the scheduler never retries an
+    in-process failure.  Lease results carry no spans, metric deltas or
+    engine-stat deltas: all three are already in this process, and
+    :attr:`engines` stay readable after :meth:`close`.
+    """
+
+    capacity = 1
+
+    def __init__(
+        self,
+        max_workers: int = 1,
+        backend=None,
+        registry=None,
+        mitigators: Iterable = (),
+    ) -> None:
+        self.max_workers = int(max_workers)
+        self.backend = backend
+        self.registry = registry
+        self.mitigators = {mitigator.name: mitigator for mitigator in mitigators}
+        #: (engine key, backend override, trajectories) -> engine.
+        self.engines: Dict[Tuple[str, Optional[str], Optional[int]], ExecutionEngine] = {}
+
+    def engine(
+        self,
+        config: EngineConfig,
+        backend: Optional[str] = None,
+        trajectories: Optional[int] = None,
+    ) -> ExecutionEngine:
+        """The engine for one configuration (built on first use, then kept)."""
+        key = (config.key(), backend, trajectories)
+        engine = self.engines.get(key)
+        if engine is None:
+            engine = self.engines[key] = ExecutionEngine(
+                get_device(config.device),
+                backend=self.backend if self.backend is not None else backend or config.backend,
+                max_workers=self.max_workers,
+                optimization_level=config.optimization_level,
+                placement=config.placement,
+                trajectories=trajectories,
+            )
+        return engine
+
+    def submit(self, lease: Lease) -> "Future":
+        """Run ``lease`` now; returns its completed future."""
+        task = lease.task
+        started = time.perf_counter()
+        engine = self.engine(task.engine, task.backend_override, task.trajectories)
+        outcomes = run_lease(engine, lease, self.registry, self.mitigators.get(task.mitigation))
+        future: Future = Future()
+        future.set_result(
+            LeaseResult(
+                lease_id=lease.lease_id,
+                task_id=task.task_id,
+                worker=task.engine.key(),
+                outcomes=outcomes,
+                seconds=time.perf_counter() - started,
+            )
+        )
+        return future
+
+    def close(self) -> None:
+        """Shut every engine's worker pool down (idempotent)."""
+        for engine in self.engines.values():
+            engine.close()
 
 
 def default_start_method() -> str:
@@ -45,8 +132,6 @@ class ProcessShardExecutor:
 
     Args:
         processes: Worker-process count (the parallelism of the sweep).
-        store_path: File path of the shared result store each worker opens
-            for read-through caching (``None`` = workers run storeless).
         mp_context: Multiprocessing start method (``"fork"`` / ``"spawn"`` /
             ``"forkserver"``); default picks :func:`default_start_method`.
         crash_marker: Test-only hook forwarded to worker init — see
@@ -61,14 +146,12 @@ class ProcessShardExecutor:
     def __init__(
         self,
         processes: int = 2,
-        store_path: Optional[str] = None,
         mp_context: Optional[str] = None,
         crash_marker: Optional[str] = None,
     ) -> None:
         if processes < 1:
             raise DistributedError("ProcessShardExecutor needs at least 1 process")
         self.processes = int(processes)
-        self.store_path = store_path
         self.mp_context = mp_context if mp_context is not None else default_start_method()
         self.crash_marker = crash_marker
         self.rebuilds = 0
@@ -88,7 +171,7 @@ class ProcessShardExecutor:
             max_workers=self.processes,
             mp_context=multiprocessing.get_context(self.mp_context),
             initializer=initialize_worker,
-            initargs=(self.store_path, self.crash_marker, get_tracer().enabled),
+            initargs=(self.crash_marker, get_tracer().enabled),
         )
 
     def submit(self, lease: Lease) -> "Future":

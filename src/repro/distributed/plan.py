@@ -1,4 +1,4 @@
-"""Picklable work-unit plans for cross-process sweep execution.
+"""Picklable work-unit plans: every sweep runs as leased tasks.
 
 A :class:`ShardPlan` serializes the pending remainder of a
 :class:`~repro.suite.sweep.Scenario` into :class:`ShardTask` values — plain
@@ -65,8 +65,7 @@ class ShardTask:
     """One leasable unit of work: a chunk of one shard group.
 
     Every field is process-boundary safe: the engine configuration and
-    mitigation are *names*, the execution knobs are scalars, and the store
-    is referenced by file path (each worker opens its own WAL connection).
+    mitigation are *names* and the execution knobs are scalars.
 
     Attributes:
         task_id: Stable identity within the plan (keys lease bookkeeping).
@@ -78,8 +77,6 @@ class ShardTask:
             to the single-process path so scores are bit-identical.
         backend_override: Backend *name* overriding the engine config's
             backend (instances cannot cross the process boundary).
-        store_path: File path of the shared result store (``None`` = no
-            store, or an in-memory store that cannot be shared).
     """
 
     task_id: str
@@ -92,7 +89,6 @@ class ShardTask:
     seed: Optional[int] = 1234
     trajectories: Optional[int] = None
     backend_override: Optional[str] = None
-    store_path: Optional[str] = None
 
     def unit_keys(self) -> Tuple[str, ...]:
         return tuple(unit.key for unit in self.units)
@@ -135,20 +131,24 @@ class LeaseResult:
 
     Attributes:
         lease_id / task_id: Identity echo for scheduler bookkeeping.
-        worker: Worker identity (``"pid-<os pid>"``), keys per-worker stats.
+        worker: The ``engine_stats`` key the lease's statistics fold into:
+            ``"worker-pid-<os pid>"`` for a pool process, the engine
+            configuration's key for an in-process lease.
         outcomes: One :meth:`SpecOutcome.as_dict` payload per unit, in task
             order (runs and skips alike).
         engine_stats: The worker engine's :meth:`ExecutionEngine.stats`
             *delta* attributable to this lease (engines are reused across
             leases, so cumulative counters are diffed on the worker side).
+            Empty for in-process leases: the parent reads its own engines.
         seconds: Worker-side wall time of the lease.
         spans: The worker tracer's finished spans for this lease, as plain
             dicts (:meth:`~repro.telemetry.Span.as_dict`); the scheduler
             adopts them under its own lease span so a multi-process sweep
-            merges into one coherent trace.  Empty when tracing is disabled.
+            merges into one coherent trace.  Empty when tracing is disabled
+            and for in-process leases, whose spans are already recorded.
         metrics: :func:`~repro.telemetry.diff_snapshots` of the worker's
             metrics registry across the lease; the scheduler folds it into
-            the parent registry.
+            the parent registry.  Empty for in-process leases.
     """
 
     lease_id: int
@@ -174,7 +174,6 @@ def plan_scenario(
     seed: Optional[int] = 1234,
     trajectories: Optional[int] = None,
     backend_override: Optional[str] = None,
-    store_path: Optional[str] = None,
     processes: int = 1,
     chunk_size: Optional[int] = None,
 ) -> ShardPlan:
@@ -182,35 +181,27 @@ def plan_scenario(
 
     Args:
         completed: Unit keys already recorded (resumed partials and store
-            pre-resolution) — excluded from the plan entirely, so warm units
-            never ship to a worker.
-        processes: Intended worker count; with ``chunk_size=None`` each
-            shard group is split into roughly :data:`TASKS_PER_WORKER`
-            tasks per worker for load balancing.
+            hits) — excluded from the plan entirely, so they never run.
+        processes: The executor's capacity; with ``chunk_size=None`` the
+            plan is split into roughly :data:`TASKS_PER_WORKER` tasks per
+            worker for load balancing.  A task never spans two shard
+            groups, so it holds at most one (engine, technique) batch.
         chunk_size: Explicit maximum units per task (overrides the
             automatic sizing).
 
-    Raises:
-        DistributedError: when the scenario carries non-string mitigation
-            specs (Mitigator instances cannot cross the process boundary).
+    Tasks carry technique *labels*; a Mitigator instance in the scenario is
+    planned under its name, for an executor that holds the instance.
     """
-    for mitigation in scenario.mitigations:
-        if not isinstance(mitigation, str):
-            raise DistributedError(
-                "scenarios holding Mitigator instances cannot be executed on a "
-                "process pool; use technique names (they resolve inside each "
-                "worker)"
-            )
     groups: List[Tuple[EngineConfig, str, List[UnitPlan]]] = []
     for shard in scenario.shards(devices):
-        for mitigation, units in shard.groups:
+        for _, units in shard.groups:
             pending = [
                 UnitPlan(key=unit.key(), spec=_freeze_spec(unit.spec.as_dict()), index=unit.index)
                 for unit in units
                 if unit.key() not in completed
             ]
             if pending:
-                groups.append((shard.engine, str(mitigation), pending))
+                groups.append((shard.engine, units[0].mitigation_label, pending))
 
     total = sum(len(pending) for _, _, pending in groups)
     if chunk_size is None:
@@ -236,7 +227,6 @@ def plan_scenario(
                     seed=seed,
                     trajectories=trajectories,
                     backend_override=backend_override,
-                    store_path=store_path,
                 )
             )
     return ShardPlan(scenario=scenario.name, tasks=tuple(tasks))

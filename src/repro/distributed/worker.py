@@ -1,19 +1,22 @@
-"""Worker-process side of the distributed sweep scheduler.
+"""Lease execution: the one loop that runs a leased task's units.
+
+:func:`run_lease` executes a lease's units through
+``ExecutionEngine.run_suite`` and returns one serialized
+:class:`~repro.suite.results.SpecOutcome` per unit.  Every executor runs
+units through it: the in-process executor of the thread path on the
+parent's engines, and :func:`execute_lease` inside a pool process.
 
 Each pool process is initialised once via :func:`initialize_worker` (spawn
-safe: it receives only strings and rebuilds everything from registries) and
-then serves :func:`execute_lease` calls.  Per-process state lives in module
-globals — one :class:`~repro.execution.ExecutionEngine` per engine
-configuration, so the transpile and calibration caches stay warm across
-every lease landing on the same configuration, and one
-:class:`~repro.store.ResultStore` connection for read-through result
-caching (sqlite WAL handles the multi-process traffic).
+safe: it receives only plain values and rebuilds everything from registries)
+and then serves :func:`execute_lease` calls through one per-process
+:class:`~repro.distributed.executor.InProcessExecutor`, whose engines (one
+per engine configuration) keep their transpile and calibration caches warm
+across every lease landing on the same configuration.  Workers never open
+the result store: the parent looks results up and writes them back.
 
-Determinism: a worker executes a lease's units through the same
-``ExecutionEngine.run_suite`` path the single-process runner uses, with the
-same per-unit seeds, so scores are bit-identical to a thread-executor run
-regardless of which worker a unit lands on or how often its lease was
-re-issued.
+Determinism: every unit runs with the same per-unit seeds whichever
+executor runs it, so scores are bit-identical regardless of which worker a
+unit lands on or how often its lease was re-issued.
 """
 
 from __future__ import annotations
@@ -22,22 +25,20 @@ import os
 import signal
 import time
 import warnings
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..exceptions import BackendCapacityError, MitigationError
+from ..suite.results import SpecOutcome
+from ..suite.spec import BenchmarkSpec
 from ..telemetry import configure_tracing, diff_snapshots, get_metrics, get_tracer
-from .plan import Lease, LeaseResult, ShardTask
+from .plan import Lease, LeaseResult
 
-__all__ = ["initialize_worker", "execute_lease", "worker_id"]
+__all__ = ["initialize_worker", "execute_lease", "run_lease", "worker_id"]
 
-#: Per-process engine cache: (engine key, backend override, trajectories)
-#: -> ExecutionEngine.  Engines are deliberately kept for the process
-#: lifetime — their warm caches are the point of leasing multiple shards to
-#: one worker.
-_ENGINES: Dict[Tuple[str, Optional[str], Optional[int]], Any] = {}
-
-#: Per-process result store (opened from the path in worker init).
-_STORE = None
+#: This process's in-process executor (built on first use).  Its engines are
+#: deliberately kept for the process lifetime — their warm caches are the
+#: point of leasing multiple shards to one worker.
+_LOCAL = None
 
 #: Test-only crash hook: when set to a path and the file does not exist yet,
 #: the worker creates the file and SIGKILLs itself mid-lease (after its
@@ -50,12 +51,8 @@ def worker_id() -> str:
     return f"pid-{os.getpid()}"
 
 
-def initialize_worker(
-    store_path: Optional[str] = None,
-    crash_marker: Optional[str] = None,
-    trace: bool = False,
-) -> None:
-    """Process-pool initializer: open per-process handles from plain config.
+def initialize_worker(crash_marker: Optional[str] = None, trace: bool = False) -> None:
+    """Process-pool initializer: set up per-process state from plain config.
 
     Importing :mod:`repro.benchmarks` here (not at module import) keeps the
     registration side effects inside the worker even under the ``spawn``
@@ -68,38 +65,22 @@ def initialize_worker(
             traces never collide, and any spans inherited through a ``fork``
             start are discarded (they belong to the parent's buffer).
     """
-    global _STORE, _CRASH_MARKER
+    global _CRASH_MARKER
     import repro.benchmarks  # noqa: F401 - registers the benchmark families
 
     tracer = configure_tracing(enabled=trace, id_prefix=f"{worker_id()}-")
     tracer.clear()
     tracer.reset_context()  # a fork child inherits the parent's open spans
     _CRASH_MARKER = crash_marker
-    if store_path is not None:
-        from ..store import ResultStore
-
-        _STORE = ResultStore(store_path)
 
 
-def _engine_for(task: ShardTask):
-    """The per-process engine for a task's configuration (built once)."""
-    from ..devices import get_device
-    from ..execution import ExecutionEngine
+def _local():
+    global _LOCAL
+    if _LOCAL is None:
+        from .executor import InProcessExecutor
 
-    cache_key = (task.engine.key(), task.backend_override, task.trajectories)
-    engine = _ENGINES.get(cache_key)
-    if engine is None:
-        engine = ExecutionEngine(
-            get_device(task.engine.device),
-            backend=task.backend_override or task.engine.backend,
-            max_workers=1,  # processes are the parallelism axis here
-            optimization_level=task.engine.optimization_level,
-            placement=task.engine.placement,
-            store=_STORE,
-            trajectories=task.trajectories,
-        )
-        _ENGINES[cache_key] = engine
-    return engine
+        _LOCAL = InProcessExecutor()  # max_workers=1: processes are the parallelism axis
+    return _LOCAL
 
 
 def _maybe_crash(completed_units: int, total_units: int) -> None:
@@ -133,69 +114,44 @@ def _qualify_instances(delta: Dict[str, Any]) -> Dict[str, Any]:
     return delta
 
 
-def execute_lease(lease: Lease) -> LeaseResult:
-    """Run one leased chunk of units and return their serialized outcomes.
+def run_lease(engine, lease: Lease, registry=None, mitigation=None) -> List[Dict[str, Any]]:
+    """Run a lease's units on ``engine``; one outcome payload per unit.
 
-    Mirrors :func:`repro.suite.runner._run_group`: exactly one outcome
-    (run or skip) per unit, produced through ``ExecutionEngine.run_suite``
-    so the store read-through, mitigation resolution and skip semantics are
-    identical to the single-process path.
+    Exactly one outcome (run or skip) per unit, in task order, produced
+    through ``ExecutionEngine.run_suite``.  Technique mismatches and backend
+    capacity limits are skipped with a warning so a sparse sweep is
+    explainable; plain oversized-circuit skips are the expected "X" entries
+    of Fig. 2.
 
-    Telemetry rides back on the :class:`LeaseResult`: the lease's finished
-    spans (drained, so the next lease starts clean) and the metrics-registry
-    delta across the lease — the scheduler adopts/merges both into the
-    parent process.
+    Args:
+        registry: Benchmark registry the specs build from (default: global).
+        mitigation: A Mitigator instance standing in for the task's
+            technique name (in-process leases only).
     """
-    from ..suite.results import SpecOutcome
-    from ..suite.spec import BenchmarkSpec
-
     task = lease.task
-    started = time.perf_counter()
-    engine = _engine_for(task)
-    stats_before = engine.stats()
-    tracer = get_tracer()
-    metrics = get_metrics()
-    metrics_before = metrics.snapshot()
-    tracer.clear()  # ship only this lease's spans, whatever ran before
-
-    benchmarks = [BenchmarkSpec.from_dict(unit.spec_dict()).build() for unit in task.units]
+    # run_suite fires exactly one callback (result or skip) per benchmark, in
+    # submission order; matching by position rather than object identity
+    # stays correct when the registry hands back one memoized instance for
+    # duplicate specs.
     cursor = iter(task.units)
     outcomes: List[Dict[str, Any]] = []
 
-    def on_result(benchmark, run) -> None:
+    def record(run=None, error=None) -> None:
         unit = next(cursor)
         outcomes.append(
-            SpecOutcome(
-                key=unit.key,
-                spec=unit.spec_dict(),
-                device=engine.device.name,
-                mitigation=task.mitigation,
-                index=unit.index,
-                status="ok",
-                run=run,
-                seconds=run.seconds,
+            SpecOutcome.of(
+                unit.key, unit.spec_dict(), engine.device.name, task.mitigation, unit.index,
+                run=run, error=error,
             ).as_dict()
         )
         _maybe_crash(len(outcomes), len(task.units))
 
     def on_skip(benchmark, error) -> None:
-        unit = next(cursor)
         if isinstance(error, (MitigationError, BackendCapacityError)):
             warnings.warn(f"skipping {benchmark}: {error}", stacklevel=2)
-        outcomes.append(
-            SpecOutcome(
-                key=unit.key,
-                spec=unit.spec_dict(),
-                device=engine.device.name,
-                mitigation=task.mitigation,
-                index=unit.index,
-                status="skipped",
-                reason=str(error),
-            ).as_dict()
-        )
-        _maybe_crash(len(outcomes), len(task.units))
+        record(error=error)
 
-    with tracer.span(
+    with get_tracer().span(
         "worker.lease",
         task=task.task_id,
         scenario=task.scenario,
@@ -203,15 +159,39 @@ def execute_lease(lease: Lease) -> LeaseResult:
         attempt=lease.attempt,
         units=len(task.units),
     ):
+        benchmarks = [
+            BenchmarkSpec.from_dict(unit.spec_dict()).build(registry) for unit in task.units
+        ]
         engine.run_suite(
             benchmarks,
             shots=task.shots,
             repetitions=task.repetitions,
             seed=task.seed,
-            mitigation=task.mitigation,
-            on_result=on_result,
+            mitigation=task.mitigation if mitigation is None else mitigation,
+            on_result=lambda benchmark, run: record(run=run),
             on_skip=on_skip,
         )
+    return outcomes
+
+
+def execute_lease(lease: Lease) -> LeaseResult:
+    """Pool-process entry point: run one lease and ship its telemetry.
+
+    Telemetry rides back on the :class:`LeaseResult`: the lease's finished
+    spans (drained, so the next lease starts clean) and the metrics-registry
+    delta across the lease — the scheduler adopts/merges both into the
+    parent process.
+    """
+    task = lease.task
+    started = time.perf_counter()
+    engine = _local().engine(task.engine, task.backend_override, task.trajectories)
+    stats_before = engine.stats()
+    tracer = get_tracer()
+    metrics = get_metrics()
+    metrics_before = metrics.snapshot()
+    tracer.clear()  # ship only this lease's spans, whatever ran before
+
+    outcomes = run_lease(engine, lease)
 
     # Engines persist across leases, so report the stats *delta* — the
     # scheduler sums deltas per worker and the totals stay correct however
@@ -226,7 +206,7 @@ def execute_lease(lease: Lease) -> LeaseResult:
     return LeaseResult(
         lease_id=lease.lease_id,
         task_id=task.task_id,
-        worker=worker_id(),
+        worker=f"worker-{worker_id()}",
         outcomes=outcomes,
         engine_stats=delta,
         seconds=time.perf_counter() - started,

@@ -134,7 +134,7 @@ class ExecutionEngine:
         # Engine-local counters as registry series (a store may be shared
         # across engines; these count only this engine's lookups, so
         # per-engine stats compose correctly when the suite layer aggregates
-        # them shard by shard).
+        # them per engine configuration).
         self._id = instance_label("engine")
         self._execution_series = _EXECUTIONS.labels(instance=self._id)
         self._store_hit_series = _STORE_LOOKUPS.labels(instance=self._id, result="hit")
@@ -367,6 +367,15 @@ class ExecutionEngine:
             repetitions=repetitions,
             seed=seed,
         )
+
+    def count_store_lookup(self, hit: bool) -> None:
+        """Count one content-key store lookup made for this engine.
+
+        :meth:`run_suite` counts its own lookups; a caller that looks
+        results up itself (the suite runner) reports them here, so
+        ``store_hits`` / ``store_misses`` in :meth:`stats` stay complete.
+        """
+        (self._store_hit_series if hit else self._store_miss_series).add(1.0)
 
     # ------------------------------------------------------------------
     # error mitigation
@@ -672,10 +681,7 @@ class ExecutionEngine:
                         placement=placement, mitigation=resolved,
                     )
                     cached = store.get_run(key)
-                    if cached is not None:
-                        self._store_hit_series.add(1.0)
-                    else:
-                        self._store_miss_series.add(1.0)
+                    self.count_store_lookup(cached is not None)
                     if cached is not None:
                         spec_span.set_attribute("status", "store_hit")
                         runs.append(cached)

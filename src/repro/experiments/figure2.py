@@ -10,7 +10,7 @@ the all-to-all trapped-ion model wins the communication-heavy benchmarks.
 
 The driver is a thin wrapper over the declarative suite layer: the instance
 list is :func:`repro.suite.figure2_scenario` and execution goes through
-:func:`repro.suite.run_scenario` (sharded per device, streaming aggregation,
+:func:`repro.suite.run_scenario` (leased per device, streaming aggregation,
 resumable partial results).  Scores at a fixed seed are identical to the
 historical hand-written loop — per-unit seeds depend only on the unit, not
 on the execution order.

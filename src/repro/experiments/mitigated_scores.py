@@ -111,12 +111,12 @@ def reproduce_mitigated_scores_result(
 ) -> SuiteResult:
     """The technique sweep as a streaming, resumable suite result.
 
-    Execution is sharded per device through one shared
+    Every lease on a device runs through one shared
     :class:`~repro.execution.ExecutionEngine`, so calibration jobs are
     shared across every benchmark landing on the same physical qubits and
     compiled circuits are shared across techniques via the transpile cache —
-    the engine's cache statistics are recorded per shard on the returned
-    result.  Unknown technique names raise before anything executes;
+    the engine's cache statistics are recorded per engine configuration on
+    the returned result.  Unknown technique names raise before anything executes;
     technique/benchmark mismatches (e.g. ZNE on the mid-circuit-measurement
     error-correction codes) are skipped loudly and recorded as skip
     outcomes.

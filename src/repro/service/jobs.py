@@ -13,7 +13,7 @@ Semantics:
 
 * **submit / status / result / cancel** — the full client surface.  Queued
   jobs cancel immediately; running jobs are interrupted at the next outcome
-  boundary (the shard in flight finishes its current unit first).
+  boundary (the lease in flight finishes first).
 * **Straggler retry** — a job whose run raises is re-queued up to
   ``max_attempts`` total attempts before it is marked failed; partial
   results from a failed attempt are kept and resumed (completed units are
@@ -275,25 +275,23 @@ class JobQueue:
     def engine_stats(self) -> Dict[str, Dict[str, float]]:
         """Engine/worker statistics aggregated across every finished job.
 
-        Keys are the suite results' ``engine_stats`` keys — shard engine keys
-        on the threaded path, ``worker-pid-<n>`` / ``"scheduler"`` entries on
-        the process-executor path — merged with the same counter-sum /
-        gauge-max rule as :meth:`SuiteResult.note_engine_stats`, so the
-        service's ``GET /stats`` shows per-worker cache traffic and lease
-        counts across the queue's lifetime.
+        Keys are the suite results' ``engine_stats`` keys — an engine
+        configuration key per configuration the parent built engines for
+        (thread-path leases and store lookups), a ``worker-pid-<n>`` entry
+        per worker process on the process-executor path, and one
+        ``"scheduler"`` entry on every path — merged by
+        :meth:`SuiteResult.note_engine_stats` (counters sum, gauges take the
+        maximum), so the service's ``GET /stats`` shows per-engine and
+        per-worker cache traffic and lease counts across the queue's
+        lifetime.
         """
         with self._lock:
             results = [job.result for job in self._jobs.values() if job.result is not None]
-        merged: Dict[str, Dict[str, float]] = {}
+        merged = SuiteResult()
         for result in results:
             for engine_key, stats in result.engine_stats.items():
-                bucket = merged.setdefault(engine_key, {})
-                for name, value in stats.items():
-                    if name.endswith("entries"):
-                        bucket[name] = max(bucket.get(name, 0), value)
-                    else:
-                        bucket[name] = bucket.get(name, 0) + value
-        return merged
+                merged.note_engine_stats(engine_key, stats)
+        return merged.engine_stats
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting jobs and shut the workers down (idempotent)."""

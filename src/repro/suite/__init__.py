@@ -9,10 +9,10 @@ sweeps into *data*:
 * :class:`Sweep` / :class:`Scenario` — declarative parameter grids and
   device × backend × optimization-level × mitigation cross-products that
   expand to run units and per-engine shards.
-* :func:`run_scenario` / :class:`SuiteResult` — sharded execution through
-  :meth:`~repro.execution.ExecutionEngine.run_suite` with streaming
-  aggregation (scores, feature vectors, timing, cache stats) and resumable
-  partial results.
+* :func:`run_scenario` / :class:`SuiteResult` — leased execution through
+  :meth:`~repro.execution.ExecutionEngine.run_suite`, in-process or on a
+  worker-process pool, with streaming aggregation (scores, feature vectors,
+  timing, cache stats) and resumable partial results.
 * :mod:`repro.suite.scenarios` — the paper's standard sweeps (Fig. 1/2
   instances, the Table I scaling suite) defined once as data.
 

@@ -83,6 +83,23 @@ class SpecOutcome:
     run: Optional[BenchmarkRun] = None
     seconds: float = 0.0
 
+    @classmethod
+    def of(
+        cls,
+        key: str,
+        spec: Dict[str, Any],
+        device: str,
+        mitigation: str,
+        index: int,
+        run: Optional[BenchmarkRun] = None,
+        error: Optional[Exception] = None,
+    ) -> "SpecOutcome":
+        """One unit's outcome: its ``run`` (executed or read from a store),
+        or a skip recording the ``error`` it was skipped with."""
+        if run is None:
+            return cls(key, spec, device, mitigation, index, status="skipped", reason=str(error))
+        return cls(key, spec, device, mitigation, index, run=run, seconds=run.seconds)
+
     def as_dict(self) -> Dict[str, Any]:
         data = asdict(self)
         data["schema_version"] = SCHEMA_VERSION

@@ -1,36 +1,35 @@
-"""Sharded scenario execution through the unified execution engine.
+"""Scenario execution through the leased-task scheduler.
 
 :func:`run_scenario` is the single sweep-and-score loop the experiment
-drivers used to reimplement individually: it expands a declarative
-:class:`~repro.suite.sweep.Scenario`, groups the run units into per-engine
-shards, executes each shard through
-:meth:`~repro.execution.ExecutionEngine.run_suite` (one engine per shard, so
-transpile and calibration caches are shared across every benchmark and
-technique landing on a device) and streams
-:class:`~repro.suite.results.SpecOutcome` records into a
-:class:`~repro.suite.results.SuiteResult`.
+drivers used to reimplement individually.  Every executor runs the same
+pipeline: the parent looks pending units up in the result store, plans the
+rest into leased tasks (:func:`~repro.distributed.plan_scenario`), drives
+them through :func:`~repro.distributed.run_leases` on the chosen executor —
+in-process on per-configuration engines (``"thread"``) or on a worker-process
+pool (``"process"``) — and records every
+:class:`~repro.suite.results.SpecOutcome` into a
+:class:`~repro.suite.results.SuiteResult` in one place, which is also the
+only place the store is read and written.
 
 Resumability: pass a previously persisted :class:`SuiteResult` as
 ``partial`` and every already-recorded unit is skipped — a crashed or
 interrupted sweep continues where it stopped.  Determinism: per-unit seeds
 are fixed functions of the batch seed exactly as in
-:meth:`ExecutionEngine.run`, so scores are independent of the sharded
+:meth:`ExecutionEngine.run`, so scores are independent of the leased
 execution order and identical to a hand-written per-benchmark loop.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
-from ..devices import get_device
-from ..exceptions import BackendCapacityError, DeviceError, DistributedError, MitigationError
-from ..execution import Backend, ExecutionEngine
+from ..exceptions import DistributedError
+from ..execution import Backend
 from ..mitigation import is_raw_spec, resolve_mitigator
 from ..telemetry import get_tracer
 from .registry import BenchmarkRegistry, get_registry
 from .results import SpecOutcome, SuiteResult
-from .sweep import EngineConfig, RunUnit, Scenario, Shard
+from .sweep import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import ResultStore
@@ -40,10 +39,26 @@ __all__ = ["run_scenario"]
 
 def _validate_mitigations(scenario: Scenario) -> None:
     """Resolve every technique spec up front: an unknown name is a
-    configuration error and must raise before any shard executes."""
+    configuration error and must raise before any lease executes."""
     for technique in scenario.mitigations:
         if not is_raw_spec(technique):
             resolve_mitigator(technique)
+
+
+def _check_process_boundary(scenario: Scenario, backend: Union[Backend, str, None]) -> None:
+    """Leases of a process pool (or a caller's executor) may cross a process
+    boundary, which instances cannot: reject them before anything is planned."""
+    if backend is not None and not isinstance(backend, str):
+        raise DistributedError(
+            "backend instances cannot cross the process boundary; pass the "
+            "backend by name (workers construct their own)"
+        )
+    if not all(isinstance(mitigation, str) for mitigation in scenario.mitigations):
+        raise DistributedError(
+            "scenarios holding Mitigator instances cannot be executed on a "
+            "process pool; use technique names (they resolve inside each "
+            "worker)"
+        )
 
 
 def run_scenario(
@@ -67,7 +82,7 @@ def run_scenario(
     chunk_size: Optional[int] = None,
     heartbeat: Optional[Callable[[Dict[str, int]], None]] = None,
 ) -> SuiteResult:
-    """Execute a scenario shard-by-shard and stream the aggregated results.
+    """Execute a scenario lease by lease and stream the aggregated results.
 
     Args:
         scenario: The declarative sweep × execution-axis definition.
@@ -76,47 +91,63 @@ def run_scenario(
             unit keeps scores independent of execution order).
         devices: Override the scenario's device axis without rebuilding it.
         trajectories: Trajectory count for name-constructed backends.
-        max_workers: Worker-pool size of each shard's engine.
-        backend: Backend *override* applied to every shard — needed when the
-            caller holds a backend instance, which cannot live inside a
-            (serializable) scenario.  When ``None`` each shard uses its
-            engine configuration's backend name.
-        registry: Benchmark registry used to build specs (default: global).
+        max_workers: Worker-pool size of each engine the thread path builds.
+        backend: Backend *override* applied to every engine — needed when
+            the caller holds a backend instance, which cannot live inside a
+            (serializable) scenario.  When ``None`` each engine uses its
+            configuration's backend name.
+        registry: Benchmark registry used to build specs on the thread path
+            (default: global).
         partial: A previously returned / persisted :class:`SuiteResult`;
             units already recorded there are not re-executed (resume).
         on_outcome: Streaming observer called with every
-            :class:`SpecOutcome` the moment it is recorded.
+            :class:`SpecOutcome` the moment it is recorded (store hits
+            first, then each lease's outcomes as the lease completes).
         save_path: When given, the (cumulative) result is re-persisted to
-            this JSON file after every completed shard, so a crash loses at
-            most one shard of work.
-        store: A content-addressed :class:`~repro.store.ResultStore`.  Each
-            shard's engine consults it before simulating — a unit whose
-            content key (spec × pipeline × noise × mitigation × knobs) is
-            already stored is answered from disk with zero compilations and
-            zero backend executions — and every executed unit's
+            this JSON file after every completed lease, so a crash loses at
+            most one lease of work.
+        store: A content-addressed :class:`~repro.store.ResultStore`.  Before
+            planning, every pending unit is looked up under its content key
+            (spec × pipeline × noise × mitigation × knobs); a stored unit is
+            answered from disk with zero compilations and zero backend
+            executions and never leased.  Every executed unit's
             :class:`~repro.execution.results.BenchmarkRun` and
             :class:`SpecOutcome` are written back (skips write an outcome
             row only; they are re-derived rather than cached).
-        executor: Execution strategy: ``"thread"`` (default — one engine per
-            shard, ``max_workers`` threads inside it), ``"process"`` (a
-            :class:`~repro.distributed.ProcessShardExecutor` worker-process
-            pool driven by the leased-shard scheduler — breaks the GIL
-            ceiling for the numpy-heavy simulate/transpile hot path), or any
-            executor instance with ``submit(lease)``/``capacity`` (advanced:
-            custom pools; the caller owns its lifecycle).  Scores are
-            bit-identical across all strategies at a fixed seed.
+        executor: Execution strategy: ``"thread"`` (default — an
+            :class:`~repro.distributed.InProcessExecutor` running each lease
+            on per-configuration engines with ``max_workers`` threads),
+            ``"process"`` (a :class:`~repro.distributed.ProcessShardExecutor`
+            worker-process pool — breaks the GIL ceiling for the numpy-heavy
+            simulate/transpile hot path), or any executor instance with
+            ``submit(lease)``/``capacity`` (advanced: custom pools; the
+            caller owns its lifecycle).  Scores are bit-identical across all
+            strategies at a fixed seed.
         processes: Worker-process count for ``executor="process"``.
-        lease_timeout: Straggler re-lease deadline in seconds (process path;
-            ``None`` disables re-leasing).
-        max_attempts: Leases per task before the sweep fails (process path).
-        chunk_size: Units per leased task (process path; default splits the
-            plan into ~4 tasks per worker for load balancing).
-        heartbeat: Progress observer for the process path, called
-            periodically with the scheduler's counters.
+        lease_timeout: Straggler re-lease deadline in seconds (``None``
+            disables re-leasing).
+        max_attempts: Leases per task before the sweep fails.  Only lost
+            or failed leases of an asynchronous executor are retried; an
+            in-process error propagates at once.
+        chunk_size: Units per leased task (default splits the plan into ~4
+            tasks per unit of executor capacity; a task never spans two
+            (engine configuration, technique) groups).
+        heartbeat: Progress observer, called periodically with the
+            scheduler's counters.
 
     Returns:
         The :class:`SuiteResult` (the ``partial`` instance when resuming).
+
+    Raises:
+        DistributedError: for an unknown executor name, or for a backend or
+            Mitigator instance with any executor but ``"thread"``.
     """
+    if isinstance(executor, str) and executor not in ("thread", "process"):
+        raise DistributedError(
+            f"unknown executor {executor!r}; use 'thread', 'process' or an executor instance"
+        )
+    if executor != "thread":
+        _check_process_boundary(scenario, backend)
     registry = registry if registry is not None else get_registry()
     _validate_mitigations(scenario)
     result = partial if partial is not None else SuiteResult(scenario=scenario.name)
@@ -134,304 +165,100 @@ def run_scenario(
             "backend_override": getattr(backend, "name", backend),
         },
     )
+    # Looked up at call time, so wrappers installed on the package apply.
+    from ..distributed import InProcessExecutor, ProcessShardExecutor, plan_scenario, run_leases
+
+    # The parent's engines, one per configuration: they compute content
+    # keys, and the thread path runs its leases on them.
+    local = InProcessExecutor(
+        max_workers=max_workers,
+        backend=backend,
+        registry=registry,
+        mitigators=[m for m in scenario.mitigations if not isinstance(m, str)],
+    )
+    backend_name = backend if isinstance(backend, str) else None
+    content_keys: Dict[str, str] = {}
+
+    def record(outcome: SpecOutcome, executed: bool) -> None:
+        result.add(outcome)
+        if store is not None:
+            key = content_keys[outcome.key]
+            if executed and outcome.run is not None:
+                store.put_run(key, outcome.run)
+            # Outcome rows (runs *and* skips) make whole scenarios queryable
+            # (`repro query`, GET /results).
+            store.put_outcome(key, outcome, scenario=scenario.name)
+        if on_outcome is not None:
+            on_outcome(outcome)
+
+    def on_outcomes(lease, payloads) -> None:
+        for payload in payloads:
+            record(SpecOutcome.from_dict(payload), executed=True)
+        if payloads and save_path is not None:
+            result.to_json(save_path)
 
     tracer = get_tracer()
     executor_label = executor if isinstance(executor, str) else type(executor).__name__
     with tracer.span("suite.run_scenario", scenario=scenario.name, executor=executor_label):
-        if not (isinstance(executor, str) and executor == "thread"):
-            return _run_scenario_distributed(
+        if executor == "thread":
+            pool = local
+        elif executor == "process":
+            pool = ProcessShardExecutor(processes=processes)
+        else:
+            pool = executor
+        try:
+            completed = set(result.completed_keys())
+            if store is not None:
+                for unit in scenario.expand(devices):
+                    unit_key = unit.key()
+                    if unit_key in completed:
+                        continue
+                    engine = local.engine(unit.engine, backend_name, trajectories)
+                    key = content_keys[unit_key] = engine.content_key(
+                        unit.spec.key(), shots, repetitions, seed, mitigation=unit.mitigation
+                    )
+                    run = store.get_run(key)
+                    engine.count_store_lookup(run is not None)
+                    if run is not None:
+                        record(
+                            SpecOutcome.of(
+                                unit_key, unit.spec.as_dict(), engine.device.name,
+                                unit.mitigation_label, unit.index, run=run,
+                            ),
+                            executed=False,
+                        )
+                        completed.add(unit_key)
+
+            plan = plan_scenario(
                 scenario,
-                result,
-                executor,
+                devices,
+                completed=frozenset(completed),
                 shots=shots,
                 repetitions=repetitions,
                 seed=seed,
-                devices=devices,
                 trajectories=trajectories,
-                backend=backend,
-                on_outcome=on_outcome,
-                save_path=save_path,
-                store=store,
-                processes=processes,
+                backend_override=backend_name,
+                processes=max(1, int(getattr(pool, "capacity", processes))),
+                chunk_size=chunk_size,
+            )
+            stats = run_leases(
+                plan,
+                pool,
+                on_outcomes,
                 lease_timeout=lease_timeout,
                 max_attempts=max_attempts,
-                chunk_size=chunk_size,
                 heartbeat=heartbeat,
             )
-
-        for shard in scenario.shards(devices):
-            pending_groups = [
-                (mitigation, [unit for unit in units if unit.key() not in result])
-                for mitigation, units in shard.groups
-            ]
-            if not any(units for _, units in pending_groups):
-                continue
-            device = get_device(shard.engine.device)
-            with tracer.span("suite.shard", engine=shard.engine.key()):
-                with ExecutionEngine(
-                    device,
-                    backend=backend if backend is not None else shard.engine.backend,
-                    max_workers=max_workers,
-                    optimization_level=shard.engine.optimization_level,
-                    placement=shard.engine.placement,
-                    store=store,
-                    trajectories=trajectories,
-                ) as engine:
-                    for mitigation, units in pending_groups:
-                        if not units:
-                            continue
-                        _run_group(
-                            engine, units, mitigation, registry, result, on_outcome,
-                            shots=shots, repetitions=repetitions, seed=seed,
-                            store=store, scenario_name=scenario.name,
-                        )
-            # The caches remain readable after the pool shuts down.
-            result.note_engine_stats(shard.engine.key(), engine.stats())
-            if save_path is not None:
-                result.to_json(save_path)
-        return result
-
-
-def _run_group(
-    engine: ExecutionEngine,
-    units: Sequence[RunUnit],
-    mitigation: Any,
-    registry: BenchmarkRegistry,
-    result: SuiteResult,
-    on_outcome: Optional[Callable[[SpecOutcome], None]],
-    shots: int,
-    repetitions: int,
-    seed: Optional[int],
-    store: Optional["ResultStore"] = None,
-    scenario_name: str = "",
-) -> None:
-    """Execute one shard group (single technique) through ``run_suite``."""
-    benchmarks = [unit.spec.build(registry) for unit in units]
-    # run_suite fires exactly one callback (result or skip) per benchmark, in
-    # submission order; matching by position rather than object identity
-    # stays correct when the registry hands back one memoized instance for
-    # duplicate specs.
-    cursor = iter(units)
-
-    def record(outcome: SpecOutcome) -> None:
-        result.add(outcome)
-        if store is not None:
-            # Outcome rows (runs *and* skips) are write-through: they make
-            # whole scenarios queryable (`repro query`, GET /results); the
-            # read path goes through the engine's run-level lookup, which
-            # shares the same content key.
-            key = engine.content_key(
-                outcome.key.split("|", 1)[0], shots, repetitions, seed,
-                mitigation=mitigation,
-            )
-            store.put_outcome(key, outcome, scenario=scenario_name)
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    def on_result(benchmark, run) -> None:
-        unit = next(cursor)
-        record(
-            SpecOutcome(
-                key=unit.key(),
-                spec=unit.spec.as_dict(),
-                device=engine.device.name,
-                mitigation=unit.mitigation_label,
-                index=unit.index,
-                status="ok",
-                run=run,
-                seconds=run.seconds,
-            )
-        )
-
-    def on_skip(benchmark, error) -> None:
-        unit = next(cursor)
-        if isinstance(error, (MitigationError, BackendCapacityError)):
-            # Technique/benchmark mismatches and backend capacity limits are
-            # surfaced loudly so a sparse sweep is explainable; plain
-            # oversized-circuit skips are the expected "X" entries of Fig. 2.
-            warnings.warn(f"skipping {benchmark}: {error}", stacklevel=2)
-        record(
-            SpecOutcome(
-                key=unit.key(),
-                spec=unit.spec.as_dict(),
-                device=engine.device.name,
-                mitigation=unit.mitigation_label,
-                index=unit.index,
-                status="skipped",
-                reason=str(error),
-            )
-        )
-
-    engine.run_suite(
-        benchmarks,
-        shots=shots,
-        repetitions=repetitions,
-        seed=seed,
-        mitigation=mitigation,
-        on_result=on_result,
-        on_skip=on_skip,
-    )
-
-
-def _run_scenario_distributed(
-    scenario: Scenario,
-    result: SuiteResult,
-    executor: Any,
-    shots: int,
-    repetitions: int,
-    seed: Optional[int],
-    devices: Optional[Sequence[str]],
-    trajectories: Optional[int],
-    backend: Union[Backend, str, None],
-    on_outcome: Optional[Callable[[SpecOutcome], None]],
-    save_path,
-    store: Optional["ResultStore"],
-    processes: int,
-    lease_timeout: Optional[float],
-    max_attempts: int,
-    chunk_size: Optional[int],
-    heartbeat: Optional[Callable[[Dict[str, int]], None]],
-) -> SuiteResult:
-    """Process-executor path of :func:`run_scenario`.
-
-    The parent plans the scenario's pending remainder into picklable leased
-    tasks, pre-resolves store-warm units locally (they never ship to a
-    worker), drives the plan through the scheduler, and merges the streamed
-    outcome payloads back into ``result`` — scores bit-identical to the
-    thread path because every unit runs with the same per-unit seed through
-    the same ``run_suite`` code inside the workers.
-    """
-    from ..distributed import ProcessShardExecutor, plan_scenario, run_leases
-
-    if backend is not None and not isinstance(backend, str):
-        raise DistributedError(
-            "backend instances cannot cross the process boundary; pass the "
-            "backend by name (workers construct their own)"
-        )
-    # Workers open their own WAL connection to a file-backed store; an
-    # in-memory store cannot be shared, so workers run storeless and the
-    # parent writes runs back on their behalf below.
-    store_path = store.path if store is not None and store.path != ":memory:" else None
-
-    # Parent-side engines used only for content keys (store pre-resolution
-    # and write-through); they never execute anything.
-    key_engines: Dict[str, ExecutionEngine] = {}
-
-    def key_engine(config: EngineConfig) -> ExecutionEngine:
-        engine = key_engines.get(config.key())
-        if engine is None:
-            engine = ExecutionEngine(
-                get_device(config.device),
-                backend=backend if backend is not None else config.backend,
-                max_workers=1,
-                optimization_level=config.optimization_level,
-                placement=config.placement,
-                trajectories=trajectories,
-            )
-            key_engines[config.key()] = engine
-        return engine
-
-    def record(outcome: SpecOutcome, config: EngineConfig, mitigation: str) -> None:
-        result.add(outcome)
-        if store is not None:
-            key = key_engine(config).content_key(
-                outcome.key.split("|", 1)[0], shots, repetitions, seed,
-                mitigation=mitigation,
-            )
-            store.put_outcome(key, outcome, scenario=scenario.name)
-            if store_path is None and outcome.run is not None:
-                # Workers had no store handle; persist their runs here so an
-                # in-memory store ends up as warm as on the thread path.
-                store.put_run(key, outcome.run)
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    try:
-        completed = set(result.completed_keys())
-        if store is not None:
-            prewarmed = 0
-            for shard in scenario.shards(devices):
-                engine = key_engine(shard.engine)
-                for mitigation, units in shard.groups:
-                    for unit in units:
-                        if unit.key() in completed:
-                            continue
-                        key = engine.content_key(
-                            unit.key().split("|", 1)[0], shots, repetitions, seed,
-                            mitigation=mitigation,
-                        )
-                        run = store.get_run(key)
-                        if run is None:
-                            continue
-                        record(
-                            SpecOutcome(
-                                key=unit.key(),
-                                spec=unit.spec.as_dict(),
-                                device=engine.device.name,
-                                mitigation=unit.mitigation_label,
-                                index=unit.index,
-                                status="ok",
-                                run=run,
-                                seconds=run.seconds,
-                            ),
-                            shard.engine,
-                            str(mitigation),
-                        )
-                        completed.add(unit.key())
-                        prewarmed += 1
-            if prewarmed:
-                result.note_engine_stats("scheduler", {"prewarmed_units": prewarmed})
-
-        owns_executor = False
-        if isinstance(executor, str):
-            if executor != "process":
-                raise DistributedError(
-                    f"unknown executor {executor!r}; use 'thread', 'process' or "
-                    "an executor instance"
-                )
-            executor = ProcessShardExecutor(processes=processes, store_path=store_path)
-            owns_executor = True
-
-        plan = plan_scenario(
-            scenario,
-            devices,
-            completed=frozenset(completed),
-            shots=shots,
-            repetitions=repetitions,
-            seed=seed,
-            trajectories=trajectories,
-            backend_override=backend,
-            store_path=store_path,
-            processes=max(1, int(getattr(executor, "capacity", processes))),
-            chunk_size=chunk_size,
-        )
-
-        def on_outcomes(lease, payloads) -> None:
-            for payload in payloads:
-                record(SpecOutcome.from_dict(payload), lease.task.engine, lease.task.mitigation)
-            if payloads and save_path is not None:
-                result.to_json(save_path)
-
-        try:
-            if plan.tasks:
-                stats = run_leases(
-                    plan,
-                    executor,
-                    on_outcomes,
-                    lease_timeout=lease_timeout,
-                    max_attempts=max_attempts,
-                    heartbeat=heartbeat,
-                )
-                for worker, worker_stats in sorted(stats["workers"].items()):
-                    result.note_engine_stats(f"worker-{worker}", worker_stats)
-                result.note_engine_stats("scheduler", stats["scheduler"])
         finally:
-            if owns_executor:
-                executor.close()
-    finally:
-        for engine in key_engines.values():
-            engine.close()
+            if executor == "process":
+                pool.close()
+            local.close()
 
+    for (engine_key, _, _), engine in local.engines.items():
+        result.note_engine_stats(engine_key, engine.stats())
+    for worker, worker_stats in sorted(stats["workers"].items()):
+        result.note_engine_stats(worker, worker_stats)
+    result.note_engine_stats("scheduler", stats["scheduler"])
     if save_path is not None:
         result.to_json(save_path)
     return result

@@ -132,10 +132,11 @@ class RunUnit:
 class Shard:
     """All run units of a scenario sharing one engine configuration.
 
-    ``groups`` preserves the scenario's mitigation ordering: the runner makes
-    one :meth:`~repro.execution.ExecutionEngine.run_suite` call per group on
-    a single shared engine, so transpile and calibration caches are shared
-    across every technique and benchmark landing on the device.
+    ``groups`` preserves the scenario's mitigation ordering: the planner
+    chunks each group into leased tasks, and an executor runs every task of
+    a configuration on one shared engine, so transpile and calibration
+    caches are shared across every technique and benchmark landing on the
+    device.
     """
 
     engine: EngineConfig

@@ -30,6 +30,7 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
@@ -160,7 +161,8 @@ class Tracer:
         id_prefix: Prepended to every span id — worker processes pass their
             worker id so ids stay unique across a merged multi-process trace.
         max_spans: Ring-buffer cap; the oldest spans are dropped beyond it
-            and counted in :attr:`dropped`.
+            and counted in :attr:`dropped`.  Assigning :attr:`max_spans`
+            rebuilds the buffer, keeping the newest spans.
     """
 
     def __init__(
@@ -172,14 +174,23 @@ class Tracer:
     ) -> None:
         self.enabled = bool(enabled)
         self.id_prefix = id_prefix
-        self.max_spans = int(max_spans)
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._finished: List[Span] = []
+        self._finished: deque = deque(maxlen=int(max_spans))
         self._local = threading.local()
         self.dropped = 0
         if seed is not None:
             self.reseed(seed)
+
+    @property
+    def max_spans(self) -> int:
+        return self._finished.maxlen
+
+    @max_spans.setter
+    def max_spans(self, value: int) -> None:
+        with self._lock:
+            self.dropped += max(0, len(self._finished) - int(value))
+            self._finished = deque(self._finished, maxlen=int(value))
 
     # ------------------------------------------------------------------
     # context plumbing
@@ -207,11 +218,9 @@ class Tracer:
 
     def _record(self, span: Span) -> None:
         with self._lock:
+            if len(self._finished) == self._finished.maxlen:
+                self.dropped += 1
             self._finished.append(span)
-            overflow = len(self._finished) - self.max_spans
-            if overflow > 0:
-                del self._finished[:overflow]
-                self.dropped += overflow
 
     def _next_id(self) -> str:
         return f"{self.id_prefix}{next(self._ids)}"
@@ -288,12 +297,13 @@ class Tracer:
     def drain(self) -> List[Span]:
         """Pop and return every finished span (what a worker ships per lease)."""
         with self._lock:
-            spans, self._finished = self._finished, []
+            spans = list(self._finished)
+            self._finished.clear()
         return spans
 
     def clear(self) -> None:
         with self._lock:
-            self._finished = []
+            self._finished.clear()
             self.dropped = 0
 
     def reset_context(self) -> None:
@@ -338,11 +348,8 @@ class Tracer:
                 span.trace_id = anchor.trace_id
             adopted.append(span)
         with self._lock:
+            self.dropped += max(0, len(self._finished) + len(adopted) - self._finished.maxlen)
             self._finished.extend(adopted)
-            overflow = len(self._finished) - self.max_spans
-            if overflow > 0:
-                del self._finished[:overflow]
-                self.dropped += overflow
         return adopted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

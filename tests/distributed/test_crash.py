@@ -41,9 +41,7 @@ class TestWorkerCrashContainment:
         path = tmp_path / "results.sqlite"
         baseline = run_scenario(SCENARIO, **KNOBS)
         with ResultStore(path) as store:
-            with ProcessShardExecutor(
-                processes=2, store_path=store.path, crash_marker=str(marker)
-            ) as executor:
+            with ProcessShardExecutor(processes=2, crash_marker=str(marker)) as executor:
                 crashed = run_scenario(SCENARIO, executor=executor, store=store, **KNOBS)
             assert crashed.scores() == baseline.scores()
             assert len(store.query(kind="run", limit=100)) == len(baseline.runs())

@@ -96,9 +96,8 @@ class TestSpawnSafety:
             max_workers=1,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=initialize_worker,
-            initargs=(None, None),
         ) as pool:
             result = pool.submit(execute_lease, lease).result(timeout=300)
         assert [o["key"] for o in result.outcomes] == list(lease.task.unit_keys())
         assert result.outcomes[0]["status"] == "ok"
-        assert result.worker.startswith("pid-")
+        assert result.worker.startswith("worker-pid-")

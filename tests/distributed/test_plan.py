@@ -7,7 +7,7 @@ from repro.distributed import plan_scenario
 from repro.distributed.plan import TASKS_PER_WORKER
 from repro.exceptions import DistributedError
 from repro.mitigation import ReadoutMitigator
-from repro.suite import Scenario, Sweep
+from repro.suite import Scenario, Sweep, run_scenario
 
 SCENARIO = Scenario(
     name="plan-test",
@@ -67,13 +67,12 @@ class TestPlanScenario:
     def test_execution_knobs_are_stamped_on_every_task(self):
         plan = plan_scenario(
             SCENARIO, shots=123, repetitions=2, seed=9, trajectories=7,
-            backend_override="statevector", store_path="/tmp/x.sqlite",
+            backend_override="statevector",
         )
         for task in plan.tasks:
             assert (task.shots, task.repetitions, task.seed) == (123, 2, 9)
             assert task.trajectories == 7
             assert task.backend_override == "statevector"
-            assert task.store_path == "/tmp/x.sqlite"
             assert task.scenario == "plan-test"
 
     def test_mitigator_instances_are_rejected(self):
@@ -83,8 +82,11 @@ class TestPlanScenario:
             devices=("IonQ-11Q",),
             mitigations=(ReadoutMitigator(),),
         )
+        # The planner labels an instance by name (the in-process executor
+        # holds the instance); the process boundary rejects it up front.
+        assert [task.mitigation for task in plan_scenario(scenario).tasks] == ["readout"]
         with pytest.raises(DistributedError, match="Mitigator instances"):
-            plan_scenario(scenario)
+            run_scenario(scenario, executor="process", shots=10, repetitions=1)
 
     def test_mitigation_names_produce_one_group_per_technique(self):
         scenario = Scenario(

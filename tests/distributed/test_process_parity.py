@@ -19,6 +19,10 @@ SCENARIO = Scenario(
 KNOBS = dict(shots=40, repetitions=1, seed=11, trajectories=5)
 
 
+def store_hits(result):
+    return sum(stats.get("store_hits", 0) for stats in result.engine_stats.values())
+
+
 @pytest.fixture(scope="module")
 def thread_result():
     return run_scenario(SCENARIO, **KNOBS)
@@ -73,13 +77,12 @@ class TestProcessStoreIntegration:
                 SCENARIO, store=store, executor="process", processes=2, **KNOBS
             )
             assert result.scores() == warm.scores()
-            stats = result.engine_stats["scheduler"]
-            assert stats["prewarmed_units"] == len(warm.outcomes()) - len(warm.skipped())
+            assert store_hits(result) == len(warm.outcomes()) - len(warm.skipped())
             # Skips are re-derived by workers; executed units never shipped.
             assert not any(k.startswith("worker-") and v.get("executions")
                            for k, v in result.engine_stats.items())
 
-    def test_workers_write_runs_back_to_a_file_store(self, tmp_path):
+    def test_parent_writes_runs_back_to_a_file_store(self, tmp_path):
         path = tmp_path / "cold.sqlite"
         with ResultStore(path) as store:
             result = run_scenario(
@@ -87,6 +90,11 @@ class TestProcessStoreIntegration:
             )
             rows = store.query(kind="run", limit=100)
             assert len(rows) == len(result.runs())
+            # Every unit was looked up exactly once, by the parent.
+            misses = sum(s.get("store_misses", 0) for s in result.engine_stats.values())
+            assert misses == len(result.outcomes())
+            assert not any(v.get("store_misses") for k, v in result.engine_stats.items()
+                           if k.startswith("worker-"))
 
     def test_memory_store_stays_parent_side_but_ends_warm(self):
         with ResultStore(":memory:") as store:
@@ -97,7 +105,7 @@ class TestProcessStoreIntegration:
                 SCENARIO, store=store, executor="process", processes=2, **KNOBS
             )
             assert again.scores() == first.scores()
-            assert again.engine_stats["scheduler"]["prewarmed_units"] == len(first.runs())
+            assert store_hits(again) == len(first.runs())
 
 
 class TestProcessPathValidation:

@@ -72,6 +72,11 @@ class TestMergedTrace:
         parent_process = sched.process
         assert {s.process for s in workers} - {parent_process}
 
+    def test_thread_path_emits_the_same_lease_span_kinds(self, traced):
+        names = {span.name for span in _run(traced, executor="thread")}
+        assert {"suite.run_scenario", "scheduler.run_leases", "scheduler.lease",
+                "worker.lease", "engine.run"} <= names
+
     def test_worker_metric_deltas_merge_into_parent_registry(self, traced):
         before = get_metrics().snapshot()
 

@@ -2,11 +2,20 @@
 
 import pytest
 
-from repro.benchmarks import figure2_benchmarks
+import repro.distributed as distributed
+from repro.benchmarks import GHZBenchmark, figure2_benchmarks
 from repro.devices import get_device
-from repro.exceptions import MitigationError
+from repro.exceptions import DistributedError, MitigationError
 from repro.execution import ExecutionEngine
-from repro.suite import Scenario, Sweep, figure2_scenario, mitigated_scenario
+from repro.mitigation import ReadoutMitigator
+from repro.suite import (
+    BenchmarkRegistry,
+    Scenario,
+    Sweep,
+    figure2_scenario,
+    get_registry,
+    mitigated_scenario,
+)
 from repro.suite.results import SuiteResult
 from repro.suite.runner import run_scenario
 
@@ -52,9 +61,10 @@ class TestRunScenario:
     def test_per_run_timing_and_engine_stats(self, small_result):
         assert all(outcome.seconds > 0 for outcome in small_result.outcomes())
         assert small_result.total_seconds() > 0
-        for stats in small_result.engine_stats.values():
+        engines = {k: v for k, v in small_result.engine_stats.items() if k != "scheduler"}
+        for stats in engines.values():
             assert stats["misses"] > 0
-        assert set(small_result.engine_stats) == {
+        assert set(engines) == {
             "IBM-Casablanca-7Q/default/O1/noise_aware",
             "IonQ-11Q/default/O1/noise_aware",
         }
@@ -221,4 +231,79 @@ class TestScenarioComposition:
             ("trivial", True),
             ("noise_aware", True),
         }
-        assert len(result.engine_stats) == 4
+        assert len([k for k in result.engine_stats if k != "scheduler"]) == 4
+
+
+class TestInProcessExecution:
+    """What only the in-process executor of the thread path can carry."""
+
+    def test_registry_builds_every_spec_and_default_stays_untouched(self):
+        registry = BenchmarkRegistry()
+        registry.register("private_ghz")(GHZBenchmark)
+        default_instances = get_registry().stats()["instances"]
+        scenario = Scenario(
+            name="private",
+            sweeps=(Sweep.of("private_ghz", num_qubits=(3, 5)),),
+            devices=tuple(DEVICES),
+        )
+        result = run_scenario(scenario, registry=registry, **KNOBS)
+        assert len(result.runs()) == 4
+        assert registry.stats()["instances"] == 2
+        assert "private_ghz" not in get_registry()
+        assert get_registry().stats()["instances"] == default_instances
+
+    @staticmethod
+    def _readout_scenario(technique):
+        return Scenario(
+            name="instances",
+            sweeps=(Sweep.of("ghz", num_qubits=(3,)),),
+            devices=("IBM-Casablanca-7Q",),
+            mitigations=("raw", technique),
+        )
+
+    def test_mitigator_instances_score_like_their_names(self):
+        by_name = run_scenario(self._readout_scenario("readout"), **KNOBS)
+        by_instance = run_scenario(self._readout_scenario(ReadoutMitigator()), **KNOBS)
+        assert by_instance.scores() == by_name.scores()
+        assert [o.unit_payload() for o in by_instance.outcomes()] == [
+            o.unit_payload() for o in by_name.outcomes()
+        ]
+        # A non-default instance is the one that runs, not its name.
+        custom = ReadoutMitigator(calibration_shots=123)
+        by_custom = run_scenario(self._readout_scenario(custom), **KNOBS)
+        with ExecutionEngine(get_device("IBM-Casablanca-7Q"), trajectories=12) as engine:
+            direct = engine.run(
+                GHZBenchmark(3), shots=60, repetitions=1, seed=99, mitigation=custom
+            )
+        assert by_custom.runs()[1].scores == direct.scores
+        assert by_custom.runs()[1].scores != by_name.runs()[1].scores
+
+    def test_mitigator_instances_rejected_by_process_executor_before_planning(
+        self, monkeypatch
+    ):
+        planned = []
+        monkeypatch.setattr(distributed, "plan_scenario", lambda *a, **k: planned.append(a))
+        with pytest.raises(DistributedError, match="Mitigator instances"):
+            run_scenario(
+                self._readout_scenario(ReadoutMitigator()), executor="process", **KNOBS
+            )
+        assert planned == []
+
+    def test_in_process_errors_propagate_without_retry(self):
+        attempts = []
+
+        class Exploding(GHZBenchmark):
+            def __init__(self, num_qubits):
+                attempts.append(num_qubits)
+                raise ValueError("cannot build")
+
+        registry = BenchmarkRegistry()
+        registry.register("exploding")(Exploding)
+        scenario = Scenario(
+            name="exploding",
+            sweeps=(Sweep.of("exploding", num_qubits=(3,)),),
+            devices=("IonQ-11Q",),
+        )
+        with pytest.raises(ValueError, match="cannot build"):
+            run_scenario(scenario, registry=registry, max_attempts=3, **KNOBS)
+        assert attempts == [3]

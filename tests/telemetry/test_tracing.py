@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.telemetry import NULL_SPAN, Tracer
+from repro.telemetry import NULL_SPAN, Tracer, configure_tracing, get_tracer
 
 
 class TestSpanNesting:
@@ -106,6 +106,43 @@ class TestRetention:
         names = [span.name for span in tracer.finished()]
         assert names == ["s2", "s3", "s4"]
         assert tracer.dropped == 2
+
+    def test_adopt_overflow_drops_oldest_and_counts(self):
+        tracer = Tracer(seed=1, max_spans=3)
+        tracer.emit("local", 0.0)
+        shipped = [
+            {"name": f"w{index}", "span_id": f"w-{index}", "parent_id": None,
+             "trace_id": f"w-{index}"}
+            for index in range(4)
+        ]
+        tracer.adopt(shipped)
+        assert [span.name for span in tracer.finished()] == ["w1", "w2", "w3"]
+        assert tracer.dropped == 2
+        tracer.emit("after", 0.0)
+        assert [span.name for span in tracer.finished()] == ["w2", "w3", "after"]
+        assert tracer.dropped == 3
+
+    def test_max_spans_shrink_keeps_newest(self):
+        tracer = get_tracer()
+        previous = (tracer.enabled, tracer.max_spans)
+        tracer.clear()
+        try:
+            configure_tracing(enabled=True)
+            for index in range(5):
+                tracer.emit(f"s{index}", 0.0)
+            configure_tracing(max_spans=2)
+            assert tracer.max_spans == 2
+            assert [span.name for span in tracer.finished()] == ["s3", "s4"]
+            assert tracer.dropped == 3
+            tracer.emit("s5", 0.0)
+            assert [span.name for span in tracer.finished()] == ["s4", "s5"]
+            assert tracer.dropped == 4
+            configure_tracing(max_spans=10)  # growing keeps everything
+            assert [span.name for span in tracer.finished()] == ["s4", "s5"]
+            assert tracer.dropped == 4
+        finally:
+            tracer.clear()
+            configure_tracing(enabled=previous[0], max_spans=previous[1])
 
     def test_drain_empties_the_buffer(self):
         tracer = Tracer(seed=1)
