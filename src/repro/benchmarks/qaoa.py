@@ -18,6 +18,7 @@ on a line, at the cost of reversing the qubit order.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,8 +27,10 @@ from ..circuits import Circuit
 from ..exceptions import BenchmarkError
 from ..hamiltonians import SKModel
 from ..optimize import minimize_nelder_mead
+from ..paulis import PauliString, PauliSum
 from ..simulation import Counts, final_statevector
 from ..suite.registry import register_family
+from ..telemetry import get_tracer
 from .base import Benchmark
 
 __all__ = ["VanillaQAOABenchmark", "ZZSwapQAOABenchmark"]
@@ -70,14 +73,12 @@ class _QAOABenchmark(Benchmark):
     def _ansatz_energy(self, gamma: float, beta: float) -> float:
         circuit = self.ansatz(gamma, beta, measure=False)
         state = final_statevector(circuit)
-        hamiltonian = self._physical_hamiltonian()
-        return hamiltonian.expectation_from_statevector(state)
+        return self._physical_hamiltonian.expectation_from_statevector(state)
 
-    def _physical_hamiltonian(self):
+    @cached_property
+    def _physical_hamiltonian(self) -> PauliSum:
         """The cost Hamiltonian expressed on the measured qubit positions."""
         positions = self._logical_bit_positions()
-        from ..paulis import PauliString, PauliSum
-
         terms = PauliSum()
         for (i, j), w in self.model.weights:
             terms.add_term(w, PauliString.from_dict({positions[i]: "Z", positions[j]: "Z"}))
@@ -88,16 +89,23 @@ class _QAOABenchmark(Benchmark):
         if self._parameters is None:
             best_value = float("inf")
             best_params = (0.1, 0.1)
-            for start in ((0.2, 0.2), (0.8, 0.4), (-0.4, 0.6)):
-                result = minimize_nelder_mead(
-                    lambda p: self._ansatz_energy(p[0], p[1]),
-                    start,
-                    max_iterations=120,
-                    tolerance=1e-5,
-                )
-                if result.value < best_value:
-                    best_value = result.value
-                    best_params = (float(result.parameters[0]), float(result.parameters[1]))
+            starts = ((0.2, 0.2), (0.8, 0.4), (-0.4, 0.6))
+            evaluations = 0
+            with get_tracer().span(
+                "benchmark.optimize", benchmark=str(self), restarts=len(starts)
+            ) as span:
+                for start in starts:
+                    result = minimize_nelder_mead(
+                        lambda p: self._ansatz_energy(p[0], p[1]),
+                        start,
+                        max_iterations=120,
+                        tolerance=1e-5,
+                    )
+                    evaluations += result.evaluations
+                    if result.value < best_value:
+                        best_value = result.value
+                        best_params = (float(result.parameters[0]), float(result.parameters[1]))
+                span.set_attribute("evaluations", evaluations)
             self._parameters = best_params
             self._ideal_energy = best_value
         return self._parameters

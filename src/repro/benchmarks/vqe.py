@@ -16,6 +16,7 @@ the ``Z Z`` coupling terms and the X basis for the transverse-field terms, so
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +25,10 @@ from ..circuits import Circuit
 from ..exceptions import BenchmarkError
 from ..hamiltonians import TransverseFieldIsing
 from ..optimize import minimize_nelder_mead
+from ..paulis import PauliSum
 from ..simulation import Counts, final_statevector
 from ..suite.registry import register_family
+from ..telemetry import get_tracer
 from .base import Benchmark
 from .qaoa import _energy_score
 
@@ -115,9 +118,13 @@ class VQEBenchmark(Benchmark):
         return circuit
 
     # ------------------------------------------------------------------
+    @cached_property
+    def _hamiltonian(self) -> PauliSum:
+        return self.model.hamiltonian()
+
     def _energy_from_statevector(self, parameters: Sequence[float]) -> float:
         state = final_statevector(self.ansatz(parameters))
-        return self.model.hamiltonian().expectation_from_statevector(state)
+        return self._hamiltonian.expectation_from_statevector(state)
 
     def optimal_parameters(self) -> np.ndarray:
         """Variational parameters optimised by classical simulation."""
@@ -125,17 +132,23 @@ class VQEBenchmark(Benchmark):
             rng = np.random.default_rng(self._seed)
             best_value = float("inf")
             best_parameters = np.zeros(self.num_parameters)
-            for _restart in range(2):
-                start = rng.uniform(-0.5, 0.5, size=self.num_parameters)
-                result = minimize_nelder_mead(
-                    self._energy_from_statevector,
-                    start,
-                    max_iterations=250,
-                    tolerance=1e-6,
-                )
-                if result.value < best_value:
-                    best_value = result.value
-                    best_parameters = result.parameters
+            restarts, evaluations = 2, 0
+            with get_tracer().span(
+                "benchmark.optimize", benchmark=str(self), restarts=restarts
+            ) as span:
+                for _restart in range(restarts):
+                    start = rng.uniform(-0.5, 0.5, size=self.num_parameters)
+                    result = minimize_nelder_mead(
+                        self._energy_from_statevector,
+                        start,
+                        max_iterations=250,
+                        tolerance=1e-6,
+                    )
+                    evaluations += result.evaluations
+                    if result.value < best_value:
+                        best_value = result.value
+                        best_parameters = result.parameters
+                span.set_attribute("evaluations", evaluations)
             self._parameters = np.asarray(best_parameters, dtype=float)
             self._ideal_energy = float(best_value)
         return self._parameters

@@ -36,6 +36,7 @@ from .kernels import (
     FusedGate,
     GateKernel,
     apply_kernel,
+    apply_matrix_reference,
     counts_from_samples,
     fuse_operations,
     kernel_for_operation,
@@ -154,9 +155,16 @@ def final_statevector(
     else:
         # Strict kernels keep this path bit-identical to the historical
         # per-gate tensordot evolution (the seeded sampling contract).
+        # Parameterised rows skip kernel analysis and the caches: an
+        # optimiser's angles are seen once, and strict mode only takes fast
+        # paths that are bit-identical to the reference contraction anyway.
         for opcode, qubits, params in gate_rows:
             axes = [qubit_axis(q, num_qubits) for q in qubits]
-            psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
+            if params:
+                matrix = operation_matrix.__wrapped__(opcode, params)
+                psi = np.ascontiguousarray(apply_matrix_reference(psi, matrix, axes))
+            else:
+                psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
     return np.ascontiguousarray(psi).reshape(-1)
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.benchmarks.qaoa as qaoa_module
+import repro.benchmarks.vqe as vqe_module
 from repro.benchmarks import (
     HamiltonianSimulationBenchmark,
     VQEBenchmark,
@@ -11,6 +13,8 @@ from repro.benchmarks import (
 )
 from repro.exceptions import BenchmarkError
 from repro.simulation import Counts, StatevectorSimulator, final_statevector
+from repro.suite import Scenario, Sweep, run_scenario
+from repro.telemetry import configure_tracing, get_tracer
 from repro.utils import equivalent_up_to_global_phase
 
 
@@ -161,3 +165,39 @@ class TestHamiltonianSimulation:
     def test_score_bounded(self):
         benchmark = HamiltonianSimulationBenchmark(3, steps=1)
         assert 0.0 <= benchmark.score([Counts({"111": 5})]) <= 1.0
+
+
+class TestOptimizeSpan:
+    @pytest.mark.parametrize(
+        "module, sweep, restarts",
+        [
+            (vqe_module, Sweep.of("vqe", num_qubits=(4,), num_layers=(1,)), 2),
+            (qaoa_module, Sweep.of("vanilla_qaoa", num_qubits=(4,)), 3),
+        ],
+        ids=["vqe", "vanilla_qaoa"],
+    )
+    def test_one_spec_sweep_traces_the_optimisation(self, monkeypatch, module, sweep, restarts):
+        optimizer = module.minimize_nelder_mead
+        evaluations = []
+
+        def recording(*args, **kwargs):
+            result = optimizer(*args, **kwargs)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(module, "minimize_nelder_mead", recording)
+        tracer = get_tracer()
+        previous = tracer.enabled
+        configure_tracing(enabled=True)
+        tracer.clear()
+        try:
+            scenario = Scenario(name="optimize", sweeps=(sweep,), devices=("IonQ-11Q",))
+            run_scenario(scenario, shots=40, repetitions=1, seed=3, trajectories=5)
+            spans = [span for span in tracer.finished() if span.name == "benchmark.optimize"]
+        finally:
+            tracer.clear()
+            tracer.enabled = previous
+        assert len(spans) == 1
+        assert spans[0].attributes["restarts"] == restarts == len(evaluations)
+        assert spans[0].attributes["evaluations"] == sum(evaluations) > 0
+        assert spans[0].attributes["benchmark"].startswith(sweep.family)

@@ -67,6 +67,10 @@ class TestPauliString:
         # Little-endian: qubit 0 is the least significant index bit.
         assert np.allclose(np.diag(matrix), [1, -1, 1, -1])
 
+    def test_matrix_rejects_support_beyond_num_qubits(self):
+        with pytest.raises(AnalysisError):
+            PauliString.from_dict({5: "X"}).matrix(2)
+
     def test_expectation_from_counts(self):
         pauli = PauliString.from_label("ZZ")
         counts = Counts({"00": 50, "11": 50})
@@ -112,6 +116,17 @@ class TestPauliSum:
         z_sum = PauliSum().add_term(1.0, PauliString.from_label("Z"))
         assert x_sum.expectation_from_statevector(state) == pytest.approx(1.0)
         assert z_sum.expectation_from_statevector(state) == pytest.approx(0.0, abs=1e-9)
+
+    def test_expectation_rejects_non_power_of_two_length(self):
+        total = PauliSum().add_term(1.0, PauliString.from_label("Z"))
+        with pytest.raises(AnalysisError):
+            total.expectation_from_statevector(np.ones(3, dtype=complex) / np.sqrt(3))
+
+    def test_expectation_rejects_support_beyond_state(self):
+        total = PauliSum().add_term(1.0, PauliString.from_dict({5: "X"}))
+        state = final_statevector(Circuit(2).h(0))
+        with pytest.raises(AnalysisError):
+            total.expectation_from_statevector(state)
 
     def test_scalar_multiplication(self):
         total = PauliSum().add_term(2.0, PauliString.from_label("Z"))

@@ -14,6 +14,12 @@ from repro.simulation import (
     probabilities_from_statevector,
     sample_statevector,
 )
+from repro.simulation.kernels import (
+    apply_kernel,
+    kernel_for_operation,
+    operation_matrix,
+    qubit_axis,
+)
 
 
 class TestApplyUnitary:
@@ -85,6 +91,27 @@ class TestFinalStatevector:
         unitary = circuit_unitary(ghz3)
         state = final_statevector(ghz3)
         assert np.allclose(unitary[:, 0], state)
+
+    def test_parameterised_rows_skip_kernel_caches_and_match_strict_kernels(self):
+        def ansatz(theta):
+            circuit = Circuit(3).h(0).rx(theta, 1).cx(0, 1).rzz(2 * theta, 1, 2)
+            return circuit.rz(0.0, 2).ry(-theta, 0).x(2)  # rz(0.0): an exact diagonal
+
+        final_statevector(ansatz(0.25))  # caches the fixed rows (h, cx, x)
+        caches = (kernel_for_operation, operation_matrix)
+        before = [(cache.cache_info().currsize, cache.cache_info().misses) for cache in caches]
+        state = final_statevector(ansatz(0.7123))
+        after = [(cache.cache_info().currsize, cache.cache_info().misses) for cache in caches]
+        assert after == before
+
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = 1.0
+        psi = psi.reshape(2, 2, 2)
+        for _row, opcode, qubits, params, _clbit in ansatz(0.7123).packed().iter_rows():
+            axes = [qubit_axis(q, 3) for q in qubits]
+            psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
+        # Exact equality: the uncached contraction reproduces strict kernels.
+        assert np.array_equal(state, psi.reshape(-1))
 
 
 class TestSampling:
