@@ -36,7 +36,7 @@ from ..features import typical_features
 from ..mitigation import CalibrationCache, Mitigator, is_raw_spec, resolve_mitigator
 from ..mitigation.calibration import calibration_seed
 from ..simulation import Counts, QuasiDistribution
-from ..telemetry import get_metrics, get_tracer, instance_label
+from ..telemetry import Span, get_metrics, get_tracer, instance_label
 from .backends import Backend, backend_metadata, circuit_seed, resolve_backend
 from .cache import CacheEntry, TranspileCache
 from .job import Job
@@ -270,6 +270,7 @@ class ExecutionEngine:
         seed: Optional[int],
     ) -> Job:
         pool = self._pool()
+        parent = get_tracer().current_span()
         futures: List["Future[Counts]"] = []
         metadata: List[Dict[str, object]] = []
         for index, (circuit, entry) in enumerate(zip(circuits, entries)):
@@ -277,7 +278,7 @@ class ExecutionEngine:
             seed_here = circuit_seed(seed, index)
             futures.append(
                 pool.submit(
-                    self._run_one, entry.compact, shots, noise, seed_here
+                    self._run_one, entry.compact, shots, noise, seed_here, parent
                 )
             )
             metadata.append(
@@ -305,9 +306,13 @@ class ExecutionEngine:
             backend_metadata=backend_metadata(self.backend),
         )
 
-    def _run_one(self, compact: Circuit, shots: int, noise, seed: Optional[int]) -> Counts:
-        self._execution_series.add(1.0)
-        return self.backend.run_batch([compact], shots, noise_model=[noise], seed=seed)[0]
+    def _run_one(
+        self, compact: Circuit, shots: int, noise, seed: Optional[int], parent: Optional[Span]
+    ) -> Counts:
+        # ``parent`` is the submitter's span: pool-thread spans join its trace.
+        with get_tracer().resume(parent):
+            self._execution_series.add(1.0)
+            return self.backend.run_batch([compact], shots, noise_model=[noise], seed=seed)[0]
 
     # ------------------------------------------------------------------
     # content-addressed result caching
@@ -422,10 +427,11 @@ class ExecutionEngine:
             noise = entry.noise_model() if self.backend.noisy else None
             seed = calibration_seed(key)
             pool = self._pool()
+            parent = get_tracer().current_span()
             futures = [
                 pool.submit(
                     self._run_one, circuit, mitigator.calibration_shots, noise,
-                    circuit_seed(seed, index),
+                    circuit_seed(seed, index), parent,
                 )
                 for index, circuit in enumerate(circuits)
             ]
@@ -455,6 +461,7 @@ class ExecutionEngine:
     ) -> Tuple[List["Future[Counts]"], List[int]]:
         """Submit every transform variant of every entry; returns futures + group sizes."""
         pool = self._pool()
+        parent = get_tracer().current_span()
         futures: List["Future[Counts]"] = []
         sizes: List[int] = []
         index = 0
@@ -463,7 +470,9 @@ class ExecutionEngine:
             sizes.append(len(variants))
             for variant in variants:
                 futures.append(
-                    pool.submit(self._run_one, variant, shots, noise, circuit_seed(seed, index))
+                    pool.submit(
+                        self._run_one, variant, shots, noise, circuit_seed(seed, index), parent
+                    )
                 )
                 index += 1
         return futures, sizes

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,7 @@ from .kernels import (
     reset_qubit_batch,
     sample_counts_array,
 )
+from .noise import KrausChannel
 from .result import Counts
 
 __all__ = [
@@ -240,11 +242,31 @@ class _GateStep:
 
 
 @dataclass(frozen=True)
+class _PreparedChannel:
+    """A channel's operators stacked for the XOR-gather kernel.
+
+    ``operators`` holds one flattened ``(d, d)`` operator per branch: the
+    non-zero Kraus operators of a general channel, or the unitaries of a
+    mixture (an exact identity for each identity branch).  ``terms`` are
+    the XOR masks ``s`` for which some operator has a non-zero entry
+    ``(r, r ^ s)``.  General channels add their Gram matrices ``K†K`` and
+    the masks those use; mixtures add the ``Generator.choice`` CDF of their
+    branch probabilities and per-branch identity flags.
+    """
+
+    operators: np.ndarray
+    terms: Tuple[int, ...]
+    grams: Optional[np.ndarray] = None
+    gram_terms: Tuple[int, ...] = ()
+    cdf: Optional[np.ndarray] = None
+    identity: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
 class _ChannelStep:
+    channel: KrausChannel
     qubits: Tuple[int, ...]
-    kraus_kernels: Tuple[GateKernel, ...]
-    mixture: Optional[Tuple[np.ndarray, Tuple[GateKernel, ...], np.ndarray]]
-    #: mixture = (probabilities, unit-normalised kernels, is_identity flags)
+    prepared: _PreparedChannel
 
 
 @dataclass(frozen=True)
@@ -269,33 +291,115 @@ class _TrajectoryPlan:
     terminal: Tuple[Tuple[int, int], ...]  # (qubit, clbit) sampled at the end
 
 
-def _is_identity_kernel(kernel: GateKernel) -> bool:
+def _is_identity(unitary: np.ndarray) -> bool:
     # Tolerance matters: mixture unitaries are built as K / sqrt(weight), so
     # the no-error branch's diagonal can be 1.0 +/- 1 ulp; an exact comparison
     # would silently disable identity-branch skipping for such error rates.
-    return bool(
-        kernel.kind == "diagonal"
-        and np.allclose(kernel.diagonal, 1.0, rtol=0.0, atol=1e-12)
-    )
+    return bool(np.allclose(unitary, np.eye(len(unitary)), rtol=0.0, atol=1e-12))
 
 
-def _channel_step(channel, qubits: Tuple[int, ...]) -> _ChannelStep:
-    # Kernel analysis is cached on the channel object: channel factories are
-    # themselves cached, so each distinct channel is analysed once per process
-    # rather than once per compiled circuit.
-    prepared = getattr(channel, "_batched_kernels", None)
-    if prepared is None:
-        kraus_kernels = tuple(ket for ket, _bra in channel.kraus_kernels())
-        mixture = channel.unitary_mixture()
-        mixture_prepared = None
-        if mixture is not None:
-            probabilities, unitaries = mixture
-            unit_kernels = tuple(kernels.analyze_matrix(u) for u in unitaries)
-            identity_flags = np.array([_is_identity_kernel(k) for k in unit_kernels])
-            mixture_prepared = (probabilities, unit_kernels, identity_flags)
-        prepared = (kraus_kernels, mixture_prepared)
-        object.__setattr__(channel, "_batched_kernels", prepared)
-    return _ChannelStep(qubits, prepared[0], prepared[1])
+def _xor_terms(matrices: np.ndarray) -> Tuple[int, ...]:
+    """Masks ``s`` for which some ``(d, d)`` matrix has a non-zero ``(r, r ^ s)`` entry."""
+    rows = np.arange(matrices.shape[-1])
+    return tuple(s for s in range(len(rows)) if matrices[:, rows, rows ^ s].any())
+
+
+#: ``Generator.choice``'s tolerance on a distribution's sum.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table of distributions on the last axis, as ``Generator.choice`` builds it.
+
+    Checks what ``choice`` checks -- no NaN, no negative entry, every
+    distribution summing to 1 within ``sqrt(eps)`` -- and returns the
+    cumulative sum divided by its last entry, so that
+    ``cdf.searchsorted(rng.random(n), side="right")`` draws exactly what
+    ``rng.choice(len(p), n, p=p)`` draws and leaves ``rng`` in the same state.
+    """
+    totals = probabilities.sum(axis=-1)
+    if (
+        np.isnan(totals).any()
+        or (probabilities < 0).any()
+        or (np.abs(totals - 1.0) > _CHOICE_ATOL).any()
+    ):
+        raise SimulationError("probabilities must be non-negative and sum to 1")
+    cdf = probabilities.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _prepare_channel(channel: KrausChannel) -> _PreparedChannel:
+    # Cached on the channel object: channel factories are themselves cached,
+    # so each distinct channel is prepared once per process rather than once
+    # per compiled circuit.
+    prepared = getattr(channel, "_trajectory_prepared", None)
+    if prepared is not None:
+        return prepared
+    dim = channel.dim
+    mixture = channel.unitary_mixture()
+    if mixture is None:
+        # Identically-zero operators (thermal relaxation's PD1 @ AD1) are
+        # branches no trajectory may take.
+        kraus = np.array([k for k in channel.kraus_operators if k.any()], dtype=complex)
+        if not len(kraus):
+            raise SimulationError(f"channel {channel.name!r} has only zero Kraus operators")
+        grams = kraus.conj().transpose(0, 2, 1) @ kraus
+        prepared = _PreparedChannel(
+            operators=kraus.reshape(len(kraus), dim * dim),
+            terms=_xor_terms(kraus),
+            grams=grams.reshape(len(grams), dim * dim),
+            gram_terms=_xor_terms(grams),
+        )
+    else:
+        probabilities, unitaries = mixture
+        identity = np.array([_is_identity(u) for u in unitaries])
+        stacked = np.array(
+            [np.eye(dim, dtype=complex) if flag else u for u, flag in zip(unitaries, identity)]
+        )
+        prepared = _PreparedChannel(
+            operators=stacked.reshape(len(stacked), dim * dim),
+            terms=_xor_terms(stacked),
+            cdf=_choice_cdf(np.asarray(probabilities, dtype=float)),
+            identity=identity,
+        )
+    object.__setattr__(channel, "_trajectory_prepared", prepared)
+    return prepared
+
+
+def _channel_step(channel: KrausChannel, qubits: Tuple[int, ...]) -> _ChannelStep:
+    return _ChannelStep(channel, qubits, _prepare_channel(channel))
+
+
+@lru_cache(maxsize=256)
+def _xor_table(
+    num_qubits: int, qubits: Tuple[int, ...], terms: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather indices and flat operator columns of a k-qubit operator's XOR terms.
+
+    Let ``b(i)`` be basis state ``i``'s sub-index on ``qubits`` (``qubits[0]``
+    is the matrix MSB) and ``d = 2**k``.  Row ``m`` of the two ``(len(terms),
+    2**num_qubits)`` tables, for mask ``s = terms[m]``, holds ``i ^ spread(s)``
+    -- the basis state whose sub-index is ``b(i) ^ s`` -- and
+    ``b(i) * d + (b(i) ^ s)``, the entry of a flattened ``(d, d)`` operator
+    that multiplies it.  So ``(K ⊗ I) ψ = Σ_m ψ[gather[m]] * K.ravel()[columns[m]]``
+    whenever ``terms`` covers every non-zero entry of ``K``.  The tables are
+    shared across callers and read-only.
+    """
+    k = len(qubits)
+    index = np.arange(1 << num_qubits)
+    masks = np.array(terms, dtype=index.dtype)[:, None]
+    sub = np.zeros_like(index)
+    spread = np.zeros_like(masks)
+    for position, qubit in enumerate(qubits):
+        bit = k - 1 - position
+        sub |= ((index >> qubit) & 1) << bit
+        spread |= ((masks >> bit) & 1) << qubit
+    gather = index ^ spread
+    columns = (sub << k) | (sub ^ masks)
+    gather.flags.writeable = False
+    columns.flags.writeable = False
+    return gather, columns
 
 
 def _compile_trajectory_plan(circuit: Circuit, noise_model) -> _TrajectoryPlan:
@@ -375,9 +479,10 @@ class StatevectorSimulator:
     deterministic prefix of the compiled circuit is evolved once, the
     stochastic suffix is evolved as a ``(T, 2**n)`` trajectory array with
     vectorised Kraus sampling, and terminal measurements are sampled with
-    vectorised readout error.  Unitary-mixture channels (depolarizing, Pauli
-    flips) sample their branch from a state-independent distribution and skip
-    identity branches entirely.
+    vectorised readout error.  Each noise channel is one XOR-gather pass
+    over the batch; unitary-mixture channels (depolarizing, Pauli flips)
+    sample their branch from a state-independent distribution and leave the
+    batch untouched when every trajectory drew an identity branch.
 
     Args:
         noise_model: Optional :class:`~repro.simulation.noise_model.NoiseModel`.
@@ -529,11 +634,19 @@ class StatevectorSimulator:
             samples = (draws[:, None] > cumulative).sum(axis=1)
             samples = np.minimum(samples, probabilities.shape[1] - 1)
         else:
-            pieces = [
-                self._rng.choice(probabilities.shape[1], size=int(n), p=probabilities[t])
-                for t, n in enumerate(shots_per)
-            ]
-            samples = np.concatenate(pieces)
+            # Generator.choice per trajectory, drawn at once: the same draws
+            # in the same order, compared row-wise against each trajectory's
+            # CDF (searchsorted side="right"), in blocks under the batch cap.
+            cdf = _choice_cdf(probabilities)
+            owners = np.repeat(np.arange(size), shots_per)
+            draws = self._rng.random(owners.size)
+            block = max(1, self.max_batch_elements // cdf.shape[1])
+            samples = np.concatenate(
+                [
+                    (cdf[owners[i : i + block]] <= draws[i : i + block, None]).sum(axis=1)
+                    for i in range(0, owners.size, block)
+                ]
+            )
         return samples.astype(np.int64), rows
 
     def _readout_flips(self, qubit: int, outcomes: np.ndarray) -> np.ndarray:
@@ -549,64 +662,57 @@ class StatevectorSimulator:
     def _apply_channel_batch(
         self, batch: np.ndarray, step: _ChannelStep, num_qubits: int
     ) -> np.ndarray:
-        """Sample one Kraus branch per trajectory and apply it, vectorised."""
-        axes = [qubit_axis(q, num_qubits, offset=1) for q in step.qubits]
-        size = batch.shape[0]
-        if step.mixture is not None:
-            probabilities, unit_kernels, identity_flags = step.mixture
-            if len(unit_kernels) == 1:
-                if not identity_flags[0]:
-                    batch = apply_kernel(batch, unit_kernels[0], axes, strict=False)
-                return batch
-            choices = self._rng.choice(len(unit_kernels), size=size, p=probabilities)
-            for branch in np.unique(choices):
-                if identity_flags[branch]:
-                    continue  # the overwhelmingly common no-error branch
-                selected = choices == branch
-                sub = batch[selected]
-                sub = apply_kernel(sub, unit_kernels[branch], axes, strict=False)
-                batch[selected] = sub
-            return batch
+        """Sample one Kraus branch per trajectory and apply it in one flat pass.
 
-        # General channel: per-trajectory branch weights are state-dependent.
-        num_branches = len(step.kraus_kernels)
-        weights = np.empty((size, num_branches))
-        for branch, kernel in enumerate(step.kraus_kernels):
-            candidate = apply_kernel(batch, kernel, axes, strict=False, in_place=False)
-            weights[:, branch] = (
-                (np.abs(candidate) ** 2).reshape(size, -1).sum(axis=1)
-            )
-        totals = weights.sum(axis=1)
-        if np.any(totals <= 1e-15):
-            raise SimulationError("noise channel annihilated the state")
-        cumulative = np.cumsum(weights / totals[:, None], axis=1)
-        draws = self._rng.random(size)
-        choices = np.minimum((draws[:, None] > cumulative).sum(axis=1), num_branches - 1)
-        for branch in np.unique(choices):
-            selected = choices == branch
-            sub = apply_kernel(batch[selected], step.kraus_kernels[branch], axes, strict=False)
-            norms = np.sqrt(weights[selected, branch])
-            sub /= norms.reshape((-1,) + (1,) * (sub.ndim - 1))
-            batch[selected] = sub
-        return batch
-
-    # ------------------------------------------------------------------
-    def _measure_qubit(self, state: np.ndarray, qubit: int, num_qubits: int) -> Tuple[int, np.ndarray]:
-        """Projectively measure one qubit, collapsing and renormalising.
-
-        The outcome probability is read through a ``(2,)*n`` reshape view and
-        the collapse happens in place on the returned array (which is
-        ``state`` itself whenever ``state`` is C-contiguous; a reshape of a
-        non-contiguous array would silently copy, so such inputs are
-        contiguized first).
+        Consumes the draws of a per-branch implementation, in the same
+        order: a mixture takes one ``Generator.choice`` index per trajectory
+        (none when it has a single branch), a general channel one uniform
+        per trajectory.  Every trajectory's chosen operator -- ``K_c /
+        sqrt(w_c)`` for a general channel -- is applied through the
+        :func:`_xor_table` gather.
         """
-        if not state.flags.c_contiguous:
-            state = np.ascontiguousarray(state)
-        view = state.reshape((2,) * num_qubits)
-        outcome = int(
-            measure_qubit_batch(view[None, ...], qubit, num_qubits, self._rng)[0]
-        )
-        return outcome, state
+        prepared = step.prepared
+        size = batch.shape[0]
+        flat = batch.reshape(size, -1)
+        if prepared.cdf is not None:
+            if len(prepared.cdf) == 1:
+                choices = np.zeros(size, dtype=np.intp)
+            else:
+                choices = prepared.cdf.searchsorted(self._rng.random(size), side="right")
+            if prepared.identity[choices].all():
+                return batch  # the overwhelmingly common no-error draw
+            operators = prepared.operators[choices]
+        else:
+            # Branch weights <psi|K†K|psi>: the Grams' diagonal term
+            # |psi|^2 @ G_0, plus their off-diagonal XOR terms, if any.
+            gather, columns = _xor_table(num_qubits, step.qubits, prepared.gram_terms)
+            grams = prepared.grams
+            weights = (np.abs(flat) ** 2) @ grams[:, columns[0]].real.T
+            if len(columns) > 1:
+                pairs = flat.conj()[:, None, :] * flat[:, gather[1:]]
+                off_diagonal = grams[:, columns[1:]].reshape(len(grams), -1)
+                weights += (pairs.reshape(size, -1) @ off_diagonal.T).real
+                np.maximum(weights, 0.0, out=weights)  # rounding below zero
+            totals = weights.sum(axis=1)
+            if not totals.min() > 1e-15:
+                raise SimulationError("noise channel annihilated the state")
+            cumulative = np.cumsum(weights / totals[:, None], axis=1)
+            draws = self._rng.random(size)
+            choices = (draws[:, None] > cumulative[:, :-1]).sum(axis=1)
+            chosen = weights[np.arange(size), choices]
+            if not chosen.all():
+                # Rounding left a draw past the last boundary, on a trailing
+                # zero-weight branch (or a zero draw on a leading one): move
+                # it to the nearest branch with weight.
+                positive = weights > 0
+                first = positive.argmax(axis=1)
+                last = positive.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+                choices = np.clip(choices, first, last)
+                chosen = weights[np.arange(size), choices]
+            operators = prepared.operators[choices] / np.sqrt(chosen)[:, None]
+        gather, columns = _xor_table(num_qubits, step.qubits, prepared.terms)
+        out = (flat[:, gather] * operators[:, columns]).sum(axis=1)
+        return out.reshape(batch.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +750,6 @@ def _terminal_measurements(circuit: Circuit) -> set[int]:
     )
     measured_qubits = packed.qubits[measure_rows, 0]
     return set(measure_rows[last_touch[measured_qubits] == measure_rows].tolist())
-
-
-def _non_terminal_measurements(circuit: Circuit) -> List[int]:
-    terminal = _terminal_measurements(circuit)
-    packed = circuit.packed()
-    measure_rows = np.nonzero(packed.opcodes == MEASURE_OP)[0]
-    return [int(row) for row in measure_rows if int(row) not in terminal]
 
 
 def _measurement_map(circuit: Circuit) -> Tuple[List[int], List[int]]:

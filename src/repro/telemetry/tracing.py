@@ -147,6 +147,24 @@ class _SpanContext:
         return False
 
 
+class _ResumedContext:
+    """Context manager making an existing span current, without recording it."""
+
+    __slots__ = ("_tracer", "_span")
+
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
+        self._tracer = tracer
+        self._span = span
+
+    def __enter__(self) -> Span:
+        self._tracer._push(self._span)
+        return self._span
+
+    def __exit__(self, *exc_info) -> bool:
+        self._tracer._detach(self._span)
+        return False
+
+
 class Tracer:
     """Produces, contextualises and retains spans for one process.
 
@@ -210,10 +228,13 @@ class Tracer:
     def _push(self, span: Span) -> None:
         self._stack().append(span)
 
-    def _pop(self, span: Span) -> None:
+    def _detach(self, span: Span) -> None:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
+
+    def _pop(self, span: Span) -> None:
+        self._detach(span)
         self._record(span)
 
     def _record(self, span: Span) -> None:
@@ -249,6 +270,19 @@ class Tracer:
             attributes=dict(attributes),
         )
         return _SpanContext(self, span)
+
+    def resume(self, span: Optional[Span]):
+        """Make ``span``, opened on another thread, current on this one.
+
+        Context is thread-local, so a task run on a pool thread starts with
+        an empty stack.  Hand the task the submitter's :meth:`current_span`
+        and resume it there: spans opened inside the block parent under it
+        and join its trace.  ``span`` itself is neither timed nor recorded
+        again.  A no-op for ``None`` or when disabled.
+        """
+        if span is None or not self.enabled:
+            return NULL_SPAN
+        return _ResumedContext(self, span)
 
     def emit(
         self,

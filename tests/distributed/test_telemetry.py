@@ -77,6 +77,33 @@ class TestMergedTrace:
         assert {"suite.run_scenario", "scheduler.run_leases", "scheduler.lease",
                 "worker.lease", "engine.run"} <= names
 
+    def test_thread_path_pool_spans_join_the_sweep_trace(self, traced):
+        # Engine pool threads resume the submitting span, so simulation
+        # spans no longer start traces of their own (there were 9 here).
+        scenario = Scenario(
+            name="threaded",
+            sweeps=(Sweep.of("ghz", num_qubits=(3, 4)),),
+            devices=("IonQ-11Q", "IBM-Casablanca-7Q"),
+            mitigations=("raw", "readout"),
+        )
+        traced.reseed(5)
+        run_scenario(scenario, executor="thread", **KNOBS)
+        spans = traced.finished()
+        by_id = {span.span_id: span for span in spans}
+        assert len({span.trace_id for span in spans}) == 1
+
+        def ancestors(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                yield span.name
+
+        trajectories = [s for s in spans if s.name == "simulation.trajectories"]
+        assert len(trajectories) > 8  # raw runs plus readout calibrations
+        for span in trajectories:
+            assert {"engine.simulate", "engine.mitigate"} & set(ancestors(span))
+        under_mitigate = [s for s in trajectories if "engine.mitigate" in ancestors(s)]
+        assert under_mitigate, "no calibration run joined its engine.mitigate span"
+
     def test_worker_metric_deltas_merge_into_parent_registry(self, traced):
         before = get_metrics().snapshot()
 

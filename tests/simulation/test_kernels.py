@@ -279,23 +279,3 @@ class TestBatchedCollapse:
 
     def test_sample_counts_array_empty_register(self):
         assert sample_counts_array(np.zeros((5, 0), dtype=np.uint8), 0) == {"": 5}
-
-    def test_measure_qubit_single_state_collapses_in_place(self):
-        simulator = StatevectorSimulator(seed=0)
-        state = np.zeros(4, dtype=complex)
-        state[0] = state[3] = 1 / math.sqrt(2)  # Bell state
-        outcome, collapsed = simulator._measure_qubit(state, 0, 2)
-        assert collapsed is state  # contiguous input: collapsed in place
-        expected_index = 3 if outcome == 1 else 0
-        assert collapsed[expected_index] == pytest.approx(1.0)
-        assert (np.abs(collapsed) ** 2).sum() == pytest.approx(1.0)
-
-    def test_measure_qubit_non_contiguous_input(self):
-        simulator = StatevectorSimulator(seed=1)
-        backing = np.zeros((4, 2), dtype=complex)
-        backing[0, 0] = backing[3, 0] = 1 / math.sqrt(2)
-        state = backing[:, 0]  # strided view: reshape would silently copy
-        outcome, collapsed = simulator._measure_qubit(state, 0, 2)
-        assert outcome in (0, 1)
-        expected_index = 3 if outcome == 1 else 0
-        assert collapsed[expected_index] == pytest.approx(1.0)

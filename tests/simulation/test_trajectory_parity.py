@@ -76,9 +76,8 @@ class TestUnitaryMixture:
             two_qubit_depolarizing_channel(probability),
         ):
             step = _channel_step(channel, tuple(range(channel.num_qubits)))
-            assert step.mixture is not None
-            _probs, _kernels, identity_flags = step.mixture
-            assert identity_flags[0]
+            assert step.prepared.cdf is not None
+            assert step.prepared.identity[0]
 
     def test_mixture_is_cached(self):
         channel = depolarizing_channel(0.11)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.telemetry import NULL_SPAN, Tracer, configure_tracing, get_tracer
+from repro.telemetry import NULL_SPAN, Span, Tracer, configure_tracing, get_tracer
 
 
 class TestSpanNesting:
@@ -58,6 +58,36 @@ class TestSpanNesting:
             thread.start()
             thread.join()
         assert seen["parent"] is None  # no cross-thread inheritance
+
+    def test_resumed_span_parents_work_on_another_thread(self):
+        tracer = Tracer(seed=1)
+        seen = {}
+
+        def worker(parent):
+            with tracer.resume(parent):
+                with tracer.span("pool-task") as span:
+                    seen["task"] = span
+            seen["after"] = tracer.current_span()
+
+        with tracer.span("submitter") as submitter:
+            thread = threading.Thread(target=worker, args=(tracer.current_span(),))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen["task"].parent_id == submitter.span_id
+        assert seen["task"].trace_id == submitter.trace_id
+        assert seen["after"] is None  # the worker's stack is unwound
+        # resuming records nothing: the submitter is in the buffer once
+        names = [span.name for span in tracer.finished()]
+        assert names == ["pool-task", "submitter"]
+
+    def test_resume_of_nothing_is_a_noop(self):
+        tracer = Tracer(seed=1)
+        with tracer.resume(None):
+            with tracer.span("root") as span:
+                assert span.parent_id is None
+        disabled = Tracer(enabled=False)
+        assert disabled.resume(Span("x", "1", None, "1")) is NULL_SPAN
 
 
 class TestDeterminism:
