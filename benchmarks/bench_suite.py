@@ -3,11 +3,12 @@
 Three targets:
 
 * ``feature_extraction`` — the seed per-feature implementation (six
-  independent traversals over the unchanged ``Circuit`` structural queries,
-  kept in this file so the comparison survives the refactor it measures)
-  vs the single-pass :func:`repro.features.compute_features`, on 20+-qubit
-  circuits from the scaling suite.  The acceptance floor is the ISSUE's
-  >= 3x on 20+-qubit circuits.
+  independent traversals over ``Circuit.interaction_graph``,
+  ``circuit_moments`` and the object-walk oracle's depth, critical path and
+  liveness matrix from ``tests/oracle.py``, kept out of the library so the
+  comparison survives the refactor it measures) vs the single-pass
+  :func:`repro.features.compute_features`, on 20+-qubit circuits from the
+  scaling suite.  The acceptance floor is >= 3x on 20+-qubit circuits.
 * ``scenario_expansion`` — declarative expansion + sharding throughput of
   the full Fig. 2 scenario crossed with nine devices and three techniques
   (pure data manipulation; recorded for trend tracking and floor-gated
@@ -36,18 +37,23 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 import time
 from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
 
-from repro.circuits import circuit_moments, liveness_matrix
+from repro.circuits import circuit_moments
 from repro.features import compute_features_many
 from repro.suite import BenchmarkSpec, figure2_scenario, mitigated_scenario, scaling_specs
 from repro.suite.runner import run_scenario
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_suite.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+import oracle  # noqa: E402  (the object-walk baseline lives with the tests)
+
+BASELINE_PATH = ROOT / "BENCH_suite.json"
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 REGRESSION_TOLERANCE = 0.7
 
@@ -91,16 +97,16 @@ def legacy_compute_features(circuit) -> List[float]:
     if total_two_qubit == 0:
         critical = 0.0
     else:
-        on_path, _ = circuit.two_qubit_critical_path()
+        on_path, _ = oracle.two_qubit_critical_path(circuit)
         critical = clip(on_path / total_two_qubit)
 
     total = circuit.num_gates(include_measurements=True)
     entanglement = clip(circuit.num_two_qubit_gates() / total) if total else 0.0
 
-    depth = circuit.depth()
+    depth = oracle.depth(circuit)
     parallel = clip((total / depth - 1.0) / (n - 1.0)) if n > 1 and depth else 0.0
 
-    matrix = liveness_matrix(circuit)
+    matrix = oracle.liveness_matrix(circuit)
     live = clip(float(matrix.sum()) / matrix.size) if matrix.size else 0.0
 
     layers = circuit_moments(circuit)
@@ -318,8 +324,6 @@ def write_baseline() -> None:
 
 
 if __name__ == "__main__":
-    import sys
-
     if "--write" in sys.argv:
         write_baseline()
     else:

@@ -5,11 +5,11 @@ Two families of targets:
 * pytest-benchmark timings of the preset pipelines over the small Fig. 2
   suite (per-pass breakdown, pipeline construction, warm cache lookups) —
   informational, run by the CI smoke job with ``--benchmark-disable``.
-* ``pass_pipeline`` — the packed fast path vs the object-walk baseline for
-  the five optimization passes on a 1 000-gate circuit, gated against
-  ``BENCH_transpiler.json``.  The measurement asserts gate-for-gate parity
-  between the two paths before timing either, so the speedup can never be
-  bought with a semantic drift.  The acceptance floor is the ISSUE's >= 3x.
+* ``pass_pipeline`` — the packed optimization passes vs the object-walk
+  oracle (``tests/oracle.py``) for the five-pass chain on a 1 000-gate
+  circuit, gated against ``BENCH_transpiler.json``.  The measurement asserts
+  gate-for-gate parity between the two before timing either, so the speedup
+  can never be bought with a semantic drift.  The acceptance floor is >= 3x.
 
 The gate compares speedup ratios (machine-independent), not absolute
 seconds.  ``REPRO_BENCH_QUICK=1`` reduces timing repeats (CI quick mode).
@@ -25,6 +25,7 @@ import math
 import os
 import pathlib
 import random
+import sys
 import time
 from collections import defaultdict
 from typing import Callable, Dict
@@ -45,9 +46,13 @@ from repro.transpiler import (
     transpile,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+import oracle  # noqa: E402  (the object-walk baseline lives with the tests)
+
 DEVICE = "IBM-Guadalupe-16Q"
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_transpiler.json"
+BASELINE_PATH = ROOT / "BENCH_transpiler.json"
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 MODE = "quick" if QUICK else "full"
 REGRESSION_TOLERANCE = 0.7
@@ -57,7 +62,7 @@ PIPELINE_GATES = 1000
 #: Timing repeats per mode (quick mode trades precision for CI latency).
 PIPELINE_REPEATS = {"full": 7, "quick": 3}
 
-#: Hard acceptance floor: packed pass pipeline >= 3x the object walk.
+#: Hard acceptance floor: packed pass pipeline >= 3x the object-walk oracle.
 SPEEDUP_FLOORS = {"full": {"pass_pipeline": 3.0}, "quick": {"pass_pipeline": 3.0}}
 
 #: The baseline's gate value is the measured speedup capped at this multiple
@@ -131,17 +136,17 @@ def _optimization_passes():
 def measure_pass_pipeline() -> Dict[str, object]:
     circuit = optimization_circuit()
     repeats = PIPELINE_REPEATS[MODE]
-    object_manager = PassManager(_optimization_passes(), use_packed=False)
-    packed_manager = PassManager(_optimization_passes(), use_packed=True)
+    object_manager = oracle.object_pipeline(_optimization_passes())
+    packed_manager = PassManager(_optimization_passes())
 
-    # Parity first: the fast path must reproduce the object walk exactly.
+    # Parity first: the packed passes must reproduce the object walk exactly.
     expected = object_manager.run(circuit)
     observed = packed_manager.run(circuit)
     assert [
         (i.gate.name, i.gate.params, i.qubits, i.clbits) for i in expected.instructions
     ] == [
         (i.gate.name, i.gate.params, i.qubits, i.clbits) for i in observed.instructions
-    ], "packed pipeline drifted from the object walk"
+    ], "packed pipeline drifted from the object-walk oracle"
     assert all(record.path == "packed" for record in packed_manager.last_records)
 
     object_seconds = _time(lambda: object_manager.run(circuit), repeats)

@@ -4,8 +4,8 @@ Public API:
 
 * :class:`Circuit`, :class:`Instruction` — the circuit IR.
 * :class:`Gate`, :func:`gate_matrix` — gate definitions and unitaries.
-* :func:`circuit_moments`, :func:`liveness_matrix` — ASAP layering.
-* :func:`circuit_dag`, :func:`two_qubit_critical_path` — dependency analysis.
+* :func:`circuit_moments` — ASAP layering (depth and critical path are
+  :meth:`Circuit.depth` / :meth:`Circuit.two_qubit_critical_path`).
 * :func:`circuit_to_qasm`, :func:`circuit_from_qasm` — OpenQASM 2.0 round trip.
 * :class:`PackedCircuit`, :func:`pack_circuit` — the columnar (packed) form
   behind ``Circuit.packed()`` (see ``docs/ir.md``).
@@ -28,7 +28,6 @@ from .columnar import (
     RESET_OP,
     pack_circuit,
 )
-from .dag import circuit_dag, critical_path_length, two_qubit_critical_path
 from .gates import (
     BARRIER,
     GATE_DEFINITIONS,
@@ -40,7 +39,7 @@ from .gates import (
     is_known_gate,
     standard_gate,
 )
-from .moments import circuit_depth, circuit_moments, liveness_matrix
+from .moments import circuit_moments
 from .qasm import circuit_from_qasm, circuit_to_qasm
 from .random_circuits import (
     ghz_ladder,
@@ -76,11 +75,6 @@ __all__ = [
     "BARRIER_OP",
     "QUBIT_SLOTS",
     "circuit_moments",
-    "circuit_depth",
-    "liveness_matrix",
-    "circuit_dag",
-    "critical_path_length",
-    "two_qubit_critical_path",
     "circuit_to_qasm",
     "circuit_from_qasm",
     "ghz_ladder",

@@ -459,19 +459,26 @@ class Circuit:
         return circuit_moments(self)
 
     def depth(self) -> int:
-        """Circuit depth: the number of moments."""
-        return len(self.moments())
+        """Circuit depth: the number of moments, read off the packed profile."""
+        from ..features.features import packed_profile
+
+        return packed_profile(self.packed()).depth
 
     def two_qubit_critical_path(self) -> Tuple[int, int]:
-        """Return ``(two_qubit_gates_on_critical_path, depth)``.
+        """Return ``(two_qubit_gates_on_critical_path, critical_path_length)``.
 
         The critical path is a longest chain of dependent operations; among
         all longest chains the one with the most two-qubit interactions is
-        reported, matching the Critical-Depth feature (Eq. 2).
+        reported, matching the Critical-Depth feature (Eq. 2).  Its length
+        counts operations and can be shorter than :meth:`depth`: a barrier
+        delays later operations without chaining them, so
+        ``Circuit(2).h(0).barrier(0, 1).h(1)`` has depth 2 and critical-path
+        length 1.
         """
-        from .dag import two_qubit_critical_path
+        from ..features.features import packed_profile
 
-        return two_qubit_critical_path(self)
+        profile = packed_profile(self.packed())
+        return profile.critical_two_qubit, profile.critical_length
 
     def unitary(self) -> np.ndarray:
         """Dense unitary of the circuit (small circuits only, no measurements)."""

@@ -3,7 +3,10 @@
 The SupermarQ feature definitions (Parallelism, Liveness, Measurement,
 Critical-Depth) are all expressed in terms of "the circuit depth ``d``",
 meaning the number of layers when every operation is scheduled as early as
-its qubit dependencies allow.  This module provides that layering.
+its qubit dependencies allow.  This module materialises those layers as
+lists of instructions, which the dynamical-decoupling pass schedules into;
+the depth itself comes from the packed profile
+(:func:`~repro.features.packed_profile`, behind :meth:`Circuit.depth`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import TYPE_CHECKING, List
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .circuit import Circuit, Instruction
 
-__all__ = ["circuit_moments", "circuit_depth", "liveness_matrix"]
+__all__ = ["circuit_moments"]
 
 
 def circuit_moments(circuit: "Circuit") -> List[List["Instruction"]]:
@@ -42,27 +45,3 @@ def circuit_moments(circuit: "Circuit") -> List[List["Instruction"]]:
         for q in qubits:
             frontier[q] = level + 1
     return layers
-
-
-def circuit_depth(circuit: "Circuit") -> int:
-    """Number of ASAP layers in the circuit."""
-    return len(circuit_moments(circuit))
-
-
-def liveness_matrix(circuit: "Circuit"):
-    """Binary qubit-by-layer activity matrix used by the Liveness feature.
-
-    Entry ``(q, t)`` is 1 when qubit ``q`` participates in any operation in
-    layer ``t`` and 0 when it idles.  Returns a ``numpy`` array with shape
-    ``(num_qubits, depth)``; the depth-0 case returns a ``(num_qubits, 0)``
-    array.
-    """
-    import numpy as np
-
-    layers = circuit_moments(circuit)
-    matrix = np.zeros((circuit.num_qubits, len(layers)), dtype=int)
-    for t, layer in enumerate(layers):
-        for instruction in layer:
-            for q in instruction.qubits:
-                matrix[q, t] = 1
-    return matrix

@@ -219,7 +219,7 @@ class TranspileCache:
 
         The pipeline is resolved once for the whole batch and every circuit
         is fingerprinted exactly once (the fingerprint packs the circuit, so
-        the packed fast-path passes reuse that pack for free).  Cache lookup
+        the packed passes reuse that pack for free).  Cache lookup
         happens under a single lock acquisition; intra-batch duplicates are
         deduplicated *before* counting, so a batch of N copies of one new
         circuit records one miss (and one hit if it was already cached), and

@@ -4,8 +4,9 @@ and optimization.
 The package is organised in three layers:
 
 * primitive rewrites (:mod:`~repro.transpiler.decomposition`,
-  :mod:`~repro.transpiler.optimization`, :mod:`~repro.transpiler.placement`,
-  :mod:`~repro.transpiler.routing`) — plain circuit -> circuit functions;
+  :mod:`~repro.transpiler.placement`, :mod:`~repro.transpiler.routing` over
+  circuits; :mod:`~repro.transpiler.packed` over the columnar IR for the
+  optimization passes);
 * passes (:mod:`~repro.transpiler.passes`) wrapping each rewrite, run by a
   :class:`PassManager` (:mod:`~repro.transpiler.passmanager`) that threads a
   :class:`PropertySet` through the pipeline and records per-pass metrics;
@@ -22,13 +23,6 @@ from .decomposition import (
     translate_to_basis,
     zyz_angles,
 )
-from .optimization import (
-    cancel_adjacent_inverses,
-    drop_negligible,
-    fuse_single_qubit_runs,
-    merge_rotations,
-    optimize_circuit,
-)
 from .passes import (
     AnalysisPass,
     BasePass,
@@ -38,7 +32,6 @@ from .passes import (
     DecomposeToCanonical,
     DepthAnalysis,
     DropNegligible,
-    InteractionAnalysis,
     FuseSingleQubitRuns,
     MergeRotations,
     NoiseAwareLayout,
@@ -65,11 +58,6 @@ __all__ = [
     "decompose_to_canonical",
     "translate_to_basis",
     "zyz_angles",
-    "cancel_adjacent_inverses",
-    "drop_negligible",
-    "fuse_single_qubit_runs",
-    "merge_rotations",
-    "optimize_circuit",
     "noise_aware_placement",
     "trivial_placement",
     "RoutedCircuit",
@@ -96,7 +84,6 @@ __all__ = [
     "RoutingPass",
     "BasisTranslation",
     "DepthAnalysis",
-    "InteractionAnalysis",
     "MAX_OPTIMIZATION_LEVEL",
     "preset_pipeline",
     "register_device_preset",

@@ -1,20 +1,22 @@
 """Vectorized optimization passes over the packed (columnar) circuit IR.
 
-Every function here is the packed twin of an object-walk pass in
-:mod:`~repro.transpiler.optimization` / :mod:`~repro.transpiler.passes` and
-reproduces it **gate for gate** — same rows kept, same merged parameters,
-bit-identical floats — which is what lets
-:class:`~repro.transpiler.passmanager.PassManager` pick either form per pass
-without ever changing the compiled output (the transpile goldens assert it).
+These functions are the only implementation of the five Closed-Division
+optimization passes (:class:`~repro.transpiler.passes.DropNegligible`,
+``MergeRotations``, ``CancelAdjacentInverses``, ``FuseSingleQubitRuns`` and
+``CommutingTwoQubitCancellation``).  Each reproduces the historical
+per-instruction object walk **gate for gate** — same rows kept, same merged
+parameters, bit-identical floats.  The transpile goldens pin the compiled
+output, and the object walks survive as the test oracle in
+``tests/oracle.py``, which the randomized parity tests compare against.
 
 The shared machinery is *predecessor analysis*: for every row, the unique
 previous row touching all of its operand qubits (or ``-1`` when the
 operands disagree), computed with one lexicographic sort over the flattened
 ``(qubit, row)`` operand table instead of a per-instruction ``last_index``
 dict.  Wide rows (>3-operand barriers) contribute their operands from the
-wide pool, so the packed path handles them directly — no object fallback.
+wide pool, so they need no special casing.
 
-Two float-parity rules keep the outputs bit-identical to the object walk:
+Float-parity rules that keep the outputs bit-identical to the object walk:
 
 * merged rotation angles are folded pairwise left-to-right with the *scalar*
   :func:`~repro.utils.normalize_angle` (float addition is not associative;
@@ -48,7 +50,6 @@ from ..circuits.columnar import (
 )
 from ..circuits.gates import ADDITIVE_ROTATIONS, GATE_DEFINITIONS, SELF_INVERSE
 from ..utils import normalize_angle
-from .optimization import _ANGLE_TOLERANCE, _INVERSE_PAIRS
 
 __all__ = [
     "drop_negligible_packed",
@@ -57,6 +58,12 @@ __all__ = [
     "fuse_single_qubit_runs_packed",
     "commuting_cancellation_packed",
 ]
+
+#: Angles closer to zero than this (after normalization) count as zero.
+_ANGLE_TOLERANCE = 1e-10
+
+#: Distinct-name inverse pairs (self-inverse gates cancel with themselves).
+_INVERSE_PAIRS = {("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t"), ("sx", "sxdg"), ("sxdg", "sx")}
 
 _TWO_PI = 2.0 * np.pi
 
@@ -79,7 +86,8 @@ _INVERSE_OF = np.full(_NUM_OPS, -1, dtype=np.int64)
 for _a, _b in _INVERSE_PAIRS:
     _INVERSE_OF[OPCODES[_a]] = OPCODES[_b]
 
-#: Opcode sets of CommutingTwoQubitCancellation (see passes._DIAGONAL_1Q).
+#: Single-qubit gates diagonal in Z commute with a CX control and with both
+#: operands of a CZ; X-axis gates commute with a CX target.
 _DIAGONAL_OPS = frozenset(OPCODES[n] for n in ("rz", "z", "s", "sdg", "t", "tdg", "p"))
 _X_AXIS_OPS = frozenset(OPCODES[n] for n in ("rx", "x", "sx", "sxdg"))
 
@@ -160,7 +168,7 @@ def _uniform_predecessors(packed: PackedCircuit) -> np.ndarray:
 
 
 def drop_negligible_packed(packed: PackedCircuit) -> PackedCircuit:
-    """Packed twin of :func:`~repro.transpiler.optimization.drop_negligible`."""
+    """Remove identity gates and rotations with (numerically) zero angle."""
     opcodes = packed.opcodes
     keep = opcodes != _ID_OP
     additive = _ADDITIVE_OPS[opcodes]
@@ -187,9 +195,10 @@ def drop_negligible_packed(packed: PackedCircuit) -> PackedCircuit:
 
 
 def merge_rotations_packed(packed: PackedCircuit) -> PackedCircuit:
-    """Packed twin of :func:`~repro.transpiler.optimization.merge_rotations`.
+    """Combine adjacent rotations of the same type on the same qubits.
 
-    Merge candidates (additive rotation whose uniform predecessor has the
+    A pair merges when no operation touches its qubits in between; a merge
+    that sums to zero removes both rotations.  Merge candidates (additive rotation whose uniform predecessor has the
     same opcode and operand order) are found vectorized; the candidates form
     chains (each predecessor has at most one successor-candidate), folded
     left-to-right with the scalar :func:`normalize_angle` so cascaded merges
@@ -253,9 +262,10 @@ def merge_rotations_packed(packed: PackedCircuit) -> PackedCircuit:
 
 
 def cancel_adjacent_inverses_packed(packed: PackedCircuit) -> PackedCircuit:
-    """Packed twin of :func:`~repro.transpiler.optimization.cancel_adjacent_inverses`.
+    """Remove adjacent mutually-inverse gate pairs until none remain.
 
-    The fixed-point sweeps run over an *alive mask* instead of rebuilding
+    "Adjacent" means no intervening operation touches any of the pair's
+    qubits; barriers block cancellation across them.  The fixed-point sweeps run over an *alive mask* instead of rebuilding
     the pack per sweep: the operand table is sorted once, each sweep filters
     the sorted table down to surviving rows (the filtered table IS the
     reduced circuit's table — order is preserved), and the pack is rebuilt
@@ -377,9 +387,9 @@ def _fused_run(run: Tuple[Tuple[int, Tuple[float, ...]], ...]) -> Optional[Tuple
 
 
 def fuse_single_qubit_runs_packed(packed: PackedCircuit) -> PackedCircuit:
-    """Packed twin of :func:`~repro.transpiler.optimization.fuse_single_qubit_runs`.
+    """Collapse maximal runs of single-qubit unitaries into one ``u`` gate.
 
-    A sequential walk by construction (matrix products are order-dependent),
+    A run that folds to the identity is dropped.  A sequential walk by construction (matrix products are order-dependent),
     but over opcode ints — each run accumulates ``(opcode, params)`` keys and
     resolves through the memoised :func:`_fused_run` fold at flush time — and
     rebuilt through the :class:`PackedBuilder` tail store, so the circuit
@@ -446,10 +456,10 @@ def fuse_single_qubit_runs_packed(packed: PackedCircuit) -> PackedCircuit:
 
 
 def commuting_cancellation_packed(packed: PackedCircuit) -> PackedCircuit:
-    """Packed twin of :class:`~repro.transpiler.passes.CommutingTwoQubitCancellation`.
+    """Cancel ``cx``/``cz`` pairs separated only by commuting gates.
 
-    The object walk's ``open_pairs`` dict is replaced by an exactly
-    equivalent interval formulation: two consecutive occurrences of the same
+    The object walk's ``open_pairs`` dict (kept in the test oracle) is
+    replaced by an exactly equivalent interval formulation: two consecutive occurrences of the same
     ``(gate, qubit pair)`` key cancel iff no *blocker* lies strictly between
     them — a blocker being any surviving row that touches one of the key's
     qubits without commuting through it (non-diagonal on a control / cz leg,

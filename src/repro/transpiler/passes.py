@@ -1,12 +1,20 @@
 """Transpiler passes: the composable units of the compilation pipeline.
 
-A pass is a small object with a :meth:`BasePass.run` method taking the
-current circuit and a shared :class:`PropertySet`.  Two kinds exist:
+A pass is a small object with a :meth:`BasePass.run` (or
+:meth:`BasePass.run_packed`) method taking the current circuit and a shared
+:class:`PropertySet`.  Two kinds exist:
 
 * **Analysis passes** (:class:`AnalysisPass`) inspect the circuit and write
   results into the property set (layouts, metrics) without changing it.
 * **Transformation passes** (:class:`TransformationPass`) return a rewritten
   circuit (decomposition, optimization, routing, basis translation).
+
+Each pass has one implementation, over the form it declares with
+:attr:`BasePass.supports_packed`: the optimization passes and
+:class:`DepthAnalysis` run over the columnar
+:class:`~repro.circuits.columnar.PackedCircuit`
+(:mod:`~repro.transpiler.packed`); decomposition, layout, routing and basis
+translation run over ``Instruction`` objects.
 
 The six historical pipeline stages are expressed here as individual passes,
 alongside two passes the monolithic pipeline never had:
@@ -21,18 +29,19 @@ Pipelines are assembled by :class:`~repro.transpiler.passmanager.PassManager`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
-from ..circuits import Circuit, Instruction
+from ..circuits import Circuit
 from ..circuits.columnar import PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
 from .decomposition import basis_for_gates, decompose_to_canonical, translate_to_basis
-from .optimization import (
-    cancel_adjacent_inverses,
-    drop_negligible,
-    fuse_single_qubit_runs,
-    merge_rotations,
+from .packed import (
+    cancel_adjacent_inverses_packed,
+    commuting_cancellation_packed,
+    drop_negligible_packed,
+    fuse_single_qubit_runs_packed,
+    merge_rotations_packed,
 )
 from .placement import Placement, noise_aware_placement, trivial_placement
 from .routing import route_circuit
@@ -72,13 +81,12 @@ class BasePass:
 
     Attributes:
         is_analysis: True for analysis passes (must not modify the circuit).
-        supports_packed: True when the pass implements :meth:`run_packed`
-            over the columnar IR.  The pass manager then feeds it a
-            :class:`~repro.circuits.columnar.PackedCircuit` instead of
-            unpacking to ``Instruction`` objects — see
-            ``docs/transpiler.md`` ("packed fast path") for the protocol
-            and fallback rules.  A packed implementation must reproduce
-            :meth:`run` gate for gate (the transpile goldens assert it).
+        supports_packed: The form the pass consumes.  True: the pass
+            implements :meth:`run_packed` and the pass manager feeds it a
+            :class:`~repro.circuits.columnar.PackedCircuit`.  False (the
+            default): it implements :meth:`run` and receives a
+            :class:`~repro.circuits.Circuit` of ``Instruction`` objects.
+            See ``docs/transpiler.md`` ("The packed form").
     """
 
     is_analysis = False
@@ -113,11 +121,7 @@ class BasePass:
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        """Execute the pass over the columnar IR (``supports_packed`` only).
-
-        Must be behaviourally identical to :meth:`run`: the returned pack
-        unpacks to the exact circuit :meth:`run` would have produced.
-        """
+        """Execute the pass over the columnar IR (``supports_packed`` only)."""
         raise TranspilerError(
             f"pass {self.name!r} has no packed implementation "
             "(supports_packed is False)"
@@ -159,14 +163,9 @@ class DropNegligible(TransformationPass):
 
     supports_packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return drop_negligible(circuit)
-
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        from .packed import drop_negligible_packed
-
         return drop_negligible_packed(packed)
 
 
@@ -175,14 +174,9 @@ class MergeRotations(TransformationPass):
 
     supports_packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return merge_rotations(circuit)
-
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        from .packed import merge_rotations_packed
-
         return merge_rotations_packed(packed)
 
 
@@ -191,14 +185,9 @@ class CancelAdjacentInverses(TransformationPass):
 
     supports_packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return cancel_adjacent_inverses(circuit)
-
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        from .packed import cancel_adjacent_inverses_packed
-
         return cancel_adjacent_inverses_packed(packed)
 
 
@@ -207,31 +196,19 @@ class FuseSingleQubitRuns(TransformationPass):
 
     supports_packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return fuse_single_qubit_runs(circuit)
-
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        from .packed import fuse_single_qubit_runs_packed
-
         return fuse_single_qubit_runs_packed(packed)
-
-
-#: Single-qubit gates diagonal in Z — they commute with a CX control and
-#: with both operands of a CZ.
-_DIAGONAL_1Q = frozenset({"rz", "z", "s", "sdg", "t", "tdg", "p"})
-#: Single-qubit X-axis gates — they commute with a CX target.
-_X_AXIS_1Q = frozenset({"rx", "x", "sx", "sxdg"})
 
 
 class CommutingTwoQubitCancellation(TransformationPass):
     """Cancel ``cx``/``cz`` pairs separated only by commuting gates.
 
-    :func:`~repro.transpiler.optimization.cancel_adjacent_inverses` only
-    removes *strictly* adjacent pairs.  This pass additionally cancels two
-    equal two-qubit gates when every intervening operation on their qubits
-    commutes through them gate-by-gate:
+    :class:`CancelAdjacentInverses` only removes *strictly* adjacent pairs.
+    This pass additionally cancels two equal two-qubit gates when every
+    intervening operation on their qubits commutes through them
+    gate-by-gate:
 
     * on a CX control / either CZ operand: Z-diagonal gates
       (``rz z s sdg t tdg p``),
@@ -248,77 +225,7 @@ class CommutingTwoQubitCancellation(TransformationPass):
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        from .packed import commuting_cancellation_packed
-
         return commuting_cancellation_packed(packed)
-
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        instructions = list(circuit)
-        changed = True
-        while changed:
-            instructions, changed = self._sweep(instructions)
-        out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-        for instruction in instructions:
-            out.append(instruction)
-        return out
-
-    @staticmethod
-    def _pair_key(instruction: Instruction) -> Tuple[str, Tuple[int, ...]]:
-        # CZ is symmetric: cz(a, b) cancels cz(b, a).
-        if instruction.name == "cz":
-            return ("cz", tuple(sorted(instruction.qubits)))
-        return (instruction.name, instruction.qubits)
-
-    def _sweep(self, instructions: List[Instruction]) -> Tuple[List[Instruction], bool]:
-        result: List[Optional[Instruction]] = []
-        # Open cancellation candidates: pair key -> index in `result`.
-        open_pairs: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-        changed = False
-
-        def invalidate(qubits: Tuple[int, ...]) -> None:
-            for key in list(open_pairs):
-                if not qubits or any(q in key[1] for q in qubits):
-                    del open_pairs[key]
-
-        for instruction in instructions:
-            if instruction.is_barrier():
-                # A qubit-less barrier spans the whole circuit.
-                invalidate(instruction.qubits)
-                result.append(instruction)
-                continue
-            if instruction.name in ("cx", "cz") and not instruction.params:
-                key = self._pair_key(instruction)
-                index = open_pairs.get(key)
-                if index is not None:
-                    result[index] = None
-                    del open_pairs[key]
-                    changed = True
-                    continue
-                invalidate(instruction.qubits)
-                open_pairs[key] = len(result)
-                result.append(instruction)
-                continue
-            if instruction.is_unitary() and len(instruction.qubits) == 1:
-                qubit = instruction.qubits[0]
-                for key in list(open_pairs):
-                    gate_name, pair = key
-                    if qubit not in pair:
-                        continue
-                    if gate_name == "cz":
-                        commutes = instruction.name in _DIAGONAL_1Q
-                    elif qubit == pair[0]:  # cx control
-                        commutes = instruction.name in _DIAGONAL_1Q
-                    else:  # cx target
-                        commutes = instruction.name in _X_AXIS_1Q
-                    if not commutes:
-                        del open_pairs[key]
-                result.append(instruction)
-                continue
-            # Measures, resets and other multi-qubit gates block their qubits.
-            invalidate(instruction.qubits)
-            result.append(instruction)
-
-        return [i for i in result if i is not None], changed
 
 
 # ---------------------------------------------------------------------------
@@ -432,28 +339,16 @@ class DepthAnalysis(AnalysisPass):
     * ``gate_count`` — operations excluding barriers,
     * ``two_qubit_gates`` — multi-qubit unitaries,
     * ``depth`` — moment (layer) count,
-    * ``critical_path_length`` — longest dependent-operation chain in the DAG,
+    * ``critical_path_length`` — longest dependent-operation chain,
     * ``critical_two_qubit_gates`` — two-qubit gates on that chain (the
       numerator of the paper's Critical-Depth feature).
     """
 
     supports_packed = True
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        # One packed-profile pass supplies every metric (bit-identical to the
-        # former two_qubit_critical_path / depth / counter queries, asserted
-        # by the transpile goldens).
-        self._record(circuit.packed(), property_set)
-        return circuit
-
     def run_packed(
         self, packed: PackedCircuit, property_set: PropertySet
     ) -> PackedCircuit:
-        self._record(packed, property_set)
-        return packed
-
-    @staticmethod
-    def _record(packed: PackedCircuit, property_set: PropertySet) -> None:
         from ..features.features import packed_profile
 
         profile = packed_profile(packed)
@@ -467,46 +362,4 @@ class DepthAnalysis(AnalysisPass):
                 "critical_two_qubit_gates": profile.critical_two_qubit,
             }
         )
-
-
-class InteractionAnalysis(AnalysisPass):
-    """Record interaction-graph metrics from the packed circuit form.
-
-    Writes ``property_set["metrics"]`` with:
-
-    * ``interaction_edges`` — distinct interacting qubit pairs,
-    * ``interaction_density`` — the edges normalised by the complete graph
-      (the paper's Program Communication numerator over ``n(n-1)/2``),
-    * ``qubit_touches`` — total qubit-moment activity (the liveness
-      numerator).
-    """
-
-    supports_packed = True
-
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        self._record(circuit.packed(), property_set)
-        return circuit
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        self._record(packed, property_set)
         return packed
-
-    @staticmethod
-    def _record(packed: PackedCircuit, property_set: PropertySet) -> None:
-        from ..features.features import packed_profile
-
-        profile = packed_profile(packed)
-        n = profile.num_qubits
-        possible = n * (n - 1) // 2
-        metrics = property_set.setdefault("metrics", {})
-        metrics.update(
-            {
-                "interaction_edges": profile.interaction_edges,
-                "interaction_density": (
-                    profile.interaction_edges / possible if possible else 0.0
-                ),
-                "qubit_touches": profile.qubit_touches,
-            }
-        )

@@ -11,25 +11,20 @@ layer — a completed ``transpiler.pass`` span and the
 ``repro_transpiler_pass_seconds`` latency histogram, both labelled with the
 execution path.
 
-**Packed negotiation.**  The run keeps the circuit in whichever form the
-next pass can consume: passes with
-:attr:`~repro.transpiler.passes.BasePass.supports_packed` receive the
-columnar :class:`~repro.circuits.columnar.PackedCircuit` (vectorized
-implementations, see :mod:`~repro.transpiler.packed`), everything else the
-Python object form.  Conversions happen only at form boundaries, so a run
-of packed-capable passes round-trips through ``Instruction`` objects at
-most once; each :class:`PassRecord` notes the path taken (``"packed"`` /
-``"object"``) and how many pack/unpack conversions its boundary cost.
-Setting ``use_packed=False`` (constructor or attribute) forces the
-historical object walk — output is identical either way, which the golden
-transpile tests assert.
+**Per-pass form.**  Every pass has one implementation, over the form its
+:attr:`~repro.transpiler.passes.BasePass.supports_packed` declares: packed
+passes receive the columnar :class:`~repro.circuits.columnar.PackedCircuit`
+(see :mod:`~repro.transpiler.packed`), everything else the Python object
+form.  The run keeps the circuit in whichever form the next pass consumes
+and converts only at form boundaries, so a run of packed passes
+round-trips through ``Instruction`` objects at most once; each
+:class:`PassRecord` notes the path taken (``"packed"`` / ``"object"``) and
+how many pack/unpack conversions its boundary cost.
 
 The :attr:`PassManager.fingerprint` is a stable hash of the pipeline's pass
 names and configurations; the execution layer's
 :class:`~repro.execution.cache.TranspileCache` keys compiled circuits on it,
 so two pipelines that compile differently can never collide in the cache.
-The execution path is deliberately **not** part of the fingerprint: packed
-and object runs produce gate-for-gate identical circuits.
 """
 
 from __future__ import annotations
@@ -115,10 +110,6 @@ class PassManager:
     Args:
         passes: The pipeline, in execution order.  May be empty and extended
             with :meth:`append`.
-        use_packed: When True (default), passes advertising
-            ``supports_packed`` run over the columnar IR; False forces the
-            object walk for every pass (used by parity tests and the
-            packed-vs-object benchmark — compiled output is identical).
 
     A single :class:`PassManager` may be reused across circuits; each
     :meth:`run` gets a fresh property set unless one is passed in.
@@ -127,11 +118,10 @@ class PassManager:
     ``property_set["pass_records"]`` instead).
     """
 
-    def __init__(self, passes: Iterable[BasePass] = (), use_packed: bool = True) -> None:
+    def __init__(self, passes: Iterable[BasePass] = ()) -> None:
         self._passes: List[BasePass] = []
         for pass_ in passes:
             self.append(pass_)
-        self.use_packed = bool(use_packed)
         self.last_records: Tuple[PassRecord, ...] = ()
         #: Total pack/unpack conversions of the most recent run, including
         #: the final unpack when the pipeline ends in packed form.
@@ -171,8 +161,7 @@ class PassManager:
         pass contributes its name and
         :meth:`~repro.transpiler.passes.BasePass.signature`), which is what
         lets the transpile cache key on the pipeline instead of on loose
-        ``optimization_level`` integers.  ``use_packed`` is excluded on
-        purpose: both paths compile identically.
+        ``optimization_level`` integers.
         """
         hasher = hashlib.sha1(_FINGERPRINT_VERSION.encode())
         for pass_ in self._passes:
@@ -204,7 +193,7 @@ class PassManager:
         packed: Optional[PackedCircuit] = None
         conversions_total = 0
         for pass_ in self._passes:
-            wants_packed = self.use_packed and pass_.supports_packed
+            wants_packed = pass_.supports_packed
             conversions = 0
             if wants_packed and packed is None:
                 packed = obj.packed()

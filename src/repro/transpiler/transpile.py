@@ -70,7 +70,8 @@ class TranspiledCircuit:
         Returns the compacted circuit and the tuple of physical qubits it
         corresponds to (``physical_qubits[i]`` is compact qubit ``i``), which
         is what :meth:`repro.devices.Device.noise_model` needs to build a
-        matching noise model.
+        matching noise model.  Barriers keep only their active operands; a
+        barrier with none is dropped.
         """
         physical = self.active_physical_qubits()
         if not physical:
@@ -79,7 +80,9 @@ class TranspiledCircuit:
         compacted = Circuit(len(physical), self.circuit.num_clbits, self.circuit.name)
         for instruction in self.circuit:
             if instruction.is_barrier():
-                compacted.barrier(*(mapping[q] for q in instruction.qubits if q in mapping))
+                operands = [mapping[q] for q in instruction.qubits if q in mapping]
+                if operands:
+                    compacted.barrier(*operands)
                 continue
             compacted.append(instruction.remap(mapping))
         return compacted, physical
@@ -167,7 +170,7 @@ def transpile_many(
     circuit and re-compile structural duplicates (the same family/size pair
     reappears across scenario rows).  This batch form resolves the pipeline
     once, fingerprints every circuit (which also packs it into the columnar
-    form the fast-path passes consume — so each distinct circuit is packed
+    form the packed passes consume — so each distinct circuit is packed
     exactly once for fingerprint *and* pipeline), and compiles each distinct
     fingerprint a single time, fanning the result out to every duplicate.
 

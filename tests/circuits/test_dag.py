@@ -1,38 +1,10 @@
-"""Tests for the dependency DAG and two-qubit critical path."""
+"""Tests for the two-qubit critical path (``Circuit.two_qubit_critical_path``)."""
 
-import pytest
-
-from repro.circuits import (
-    Circuit,
-    circuit_dag,
-    critical_path_length,
-    two_qubit_critical_path,
-)
+from repro.circuits import Circuit
 
 
-class TestCircuitDag:
-    def test_dag_node_per_instruction(self):
-        circuit = Circuit(2).h(0).cx(0, 1).x(1)
-        dag = circuit_dag(circuit)
-        assert dag.number_of_nodes() == 3
-
-    def test_barriers_are_not_nodes(self):
-        circuit = Circuit(2).h(0).barrier().x(0)
-        dag = circuit_dag(circuit)
-        assert dag.number_of_nodes() == 2
-
-    def test_edges_follow_qubit_dependencies(self):
-        circuit = Circuit(2).h(0).x(1).cx(0, 1)
-        dag = circuit_dag(circuit)
-        assert (0, 2) in dag.edges()
-        assert (1, 2) in dag.edges()
-        assert (0, 1) not in dag.edges()
-
-    def test_dag_is_acyclic(self):
-        import networkx as nx
-
-        circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2).cx(0, 2)
-        assert nx.is_directed_acyclic_graph(circuit_dag(circuit))
+def critical_path_length(circuit):
+    return circuit.two_qubit_critical_path()[1]
 
 
 class TestCriticalPath:
@@ -47,12 +19,12 @@ class TestCriticalPath:
     def test_two_qubit_gates_on_path(self):
         # Chain of CNOTs: every one of them is on the critical path.
         circuit = Circuit(3).cx(0, 1).cx(1, 2).cx(0, 1)
-        on_path, length = two_qubit_critical_path(circuit)
+        on_path, length = circuit.two_qubit_critical_path()
         assert (on_path, length) == (3, 3)
 
     def test_single_qubit_padding_not_counted_as_two_qubit(self):
         circuit = Circuit(2).h(0).h(0).h(0).cx(0, 1)
-        on_path, length = two_qubit_critical_path(circuit)
+        on_path, length = circuit.two_qubit_critical_path()
         assert length == 4
         assert on_path == 1
 
@@ -61,17 +33,31 @@ class TestCriticalPath:
         circuit = Circuit(4)
         circuit.cx(0, 1).cx(0, 1)           # chain A: 2 two-qubit gates
         circuit.h(2).h(2).x(3)              # chain B: shorter
-        on_path, length = two_qubit_critical_path(circuit)
+        on_path, length = circuit.two_qubit_critical_path()
         assert on_path == 2
         assert length == 2
 
     def test_empty_circuit(self):
-        assert two_qubit_critical_path(Circuit(2)) == (0, 0)
+        assert Circuit(2).two_qubit_critical_path() == (0, 0)
 
     def test_ghz_ladder_all_cnots_on_path(self):
         circuit = Circuit(5).h(0)
         for q in range(4):
             circuit.cx(q, q + 1)
-        on_path, length = two_qubit_critical_path(circuit)
+        on_path, length = circuit.two_qubit_critical_path()
         assert on_path == 4
         assert length == 5
+
+    def test_path_follows_qubit_dependencies(self):
+        # h(0) and x(1) act on different qubits, so they do not chain; each
+        # feeds the cx, giving a path of two gates with one cx on it.
+        circuit = Circuit(2).h(0).x(1).cx(0, 1)
+        assert circuit.two_qubit_critical_path() == (1, 2)
+        assert Circuit(2).h(0).x(1).two_qubit_critical_path() == (0, 1)
+
+    def test_barrier_delays_without_chaining(self):
+        # The barrier pushes h(1) into a second moment, but h(1) does not
+        # depend on h(0): depth 2, critical-path length 1.
+        circuit = Circuit(2).h(0).barrier(0, 1).h(1)
+        assert circuit.depth() == 2
+        assert circuit.two_qubit_critical_path() == (0, 1)

@@ -1,9 +1,13 @@
-"""Tests for ASAP moment scheduling and the liveness matrix."""
+"""Tests for ASAP moment scheduling, circuit depth and liveness accounting."""
 
 import numpy as np
+import oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuits import Circuit, circuit_depth, circuit_moments, liveness_matrix
+from repro.circuits import BARRIER, Circuit, Instruction, circuit_moments
+from repro.features import circuit_profile, liveness
+from repro.features.features import _FAST_PATH_MIN_ROWS
 
 
 class TestMoments:
@@ -27,45 +31,112 @@ class TestMoments:
     def test_barrier_forces_synchronisation(self):
         without_barrier = Circuit(2).h(0).x(1).x(1)
         with_barrier = Circuit(2).h(0).barrier().x(1).x(1)
-        assert circuit_depth(without_barrier) == 2
-        assert circuit_depth(with_barrier) == 3
+        assert without_barrier.depth() == 2
+        assert with_barrier.depth() == 3
 
     def test_barrier_does_not_occupy_a_layer(self):
         circuit = Circuit(2).barrier().h(0)
-        assert circuit_depth(circuit) == 1
+        assert circuit.depth() == 1
 
     def test_empty_circuit_depth_zero(self):
-        assert circuit_depth(Circuit(3)) == 0
+        assert Circuit(3).depth() == 0
 
     def test_measure_counts_toward_depth(self):
         circuit = Circuit(1, 1).h(0).measure(0, 0)
-        assert circuit_depth(circuit) == 2
+        assert circuit.depth() == 2
 
 
-class TestLivenessMatrix:
+class TestLiveness:
+    """Liveness is qubit touches over the ``num_qubits x depth`` grid."""
+
     def test_shape(self):
-        circuit = Circuit(3).h(0).cx(0, 1)
-        matrix = liveness_matrix(circuit)
-        assert matrix.shape == (3, 2)
+        profile = circuit_profile(Circuit(3).h(0).cx(0, 1))
+        assert (profile.num_qubits, profile.depth) == (3, 2)
 
     def test_fully_active_circuit(self):
         circuit = Circuit(2).h(0).h(1).cx(0, 1)
-        matrix = liveness_matrix(circuit)
-        assert matrix.sum() == 4
-        assert matrix.shape == (2, 2)
+        profile = circuit_profile(circuit)
+        assert profile.qubit_touches == 4
+        assert (profile.num_qubits, profile.depth) == (2, 2)
+        assert liveness(circuit) == 1.0
 
-    def test_idle_qubit_rows_are_zero(self):
+    def test_idle_qubits_lower_liveness(self):
         circuit = Circuit(3).h(0).h(0)
-        matrix = liveness_matrix(circuit)
-        assert matrix[1].sum() == 0
-        assert matrix[2].sum() == 0
-        assert matrix[0].sum() == 2
+        profile = circuit_profile(circuit)
+        assert profile.qubit_touches == 2
+        assert liveness(circuit) == pytest.approx(2 / 6)
 
     def test_empty_circuit(self):
-        matrix = liveness_matrix(Circuit(2))
-        assert matrix.shape == (2, 0)
+        profile = circuit_profile(Circuit(2))
+        assert (profile.num_qubits, profile.depth) == (2, 0)
+        assert liveness(Circuit(2)) == 0.0
 
-    def test_entries_are_binary(self):
+    def test_a_qubit_acts_at_most_once_per_moment(self):
         circuit = Circuit(3).h(0).cx(0, 1).ccx(0, 1, 2).measure_all()
-        matrix = liveness_matrix(circuit)
-        assert set(np.unique(matrix)).issubset({0, 1})
+        operands = [
+            [q for instruction in moment for q in instruction.qubits]
+            for moment in circuit.moments()
+        ]
+        assert all(len(qubits) == len(set(qubits)) for qubits in operands)
+        assert circuit_profile(circuit).qubit_touches == sum(map(len, operands))
+
+
+# ---------------------------------------------------------------------------
+# depth and critical path against the object-walk oracle
+# ---------------------------------------------------------------------------
+
+
+def _barriered_circuit(rng: np.random.Generator) -> Circuit:
+    """Qubit-less and >3-qubit barriers, measure, reset and 3-qubit gates."""
+    num_qubits = int(rng.integers(5, 8))
+    circuit = Circuit(num_qubits, num_qubits)
+    for _ in range(int(rng.integers(10, 80))):
+        roll = rng.random()
+        q = int(rng.integers(num_qubits))
+        if roll < 0.30:
+            (circuit.h if rng.random() < 0.5 else circuit.x)(q)
+        elif roll < 0.55:
+            a, b = (int(v) for v in rng.choice(num_qubits, size=2, replace=False))
+            circuit.cx(a, b)
+        elif roll < 0.62:
+            a, b, c = (int(v) for v in rng.choice(num_qubits, size=3, replace=False))
+            circuit.ccx(a, b, c)
+        elif roll < 0.70:
+            circuit.measure(q, q)
+        elif roll < 0.75:
+            circuit.reset(q)
+        elif roll < 0.81:
+            circuit.append(Instruction(BARRIER, ()))
+        else:
+            count = int(rng.integers(1, num_qubits + 1))
+            operands = rng.choice(num_qubits, size=count, replace=False)
+            circuit.barrier(*(int(v) for v in operands))
+    return circuit
+
+
+def _plain_circuit(rng: np.random.Generator) -> Circuit:
+    """Barrier-free 1q/2q stream long enough for the vectorised profile."""
+    num_qubits = int(rng.integers(2, 40))
+    circuit = Circuit(num_qubits, num_qubits)
+    for _ in range(_FAST_PATH_MIN_ROWS + int(rng.integers(0, 400))):
+        roll = rng.random()
+        q = int(rng.integers(num_qubits))
+        if roll < 0.45:
+            circuit.rz(float(rng.uniform(-3, 3)), q)
+        elif roll < 0.93:
+            a, b = (int(v) for v in rng.choice(num_qubits, size=2, replace=False))
+            circuit.cz(a, b)
+        elif roll < 0.97:
+            circuit.measure(q, q)
+        else:
+            circuit.reset(q)
+    return circuit
+
+
+@pytest.mark.parametrize("build", [_barriered_circuit, _plain_circuit], ids=["barriered", "plain"])
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=25, deadline=None)
+def test_depth_and_critical_path_match_oracle(build, seed):
+    circuit = build(np.random.default_rng(seed))
+    assert circuit.depth() == oracle.depth(circuit)
+    assert circuit.two_qubit_critical_path() == oracle.two_qubit_critical_path(circuit)

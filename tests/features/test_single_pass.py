@@ -6,15 +6,15 @@ per-feature implementations:
 * golden feature vectors for one instance of each of the eight benchmark
   families, captured from the seed implementation at full float precision;
 * exact (``==``, not approx) parity against reference implementations built
-  on the unchanged :class:`~repro.circuits.Circuit` structural queries
-  (``interaction_graph``, ``two_qubit_critical_path``, ``moments``,
-  ``liveness_matrix``) over randomized circuits with mid-circuit
-  measurement and reset;
+  on :meth:`~repro.circuits.Circuit.interaction_graph`, ``circuit_moments``
+  and the object-walk oracle (depth, two-qubit critical path, liveness
+  matrix) over randomized circuits with mid-circuit measurement and reset;
 * property tests: every feature in [0, 1], and parallelism monotone under
   moment-packing (serialising a circuit with barriers can only lower it).
 """
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +28,7 @@ from repro.benchmarks import (
     VanillaQAOABenchmark,
     ZZSwapQAOABenchmark,
 )
-from repro.circuits import Circuit, circuit_moments, liveness_matrix, random_clifford_circuit
+from repro.circuits import Circuit, circuit_moments, random_clifford_circuit
 from repro.features import (
     FEATURE_NAMES,
     circuit_profile,
@@ -89,13 +89,13 @@ def test_golden_feature_vectors_bit_identical(family):
 
 
 # ---------------------------------------------------------------------------
-# reference-implementation parity (seed structural queries on Circuit)
+# reference-implementation parity (seed structural queries and the oracle)
 # ---------------------------------------------------------------------------
 
 
 def reference_features(circuit):
-    """The seed per-feature definitions, re-expressed on the (unchanged)
-    Circuit structural queries — six independent traversals."""
+    """The seed per-feature definitions, re-expressed on object walks that
+    share no code with the packed profile — six independent traversals."""
 
     def clip(value):
         return float(min(max(value, 0.0), 1.0))
@@ -111,19 +111,19 @@ def reference_features(circuit):
     if total_two_qubit == 0:
         critical = 0.0
     else:
-        on_path, _ = circuit.two_qubit_critical_path()
+        on_path, _ = oracle.two_qubit_critical_path(circuit)
         critical = clip(on_path / total_two_qubit)
 
     total = circuit.num_gates(include_measurements=True)
     entanglement = clip(circuit.num_two_qubit_gates() / total) if total else 0.0
 
-    depth = circuit.depth()
+    depth = oracle.depth(circuit)
     if n <= 1 or depth == 0:
         parallel = 0.0
     else:
         parallel = clip((total / depth - 1.0) / (n - 1.0))
 
-    matrix = liveness_matrix(circuit)
+    matrix = oracle.liveness_matrix(circuit)
     live = clip(float(matrix.sum()) / matrix.size) if matrix.size else 0.0
 
     layers = circuit_moments(circuit)
@@ -252,5 +252,5 @@ def test_profile_moment_accounting():
     profile = circuit_profile(circuit)
     assert int(profile.moment_operations.sum()) == profile.total_operations
     assert len(profile.moment_operations) == profile.depth
-    assert profile.depth == circuit.depth()
-    assert profile.qubit_touches == int(liveness_matrix(circuit).sum())
+    assert profile.depth == oracle.depth(circuit)
+    assert profile.qubit_touches == int(oracle.liveness_matrix(circuit).sum())

@@ -1,0 +1,382 @@
+"""Object-walk reference implementations: the oracle parity checks compare against.
+
+The library implements the five Closed-Division optimization passes, circuit
+depth and the two-qubit critical path once, over the packed columnar IR
+(``repro.transpiler.packed`` and ``repro.features.packed_profile``).  This
+module keeps the per-instruction Python walks those implementations replaced
+and must reproduce gate for gate, so that:
+
+* the randomized, five-pass-chain and preset-family parity tests
+  (``tests/transpiler/test_packed_passes.py``) and the depth / critical-path
+  / feature parity tests compare the library against code it does not share;
+* the micro-benchmarks that time the packed code against the object walks
+  (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``)
+  keep measuring the baseline their committed ratios were recorded against.
+
+Under pytest this directory is on ``sys.path`` (it holds ``conftest.py``), so
+tests ``import oracle``; the benchmark scripts put it there themselves.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
+
+from repro.circuits import Circuit, Gate, Instruction, circuit_moments
+from repro.circuits.gates import ADDITIVE_ROTATIONS, SELF_INVERSE
+from repro.transpiler import (
+    BasePass,
+    CancelAdjacentInverses,
+    CommutingTwoQubitCancellation,
+    DropNegligible,
+    FuseSingleQubitRuns,
+    MergeRotations,
+    PassManager,
+    PropertySet,
+    TransformationPass,
+    zyz_angles,
+)
+from repro.transpiler.packed import _ANGLE_TOLERANCE, _INVERSE_PAIRS
+from repro.utils import normalize_angle
+
+__all__ = [
+    "drop_negligible",
+    "merge_rotations",
+    "cancel_adjacent_inverses",
+    "fuse_single_qubit_runs",
+    "commuting_cancellation",
+    "ObjectWalkPass",
+    "object_pipeline",
+    "depth",
+    "two_qubit_critical_path",
+    "liveness_matrix",
+]
+
+
+def _rebuild(circuit: Circuit, instructions: Iterable[Instruction]) -> Circuit:
+    out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
+    for instruction in instructions:
+        out.append(instruction)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the five optimization passes
+# ---------------------------------------------------------------------------
+
+
+def _are_inverse(a: Instruction, b: Instruction) -> bool:
+    if a.qubits != b.qubits:
+        return False
+    if not (a.is_unitary() and b.is_unitary()):
+        return False
+    if a.name == b.name and a.name in SELF_INVERSE and not a.params:
+        return True
+    if (a.name, b.name) in _INVERSE_PAIRS:
+        return True
+    if a.name == b.name and a.name in ADDITIVE_ROTATIONS:
+        return abs(normalize_angle(a.params[0] + b.params[0])) < _ANGLE_TOLERANCE
+    return False
+
+
+def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
+    """Remove adjacent mutually-inverse gate pairs until none remain.
+
+    "Adjacent" means no intervening operation touches any of the pair's
+    qubits; barriers block cancellation across them.
+    """
+    instructions = list(circuit)
+    changed = True
+    while changed:
+        changed = False
+        result: List[Optional[Instruction]] = []
+        # For every qubit, remember the index (in `result`) of the last op on it.
+        last_index: Dict[int, int] = {}
+        for instruction in instructions:
+            if instruction.is_barrier():
+                for q in instruction.qubits:
+                    last_index[q] = len(result)
+                result.append(instruction)
+                continue
+            candidate: Optional[int] = None
+            indices = {last_index.get(q) for q in instruction.qubits}
+            if len(indices) == 1 and None not in indices:
+                candidate = indices.pop()
+            if (
+                candidate is not None
+                and result[candidate] is not None
+                and not result[candidate].is_barrier()
+                and _are_inverse(result[candidate], instruction)
+            ):
+                result[candidate] = None
+                for q in instruction.qubits:
+                    del last_index[q]
+                changed = True
+                continue
+            for q in instruction.qubits:
+                last_index[q] = len(result)
+            result.append(instruction)
+        instructions = [instruction for instruction in result if instruction is not None]
+    return _rebuild(circuit, instructions)
+
+
+def merge_rotations(circuit: Circuit) -> Circuit:
+    """Combine adjacent rotations of the same type on the same qubits."""
+    result: List[Optional[Instruction]] = []
+    last_index: Dict[int, int] = {}
+    for instruction in circuit:
+        if instruction.is_barrier():
+            for q in instruction.qubits:
+                last_index[q] = len(result)
+            result.append(instruction)
+            continue
+        merged = False
+        if instruction.name in ADDITIVE_ROTATIONS:
+            indices = {last_index.get(q) for q in instruction.qubits}
+            if len(indices) == 1 and None not in indices:
+                index = indices.pop()
+                previous = result[index]
+                if (
+                    previous is not None
+                    and previous.name == instruction.name
+                    and previous.qubits == instruction.qubits
+                ):
+                    angle = normalize_angle(previous.params[0] + instruction.params[0])
+                    if abs(angle) < _ANGLE_TOLERANCE:
+                        result[index] = None
+                        for q in instruction.qubits:
+                            del last_index[q]
+                    else:
+                        result[index] = Instruction(
+                            Gate(instruction.name, (angle,)), instruction.qubits
+                        )
+                    merged = True
+        if not merged:
+            for q in instruction.qubits:
+                last_index[q] = len(result)
+            result.append(instruction)
+    return _rebuild(circuit, [instruction for instruction in result if instruction is not None])
+
+
+def fuse_single_qubit_runs(circuit: Circuit) -> Circuit:
+    """Collapse maximal runs of single-qubit unitaries into one ``u`` gate."""
+    pending: Dict[int, np.ndarray] = {}
+    result: List[Instruction] = []
+
+    def flush(qubit: int) -> None:
+        matrix = pending.pop(qubit, None)
+        if matrix is None:
+            return
+        theta, phi, lam = zyz_angles(matrix)
+        if (
+            abs(theta) < _ANGLE_TOLERANCE
+            and abs(normalize_angle(phi + lam)) < _ANGLE_TOLERANCE
+        ):
+            return
+        result.append(Instruction(Gate("u", (theta, phi, lam)), (qubit,)))
+
+    for instruction in circuit:
+        if instruction.is_unitary() and len(instruction.qubits) == 1:
+            qubit = instruction.qubits[0]
+            matrix = instruction.gate.matrix()
+            pending[qubit] = matrix @ pending.get(qubit, np.eye(2, dtype=complex))
+            continue
+        for qubit in instruction.qubits:
+            flush(qubit)
+        if instruction.is_barrier() and not instruction.qubits:
+            for qubit in list(pending):
+                flush(qubit)
+        result.append(instruction)
+    for qubit in list(pending):
+        flush(qubit)
+    return _rebuild(circuit, result)
+
+
+def drop_negligible(circuit: Circuit) -> Circuit:
+    """Remove identity gates and rotations with (numerically) zero angle."""
+    kept: List[Instruction] = []
+    for instruction in circuit:
+        if instruction.name == "id":
+            continue
+        if instruction.name in ADDITIVE_ROTATIONS and abs(
+            normalize_angle(instruction.params[0])
+        ) < _ANGLE_TOLERANCE:
+            continue
+        if instruction.name == "u" and all(
+            abs(normalize_angle(p)) < _ANGLE_TOLERANCE for p in instruction.params
+        ):
+            continue
+        kept.append(instruction)
+    return _rebuild(circuit, kept)
+
+
+#: Single-qubit gates diagonal in Z — they commute with a CX control and
+#: with both operands of a CZ.
+_DIAGONAL_1Q = frozenset({"rz", "z", "s", "sdg", "t", "tdg", "p"})
+#: Single-qubit X-axis gates — they commute with a CX target.
+_X_AXIS_1Q = frozenset({"rx", "x", "sx", "sxdg"})
+
+
+def _pair_key(instruction: Instruction) -> Tuple[str, Tuple[int, ...]]:
+    # CZ is symmetric: cz(a, b) cancels cz(b, a).
+    if instruction.name == "cz":
+        return ("cz", tuple(sorted(instruction.qubits)))
+    return (instruction.name, instruction.qubits)
+
+
+def _commuting_sweep(instructions: List[Instruction]) -> Tuple[List[Instruction], bool]:
+    result: List[Optional[Instruction]] = []
+    # Open cancellation candidates: pair key -> index in `result`.
+    open_pairs: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+    changed = False
+
+    def invalidate(qubits: Tuple[int, ...]) -> None:
+        for key in list(open_pairs):
+            if not qubits or any(q in key[1] for q in qubits):
+                del open_pairs[key]
+
+    for instruction in instructions:
+        if instruction.is_barrier():
+            # A qubit-less barrier spans the whole circuit.
+            invalidate(instruction.qubits)
+            result.append(instruction)
+            continue
+        if instruction.name in ("cx", "cz") and not instruction.params:
+            key = _pair_key(instruction)
+            index = open_pairs.get(key)
+            if index is not None:
+                result[index] = None
+                del open_pairs[key]
+                changed = True
+                continue
+            invalidate(instruction.qubits)
+            open_pairs[key] = len(result)
+            result.append(instruction)
+            continue
+        if instruction.is_unitary() and len(instruction.qubits) == 1:
+            qubit = instruction.qubits[0]
+            for key in list(open_pairs):
+                gate_name, pair = key
+                if qubit not in pair:
+                    continue
+                if gate_name == "cz":
+                    commutes = instruction.name in _DIAGONAL_1Q
+                elif qubit == pair[0]:  # cx control
+                    commutes = instruction.name in _DIAGONAL_1Q
+                else:  # cx target
+                    commutes = instruction.name in _X_AXIS_1Q
+                if not commutes:
+                    del open_pairs[key]
+            result.append(instruction)
+            continue
+        # Measures, resets and other multi-qubit gates block their qubits.
+        invalidate(instruction.qubits)
+        result.append(instruction)
+
+    return [i for i in result if i is not None], changed
+
+
+def commuting_cancellation(circuit: Circuit) -> Circuit:
+    """Cancel ``cx``/``cz`` pairs separated only by commuting gates (fixed point)."""
+    instructions = list(circuit)
+    changed = True
+    while changed:
+        instructions, changed = _commuting_sweep(instructions)
+    return _rebuild(circuit, instructions)
+
+
+# ---------------------------------------------------------------------------
+# object-walk passes for PassManager pipelines
+# ---------------------------------------------------------------------------
+
+_WALKS: Dict[type, Callable[[Circuit], Circuit]] = {
+    DropNegligible: drop_negligible,
+    MergeRotations: merge_rotations,
+    CancelAdjacentInverses: cancel_adjacent_inverses,
+    FuseSingleQubitRuns: fuse_single_qubit_runs,
+    CommutingTwoQubitCancellation: commuting_cancellation,
+}
+
+
+class ObjectWalkPass(TransformationPass):
+    """An object-form pass running the oracle walk of one packed pass.
+
+    It reports the packed pass's name, so pass records and pipeline
+    fingerprints read the same on both sides of a comparison.
+    """
+
+    def __init__(self, twin: BasePass) -> None:
+        self._name = twin.name
+        self._walk = _WALKS[type(twin)]
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
+        return self._walk(circuit)
+
+
+def object_pipeline(passes: Iterable[BasePass]) -> PassManager:
+    """The same pipeline with every optimization pass swapped for its oracle walk."""
+    return PassManager(
+        [ObjectWalkPass(pass_) if type(pass_) in _WALKS else pass_ for pass_ in passes]
+    )
+
+
+# ---------------------------------------------------------------------------
+# depth, critical path and liveness
+# ---------------------------------------------------------------------------
+
+
+def depth(circuit: Circuit) -> int:
+    """Number of ASAP moments."""
+    return len(circuit_moments(circuit))
+
+
+def two_qubit_critical_path(circuit: Circuit) -> Tuple[int, int]:
+    """Return ``(two_qubit_gates_on_critical_path, critical_path_length)``.
+
+    A dependency-chain DP over instructions: each instruction extends the
+    best chain ending at its operands' previous instructions, comparing
+    ``(length, two-qubit count)`` lexicographically.  Barriers are skipped.
+    """
+    best_length = 0
+    best_two_qubit = 0
+    length_to: Dict[int, int] = {}
+    twoq_to: Dict[int, int] = {}
+    last_on_qubit: Dict[int, int] = {}
+    for index, instruction in enumerate(circuit):
+        if instruction.is_barrier():
+            continue
+        predecessors = {last_on_qubit[q] for q in instruction.qubits if q in last_on_qubit}
+        pred_length = 0
+        pred_twoq = 0
+        for p in predecessors:
+            if length_to[p] > pred_length or (
+                length_to[p] == pred_length and twoq_to[p] > pred_twoq
+            ):
+                pred_length = length_to[p]
+                pred_twoq = twoq_to[p]
+        length_to[index] = pred_length + 1
+        twoq_to[index] = pred_twoq + (1 if instruction.is_multi_qubit() else 0)
+        for q in instruction.qubits:
+            last_on_qubit[q] = index
+        if length_to[index] > best_length or (
+            length_to[index] == best_length and twoq_to[index] > best_two_qubit
+        ):
+            best_length = length_to[index]
+            best_two_qubit = twoq_to[index]
+    return best_two_qubit, best_length
+
+
+def liveness_matrix(circuit: Circuit) -> np.ndarray:
+    """Binary ``(num_qubits, depth)`` matrix: 1 where a qubit acts in a moment."""
+    layers = circuit_moments(circuit)
+    matrix = np.zeros((circuit.num_qubits, len(layers)), dtype=int)
+    for t, layer in enumerate(layers):
+        for instruction in layer:
+            for q in instruction.qubits:
+                matrix[q, t] = 1
+    return matrix

@@ -118,11 +118,11 @@ class TestTranspilerPathLabel:
     def _run_both_paths(self):
         from repro.circuits import Circuit
         from repro.telemetry import get_metrics
-        from repro.transpiler import DropNegligible, PassManager
+        from repro.transpiler import DecomposeToCanonical, DropNegligible, PassManager
 
         circuit = Circuit(2, name="label").rz(0.5, 0).rz(1e-14, 1)
-        PassManager([DropNegligible()], use_packed=True).run(circuit)
-        PassManager([DropNegligible()], use_packed=False).run(circuit)
+        PassManager([DropNegligible()]).run(circuit)
+        PassManager([DecomposeToCanonical()]).run(circuit)
         return to_prometheus(get_metrics().snapshot())
 
     def test_histogram_carries_one_series_per_path(self):

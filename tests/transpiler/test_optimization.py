@@ -1,19 +1,54 @@
-"""Tests for the Closed-Division optimization passes."""
+"""Tests for the Closed-Division optimization passes, run through a PassManager."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit, random_clifford_circuit
+from repro.devices import get_device
 from repro.simulation import circuit_unitary
 from repro.transpiler import (
-    cancel_adjacent_inverses,
-    drop_negligible,
-    fuse_single_qubit_runs,
-    merge_rotations,
-    optimize_circuit,
+    CancelAdjacentInverses,
+    DecomposeToCanonical,
+    DropNegligible,
+    FuseSingleQubitRuns,
+    MergeRotations,
+    PassManager,
+    preset_pipeline,
 )
 from repro.utils import equivalent_up_to_global_phase
+
+
+def cancel_adjacent_inverses(circuit):
+    return PassManager([CancelAdjacentInverses()]).run(circuit)
+
+
+def merge_rotations(circuit):
+    return PassManager([MergeRotations()]).run(circuit)
+
+
+def fuse_single_qubit_runs(circuit):
+    return PassManager([FuseSingleQubitRuns()]).run(circuit)
+
+
+def drop_negligible(circuit):
+    return PassManager([DropNegligible()]).run(circuit)
+
+
+_PRE_ROUTING_PASSES = (DropNegligible, MergeRotations, CancelAdjacentInverses, FuseSingleQubitRuns)
+
+
+def optimization_chain(level):
+    """The pre-routing optimization passes of preset ``level``.
+
+    Read from the preset pipeline itself: the run of optimization passes
+    between the canonical decomposition and the layout pass.
+    """
+    decompose, *rest = preset_pipeline(get_device("IBM-Casablanca-7Q"), level).passes
+    assert isinstance(decompose, DecomposeToCanonical)
+    return PassManager(itertools.takewhile(lambda p: isinstance(p, _PRE_ROUTING_PASSES), rest))
 
 
 class TestCancellation:
@@ -107,14 +142,16 @@ class TestDropNegligible:
 class TestPipeline:
     def test_level_zero_is_identity(self):
         circuit = Circuit(1).h(0).h(0)
-        assert len(optimize_circuit(circuit, level=0)) == 2
+        assert len(optimization_chain(0)) == 0
+        assert len(optimization_chain(0).run(circuit)) == 2
+        assert len(optimization_chain(1).run(circuit)) == 0
 
     @pytest.mark.parametrize("level", [1, 2])
     @given(seed=st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
     def test_optimization_preserves_unitary(self, level, seed):
         circuit = random_clifford_circuit(3, 25, rng=seed)
-        optimized = optimize_circuit(circuit, level=level)
+        optimized = optimization_chain(level).run(circuit)
         assert len(optimized) <= len(circuit)
         assert equivalent_up_to_global_phase(
             circuit_unitary(circuit), circuit_unitary(optimized), atol=1e-7
@@ -122,5 +159,5 @@ class TestPipeline:
 
     def test_measurements_survive_optimization(self):
         circuit = Circuit(2, 2).h(0).h(0).cx(0, 1).measure_all()
-        optimized = optimize_circuit(circuit, level=2)
+        optimized = optimization_chain(2).run(circuit)
         assert optimized.num_measurements() == 2

@@ -1,4 +1,4 @@
-"""Packed fast-path guards: the vectorized passes must be invisible.
+"""Packed optimization passes against the object-walk oracle.
 
 Four concerns:
 
@@ -7,19 +7,19 @@ Four concerns:
   equivalent instruction sequence from scratch, so circuit fingerprints
   hashed over the buffers can never tell the two construction paths apart.
 * **Randomized pass parity** — hypothesis-driven instruction streams flow
-  through every optimization pass (and the full five-pass chain) in both
-  packed and object form and must produce identical gate sequences.
-* **Preset/family parity** — every preset level compiles the Fig. 2
-  benchmark families to the same circuit on both paths, under the same
-  pipeline fingerprint (``use_packed`` is an execution detail, not a
-  compilation knob — flipping it must not invalidate caches).
-* **Wide rows and reporting** — >3-operand barriers stay on the packed path
-  (the wide-pool escape hatch, not a silent object fallback), and
-  :meth:`PassManager.report` / the ``transpiler.pass`` spans agree on which
-  path ran and how many pack conversions were paid.
+  through every optimization pass (and the full five-pass chain) and must
+  produce the gate sequences of the object walks in ``tests/oracle.py``.
+* **Preset/family parity** — every preset level (0–3) compiles the Fig. 2
+  benchmark families to the same circuit as the same pipeline with its
+  optimization passes swapped for the oracle walks.
+* **Wide rows and reporting** — >3-operand barriers are handled by the
+  packed passes through the wide pool, and :meth:`PassManager.report` /
+  the ``transpiler.pass`` spans agree on which path ran and how many pack
+  conversions were paid.
 """
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +31,7 @@ from repro.telemetry import configure_tracing, get_tracer
 from repro.transpiler import (
     CancelAdjacentInverses,
     CommutingTwoQubitCancellation,
+    DecomposeToCanonical,
     DropNegligible,
     FuseSingleQubitRuns,
     MergeRotations,
@@ -150,9 +151,9 @@ class TestRandomizedParity:
     def test_each_pass_matches_object_walk(self, num_qubits, seed):
         circuit = _random_circuit(num_qubits, seed)
         for pass_ in _optimization_passes():
-            object_manager = PassManager([pass_], use_packed=False)
-            packed_manager = PassManager([pass_], use_packed=True)
-            assert _stream(object_manager.run(circuit)) == _stream(
+            reference = oracle.object_pipeline([pass_])
+            packed_manager = PassManager([pass_])
+            assert _stream(reference.run(circuit)) == _stream(
                 packed_manager.run(circuit)
             ), pass_.name
 
@@ -160,14 +161,11 @@ class TestRandomizedParity:
     @settings(max_examples=60, deadline=None)
     def test_full_chain_matches_object_walk(self, num_qubits, seed):
         circuit = _random_circuit(num_qubits, seed)
-        object_manager = PassManager(_optimization_passes(), use_packed=False)
-        packed_manager = PassManager(_optimization_passes(), use_packed=True)
-        assert object_manager.fingerprint == packed_manager.fingerprint
-        assert _stream(object_manager.run(circuit)) == _stream(
-            packed_manager.run(circuit)
-        )
+        reference = oracle.object_pipeline(_optimization_passes())
+        packed_manager = PassManager(_optimization_passes())
+        assert _stream(reference.run(circuit)) == _stream(packed_manager.run(circuit))
         assert all(record.path == "packed" for record in packed_manager.last_records)
-        assert all(record.path == "object" for record in object_manager.last_records)
+        assert all(record.path == "object" for record in reference.last_records)
 
 
 class TestPresetFamilyParity:
@@ -182,15 +180,15 @@ class TestPresetFamilyParity:
             circuit = benchmark.circuits()[0]
             if circuit.num_qubits > device.num_qubits:
                 continue
-            packed_pipeline = preset_pipeline(device, optimization_level=level)
-            object_pipeline = preset_pipeline(device, optimization_level=level)
-            object_pipeline.use_packed = False
-            # use_packed is an execution detail: same fingerprint, same caches.
-            assert packed_pipeline.fingerprint == object_pipeline.fingerprint
-            fast = transpile(circuit, device, pass_manager=packed_pipeline)
-            slow = transpile(circuit, device, pass_manager=object_pipeline)
+            pipeline = preset_pipeline(device, optimization_level=level)
+            reference = oracle.object_pipeline(pipeline)
+            fast = transpile(circuit, device, pass_manager=pipeline)
+            slow = transpile(circuit, device, pass_manager=reference)
             assert _stream(fast.circuit) == _stream(slow.circuit)
-            assert fast.pipeline_fingerprint == slow.pipeline_fingerprint
+            # Every transformation of the reference ran as an object walk.
+            assert all(
+                record.path == "object" for record in slow.pass_records if not record.analysis
+            )
             compared += 1
         assert compared >= 6  # every family that fits the 16q device
 
@@ -204,9 +202,9 @@ class TestWideRows:
         circuit.s(2).sdg(2)  # cancels after the barrier
         circuit.h(3).t(3).h(3)  # fuses
         circuit.rz(1e-15, 5)  # drops
-        object_manager = PassManager(_optimization_passes(), use_packed=False)
-        packed_manager = PassManager(_optimization_passes(), use_packed=True)
-        expected = object_manager.run(circuit)
+        reference = oracle.object_pipeline(_optimization_passes())
+        packed_manager = PassManager(_optimization_passes())
+        expected = reference.run(circuit)
         observed = packed_manager.run(circuit)
         assert _stream(expected) == _stream(observed)
         assert [record.path for record in packed_manager.last_records] == [
@@ -225,7 +223,7 @@ class TestWideRows:
 class TestReporting:
     def test_report_shows_path_and_conversion_counts(self):
         circuit = _random_circuit(5, 42)
-        manager = PassManager(_optimization_passes(), use_packed=True)
+        manager = PassManager(_optimization_passes())
         manager.run(circuit)
         report = manager.report()
         assert "packed" in report
@@ -236,7 +234,7 @@ class TestReporting:
         tracer = configure_tracing(enabled=True)
         tracer.drain()
         circuit = _random_circuit(5, 43)
-        manager = PassManager(_optimization_passes(), use_packed=True)
+        manager = PassManager(_optimization_passes())
         try:
             manager.run(circuit)
             spans = [s for s in tracer.drain() if s.name == "transpiler.pass"]
@@ -249,7 +247,7 @@ class TestReporting:
 
     def test_object_only_pipeline_reports_no_conversions(self):
         circuit = _random_circuit(4, 44)
-        manager = PassManager(_optimization_passes(), use_packed=False)
+        manager = PassManager([DecomposeToCanonical()])
         manager.run(circuit)
         assert manager.last_conversions == 0
         assert all(record.conversions == 0 for record in manager.last_records)

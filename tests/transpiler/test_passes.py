@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.circuits import Circuit
@@ -24,6 +25,7 @@ from repro.transpiler import (
     DropNegligible,
     FuseSingleQubitRuns,
     MergeRotations,
+    PassManager,
     PropertySet,
     transpile,
 )
@@ -74,7 +76,7 @@ def test_transformation_pass_preserves_unitary(
     pass_cls, num_qubits, seed, unitary_equivalent
 ):
     circuit = _random_mixed_circuit(num_qubits, 12 * num_qubits, seed)
-    transformed = pass_cls().run(circuit, PropertySet())
+    transformed = PassManager([pass_cls()]).run(circuit)
     unitary_equivalent(circuit, transformed)
 
 
@@ -84,13 +86,13 @@ def test_transformation_pass_preserves_unitary_on_qv_circuits(
     pass_cls, seed, unitary_equivalent
 ):
     circuit = quantum_volume_circuit(4, rng=seed, measure=False)
-    transformed = pass_cls().run(circuit, PropertySet())
+    transformed = PassManager([pass_cls()]).run(circuit)
     unitary_equivalent(circuit, transformed)
 
 
 class TestCommutingTwoQubitCancellation:
     def run_pass(self, circuit: Circuit) -> Circuit:
-        return CommutingTwoQubitCancellation().run(circuit, PropertySet())
+        return PassManager([CommutingTwoQubitCancellation()]).run(circuit)
 
     def test_cancels_through_commuting_gates(self, unitary_equivalent):
         circuit = Circuit(2).cx(0, 1).rz(0.3, 0).x(1).sx(1).t(0).cx(0, 1)
@@ -136,7 +138,7 @@ class TestCommutingTwoQubitCancellation:
     def test_goes_beyond_adjacent_cancellation(self):
         """The case the old adjacent-only cancellation provably misses."""
         circuit = Circuit(2).cx(0, 1).rz(0.5, 0).cx(0, 1)
-        adjacent_only = CancelAdjacentInverses().run(circuit, PropertySet())
+        adjacent_only = PassManager([CancelAdjacentInverses()]).run(circuit)
         assert sum(1 for i in adjacent_only if i.name == "cx") == 2
         commuting = self.run_pass(circuit)
         assert sum(1 for i in commuting if i.name == "cx") == 0
@@ -162,12 +164,12 @@ class TestDepthAnalysis:
     def test_metrics_match_direct_queries(self):
         circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2).rz(0.4, 2).cx(0, 1)
         properties = PropertySet()
-        DepthAnalysis().run(circuit, properties)
+        PassManager([DepthAnalysis()]).run(circuit, properties)
         metrics = properties["metrics"]
-        critical_two_qubit, critical_length = circuit.two_qubit_critical_path()
+        critical_two_qubit, critical_length = oracle.two_qubit_critical_path(circuit)
         assert metrics["gate_count"] == circuit.num_gates()
         assert metrics["two_qubit_gates"] == circuit.num_two_qubit_gates()
-        assert metrics["depth"] == circuit.depth()
+        assert metrics["depth"] == oracle.depth(circuit)
         assert metrics["critical_path_length"] == critical_length
         assert metrics["critical_two_qubit_gates"] == critical_two_qubit
 

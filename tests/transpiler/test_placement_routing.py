@@ -128,6 +128,15 @@ class TestTranspilePipeline:
         assert compact.num_qubits == len(physical)
         assert compact.active_qubits() == tuple(range(len(physical)))
 
+    def test_compact_drops_barrier_on_idle_qubits(self, ionq_device):
+        # The barrier covers only qubit 2, which no operation touches; it
+        # must not come back as a barrier over every compact qubit.
+        circuit = Circuit(3, 3).h(0).barrier(2).h(1).measure(0, 0).measure(1, 1)
+        result = transpile(circuit, ionq_device, optimization_level=0)
+        compact, _physical = result.compact()
+        assert not any(instruction.is_barrier() for instruction in compact)
+        assert compact.depth() == result.depth()
+
     def test_swap_overhead_larger_on_sparse_topology(self):
         """All-to-all workloads pay a SWAP penalty on sparse devices (paper Sec. VI)."""
         from repro.benchmarks import VanillaQAOABenchmark
