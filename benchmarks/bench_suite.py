@@ -3,10 +3,10 @@
 Three targets:
 
 * ``feature_extraction`` — the seed per-feature implementation (six
-  independent traversals over ``Circuit.interaction_graph``,
-  ``circuit_moments`` and the object-walk oracle's depth, critical path and
-  liveness matrix from ``tests/oracle.py``, kept out of the library so the
-  comparison survives the refactor it measures) vs the single-pass
+  independent traversals: the object-walk oracle's interaction graph,
+  moments, depth, critical path and liveness matrix from
+  ``tests/oracle.py``, kept out of the library so the comparison survives
+  the refactor it measures) vs the single-pass
   :func:`repro.features.compute_features`, on 20+-qubit circuits from the
   scaling suite.  The acceptance floor is >= 3x on 20+-qubit circuits.
 * ``scenario_expansion`` — declarative expansion + sharding throughput of
@@ -44,7 +44,6 @@ from typing import Callable, Dict, List
 import numpy as np
 import pytest
 
-from repro.circuits import circuit_moments
 from repro.features import compute_features_many
 from repro.suite import BenchmarkSpec, figure2_scenario, mitigated_scenario, scaling_specs
 from repro.suite.runner import run_scenario
@@ -90,7 +89,7 @@ def legacy_compute_features(circuit) -> List[float]:
     if n <= 1:
         communication = 0.0
     else:
-        degree_sum = sum(dict(circuit.interaction_graph().degree()).values())
+        degree_sum = sum(dict(oracle.interaction_graph(circuit).degree()).values())
         communication = clip(degree_sum / (n * (n - 1)))
 
     total_two_qubit = circuit.num_two_qubit_gates()
@@ -109,7 +108,7 @@ def legacy_compute_features(circuit) -> List[float]:
     matrix = oracle.liveness_matrix(circuit)
     live = clip(float(matrix.sum()) / matrix.size) if matrix.size else 0.0
 
-    layers = circuit_moments(circuit)
+    layers = oracle.circuit_moments(circuit)
     if not layers:
         measure = 0.0
     else:

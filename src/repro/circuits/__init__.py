@@ -4,8 +4,8 @@ Public API:
 
 * :class:`Circuit`, :class:`Instruction` — the circuit IR.
 * :class:`Gate`, :func:`gate_matrix` — gate definitions and unitaries.
-* :func:`circuit_moments` — ASAP layering (depth and critical path are
-  :meth:`Circuit.depth` / :meth:`Circuit.two_qubit_critical_path`).
+* :meth:`Circuit.depth` / :meth:`Circuit.two_qubit_critical_path` — ASAP
+  depth and the critical path, read off the packed profile.
 * :func:`circuit_to_qasm`, :func:`circuit_from_qasm` — OpenQASM 2.0 round trip.
 * :class:`PackedCircuit`, :func:`pack_circuit` — the columnar (packed) form
   behind ``Circuit.packed()`` (see ``docs/ir.md``).
@@ -39,7 +39,6 @@ from .gates import (
     is_known_gate,
     standard_gate,
 )
-from .moments import circuit_moments
 from .qasm import circuit_from_qasm, circuit_to_qasm
 from .random_circuits import (
     ghz_ladder,
@@ -74,7 +73,6 @@ __all__ = [
     "RESET_OP",
     "BARRIER_OP",
     "QUBIT_SLOTS",
-    "circuit_moments",
     "circuit_to_qasm",
     "circuit_from_qasm",
     "ghz_ladder",

@@ -4,7 +4,7 @@ A :class:`Circuit` is an ordered list of :class:`Instruction` objects over a
 fixed number of qubits and classical bits.  The class exposes a fluent
 builder API (``circuit.h(0).cx(0, 1).measure(1, 0)``) plus the structural
 queries the SupermarQ feature vectors need: depth, gate counts, interaction
-graph, moment (layer) decomposition and the two-qubit critical path.
+graph and the two-qubit critical path.
 """
 
 from __future__ import annotations
@@ -433,30 +433,10 @@ class Circuit:
 
         Every pair of qubits that share at least one multi-qubit unitary is
         connected.  This is the graph the Program Communication feature is
-        defined on (Eq. 1 of the paper).
+        defined on (Eq. 1 of the paper); built from the packed form
+        (:meth:`~repro.circuits.columnar.PackedCircuit.interaction_graph`).
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        for instruction in self._instructions:
-            if not instruction.is_multi_qubit():
-                continue
-            qubits = instruction.qubits
-            for i in range(len(qubits)):
-                for j in range(i + 1, len(qubits)):
-                    graph.add_edge(qubits[i], qubits[j])
-        return graph
-
-    def moments(self) -> List[List[Instruction]]:
-        """Greedy as-soon-as-possible layering of the circuit.
-
-        Each moment is a list of instructions acting on disjoint qubits.
-        Barriers force a synchronization point across the qubits they cover
-        but do not occupy a layer themselves.  The number of moments is the
-        circuit depth used throughout the feature definitions.
-        """
-        from .moments import circuit_moments
-
-        return circuit_moments(self)
+        return self.packed().interaction_graph()
 
     def depth(self) -> int:
         """Circuit depth: the number of moments, read off the packed profile."""

@@ -52,6 +52,8 @@ import numpy as np
 from .gates import GATE_DEFINITIONS, Gate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (circuit imports us)
+    import networkx as nx
+
     from .circuit import Circuit
 
 __all__ = [
@@ -196,6 +198,26 @@ class PackedCircuit:
             else:
                 qubits = tuple(q for q in qubit_rows[row] if q >= 0)
             yield row, opcode, qubits, tuple(pool[offsets[row] : offsets[row + 1]]), clbits[row]
+
+    def interaction_graph(self) -> "nx.Graph":
+        """Graph with one node per qubit and an edge per interacting pair.
+
+        Every pair of operands of a multi-qubit unitary row is connected.
+        Edges are added in row order, pairs ``(i, j)`` with ``i < j`` by
+        operand position within a row, which fixes networkx's neighbour
+        order (noise-aware placement breaks ties by it).
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.num_qubits))
+        multi = OP_IS_UNITARY[self.opcodes] & (self.qubits[:, 1] >= 0)
+        for q0, q1, q2 in self.qubits[multi].tolist():
+            graph.add_edge(q0, q1)
+            if q2 >= 0:
+                graph.add_edge(q0, q2)
+                graph.add_edge(q1, q2)
+        return graph
 
     # ------------------------------------------------------------------
     # hashing / round trip

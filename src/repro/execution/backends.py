@@ -34,8 +34,8 @@ __all__ = [
     "SEED_STRIDE",
 ]
 
-#: Per-circuit seed stride inside a batch (kept identical to the historical
-#: ``execute_circuits`` loop so seeded results are reproducible across releases).
+#: Per-circuit seed stride inside a batch (fixed so seeded results are
+#: reproducible across releases).
 SEED_STRIDE = 7919
 
 #: A batch noise specification: one model for every circuit, one per circuit,

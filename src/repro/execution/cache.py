@@ -170,41 +170,16 @@ class TranspileCache:
         The preset pipeline for ``(device, optimization_level, placement,
         initial_layout)`` is resolved first and its fingerprint — not the raw
         arguments — forms the cache key, so e.g. two placement strategies (or
-        a re-registered device preset) always occupy distinct entries.
+        a re-registered device preset) always occupy distinct entries.  A
+        one-circuit :meth:`get_or_transpile_many`: one hit or one miss.
         """
-        pipeline = preset_pipeline(
+        return self.get_or_transpile_many(
+            [circuit],
             device,
             optimization_level=optimization_level,
             placement=placement,
             initial_layout=initial_layout,
-        )
-        key = (circuit_fingerprint(circuit), device.name, pipeline.fingerprint)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._hit_series.add(1.0)
-                return entry
-            self._miss_series.add(1.0)
-        # Transpile outside the lock so a slow compilation does not serialise
-        # unrelated lookups.  A concurrent duplicate compile is harmless:
-        # output is deterministic and setdefault keeps the first inserted
-        # entry, though each racer counts a miss, so misses may slightly
-        # exceed unique compilations under concurrency.
-        # Run the exact pipeline instance the key was fingerprinted from, so
-        # a concurrently re-registered device preset can never produce a
-        # compilation stored under another pipeline's fingerprint.
-        transpiled = transpile(circuit, device, pass_manager=pipeline)
-        compact, physical = transpiled.compact()
-        entry = CacheEntry(
-            transpiled=transpiled,
-            compact=compact,
-            physical=tuple(physical),
-            two_qubit_gates=transpiled.two_qubit_gate_count(),
-            depth=transpiled.depth(),
-            pipeline=pipeline.fingerprint,
-        )
-        with self._lock:
-            return self._entries.setdefault(key, entry)
+        )[0]
 
     def get_or_transpile_many(
         self,
@@ -258,9 +233,14 @@ class TranspileCache:
                 else:
                     self._miss_series.add(1.0)
                     missing[key] = circuit
-        # Compile outside the lock (see get_or_transpile); each distinct
-        # missing circuit compiles exactly once, optionally fanned out over
-        # the caller's worker pool.
+        # Compile outside the lock so a slow compilation does not serialise
+        # unrelated lookups; each distinct missing circuit compiles exactly
+        # once, optionally fanned out over the caller's worker pool.  A
+        # concurrent duplicate compile by another caller is harmless: output
+        # is deterministic and setdefault keeps the first inserted entry.
+        # The exact pipeline instance the keys were fingerprinted from runs,
+        # so a concurrently re-registered device preset can never produce a
+        # compilation stored under another pipeline's fingerprint.
         def _compile(circuit: Circuit) -> CacheEntry:
             transpiled = transpile(circuit, device, pass_manager=pipeline)
             compact, physical = transpiled.compact()

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple, Union
 
 from ..analysis import LinearFit, linear_regression
+from ..execution import BenchmarkRun
 from ..suite.results import SuiteResult, coerce_runs
 from .figure3 import EC_FAMILIES
-from .runner import BenchmarkRun
 
 __all__ = ["Figure4Result", "reproduce_figure4", "render_figure4"]
 

@@ -94,6 +94,8 @@ class CircuitProfile:
         collapse_layers: Moments containing a mid-circuit measure or reset.
         moment_operations: Operations per moment (vectorised accounting;
             ``moment_operations.sum() == total_operations``).
+        row_moments: ASAP moment of each row of the pack, ``-1`` for
+            barrier rows (the schedule dynamical decoupling inserts into).
     """
 
     num_qubits: int
@@ -106,6 +108,7 @@ class CircuitProfile:
     critical_two_qubit: int
     collapse_layers: int
     moment_operations: np.ndarray
+    row_moments: np.ndarray
 
     # ------------------------------------------------------------------
     # the six features (identical arithmetic to the per-feature definitions)
@@ -199,6 +202,7 @@ def packed_profile(packed: PackedCircuit) -> CircuitProfile:
             critical_two_qubit=0,
             collapse_layers=0,
             moment_operations=np.zeros(0, dtype=np.int64),
+            row_moments=np.zeros(0, dtype=np.int64),
         )
     # The fast path packs (chain length, two-qubit count) into one integer
     # and (qubit, position) into another; bail out to the general walk when
@@ -358,6 +362,7 @@ def _packed_profile_fast(packed: PackedCircuit) -> CircuitProfile:
         critical_two_qubit=critical_two_qubit,
         collapse_layers=collapse_layers,
         moment_operations=moment_operations,
+        row_moments=levels,
     )
 
 
@@ -385,7 +390,8 @@ def _packed_profile_general(packed: PackedCircuit) -> CircuitProfile:
     two_qubit_operations = 0
     qubit_touches = 0
 
-    levels: List[int] = []  # moment of each non-barrier instruction
+    levels: List[int] = []  # moment of each row, -1 for barriers
+    barrier_rows = 0
     measure_records: List[Tuple[int, int, int]] = []  # (qubit, chain, moment)
     reset_levels: List[int] = []
     levels_append = levels.append
@@ -417,6 +423,8 @@ def _packed_profile_general(packed: PackedCircuit) -> CircuitProfile:
                 level = max(frontier[q] for q in barrier_qubits)
                 for q in barrier_qubits:
                     frontier[q] = level
+            levels_append(-1)
+            barrier_rows += 1
             continue
 
         # -- ASAP layer assignment + critical-path DP (Eq. 2) ----------
@@ -506,7 +514,8 @@ def _packed_profile_general(packed: PackedCircuit) -> CircuitProfile:
             measure_records.append((q0, length_here, level))
 
     # -- vectorised per-moment accounting ------------------------------
-    level_array = np.asarray(levels, dtype=np.int64)
+    row_moments = np.asarray(levels, dtype=np.int64)
+    level_array = row_moments[row_moments >= 0] if barrier_rows else row_moments
     depth = int(level_array.max()) + 1 if level_array.size else 0
     moment_operations = (
         np.bincount(level_array, minlength=depth)
@@ -532,6 +541,7 @@ def _packed_profile_general(packed: PackedCircuit) -> CircuitProfile:
         critical_two_qubit=best_two_qubit,
         collapse_layers=collapse_layers,
         moment_operations=moment_operations,
+        row_moments=row_moments,
     )
 
 

@@ -14,11 +14,12 @@ part of that noise.  Two standard sequences are provided:
 :func:`~repro.transpiler.presets.preset_pipeline` accepts ``dd="xy4"`` to
 append it after the final cleanup stage (it must run *after* the
 cancellation passes, which would otherwise delete the inserted ``X X``
-pairs as adjacent inverses).  The pass schedules the circuit into ASAP
-moments, finds windows where a qubit idles for at least ``len(sequence)``
-moments strictly between two of its operations, and spreads the sequence
-over the window.  Because every sequence is identity-equivalent, the circuit
-unitary is unchanged up to global phase.
+pairs as adjacent inverses).  The pass reads each row's ASAP moment off the
+packed profile (:attr:`~repro.features.CircuitProfile.row_moments`), finds
+windows where a qubit idles for at least ``len(sequence)`` moments strictly
+between two of its operations, and spreads the sequence over the window.
+Because every sequence is identity-equivalent, the circuit unitary is
+unchanged up to global phase.
 
 The engine-facing :class:`DynamicalDecouplingMitigator` wraps the pass as a
 circuit-level :class:`~repro.mitigation.base.Mitigator` (no counts
@@ -37,9 +38,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuits import Circuit, Instruction
-from ..circuits.gates import standard_gate
+from ..circuits import Circuit
+from ..circuits.columnar import OPCODES, PackedBuilder, PackedCircuit
 from ..exceptions import MitigationError
+from ..features.features import packed_profile
 from ..simulation.result import Counts, QuasiDistribution
 from ..transpiler.passes import PropertySet, TransformationPass
 from .base import Mitigator, PassthroughMitigator
@@ -89,22 +91,26 @@ class DynamicalDecoupling(TransformationPass):
     def signature(self) -> Tuple:
         return (self.sequence, self.min_idle_moments)
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        moments = circuit.moments()
-        depth = len(moments)
-        if depth == 0:
-            return circuit
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
+        profile = packed_profile(packed)
+        if profile.depth == 0:
+            return packed
+        rows = list(packed.iter_rows())
 
-        # Moment indices at which each qubit is active.
-        active: List[List[int]] = [[] for _ in range(circuit.num_qubits)]
-        for index, moment in enumerate(moments):
-            for instruction in moment:
-                for q in instruction.qubits:
-                    active[q].append(index)
+        # Moment indices at which each qubit is active: a qubit's rows have
+        # strictly increasing moments, so row order is already sorted.
+        active: List[List[int]] = [[] for _ in range(packed.num_qubits)]
+        by_moment: List[List[int]] = [[] for _ in range(profile.depth)]
+        for row, moment in enumerate(profile.row_moments.tolist()):
+            if moment < 0:  # barrier
+                continue
+            by_moment[moment].append(row)
+            for q in rows[row][2]:
+                active[q].append(moment)
 
         # For every idle window of at least min_idle_moments, schedule the
         # pulse train spread evenly across the window.
-        inserted: Dict[int, List[Instruction]] = {}
+        inserted: Dict[int, List[Tuple[int, int]]] = {}
         pulse_count = 0
         for qubit, indices in enumerate(active):
             for previous, following in zip(indices, indices[1:]):
@@ -114,23 +120,24 @@ class DynamicalDecoupling(TransformationPass):
                 stride = window / len(self.pulses)
                 for position, pulse in enumerate(self.pulses):
                     moment_index = previous + 1 + int(position * stride)
-                    instruction = Instruction(standard_gate(pulse), (qubit,))
-                    inserted.setdefault(moment_index, []).append(instruction)
+                    inserted.setdefault(moment_index, []).append((OPCODES[pulse], qubit))
                     pulse_count += 1
 
         if not pulse_count:
             # Nothing to insert: keep the original circuit (and its barriers).
-            return circuit
+            return packed
 
-        out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-        for index, moment in enumerate(moments):
-            for instruction in moment:
-                out.append(instruction)
-            for instruction in inserted.get(index, ()):
-                out.append(instruction)
+        # Rows in (moment, row) order, each moment's pulses after its rows.
+        out = PackedBuilder(packed.num_qubits, packed.num_clbits, packed.name)
+        for index, members in enumerate(by_moment):
+            for row in members:
+                _row, opcode, qubits, params, clbit = rows[row]
+                out.append(opcode, qubits, params, clbit)
+            for opcode, qubit in inserted.get(index, ()):
+                out.append(opcode, (qubit,))
         metrics = property_set.setdefault("metrics", {})
         metrics["dd_pulses"] = metrics.get("dd_pulses", 0) + pulse_count
-        return out
+        return out.build()
 
 
 class DynamicalDecouplingMitigator(Mitigator):
@@ -153,7 +160,7 @@ class DynamicalDecouplingMitigator(Mitigator):
         return self._pass.sequence
 
     def transform(self, circuit: Circuit) -> List[Circuit]:
-        return [self._pass.run(circuit, PropertySet())]
+        return [self._pass.run(circuit.packed(), PropertySet()).unpack()]
 
     def mitigate(
         self,

@@ -3,12 +3,14 @@ and optimization.
 
 The package is organised in three layers:
 
-* primitive rewrites (:mod:`~repro.transpiler.decomposition`,
-  :mod:`~repro.transpiler.placement`, :mod:`~repro.transpiler.routing` over
-  circuits; :mod:`~repro.transpiler.packed` over the columnar IR for the
-  optimization passes);
-* passes (:mod:`~repro.transpiler.passes`) wrapping each rewrite, run by a
-  :class:`PassManager` (:mod:`~repro.transpiler.passmanager`) that threads a
+* primitive rewrites over the columnar IR, each
+  ``PackedCircuit -> PackedCircuit`` (:mod:`~repro.transpiler.decomposition`,
+  :mod:`~repro.transpiler.routing`, :mod:`~repro.transpiler.packed`; the
+  :mod:`~repro.transpiler.placement` functions read a pack and return a
+  layout);
+* passes (:mod:`~repro.transpiler.passes`) wrapping each rewrite in one
+  ``run`` method, run by a :class:`PassManager`
+  (:mod:`~repro.transpiler.passmanager`) that threads a
   :class:`PropertySet` through the pipeline and records per-pass metrics;
 * presets (:mod:`~repro.transpiler.presets`) assembling the standard
   per-device pipelines, with :func:`transpile` as the one-call entry point.
@@ -50,7 +52,7 @@ from .presets import (
     unregister_device_preset,
 )
 from .routing import RoutedCircuit, route_circuit
-from .transpile import TranspiledCircuit, transpile, transpile_many
+from .transpile import TranspiledCircuit, transpile
 
 __all__ = [
     "SUPPORTED_BASES",
@@ -64,7 +66,6 @@ __all__ = [
     "route_circuit",
     "TranspiledCircuit",
     "transpile",
-    "transpile_many",
     # pass-manager architecture
     "BasePass",
     "AnalysisPass",

@@ -8,19 +8,29 @@ canonical gates are translated to a device's native basis:
 * ``aqt``-style superconducting devices:  ``{rz, sx, x, cz}``
 * ``ionq``-style trapped-ion devices:     ``{rx, ry, rz, rxx}``
 
-All identities used here are verified (up to global phase) by the unit tests
-in ``tests/transpiler/test_decomposition.py``.
+Both stages read :class:`~repro.circuits.columnar.PackedCircuit` rows and
+write through :meth:`~repro.circuits.columnar.PackedBuilder.append`.  All
+identities used here are verified (up to global phase) by the unit tests in
+``tests/transpiler/test_decomposition.py``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits import Circuit, Gate, Instruction
+from ..circuits.columnar import (
+    BARRIER_OP,
+    MEASURE_OP,
+    OP_NAMES,
+    OPCODES,
+    RESET_OP,
+    PackedBuilder,
+    PackedCircuit,
+)
 from ..exceptions import TranspilerError
 from ..utils import normalize_angle
 
@@ -117,148 +127,171 @@ _SINGLE_QUBIT_AS_U: Dict[str, Callable[..., Tuple[float, float, float]]] = {
 }
 
 
-def _u(circuit: Circuit, qubit: int, theta: float, phi: float, lam: float) -> None:
-    circuit.u(theta, phi, lam, qubit)
+_U = OPCODES["u"]
+_CX = OPCODES["cx"]
+_RZ = OPCODES["rz"]
+_SX = OPCODES["sx"]
+_X = OPCODES["x"]
+_RX = OPCODES["rx"]
+_RY = OPCODES["ry"]
+_CZ = OPCODES["cz"]
+_RXX = OPCODES["rxx"]
+
+#: Rows every stage copies unchanged (operands, clbit and all).
+_PASSTHROUGH = frozenset({MEASURE_OP, RESET_OP, BARRIER_OP})
 
 
-def _emit_canonical(circuit: Circuit, instruction: Instruction) -> None:
-    """Append ``instruction`` to ``circuit`` using only {u, cx, measure, reset, barrier}."""
-    name = instruction.name
-    qubits = instruction.qubits
-    params = instruction.params
+def _u(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
+    out.append(_U, (qubit,), (theta, phi, lam))
 
-    if name in ("measure", "reset", "barrier"):
-        circuit.append(instruction)
-        return
+
+def _cx(out: PackedBuilder, control: int, target: int) -> None:
+    out.append(_CX, (control, target))
+
+
+def _emit_canonical(
+    out: PackedBuilder, name: str, qubits: Tuple[int, ...], params: Tuple[float, ...]
+) -> None:
+    """Append gate ``name`` to ``out`` using only ``u`` and ``cx`` rows."""
     if name in _SINGLE_QUBIT_AS_U:
         theta, phi, lam = _SINGLE_QUBIT_AS_U[name](*params)
-        _u(circuit, qubits[0], theta, phi, lam)
+        _u(out, qubits[0], theta, phi, lam)
         return
     if name == "cx":
-        circuit.cx(*qubits)
+        _cx(out, *qubits)
         return
     if name == "cz":
         c, t = qubits
-        _u(circuit, t, math.pi / 2, 0.0, math.pi)  # h
-        circuit.cx(c, t)
-        _u(circuit, t, math.pi / 2, 0.0, math.pi)
+        _u(out, t, math.pi / 2, 0.0, math.pi)  # h
+        _cx(out, c, t)
+        _u(out, t, math.pi / 2, 0.0, math.pi)
         return
     if name == "cy":
         c, t = qubits
-        _u(circuit, t, 0.0, 0.0, -math.pi / 2)  # sdg
-        circuit.cx(c, t)
-        _u(circuit, t, 0.0, 0.0, math.pi / 2)  # s
+        _u(out, t, 0.0, 0.0, -math.pi / 2)  # sdg
+        _cx(out, c, t)
+        _u(out, t, 0.0, 0.0, math.pi / 2)  # s
         return
     if name == "swap":
         a, b = qubits
-        circuit.cx(a, b)
-        circuit.cx(b, a)
-        circuit.cx(a, b)
+        _cx(out, a, b)
+        _cx(out, b, a)
+        _cx(out, a, b)
+        return
+    if name == "iswap":
+        a, b = qubits
+        _u(out, a, 0.0, 0.0, math.pi / 2)  # s
+        _u(out, b, 0.0, 0.0, math.pi / 2)  # s
+        _u(out, a, math.pi / 2, 0.0, math.pi)  # h
+        _cx(out, a, b)
+        _cx(out, b, a)
+        _u(out, b, math.pi / 2, 0.0, math.pi)  # h
         return
     if name == "cp":
         theta = params[0]
         c, t = qubits
-        _u(circuit, c, 0.0, 0.0, theta / 2)
-        circuit.cx(c, t)
-        _u(circuit, t, 0.0, 0.0, -theta / 2)
-        circuit.cx(c, t)
-        _u(circuit, t, 0.0, 0.0, theta / 2)
+        _u(out, c, 0.0, 0.0, theta / 2)
+        _cx(out, c, t)
+        _u(out, t, 0.0, 0.0, -theta / 2)
+        _cx(out, c, t)
+        _u(out, t, 0.0, 0.0, theta / 2)
         return
     if name == "crz":
         theta = params[0]
         c, t = qubits
-        _u(circuit, t, 0.0, 0.0, theta / 2)
-        circuit.cx(c, t)
-        _u(circuit, t, 0.0, 0.0, -theta / 2)
-        circuit.cx(c, t)
+        _u(out, t, 0.0, 0.0, theta / 2)
+        _cx(out, c, t)
+        _u(out, t, 0.0, 0.0, -theta / 2)
+        _cx(out, c, t)
         return
     if name == "cry":
         theta = params[0]
         c, t = qubits
-        _u(circuit, t, theta / 2, 0.0, 0.0)
-        circuit.cx(c, t)
-        _u(circuit, t, -theta / 2, 0.0, 0.0)
-        circuit.cx(c, t)
+        _u(out, t, theta / 2, 0.0, 0.0)
+        _cx(out, c, t)
+        _u(out, t, -theta / 2, 0.0, 0.0)
+        _cx(out, c, t)
         return
     if name == "crx":
         theta = params[0]
         c, t = qubits
-        _u(circuit, t, math.pi / 2, 0.0, math.pi)  # h
-        _u(circuit, t, 0.0, 0.0, theta / 2)
-        circuit.cx(c, t)
-        _u(circuit, t, 0.0, 0.0, -theta / 2)
-        circuit.cx(c, t)
-        _u(circuit, t, math.pi / 2, 0.0, math.pi)
+        _u(out, t, math.pi / 2, 0.0, math.pi)  # h
+        _u(out, t, 0.0, 0.0, theta / 2)
+        _cx(out, c, t)
+        _u(out, t, 0.0, 0.0, -theta / 2)
+        _cx(out, c, t)
+        _u(out, t, math.pi / 2, 0.0, math.pi)
         return
     if name == "rzz":
         theta = params[0]
         a, b = qubits
-        circuit.cx(a, b)
-        _u(circuit, b, 0.0, 0.0, theta)
-        circuit.cx(a, b)
+        _cx(out, a, b)
+        _u(out, b, 0.0, 0.0, theta)
+        _cx(out, a, b)
         return
     if name == "rxx":
         theta = params[0]
         a, b = qubits
         for q in (a, b):
-            _u(circuit, q, math.pi / 2, 0.0, math.pi)  # h
-        circuit.cx(a, b)
-        _u(circuit, b, 0.0, 0.0, theta)
-        circuit.cx(a, b)
+            _u(out, q, math.pi / 2, 0.0, math.pi)  # h
+        _cx(out, a, b)
+        _u(out, b, 0.0, 0.0, theta)
+        _cx(out, a, b)
         for q in (a, b):
-            _u(circuit, q, math.pi / 2, 0.0, math.pi)
+            _u(out, q, math.pi / 2, 0.0, math.pi)
         return
     if name == "ryy":
         theta = params[0]
         a, b = qubits
         for q in (a, b):
-            _u(circuit, q, math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(pi/2)
-        circuit.cx(a, b)
-        _u(circuit, b, 0.0, 0.0, theta)
-        circuit.cx(a, b)
+            _u(out, q, math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(pi/2)
+        _cx(out, a, b)
+        _u(out, b, 0.0, 0.0, theta)
+        _cx(out, a, b)
         for q in (a, b):
-            _u(circuit, q, -math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(-pi/2)
+            _u(out, q, -math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(-pi/2)
         return
     if name == "zzswap":
-        theta = params[0]
-        a, b = qubits
-        _emit_canonical(circuit, Instruction(Gate("rzz", (theta,)), (a, b)))
-        _emit_canonical(circuit, Instruction(Gate("swap"), (a, b)))
+        _emit_canonical(out, "rzz", qubits, params)
+        _emit_canonical(out, "swap", qubits, ())
         return
     if name == "ccx":
         a, b, c = qubits
-        _u(circuit, c, math.pi / 2, 0.0, math.pi)  # h
-        circuit.cx(b, c)
-        _u(circuit, c, 0.0, 0.0, -math.pi / 4)  # tdg
-        circuit.cx(a, c)
-        _u(circuit, c, 0.0, 0.0, math.pi / 4)  # t
-        circuit.cx(b, c)
-        _u(circuit, c, 0.0, 0.0, -math.pi / 4)
-        circuit.cx(a, c)
-        _u(circuit, b, 0.0, 0.0, math.pi / 4)
-        _u(circuit, c, 0.0, 0.0, math.pi / 4)
-        _u(circuit, c, math.pi / 2, 0.0, math.pi)
-        circuit.cx(a, b)
-        _u(circuit, a, 0.0, 0.0, math.pi / 4)
-        _u(circuit, b, 0.0, 0.0, -math.pi / 4)
-        circuit.cx(a, b)
+        _u(out, c, math.pi / 2, 0.0, math.pi)  # h
+        _cx(out, b, c)
+        _u(out, c, 0.0, 0.0, -math.pi / 4)  # tdg
+        _cx(out, a, c)
+        _u(out, c, 0.0, 0.0, math.pi / 4)  # t
+        _cx(out, b, c)
+        _u(out, c, 0.0, 0.0, -math.pi / 4)
+        _cx(out, a, c)
+        _u(out, b, 0.0, 0.0, math.pi / 4)
+        _u(out, c, 0.0, 0.0, math.pi / 4)
+        _u(out, c, math.pi / 2, 0.0, math.pi)
+        _cx(out, a, b)
+        _u(out, a, 0.0, 0.0, math.pi / 4)
+        _u(out, b, 0.0, 0.0, -math.pi / 4)
+        _cx(out, a, b)
         return
     if name == "cswap":
         control, a, b = qubits
         # CSWAP = CX(b,a) CCX(control,a,b) CX(b,a)
-        circuit.cx(b, a)
-        _emit_canonical(circuit, Instruction(Gate("ccx"), (control, a, b)))
-        circuit.cx(b, a)
+        _cx(out, b, a)
+        _emit_canonical(out, "ccx", (control, a, b), ())
+        _cx(out, b, a)
         return
     raise TranspilerError(f"no canonical decomposition for gate {name!r}")
 
 
-def decompose_to_canonical(circuit: Circuit) -> Circuit:
+def decompose_to_canonical(packed: PackedCircuit) -> PackedCircuit:
     """Rewrite a circuit into the canonical gate set ``{u, cx}``."""
-    out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    for instruction in circuit:
-        _emit_canonical(out, instruction)
-    return out
+    out = PackedBuilder(packed.num_qubits, packed.num_clbits, packed.name)
+    for _row, opcode, qubits, params, clbit in packed.iter_rows():
+        if opcode in _PASSTHROUGH:
+            out.append(opcode, qubits, params, clbit)
+        else:
+            _emit_canonical(out, OP_NAMES[opcode], qubits, params)
+    return out.build()
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +299,7 @@ def decompose_to_canonical(circuit: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _emit_u_ibm(circuit: Circuit, qubit: int, theta: float, phi: float, lam: float) -> None:
+def _emit_u_ibm(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
     """u(theta, phi, lam) as rz/sx/x for IBM- and AQT-style devices."""
     theta = normalize_angle(theta)
     phi = normalize_angle(phi)
@@ -274,38 +307,38 @@ def _emit_u_ibm(circuit: Circuit, qubit: int, theta: float, phi: float, lam: flo
     if abs(theta) < _ANGLE_TOLERANCE:
         angle = normalize_angle(phi + lam)
         if abs(angle) > _ANGLE_TOLERANCE:
-            circuit.rz(angle, qubit)
+            out.append(_RZ, (qubit,), (angle,))
         return
     if abs(theta - math.pi / 2) < _ANGLE_TOLERANCE:
         # u(pi/2, phi, lam) = rz(phi + pi/2) sx rz(lam - pi/2) up to phase.
         first = normalize_angle(lam - math.pi / 2)
         second = normalize_angle(phi + math.pi / 2)
         if abs(first) > _ANGLE_TOLERANCE:
-            circuit.rz(first, qubit)
-        circuit.sx(qubit)
+            out.append(_RZ, (qubit,), (first,))
+        out.append(_SX, (qubit,))
         if abs(second) > _ANGLE_TOLERANCE:
-            circuit.rz(second, qubit)
+            out.append(_RZ, (qubit,), (second,))
         return
     if (
         abs(abs(theta) - math.pi) < _ANGLE_TOLERANCE
         and abs(phi) < _ANGLE_TOLERANCE
         and abs(abs(lam) - math.pi) < _ANGLE_TOLERANCE
     ):
-        circuit.x(qubit)
+        out.append(_X, (qubit,))
         return
     first = normalize_angle(lam)
     middle = normalize_angle(theta + math.pi)
     last = normalize_angle(phi + math.pi)
     if abs(first) > _ANGLE_TOLERANCE:
-        circuit.rz(first, qubit)
-    circuit.sx(qubit)
-    circuit.rz(middle, qubit)
-    circuit.sx(qubit)
+        out.append(_RZ, (qubit,), (first,))
+    out.append(_SX, (qubit,))
+    out.append(_RZ, (qubit,), (middle,))
+    out.append(_SX, (qubit,))
     if abs(last) > _ANGLE_TOLERANCE:
-        circuit.rz(last, qubit)
+        out.append(_RZ, (qubit,), (last,))
 
 
-def _emit_u_ionq(circuit: Circuit, qubit: int, theta: float, phi: float, lam: float) -> None:
+def _emit_u_ionq(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
     """u(theta, phi, lam) as rz/ry/rz for trapped-ion devices."""
     theta = normalize_angle(theta)
     phi = normalize_angle(phi)
@@ -313,65 +346,65 @@ def _emit_u_ionq(circuit: Circuit, qubit: int, theta: float, phi: float, lam: fl
     if abs(theta) < _ANGLE_TOLERANCE:
         angle = normalize_angle(phi + lam)
         if abs(angle) > _ANGLE_TOLERANCE:
-            circuit.rz(angle, qubit)
+            out.append(_RZ, (qubit,), (angle,))
         return
     if abs(lam) > _ANGLE_TOLERANCE:
-        circuit.rz(lam, qubit)
-    circuit.ry(theta, qubit)
+        out.append(_RZ, (qubit,), (lam,))
+    out.append(_RY, (qubit,), (theta,))
     if abs(phi) > _ANGLE_TOLERANCE:
-        circuit.rz(phi, qubit)
+        out.append(_RZ, (qubit,), (phi,))
 
 
-def _emit_cx_ionq(circuit: Circuit, control: int, target: int) -> None:
+def _emit_cx_ionq(out: PackedBuilder, control: int, target: int) -> None:
     """CX via the Molmer-Sorensen interaction rxx(pi/2) plus local rotations."""
-    circuit.ry(math.pi / 2, control)
-    circuit.rxx(math.pi / 2, control, target)
-    circuit.rx(-math.pi / 2, control)
-    circuit.rx(-math.pi / 2, target)
-    circuit.ry(-math.pi / 2, control)
+    out.append(_RY, (control,), (math.pi / 2,))
+    out.append(_RXX, (control, target), (math.pi / 2,))
+    out.append(_RX, (control,), (-math.pi / 2,))
+    out.append(_RX, (target,), (-math.pi / 2,))
+    out.append(_RY, (control,), (-math.pi / 2,))
 
 
-def _emit_cx_aqt(circuit: Circuit, control: int, target: int) -> None:
+def _emit_cx_aqt(out: PackedBuilder, control: int, target: int) -> None:
     """CX via the native CZ: H on the target on both sides."""
-    _emit_u_ibm(circuit, target, math.pi / 2, 0.0, math.pi)
-    circuit.cz(control, target)
-    _emit_u_ibm(circuit, target, math.pi / 2, 0.0, math.pi)
+    _emit_u_ibm(out, target, math.pi / 2, 0.0, math.pi)
+    out.append(_CZ, (control, target))
+    _emit_u_ibm(out, target, math.pi / 2, 0.0, math.pi)
 
 
-def translate_to_basis(circuit: Circuit, basis: str) -> Circuit:
+def translate_to_basis(packed: PackedCircuit, basis: str) -> PackedCircuit:
     """Translate a circuit to a native basis.
 
-    The input may contain any supported gate; it is first rewritten to the
-    canonical set and then mapped to the requested basis.
+    The input may contain any supported gate (routing adds ``swap`` rows);
+    it is first rewritten to the canonical set and then mapped to the
+    requested basis.
     """
     if basis not in SUPPORTED_BASES:
         raise TranspilerError(
             f"unsupported basis {basis!r}; supported: {sorted(SUPPORTED_BASES)}"
         )
-    canonical = decompose_to_canonical(circuit)
+    canonical = decompose_to_canonical(packed)
     if basis == "canonical":
         return canonical
-    out = Circuit(circuit.num_qubits, circuit.num_clbits, circuit.name)
-    for instruction in canonical:
-        name = instruction.name
-        if name in ("measure", "reset", "barrier"):
-            out.append(instruction)
+    out = PackedBuilder(packed.num_qubits, packed.num_clbits, packed.name)
+    for _row, opcode, qubits, params, clbit in canonical.iter_rows():
+        if opcode in _PASSTHROUGH:
+            out.append(opcode, qubits, params, clbit)
             continue
-        if name == "u":
-            theta, phi, lam = instruction.params
+        if opcode == _U:
+            theta, phi, lam = params
             if basis == "ionq":
-                _emit_u_ionq(out, instruction.qubits[0], theta, phi, lam)
+                _emit_u_ionq(out, qubits[0], theta, phi, lam)
             else:
-                _emit_u_ibm(out, instruction.qubits[0], theta, phi, lam)
+                _emit_u_ibm(out, qubits[0], theta, phi, lam)
             continue
-        if name == "cx":
-            control, target = instruction.qubits
+        if opcode == _CX:
+            control, target = qubits
             if basis == "ibm":
-                out.cx(control, target)
+                _cx(out, control, target)
             elif basis == "aqt":
                 _emit_cx_aqt(out, control, target)
             else:
                 _emit_cx_ionq(out, control, target)
             continue
-        raise TranspilerError(f"unexpected canonical gate {name!r}")
-    return out
+        raise TranspilerError(f"unexpected canonical gate {OP_NAMES[opcode]!r}")
+    return out.build()

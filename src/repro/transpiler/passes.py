@@ -1,20 +1,14 @@
 """Transpiler passes: the composable units of the compilation pipeline.
 
-A pass is a small object with a :meth:`BasePass.run` (or
-:meth:`BasePass.run_packed`) method taking the current circuit and a shared
+A pass is a small object with a :meth:`BasePass.run` method taking the
+current circuit, in its columnar form
+(:class:`~repro.circuits.columnar.PackedCircuit`), and a shared
 :class:`PropertySet`.  Two kinds exist:
 
 * **Analysis passes** (:class:`AnalysisPass`) inspect the circuit and write
   results into the property set (layouts, metrics) without changing it.
 * **Transformation passes** (:class:`TransformationPass`) return a rewritten
-  circuit (decomposition, optimization, routing, basis translation).
-
-Each pass has one implementation, over the form it declares with
-:attr:`BasePass.supports_packed`: the optimization passes and
-:class:`DepthAnalysis` run over the columnar
-:class:`~repro.circuits.columnar.PackedCircuit`
-(:mod:`~repro.transpiler.packed`); decomposition, layout, routing and basis
-translation run over ``Instruction`` objects.
+  pack (decomposition, optimization, routing, basis translation).
 
 The six historical pipeline stages are expressed here as individual passes,
 alongside two passes the monolithic pipeline never had:
@@ -29,9 +23,8 @@ Pipelines are assembled by :class:`~repro.transpiler.passmanager.PassManager`
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
-from ..circuits import Circuit
 from ..circuits.columnar import PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
@@ -81,16 +74,9 @@ class BasePass:
 
     Attributes:
         is_analysis: True for analysis passes (must not modify the circuit).
-        supports_packed: The form the pass consumes.  True: the pass
-            implements :meth:`run_packed` and the pass manager feeds it a
-            :class:`~repro.circuits.columnar.PackedCircuit`.  False (the
-            default): it implements :meth:`run` and receives a
-            :class:`~repro.circuits.Circuit` of ``Instruction`` objects.
-            See ``docs/transpiler.md`` ("The packed form").
     """
 
     is_analysis = False
-    supports_packed = False
 
     @property
     def name(self) -> str:
@@ -114,18 +100,11 @@ class BasePass:
         """Stable string identifying this pass inside a pipeline fingerprint."""
         return f"{self.name}{self.signature()!r}"
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        """Execute the pass; return the (possibly rewritten) circuit."""
-        raise NotImplementedError
-
-    def run_packed(
+    def run(
         self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
-        """Execute the pass over the columnar IR (``supports_packed`` only)."""
-        raise TranspilerError(
-            f"pass {self.name!r} has no packed implementation "
-            "(supports_packed is False)"
-        )
+    ) -> Optional[PackedCircuit]:
+        """Execute the pass; return the rewritten pack (``None``: unchanged)."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}{self.signature()!r}"
@@ -149,8 +128,8 @@ class TransformationPass(BasePass):
 class DecomposeToCanonical(TransformationPass):
     """Rewrite every gate into the canonical ``{u, cx}`` set."""
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return decompose_to_canonical(circuit)
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
+        return decompose_to_canonical(packed)
 
 
 # ---------------------------------------------------------------------------
@@ -161,44 +140,28 @@ class DecomposeToCanonical(TransformationPass):
 class DropNegligible(TransformationPass):
     """Remove identity gates and numerically-zero rotations."""
 
-    supports_packed = True
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return drop_negligible_packed(packed)
 
 
 class MergeRotations(TransformationPass):
     """Combine adjacent same-axis rotations on the same qubits."""
 
-    supports_packed = True
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return merge_rotations_packed(packed)
 
 
 class CancelAdjacentInverses(TransformationPass):
     """Remove back-to-back mutually-inverse gate pairs (to a fixed point)."""
 
-    supports_packed = True
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return cancel_adjacent_inverses_packed(packed)
 
 
 class FuseSingleQubitRuns(TransformationPass):
     """Collapse maximal single-qubit runs into one ``u`` gate."""
 
-    supports_packed = True
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return fuse_single_qubit_runs_packed(packed)
 
 
@@ -220,11 +183,7 @@ class CommutingTwoQubitCancellation(TransformationPass):
     historical pipeline exactly); level 3 enables it.
     """
 
-    supports_packed = True
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         return commuting_cancellation_packed(packed)
 
 
@@ -242,9 +201,8 @@ class SetLayout(AnalysisPass):
     def signature(self) -> Tuple:
         return tuple(sorted(self.layout.items()))
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> None:
         property_set["layout"] = dict(self.layout)
-        return circuit
 
 
 class TrivialLayout(AnalysisPass):
@@ -256,9 +214,8 @@ class TrivialLayout(AnalysisPass):
     def signature(self) -> Tuple:
         return (self.device.name,)
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        property_set["layout"] = trivial_placement(circuit, self.device)
-        return circuit
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> None:
+        property_set["layout"] = trivial_placement(packed, self.device)
 
 
 class NoiseAwareLayout(AnalysisPass):
@@ -270,9 +227,8 @@ class NoiseAwareLayout(AnalysisPass):
     def signature(self) -> Tuple:
         return (self.device.name,)
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        property_set["layout"] = noise_aware_placement(circuit, self.device)
-        return circuit
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> None:
+        property_set["layout"] = noise_aware_placement(packed, self.device)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +249,14 @@ class RoutingPass(TransformationPass):
     def signature(self) -> Tuple:
         return (self.device.name,)
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
         layout = property_set.get("layout")
         if layout is None:
             raise TranspilerError(
                 "routing requires a layout; add a layout pass "
                 "(TrivialLayout / NoiseAwareLayout / SetLayout) before RoutingPass"
             )
-        routed = route_circuit(circuit, self.device, layout)
+        routed = route_circuit(packed, self.device, layout)
         property_set["initial_layout"] = routed.initial_layout
         property_set["final_layout"] = routed.final_layout
         property_set["swap_count"] = routed.swap_count
@@ -322,8 +278,8 @@ class BasisTranslation(TransformationPass):
     def signature(self) -> Tuple:
         return (self.basis,)
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return translate_to_basis(circuit, self.basis)
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
+        return translate_to_basis(packed, self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +300,7 @@ class DepthAnalysis(AnalysisPass):
       numerator of the paper's Critical-Depth feature).
     """
 
-    supports_packed = True
-
-    def run_packed(
-        self, packed: PackedCircuit, property_set: PropertySet
-    ) -> PackedCircuit:
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> None:
         from ..features.features import packed_profile
 
         profile = packed_profile(packed)
@@ -362,4 +314,3 @@ class DepthAnalysis(AnalysisPass):
                 "critical_two_qubit_gates": profile.critical_two_qubit,
             }
         )
-        return packed

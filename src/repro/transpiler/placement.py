@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 
 import networkx as nx
 
-from ..circuits import Circuit
+from ..circuits.columnar import PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
 
@@ -24,21 +24,21 @@ __all__ = ["trivial_placement", "noise_aware_placement", "Placement"]
 Placement = Dict[int, int]
 
 
-def _check_fits(circuit: Circuit, device: Device) -> None:
-    if circuit.num_qubits > device.num_qubits:
+def _check_fits(packed: PackedCircuit, device: Device) -> None:
+    if packed.num_qubits > device.num_qubits:
         raise TranspilerError(
-            f"circuit needs {circuit.num_qubits} qubits but {device.name} has "
+            f"circuit needs {packed.num_qubits} qubits but {device.name} has "
             f"only {device.num_qubits}"
         )
 
 
-def trivial_placement(circuit: Circuit, device: Device) -> Placement:
+def trivial_placement(packed: PackedCircuit, device: Device) -> Placement:
     """Identity mapping: logical qubit ``i`` -> physical qubit ``i``."""
-    _check_fits(circuit, device)
-    return {q: q for q in range(circuit.num_qubits)}
+    _check_fits(packed, device)
+    return {q: q for q in range(packed.num_qubits)}
 
 
-def noise_aware_placement(circuit: Circuit, device: Device) -> Placement:
+def noise_aware_placement(packed: PackedCircuit, device: Device) -> Placement:
     """Connectivity-aware greedy placement.
 
     The heuristic first grows a connected region of the device starting from
@@ -50,8 +50,8 @@ def noise_aware_placement(circuit: Circuit, device: Device) -> Placement:
     (ties broken by physical degree), so that chains map onto chains and
     densely interacting cliques land on the densest part of the region.
     """
-    _check_fits(circuit, device)
-    needed = circuit.num_qubits
+    _check_fits(packed, device)
+    needed = packed.num_qubits
     if needed == 0:
         return {}
     topology = device.topology()
@@ -62,7 +62,7 @@ def noise_aware_placement(circuit: Circuit, device: Device) -> Placement:
     else:
         region = _grow_region(topology, needed)
 
-    interaction = circuit.interaction_graph()
+    interaction = packed.interaction_graph()
     region_subgraph = topology.subgraph(region)
     logical_order = _interaction_bfs_order(interaction, needed)
 

@@ -12,16 +12,18 @@ topologies pay a heavy SWAP overhead on all-to-all workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import networkx as nx
 
-from ..circuits import Circuit, Gate, Instruction
+from ..circuits.columnar import BARRIER_OP, OPCODES, PackedBuilder, PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
 from .placement import Placement
 
 __all__ = ["route_circuit", "RoutedCircuit"]
+
+_SWAP = OPCODES["swap"]
 
 
 @dataclass
@@ -29,21 +31,25 @@ class RoutedCircuit:
     """Result of routing: a physical-qubit circuit plus layout bookkeeping.
 
     Attributes:
-        circuit: Circuit over the device's physical qubits.
+        circuit: Packed circuit over the device's physical qubits.
         initial_layout: logical -> physical mapping before the first gate.
         final_layout: logical -> physical mapping after the last gate.
         swap_count: Number of SWAP gates inserted.
     """
 
-    circuit: Circuit
+    circuit: PackedCircuit
     initial_layout: Placement
     final_layout: Placement
     swap_count: int
 
 
-def route_circuit(circuit: Circuit, device: Device, placement: Placement) -> RoutedCircuit:
-    """Insert SWAPs so every multi-qubit gate acts on coupled qubits."""
-    missing = [q for q in range(circuit.num_qubits) if q not in placement]
+def route_circuit(packed: PackedCircuit, device: Device, placement: Placement) -> RoutedCircuit:
+    """Insert SWAPs so every multi-qubit gate acts on coupled qubits.
+
+    The output register has ``max(num_clbits, 1)`` classical bits, and a
+    qubit-less barrier becomes a barrier over every device qubit.
+    """
+    missing = [q for q in range(packed.num_qubits) if q not in placement]
     if missing:
         raise TranspilerError(f"placement is missing logical qubits {missing}")
 
@@ -51,7 +57,8 @@ def route_circuit(circuit: Circuit, device: Device, placement: Placement) -> Rou
     logical_to_physical: Dict[int, int] = dict(placement)
     physical_to_logical: Dict[int, int] = {p: l for l, p in logical_to_physical.items()}
 
-    routed = Circuit(device.num_qubits, max(circuit.num_clbits, 1), circuit.name)
+    routed = PackedBuilder(device.num_qubits, max(packed.num_clbits, 1), packed.name)
+    all_qubits = tuple(range(device.num_qubits))
     swap_count = 0
 
     if not device.all_to_all:
@@ -67,7 +74,7 @@ def route_circuit(circuit: Circuit, device: Device, placement: Placement) -> Rou
 
     def apply_swap(a: int, b: int) -> None:
         nonlocal swap_count
-        routed.swap(a, b)
+        routed.append(_SWAP, (a, b))
         swap_count += 1
         la = physical_to_logical.get(a)
         lb = physical_to_logical.get(b)
@@ -81,16 +88,15 @@ def route_circuit(circuit: Circuit, device: Device, placement: Placement) -> Rou
         if physical_to_logical[b] is None:
             del physical_to_logical[b]
 
-    for instruction in circuit:
-        if instruction.is_barrier():
-            if instruction.qubits:
-                routed.barrier(*(physical(q) for q in instruction.qubits))
+    for _row, opcode, qubits, params, clbit in packed.iter_rows():
+        if opcode == BARRIER_OP:
+            if qubits:
+                routed.append(BARRIER_OP, tuple(physical(q) for q in qubits))
             else:
-                routed.barrier()
+                routed.append(BARRIER_OP, all_qubits)
             continue
-        qubits = instruction.qubits
         if len(qubits) <= 1:
-            routed.append(instruction.remap({q: physical(q) for q in qubits}))
+            routed.append(opcode, tuple(physical(q) for q in qubits), params, clbit)
             continue
         if len(qubits) > 2:
             raise TranspilerError(
@@ -111,10 +117,10 @@ def route_circuit(circuit: Circuit, device: Device, placement: Placement) -> Rou
             pa, pb = physical(a), physical(b)
             if not topology.has_edge(pa, pb):  # pragma: no cover - defensive
                 raise TranspilerError("routing failed to make qubits adjacent")
-        routed.append(instruction.remap({a: physical(a), b: physical(b)}))
+        routed.append(opcode, (physical(a), physical(b)), params, clbit)
 
     return RoutedCircuit(
-        circuit=routed,
+        circuit=routed.build(),
         initial_layout=dict(placement),
         final_layout=dict(logical_to_physical),
         swap_count=swap_count,

@@ -18,9 +18,10 @@ historical monolithic pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..circuits import Circuit
+from ..circuits.columnar import BARRIER_OP, PackedBuilder
 from ..devices import Device
 from ..exceptions import TranspilerError
 from .passes import PropertySet
@@ -28,7 +29,7 @@ from .passmanager import PassManager, PassRecord
 from .placement import Placement
 from .presets import preset_pipeline
 
-__all__ = ["TranspiledCircuit", "transpile", "transpile_many"]
+__all__ = ["TranspiledCircuit", "transpile"]
 
 
 @dataclass
@@ -77,15 +78,16 @@ class TranspiledCircuit:
         if not physical:
             raise TranspilerError("compiled circuit touches no qubits")
         mapping = {p: i for i, p in enumerate(physical)}
-        compacted = Circuit(len(physical), self.circuit.num_clbits, self.circuit.name)
-        for instruction in self.circuit:
-            if instruction.is_barrier():
-                operands = [mapping[q] for q in instruction.qubits if q in mapping]
+        packed = self.circuit.packed()
+        compacted = PackedBuilder(len(physical), packed.num_clbits, packed.name)
+        for _row, opcode, qubits, params, clbit in packed.iter_rows():
+            if opcode == BARRIER_OP:
+                operands = tuple(mapping[q] for q in qubits if q in mapping)
                 if operands:
-                    compacted.barrier(*operands)
+                    compacted.append(BARRIER_OP, operands)
                 continue
-            compacted.append(instruction.remap(mapping))
-        return compacted, physical
+            compacted.append(opcode, tuple(mapping[q] for q in qubits), params, clbit)
+        return compacted.build().unpack(), physical
 
     def two_qubit_gate_count(self) -> int:
         # Always computed from the final circuit: `metrics` is the record of
@@ -154,49 +156,3 @@ def transpile(
         pipeline_fingerprint=pass_manager.fingerprint,
     )
 
-
-def transpile_many(
-    circuits: Sequence[Circuit],
-    device: Device,
-    optimization_level: int = 1,
-    placement: str = "noise_aware",
-    initial_layout: Placement | None = None,
-    pass_manager: PassManager | None = None,
-) -> List[TranspiledCircuit]:
-    """Compile a batch of circuits for one device, sharing per-device work.
-
-    The sweep drivers compile every benchmark family against every device:
-    per-circuit :func:`transpile` calls rebuild the preset pipeline for each
-    circuit and re-compile structural duplicates (the same family/size pair
-    reappears across scenario rows).  This batch form resolves the pipeline
-    once, fingerprints every circuit (which also packs it into the columnar
-    form the packed passes consume — so each distinct circuit is packed
-    exactly once for fingerprint *and* pipeline), and compiles each distinct
-    fingerprint a single time, fanning the result out to every duplicate.
-
-    Args / semantics match :func:`transpile`; the returned list is parallel
-    to ``circuits``, and duplicates share the identical
-    :class:`TranspiledCircuit` object.
-    """
-    # Local import: the execution layer imports the transpiler at module
-    # scope, so the reverse edge must stay function-local.
-    from ..execution.cache import circuit_fingerprint
-
-    if pass_manager is None:
-        pass_manager = preset_pipeline(
-            device,
-            optimization_level=optimization_level,
-            placement=placement,
-            initial_layout=initial_layout,
-        )
-
-    compiled: Dict[str, TranspiledCircuit] = {}
-    results: List[TranspiledCircuit] = []
-    for circuit in circuits:
-        fingerprint = circuit_fingerprint(circuit)
-        entry = compiled.get(fingerprint)
-        if entry is None:
-            entry = transpile(circuit, device, pass_manager=pass_manager)
-            compiled[fingerprint] = entry
-        results.append(entry)
-    return results

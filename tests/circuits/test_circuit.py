@@ -4,6 +4,7 @@ import math
 
 import networkx as nx
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,3 +194,28 @@ class TestCircuitPropertyBased:
         circuit = random_clifford_circuit(num_qubits, 30, rng=seed)
         graph = circuit.interaction_graph()
         assert max(dict(graph.degree()).values()) <= num_qubits - 1
+
+    @given(num_qubits=st.integers(3, 6), seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_interaction_graph_matches_oracle_neighbour_order(self, num_qubits, seed):
+        """Noise-aware placement breaks ties by neighbour order: pin it."""
+        rng = np.random.default_rng(seed)
+        circuit = Circuit(num_qubits)
+        for _ in range(30):
+            a, b, c = (int(q) for q in rng.choice(num_qubits, size=3, replace=False))
+            roll = rng.random()
+            if roll < 0.4:
+                circuit.cx(a, b)
+            elif roll < 0.55:
+                circuit.ccx(a, b, c)
+            elif roll < 0.7:
+                circuit.rzz(0.3, a, b)
+            elif roll < 0.8:
+                circuit.barrier(a, b, c)
+            else:
+                circuit.h(a)
+        expected = oracle.interaction_graph(circuit)
+        observed = circuit.interaction_graph()
+        assert list(observed.nodes) == list(expected.nodes)
+        for node in expected:
+            assert list(observed.neighbors(node)) == list(expected.neighbors(node))

@@ -5,7 +5,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import BARRIER, Circuit, Instruction, circuit_moments
+from repro.circuits import BARRIER, Circuit, Instruction
 from repro.features import circuit_profile, liveness
 from repro.features.features import _FAST_PATH_MIN_ROWS
 
@@ -13,20 +13,17 @@ from repro.features.features import _FAST_PATH_MIN_ROWS
 class TestMoments:
     def test_parallel_gates_share_a_moment(self):
         circuit = Circuit(3).h(0).h(1).h(2)
-        moments = circuit_moments(circuit)
-        assert len(moments) == 1
-        assert len(moments[0]) == 3
+        assert circuit.depth() == 1
+        assert circuit_profile(circuit).moment_operations.tolist() == [3]
 
     def test_dependent_gates_are_serialised(self):
         circuit = Circuit(2).h(0).cx(0, 1).x(1)
-        moments = circuit_moments(circuit)
-        assert len(moments) == 3
+        assert circuit.depth() == 3
 
     def test_independent_chains_interleave(self):
         circuit = Circuit(4).cx(0, 1).cx(2, 3).cx(1, 2)
-        moments = circuit_moments(circuit)
-        assert len(moments) == 2
-        assert len(moments[0]) == 2
+        assert circuit.depth() == 2
+        assert circuit_profile(circuit).moment_operations.tolist()[0] == 2
 
     def test_barrier_forces_synchronisation(self):
         without_barrier = Circuit(2).h(0).x(1).x(1)
@@ -73,12 +70,12 @@ class TestLiveness:
 
     def test_a_qubit_acts_at_most_once_per_moment(self):
         circuit = Circuit(3).h(0).cx(0, 1).ccx(0, 1, 2).measure_all()
-        operands = [
-            [q for instruction in moment for q in instruction.qubits]
-            for moment in circuit.moments()
-        ]
+        profile = circuit_profile(circuit)
+        operands = [[] for _ in range(profile.depth)]
+        for instruction, moment in zip(circuit, profile.row_moments.tolist()):
+            operands[moment].extend(instruction.qubits)
         assert all(len(qubits) == len(set(qubits)) for qubits in operands)
-        assert circuit_profile(circuit).qubit_touches == sum(map(len, operands))
+        assert profile.qubit_touches == sum(map(len, operands))
 
 
 # ---------------------------------------------------------------------------
@@ -140,3 +137,21 @@ def test_depth_and_critical_path_match_oracle(build, seed):
     circuit = build(np.random.default_rng(seed))
     assert circuit.depth() == oracle.depth(circuit)
     assert circuit.two_qubit_critical_path() == oracle.two_qubit_critical_path(circuit)
+
+
+@pytest.mark.parametrize("build", [_barriered_circuit, _plain_circuit], ids=["barriered", "plain"])
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=25, deadline=None)
+def test_row_moments_match_oracle_moments(build, seed):
+    """The profile's per-row moment is the oracle's ASAP layer of that row."""
+    circuit = build(np.random.default_rng(seed))
+    expected = {
+        id(instruction): index
+        for index, layer in enumerate(oracle.circuit_moments(circuit))
+        for instruction in layer
+    }
+    observed = circuit_profile(circuit).row_moments.tolist()
+    assert observed == [
+        -1 if instruction.is_barrier() else expected[id(instruction)]
+        for instruction in circuit
+    ]

@@ -206,36 +206,3 @@ class TestBatchApi:
         assert level1[0] is not level2[0]
         assert cache.stats()["entries"] == 2
 
-
-class TestTranspileMany:
-    def test_shares_compilation_across_duplicates(self):
-        from unittest import mock
-
-        import importlib
-
-        from repro.transpiler import transpile_many
-
-        transpile_module = importlib.import_module("repro.transpiler.transpile")
-
-        device = get_device("IBM-Casablanca-7Q")
-        real = transpile_module.transpile
-        with mock.patch.object(
-            transpile_module, "transpile", side_effect=real
-        ) as spy:
-            results = transpile_many([_ghz(3), _ghz(3), _ghz(4)], device)
-        assert spy.call_count == 2  # two distinct structures
-        assert results[0] is results[1]
-        assert results[0] is not results[2]
-
-    def test_results_parallel_inputs_and_share_pipeline(self):
-        from repro.transpiler import transpile, transpile_many
-
-        device = get_device("IBM-Casablanca-7Q")
-        circuits = [_ghz(3), _ghz(4)]
-        batch = transpile_many(circuits, device, optimization_level=2)
-        singles = [transpile(c, device, optimization_level=2) for c in circuits]
-        for fast, slow in zip(batch, singles):
-            assert [
-                (i.gate.name, i.gate.params, i.qubits) for i in fast.circuit
-            ] == [(i.gate.name, i.gate.params, i.qubits) for i in slow.circuit]
-            assert fast.pipeline_fingerprint == slow.pipeline_fingerprint

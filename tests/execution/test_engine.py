@@ -1,5 +1,5 @@
 """Engine tests: jobs, centralised fit checks, transpile-count guarantees,
-the legacy shims and backend selection from the Fig. 2 driver."""
+named versus instance backends and backend selection from the Fig. 2 driver."""
 
 import threading
 import time
@@ -10,9 +10,14 @@ from repro.benchmarks import GHZBenchmark, figure2_benchmarks
 from repro.circuits import Circuit
 from repro.devices import get_device
 from repro.exceptions import DeviceError
-from repro.execution import ExecutionEngine, TranspileCache
+from repro.execution import (
+    ExecutionEngine,
+    StatevectorBackend,
+    TrajectoryBackend,
+    TranspileCache,
+)
 from repro.execution import cache as cache_module
-from repro.experiments import execute_circuits, reproduce_figure2, run_benchmark_on_device
+from repro.experiments import reproduce_figure2
 from repro.simulation import Counts
 
 DEVICE = "IBM-Casablanca-7Q"
@@ -163,14 +168,12 @@ class TestOversizedCheck:
 
 
 class TestTranspileCounts:
-    def test_no_double_transpile_in_legacy_runner(self, transpile_spy):
+    def test_no_double_transpile_across_repetitions(self, transpile_spy):
         """Regression for the seed-era bug: circuits[0] was compiled once for
         metadata and again inside every repetition."""
         benchmark = GHZBenchmark(3)
-        with pytest.deprecated_call():
-            run_benchmark_on_device(
-                benchmark, get_device(DEVICE), shots=20, repetitions=3, noisy=False
-            )
+        with ExecutionEngine(get_device(DEVICE), backend=StatevectorBackend()) as engine:
+            engine.run(benchmark, shots=20, repetitions=3, seed=1234)
         assert transpile_spy["n"] == len(benchmark.circuits())
 
     def test_small_figure2_suite_transpiles_at_least_2x_less_than_seed_path(
@@ -207,30 +210,28 @@ class TestTranspileCounts:
         assert cache.stats()["hits"] >= 1
 
 
-class TestLegacyShims:
-    def test_execute_circuits_warns_and_matches_engine(self):
+class TestBackendForms:
+    def test_backend_instance_matches_named_backend(self):
         device = get_device(DEVICE)
         circuits = GHZBenchmark(3).circuits()
-        with pytest.deprecated_call():
-            legacy = execute_circuits(circuits, device, shots=80, noisy=False, seed=4)
+        with ExecutionEngine(device, backend=StatevectorBackend()) as engine:
+            instance = engine.run_circuits(circuits, shots=80, seed=4)
         with ExecutionEngine(device, backend="statevector") as engine:
-            modern = engine.run_circuits(circuits, shots=80, seed=4)
-        assert [dict(a) for a in legacy] == [dict(b) for b in modern]
+            named = engine.run_circuits(circuits, shots=80, seed=4)
+        assert [dict(a) for a in instance] == [dict(b) for b in named]
 
-    def test_ideal_shim_honours_trajectories_for_collapse_circuits(self):
-        """Regression: noisy=False + trajectories must reach the simulator —
-        mid-circuit measurement/reset circuits are simulated per-trajectory
-        even without noise, and the seed-era runner forwarded the knob there."""
+    def test_ideal_backend_honours_trajectories_for_collapse_circuits(self):
+        """Regression: an ideal backend's trajectories must reach the
+        simulator — mid-circuit measurement/reset circuits are simulated
+        per-trajectory even without noise."""
         from repro.benchmarks import BitCodeBenchmark
         from repro.simulation import StatevectorSimulator
         from repro.transpiler import transpile
 
         device = get_device(DEVICE)
         circuits = BitCodeBenchmark(3, 2).circuits()
-        with pytest.deprecated_call():
-            shimmed = execute_circuits(
-                circuits, device, shots=40, noisy=False, seed=5, trajectories=8
-            )
+        with ExecutionEngine(device, backend=StatevectorBackend(trajectories=8)) as engine:
+            observed = engine.run_circuits(circuits, shots=40, seed=5)
         expected = []
         for index, circuit in enumerate(circuits):
             compact, _physical = transpile(circuit, device).compact()
@@ -238,7 +239,7 @@ class TestLegacyShims:
                 noise_model=None, seed=5 + 7919 * index, trajectories=8
             )
             expected.append(simulator.run(compact, shots=40))
-        assert [dict(a) for a in shimmed] == [dict(b) for b in expected]
+        assert [dict(a) for a in observed] == [dict(b) for b in expected]
 
     def test_engine_forwards_trajectories_to_named_backends(self):
         device = get_device(DEVICE)
@@ -249,18 +250,14 @@ class TestLegacyShims:
         with ExecutionEngine(device, trajectories=9) as engine:  # default backend
             assert engine.backend.trajectories == 9
 
-    def test_run_benchmark_on_device_warns_and_matches_engine(self):
+    def test_trajectory_instance_run_matches_named_backend(self):
         device = get_device(DEVICE)
-        with pytest.deprecated_call():
-            legacy = run_benchmark_on_device(
-                GHZBenchmark(3), device, shots=60, repetitions=2, trajectories=10, seed=3
-            )
-        from repro.execution import TrajectoryBackend
-
         with ExecutionEngine(device, backend=TrajectoryBackend(trajectories=10)) as engine:
-            modern = engine.run(GHZBenchmark(3), shots=60, repetitions=2, seed=3)
-        assert legacy.scores == modern.scores
-        assert legacy.record() == modern.record()
+            instance = engine.run(GHZBenchmark(3), shots=60, repetitions=2, seed=3)
+        with ExecutionEngine(device, backend="trajectory", trajectories=10) as engine:
+            named = engine.run(GHZBenchmark(3), shots=60, repetitions=2, seed=3)
+        assert instance.scores == named.scores
+        assert instance.record() == named.record()
 
 
 class TestFigure2BackendSelection:
@@ -334,18 +331,6 @@ class TestPlacementPlumbing:
             placement="trivial",
         )
         assert runs and all(run.placement == "trivial" for run in runs)
-
-    def test_legacy_runner_forwards_placement(self):
-        with pytest.warns(DeprecationWarning):
-            run = run_benchmark_on_device(
-                GHZBenchmark(3),
-                get_device(DEVICE),
-                shots=40,
-                repetitions=1,
-                noisy=False,
-                placement="trivial",
-            )
-        assert run.placement == "trivial"
 
     def test_job_metadata_carries_pipeline_and_backend_config(self):
         device = get_device(DEVICE)

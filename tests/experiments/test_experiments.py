@@ -1,4 +1,4 @@
-"""Tests for the experiment runner and the table/figure drivers (reduced scale)."""
+"""Tests for single benchmark runs and the table/figure drivers (reduced scale)."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.benchmarks import BitCodeBenchmark, GHZBenchmark, VanillaQAOABenchmark
 from repro.devices import get_device
 from repro.exceptions import DeviceError
+from repro.execution import ExecutionEngine, StatevectorBackend, TrajectoryBackend
 from repro.experiments import (
     ALL_REGRESSION_FEATURES,
     PAPER_TABLE1,
@@ -19,15 +20,26 @@ from repro.experiments import (
     reproduce_figure3,
     reproduce_figure4,
     reproduce_table2,
-    run_benchmark_on_device,
 )
 from repro.experiments.figure2 import render_figure2
 from repro.experiments.figure4 import render_figure4
 
 
+def run_on_device(
+    benchmark, device, shots, repetitions=3, noisy=True, seed=1234, trajectories=None
+):
+    """One benchmark on one device: trajectory noise, or ideal statevector."""
+    if noisy:
+        backend = TrajectoryBackend(trajectories=trajectories)
+    else:
+        backend = StatevectorBackend(trajectories=trajectories)
+    with ExecutionEngine(device, backend=backend) as engine:
+        return engine.run(benchmark, shots=shots, repetitions=repetitions, seed=seed)
+
+
 class TestRunner:
     def test_ghz_run_produces_scores_and_metadata(self):
-        run = run_benchmark_on_device(
+        run = run_on_device(
             GHZBenchmark(3),
             get_device("IBM-Casablanca-7Q"),
             shots=120,
@@ -45,10 +57,10 @@ class TestRunner:
 
     def test_too_large_benchmark_raises(self):
         with pytest.raises(DeviceError):
-            run_benchmark_on_device(GHZBenchmark(5), get_device("AQT-4Q"), shots=10)
+            run_on_device(GHZBenchmark(5), get_device("AQT-4Q"), shots=10)
 
     def test_noiseless_run_scores_near_one(self):
-        run = run_benchmark_on_device(
+        run = run_on_device(
             GHZBenchmark(3),
             get_device("IonQ-11Q"),
             shots=400,
@@ -59,10 +71,10 @@ class TestRunner:
 
     def test_noise_lowers_score_for_error_correction(self):
         device = get_device("IBM-Guadalupe-16Q")
-        noisy = run_benchmark_on_device(
+        noisy = run_on_device(
             BitCodeBenchmark(3, 2), device, shots=120, repetitions=1, trajectories=30
         )
-        ideal = run_benchmark_on_device(
+        ideal = run_on_device(
             BitCodeBenchmark(3, 2), device, shots=120, repetitions=1, noisy=False
         )
         assert noisy.mean_score < ideal.mean_score

@@ -61,6 +61,11 @@ def _assert_profiles_equal(left, right, label=""):
     for name in PROFILE_FIELDS:
         assert getattr(left, name) == getattr(right, name), f"{label}:{name}"
     assert left.moment_operations.tolist() == right.moment_operations.tolist(), label
+    # Moments of the operation rows (barrier rows are -1 and carry none).
+    left_rows, right_rows = left.row_moments, right.row_moments
+    assert (
+        left_rows[left_rows >= 0].tolist() == right_rows[right_rows >= 0].tolist()
+    ), label
 
 
 def _fast_eligible(packed) -> bool:
@@ -114,6 +119,7 @@ class TestFeatureParity:
         general = packed_profile(packed)
         # total_operations/moments exclude barriers, so every field matches.
         _assert_profiles_equal(fast, general)
+        assert general.row_moments.tolist() == fast.row_moments.tolist() + [-1]
 
     @given(num_qubits=st.integers(2, 7), seed=st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)

@@ -6,9 +6,9 @@ per-feature implementations:
 * golden feature vectors for one instance of each of the eight benchmark
   families, captured from the seed implementation at full float precision;
 * exact (``==``, not approx) parity against reference implementations built
-  on :meth:`~repro.circuits.Circuit.interaction_graph`, ``circuit_moments``
-  and the object-walk oracle (depth, two-qubit critical path, liveness
-  matrix) over randomized circuits with mid-circuit measurement and reset;
+  on the object-walk oracle (interaction graph, ASAP moments, depth,
+  two-qubit critical path, liveness matrix) over randomized circuits with
+  mid-circuit measurement and reset;
 * property tests: every feature in [0, 1], and parallelism monotone under
   moment-packing (serialising a circuit with barriers can only lower it).
 """
@@ -28,7 +28,7 @@ from repro.benchmarks import (
     VanillaQAOABenchmark,
     ZZSwapQAOABenchmark,
 )
-from repro.circuits import Circuit, circuit_moments, random_clifford_circuit
+from repro.circuits import Circuit, random_clifford_circuit
 from repro.features import (
     FEATURE_NAMES,
     circuit_profile,
@@ -104,7 +104,7 @@ def reference_features(circuit):
     if n <= 1:
         communication = 0.0
     else:
-        degree_sum = sum(dict(circuit.interaction_graph().degree()).values())
+        degree_sum = sum(dict(oracle.interaction_graph(circuit).degree()).values())
         communication = clip(degree_sum / (n * (n - 1)))
 
     total_two_qubit = circuit.num_two_qubit_gates()
@@ -126,7 +126,7 @@ def reference_features(circuit):
     matrix = oracle.liveness_matrix(circuit)
     live = clip(float(matrix.sum()) / matrix.size) if matrix.size else 0.0
 
-    layers = circuit_moments(circuit)
+    layers = oracle.circuit_moments(circuit)
     if not layers:
         measure = 0.0
     else:

@@ -12,6 +12,12 @@ from repro.transpiler import preset_pipeline
 from repro.transpiler.passes import PropertySet
 
 
+def decouple(sequence, circuit, properties=None):
+    """Run the DD pass on ``circuit``'s pack and unpack the result."""
+    properties = PropertySet() if properties is None else properties
+    return DynamicalDecoupling(sequence).run(circuit.packed(), properties).unpack()
+
+
 def idle_window_circuit():
     """Qubit 1 idles for 6 moments between its two operations."""
     circuit = Circuit(2)
@@ -27,14 +33,14 @@ class TestDynamicalDecouplingPass:
     def test_inserts_sequence_into_idle_window(self):
         circuit = idle_window_circuit()
         properties = PropertySet()
-        decoupled = DynamicalDecoupling("xy4").run(circuit, properties)
+        decoupled = decouple("xy4", circuit, properties)
         ops = decoupled.count_ops()
         assert ops["x"] == 2 and ops["y"] == 2
         assert properties["metrics"]["dd_pulses"] == 4
 
     def test_xx_sequence(self):
         circuit = idle_window_circuit()
-        decoupled = DynamicalDecoupling("xx").run(circuit, PropertySet())
+        decoupled = decouple("xx", circuit)
         ops = decoupled.count_ops()
         assert ops["x"] == 2 and "y" not in ops
 
@@ -43,15 +49,15 @@ class TestDynamicalDecouplingPass:
         for _ in range(6):
             circuit.t(0)
         circuit.cx(0, 1)
-        decoupled = DynamicalDecoupling("xy4").run(circuit, PropertySet())
+        decoupled = decouple("xy4", circuit)
         unitary_equivalent(decoupled, circuit)
-        decoupled_xx = DynamicalDecoupling("xx").run(circuit, PropertySet())
+        decoupled_xx = decouple("xx", circuit)
         unitary_equivalent(decoupled_xx, circuit)
 
     def test_no_insertion_without_idle_windows(self):
-        circuit = Circuit(2).h(0).cx(0, 1).measure_all()
-        decoupled = DynamicalDecoupling("xy4").run(circuit, PropertySet())
-        assert decoupled is circuit  # untouched, barriers and all
+        packed = Circuit(2).h(0).barrier().cx(0, 1).measure_all().packed()
+        decoupled = DynamicalDecoupling("xy4").run(packed, PropertySet())
+        assert decoupled is packed  # untouched, barriers and all
 
     def test_leading_and_trailing_idle_skipped(self):
         # Qubit 1 only acts at the very end: its leading idle stays empty.
@@ -60,14 +66,35 @@ class TestDynamicalDecouplingPass:
         for _ in range(8):
             circuit.t(0)
         circuit.h(1)
-        decoupled = DynamicalDecoupling("xy4").run(circuit, PropertySet())
-        assert decoupled is circuit
+        packed = circuit.packed()
+        assert DynamicalDecoupling("xy4").run(packed, PropertySet()) is packed
 
     def test_depth_preserved(self):
         """Pulses fill existing idle moments; the schedule grows no deeper."""
         circuit = idle_window_circuit()
-        decoupled = DynamicalDecoupling("xy4").run(circuit, PropertySet())
+        decoupled = decouple("xy4", circuit)
         assert decoupled.depth() == circuit.depth()
+
+    def test_rows_in_moment_order_pulses_after_each_moment(self):
+        # Barriers are consumed; rows come out moment by moment.
+        circuit = Circuit(2).h(0).barrier(0, 1).h(1)
+        for _ in range(5):
+            circuit.t(0)
+        circuit.cx(0, 1)
+        decoupled = decouple("xx", circuit)
+        # Qubit 1 idles in moments 2-5: pulses at moments 2 and 4.
+        assert [(i.name, i.qubits) for i in decoupled] == [
+            ("h", (0,)),  # moment 0
+            ("h", (1,)),  # moment 1
+            ("t", (0,)),
+            ("t", (0,)),  # moment 2
+            ("x", (1,)),
+            ("t", (0,)),  # moment 3
+            ("t", (0,)),  # moment 4
+            ("x", (1,)),
+            ("t", (0,)),  # moment 5
+            ("cx", (0, 1)),  # moment 6
+        ]
 
     def test_validation(self):
         with pytest.raises(MitigationError):

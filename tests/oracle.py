@@ -1,14 +1,16 @@
 """Object-walk reference implementations: the oracle parity checks compare against.
 
-The library implements the five Closed-Division optimization passes, circuit
-depth and the two-qubit critical path once, over the packed columnar IR
-(``repro.transpiler.packed`` and ``repro.features.packed_profile``).  This
-module keeps the per-instruction Python walks those implementations replaced
-and must reproduce gate for gate, so that:
+The library implements the five Closed-Division optimization passes, the
+interaction graph, ASAP moment scheduling, circuit depth and the two-qubit
+critical path once, over the packed columnar IR (``repro.transpiler.packed``,
+``PackedCircuit.interaction_graph`` and ``repro.features.packed_profile``).
+This module keeps the per-instruction Python walks those implementations
+replaced and must reproduce gate for gate, so that:
 
 * the randomized, five-pass-chain and preset-family parity tests
-  (``tests/transpiler/test_packed_passes.py``) and the depth / critical-path
-  / feature parity tests compare the library against code it does not share;
+  (``tests/transpiler/test_packed_passes.py``) and the interaction-graph /
+  depth / moment / critical-path / feature parity tests compare the library
+  against code it does not share;
 * the micro-benchmarks that time the packed code against the object walks
   (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``)
   keep measuring the baseline their committed ratios were recorded against.
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import networkx as nx
 import numpy as np
 
-from repro.circuits import Circuit, Gate, Instruction, circuit_moments
+from repro.circuits import Circuit, Gate, Instruction
+from repro.circuits.columnar import PackedCircuit
 from repro.circuits.gates import ADDITIVE_ROTATIONS, SELF_INVERSE
 from repro.transpiler import (
     BasePass,
@@ -48,6 +52,9 @@ __all__ = [
     "commuting_cancellation",
     "ObjectWalkPass",
     "object_pipeline",
+    "walk_chain",
+    "interaction_graph",
+    "circuit_moments",
     "depth",
     "two_qubit_critical_path",
     "liveness_matrix",
@@ -300,7 +307,7 @@ _WALKS: Dict[type, Callable[[Circuit], Circuit]] = {
 
 
 class ObjectWalkPass(TransformationPass):
-    """An object-form pass running the oracle walk of one packed pass.
+    """A pass running the oracle walk of one packed pass on the unpacked circuit.
 
     It reports the packed pass's name, so pass records and pipeline
     fingerprints read the same on both sides of a comparison.
@@ -314,8 +321,8 @@ class ObjectWalkPass(TransformationPass):
     def name(self) -> str:
         return self._name
 
-    def run(self, circuit: Circuit, property_set: PropertySet) -> Circuit:
-        return self._walk(circuit)
+    def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
+        return self._walk(packed.unpack()).packed()
 
 
 def object_pipeline(passes: Iterable[BasePass]) -> PassManager:
@@ -325,9 +332,66 @@ def object_pipeline(passes: Iterable[BasePass]) -> PassManager:
     )
 
 
+def walk_chain(passes: Iterable[BasePass], circuit: Circuit) -> Circuit:
+    """Run the oracle walks of ``passes`` (optimization passes only) in order.
+
+    No pass manager and no pack conversions: the object-walk baseline the
+    benchmarks time against.
+    """
+    for pass_ in passes:
+        circuit = _WALKS[type(pass_)](circuit)
+    return circuit
+
+
 # ---------------------------------------------------------------------------
-# depth, critical path and liveness
+# interaction graph, moments, depth, critical path and liveness
 # ---------------------------------------------------------------------------
+
+
+def interaction_graph(circuit: Circuit) -> nx.Graph:
+    """One node per qubit, an edge per pair sharing a multi-qubit unitary.
+
+    Edges are added in instruction order, operand pairs ``(i, j)`` with
+    ``i < j`` by position, which fixes networkx's neighbour order.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(range(circuit.num_qubits))
+    for instruction in circuit:
+        if not instruction.is_multi_qubit():
+            continue
+        qubits = instruction.qubits
+        for i in range(len(qubits)):
+            for j in range(i + 1, len(qubits)):
+                graph.add_edge(qubits[i], qubits[j])
+    return graph
+
+
+def circuit_moments(circuit: Circuit) -> List[List[Instruction]]:
+    """Schedule instructions into ASAP layers.
+
+    Barriers act as synchronization points over the qubits they cover: every
+    later operation on those qubits starts no earlier than the layer after
+    the latest operation preceding the barrier.  Barriers themselves are not
+    emitted into any layer and do not count toward the depth.
+    """
+    frontier = [0] * circuit.num_qubits  # next free layer per qubit
+    layers: List[List[Instruction]] = []
+    for instruction in circuit:
+        qubits = instruction.qubits
+        if instruction.is_barrier():
+            if not qubits:
+                continue
+            level = max(frontier[q] for q in qubits)
+            for q in qubits:
+                frontier[q] = level
+            continue
+        level = max(frontier[q] for q in qubits) if qubits else 0
+        while len(layers) <= level:
+            layers.append([])
+        layers[level].append(instruction)
+        for q in qubits:
+            frontier[q] = level + 1
+    return layers
 
 
 def depth(circuit: Circuit) -> int:

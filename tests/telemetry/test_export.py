@@ -112,10 +112,10 @@ class TestChromeTrace:
         json.dumps(spans_to_chrome_trace(self._spans()))
 
 
-class TestTranspilerPathLabel:
-    """The pass-latency histogram separates packed and object executions."""
+class TestTranspilerPassLabel:
+    """The pass-latency histogram carries one series per pass name."""
 
-    def _run_both_paths(self):
+    def _run_passes(self):
         from repro.circuits import Circuit
         from repro.telemetry import get_metrics
         from repro.transpiler import DecomposeToCanonical, DropNegligible, PassManager
@@ -125,22 +125,13 @@ class TestTranspilerPathLabel:
         PassManager([DecomposeToCanonical()]).run(circuit)
         return to_prometheus(get_metrics().snapshot())
 
-    def test_histogram_carries_one_series_per_path(self):
-        text = self._run_both_paths()
-        lines = [
-            line
-            for line in text.splitlines()
-            if line.startswith("repro_transpiler_pass_seconds_count")
-        ]
-        packed = [line for line in lines if 'path="packed"' in line]
-        object_walk = [line for line in lines if 'path="object"' in line]
-        assert packed, "no packed-path series exported"
-        assert object_walk, "no object-path series exported"
-        assert all('pass_name="' in line for line in packed + object_walk)
-
-    def test_path_labelled_samples_match_the_grammar(self):
-        text = self._run_both_paths()
+    def test_pass_labelled_samples_match_the_grammar(self):
+        text = self._run_passes()
+        samples = 0
         for line in text.splitlines():
             if "repro_transpiler_pass_seconds" not in line or line.startswith("#"):
                 continue
             assert _SAMPLE.match(line), line
+            assert "path=" not in line, line
+            samples += 1
+        assert samples

@@ -11,9 +11,16 @@ from repro.benchmarks import (
 )
 from repro.circuits import Circuit
 from repro.devices import get_device
-from repro.experiments import run_benchmark_on_device
+from repro.execution import ExecutionEngine, TrajectoryBackend
 from repro.simulation import StatevectorSimulator
 from repro.transpiler import transpile
+
+
+def run_noisy(benchmark, device, *, shots, repetitions, trajectories, seed):
+    """One benchmark on one device with trajectory noise."""
+    backend = TrajectoryBackend(trajectories=trajectories)
+    with ExecutionEngine(device, backend=backend) as engine:
+        return engine.run(benchmark, shots=shots, repetitions=repetitions, seed=seed)
 
 
 class TestQasmToExecutionRoundTrip:
@@ -32,10 +39,10 @@ class TestPaperQualitativeClaims:
     def test_scores_degrade_with_benchmark_size(self):
         """Fig. 2: bigger instances score lower on the same noisy device."""
         device = get_device("IBM-Guadalupe-16Q")
-        small = run_benchmark_on_device(
+        small = run_noisy(
             GHZBenchmark(3), device, shots=300, repetitions=2, trajectories=40, seed=7
         )
-        large = run_benchmark_on_device(
+        large = run_noisy(
             GHZBenchmark(11), device, shots=300, repetitions=2, trajectories=40, seed=7
         )
         assert large.mean_score < small.mean_score
@@ -45,10 +52,10 @@ class TestPaperQualitativeClaims:
         the Vanilla QAOA benchmark, because the superconducting device pays a
         large SWAP overhead."""
         benchmark = VanillaQAOABenchmark(5, seed=3)
-        ion = run_benchmark_on_device(
+        ion = run_noisy(
             benchmark, get_device("IonQ-11Q"), shots=250, repetitions=2, trajectories=40, seed=11
         )
-        superconducting = run_benchmark_on_device(
+        superconducting = run_noisy(
             benchmark,
             get_device("IBM-Toronto-27Q"),
             shots=250,
@@ -66,7 +73,7 @@ class TestPaperQualitativeClaims:
         cost on superconducting devices (long readout relative to T1/T2), while
         the trapped-ion model's huge coherence times tolerate the idling."""
         benchmark = BitCodeBenchmark(3, 3)
-        superconducting = run_benchmark_on_device(
+        superconducting = run_noisy(
             benchmark,
             get_device("IBM-Toronto-27Q"),
             shots=200,
@@ -74,7 +81,7 @@ class TestPaperQualitativeClaims:
             trajectories=50,
             seed=5,
         )
-        ion = run_benchmark_on_device(
+        ion = run_noisy(
             benchmark, get_device("IonQ-11Q"), shots=200, repetitions=2, trajectories=50, seed=5
         )
         assert ion.mean_score > superconducting.mean_score
@@ -82,7 +89,7 @@ class TestPaperQualitativeClaims:
     def test_mermin_bell_exceeds_classical_limit_on_good_device(self):
         """Fig. 2b: hardware with low enough error beats the local hidden-variable bound."""
         benchmark = MerminBellBenchmark(3)
-        run = run_benchmark_on_device(
+        run = run_noisy(
             benchmark,
             get_device("IBM-Lagos-7Q"),
             shots=300,
@@ -98,7 +105,7 @@ class TestPaperQualitativeClaims:
 
         device = get_device("IBM-Montreal-27Q")
         runs = [
-            run_benchmark_on_device(
+            run_noisy(
                 GHZBenchmark(n), device, shots=300, repetitions=2, trajectories=75, seed=n
             )
             for n in (3, 5, 7, 9, 11)

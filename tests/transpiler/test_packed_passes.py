@@ -13,9 +13,9 @@ Four concerns:
   benchmark families to the same circuit as the same pipeline with its
   optimization passes swapped for the oracle walks.
 * **Wide rows and reporting** — >3-operand barriers are handled by the
-  packed passes through the wide pool, and :meth:`PassManager.report` /
-  the ``transpiler.pass`` spans agree on which path ran and how many pack
-  conversions were paid.
+  packed passes through the wide pool, the ``transpiler.pass`` spans agree
+  with the pass records, and a pipeline run packs at most once and unpacks
+  exactly once.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.circuits.circuit as circuit_module
 from repro.benchmarks import figure2_benchmarks
 from repro.circuits import Circuit, PackedCircuit
 from repro.circuits.columnar import PackedBuilder
@@ -31,7 +32,6 @@ from repro.telemetry import configure_tracing, get_tracer
 from repro.transpiler import (
     CancelAdjacentInverses,
     CommutingTwoQubitCancellation,
-    DecomposeToCanonical,
     DropNegligible,
     FuseSingleQubitRuns,
     MergeRotations,
@@ -164,8 +164,9 @@ class TestRandomizedParity:
         reference = oracle.object_pipeline(_optimization_passes())
         packed_manager = PassManager(_optimization_passes())
         assert _stream(reference.run(circuit)) == _stream(packed_manager.run(circuit))
-        assert all(record.path == "packed" for record in packed_manager.last_records)
-        assert all(record.path == "object" for record in reference.last_records)
+        assert _stream(oracle.walk_chain(_optimization_passes(), circuit)) == _stream(
+            packed_manager.run(circuit)
+        )
 
 
 class TestPresetFamilyParity:
@@ -185,11 +186,16 @@ class TestPresetFamilyParity:
             fast = transpile(circuit, device, pass_manager=pipeline)
             slow = transpile(circuit, device, pass_manager=reference)
             assert _stream(fast.circuit) == _stream(slow.circuit)
-            # Every transformation of the reference ran as an object walk.
-            assert all(
-                record.path == "object" for record in slow.pass_records if not record.analysis
-            )
             compared += 1
+        # Every optimization pass in the reference pipeline (all five at
+        # level 3) is an object walk.
+        optimizations = tuple(type(pass_) for pass_ in _optimization_passes())
+        assert not any(isinstance(pass_, optimizations) for pass_ in reference)
+        assert [p.name for p in reference if isinstance(p, oracle.ObjectWalkPass)] == [
+            p.name for p in pipeline if isinstance(p, optimizations)
+        ]
+        if level == 3:
+            assert len({p.name for p in reference if isinstance(p, oracle.ObjectWalkPass)}) == 5
         assert compared >= 6  # every family that fits the 16q device
 
 
@@ -207,9 +213,6 @@ class TestWideRows:
         expected = reference.run(circuit)
         observed = packed_manager.run(circuit)
         assert _stream(expected) == _stream(observed)
-        assert [record.path for record in packed_manager.last_records] == [
-            "packed"
-        ] * 5
 
     def test_wide_barrier_blocks_merges_across_it(self):
         circuit = Circuit(5, name="wideblock")
@@ -221,16 +224,7 @@ class TestWideRows:
 
 
 class TestReporting:
-    def test_report_shows_path_and_conversion_counts(self):
-        circuit = _random_circuit(5, 42)
-        manager = PassManager(_optimization_passes())
-        manager.run(circuit)
-        report = manager.report()
-        assert "packed" in report
-        assert "pack conversions" in report
-        assert f"{manager.last_conversions} pack conversions" in report
-
-    def test_records_and_trace_spans_agree_on_path(self):
+    def test_records_and_trace_spans_agree(self):
         tracer = configure_tracing(enabled=True)
         tracer.drain()
         circuit = _random_circuit(5, 43)
@@ -243,12 +237,36 @@ class TestReporting:
         assert len(spans) == len(manager.last_records)
         by_name = {span.attributes["pass_name"]: span for span in spans}
         for record in manager.last_records:
-            assert by_name[record.name].attributes["path"] == record.path == "packed"
+            attributes = by_name[record.name].attributes
+            assert attributes["gates_before"] == record.gates_before
+            assert attributes["gates_after"] == record.gates_after
+            assert "path" not in attributes
 
-    def test_object_only_pipeline_reports_no_conversions(self):
-        circuit = _random_circuit(4, 44)
-        manager = PassManager([DecomposeToCanonical()])
-        manager.run(circuit)
-        assert manager.last_conversions == 0
-        assert all(record.conversions == 0 for record in manager.last_records)
-        assert "0 pack conversions" in manager.report()
+
+class TestOneCircuitForm:
+    def test_preset_run_packs_at_most_once_and_unpacks_once(self, monkeypatch):
+        """A level-3 DD pipeline hands packs between passes, never objects."""
+        packs, unpacks = [], []
+        pack = circuit_module.pack_circuit
+        unpack = PackedCircuit.unpack
+
+        def counting_pack(circuit):
+            packs.append(circuit)
+            return pack(circuit)
+
+        def counting_unpack(packed):
+            unpacks.append(packed)
+            return unpack(packed)
+
+        device = get_device("IBM-Casablanca-7Q")
+        pipeline = preset_pipeline(device, optimization_level=3, dd="xy4")
+        circuit = _random_circuit(5, 45)
+        monkeypatch.setattr(circuit_module, "pack_circuit", counting_pack)
+        monkeypatch.setattr(PackedCircuit, "unpack", counting_unpack)
+        compiled = pipeline.run(circuit)
+        assert len(packs) <= 1
+        assert len(unpacks) == 1
+        monkeypatch.undo()
+        assert _stream(compiled) == _stream(
+            transpile(circuit, device, pass_manager=pipeline).circuit
+        )

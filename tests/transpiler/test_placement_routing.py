@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, ghz_ladder
+from repro.circuits import BARRIER, Circuit, Instruction, ghz_ladder
 from repro.devices import get_device
 from repro.exceptions import TranspilerError
 from repro.simulation import StatevectorSimulator, circuit_unitary, final_statevector
@@ -20,21 +20,21 @@ from repro.utils import equivalent_up_to_global_phase
 class TestPlacement:
     def test_trivial_placement(self, ibm_device):
         circuit = ghz_ladder(3)
-        assert trivial_placement(circuit, ibm_device) == {0: 0, 1: 1, 2: 2}
+        assert trivial_placement(circuit.packed(), ibm_device) == {0: 0, 1: 1, 2: 2}
 
     def test_circuit_too_large_rejected(self, aqt_device):
         with pytest.raises(TranspilerError):
-            trivial_placement(ghz_ladder(5), aqt_device)
+            trivial_placement(ghz_ladder(5).packed(), aqt_device)
 
     def test_noise_aware_placement_is_injective(self, ibm_device):
         circuit = ghz_ladder(5)
-        placement = noise_aware_placement(circuit, ibm_device)
+        placement = noise_aware_placement(circuit.packed(), ibm_device)
         assert len(placement) == 5
         assert len(set(placement.values())) == 5
 
     def test_noise_aware_placement_selects_connected_region(self, ibm_device):
         circuit = ghz_ladder(4)
-        placement = noise_aware_placement(circuit, ibm_device)
+        placement = noise_aware_placement(circuit.packed(), ibm_device)
         region = set(placement.values())
         subgraph = ibm_device.topology().subgraph(region)
         import networkx as nx
@@ -42,40 +42,48 @@ class TestPlacement:
         assert nx.is_connected(subgraph)
 
     def test_all_to_all_placement(self, ionq_device):
-        placement = noise_aware_placement(ghz_ladder(4), ionq_device)
+        placement = noise_aware_placement(ghz_ladder(4).packed(), ionq_device)
         assert sorted(placement.values()) == [0, 1, 2, 3]
 
 
 class TestRouting:
     def test_no_swaps_needed_on_all_to_all(self, ionq_device):
         circuit = Circuit(3).cx(0, 2).cx(1, 2)
-        routed = route_circuit(circuit, ionq_device, {0: 0, 1: 1, 2: 2})
+        routed = route_circuit(circuit.packed(), ionq_device, {0: 0, 1: 1, 2: 2})
         assert routed.swap_count == 0
 
     def test_swaps_inserted_for_distant_qubits(self):
         device = get_device("IBM-Santiago-5Q")  # a line
         circuit = Circuit(5).cx(0, 4)
-        routed = route_circuit(circuit, device, {q: q for q in range(5)})
+        routed = route_circuit(circuit.packed(), device, {q: q for q in range(5)})
         assert routed.swap_count >= 3
         topology = device.topology()
-        for instruction in routed.circuit:
+        for instruction in routed.circuit.unpack():
             if instruction.is_two_qubit():
                 assert topology.has_edge(*instruction.qubits)
 
     def test_final_layout_tracks_swaps(self):
         device = get_device("IBM-Santiago-5Q")
         circuit = Circuit(3).cx(0, 2)
-        routed = route_circuit(circuit, device, {0: 0, 1: 1, 2: 2})
+        routed = route_circuit(circuit.packed(), device, {0: 0, 1: 1, 2: 2})
         assert routed.swap_count == 1
         assert set(routed.final_layout.values()) == {routed.final_layout[q] for q in range(3)}
 
     def test_missing_placement_rejected(self, ibm_device):
         with pytest.raises(TranspilerError):
-            route_circuit(Circuit(2).cx(0, 1), ibm_device, {0: 0})
+            route_circuit(Circuit(2).cx(0, 1).packed(), ibm_device, {0: 0})
 
     def test_multi_qubit_gate_rejected(self, ibm_device):
         with pytest.raises(TranspilerError):
-            route_circuit(Circuit(3).ccx(0, 1, 2), ibm_device, {0: 0, 1: 1, 2: 2})
+            route_circuit(Circuit(3).ccx(0, 1, 2).packed(), ibm_device, {0: 0, 1: 1, 2: 2})
+
+    def test_barriers_and_clbits(self, ibm_device):
+        circuit = Circuit(3, 0).h(0).barrier(0, 2).append(Instruction(BARRIER, ()))
+        routed = route_circuit(circuit.packed(), ibm_device, {0: 4, 1: 5, 2: 6}).circuit
+        assert routed.num_clbits == 1
+        barriers = [i.qubits for i in routed.unpack() if i.is_barrier()]
+        # A qubit-less barrier spans every device qubit.
+        assert barriers == [(4, 6), tuple(range(ibm_device.num_qubits))]
 
 
 class TestTranspilePipeline:
