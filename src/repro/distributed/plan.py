@@ -9,7 +9,7 @@ a worker can rebuild everything it needs (device, backend, mitigator,
 benchmark instances) from registries on its own side of the boundary.
 
 The scheduler hands tasks to workers wrapped in :class:`Lease` records
-(task + attempt + deadline); workers answer with :class:`LeaseResult`
+(task + attempt); workers answer with :class:`LeaseResult`
 records carrying serialized :class:`~repro.suite.results.SpecOutcome`
 payloads plus the worker's engine-stats delta for that lease.  Everything in
 this module is data — no locks, no open handles, no closures — which is
@@ -22,14 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..exceptions import DistributedError
 from ..suite.sweep import EngineConfig, Scenario
 
 __all__ = ["UnitPlan", "ShardTask", "ShardPlan", "Lease", "LeaseResult", "plan_scenario"]
 
-#: Default target number of tasks per worker process.  Chunking each shard
-#: group into a few tasks per worker (instead of one monolithic task) lets
-#: the scheduler balance uneven unit costs and bounds the work lost when a
+#: Target number of tasks per worker process.  Chunking each shard group
+#: into a few tasks per worker (instead of one monolithic task) lets the
+#: scheduler balance uneven unit costs and bounds the work lost when a
 #: lease has to be re-issued after a crash.
 TASKS_PER_WORKER = 4
 
@@ -113,16 +112,13 @@ class ShardPlan:
 class Lease:
     """One issuance of a task to a worker.
 
-    A task may be leased more than once — after a crash, a retryable error
-    or a straggler timeout — so completions are deduplicated per *unit* key
-    by the scheduler, never by lease.
+    A task is leased again only after its previous lease failed (a crash or
+    a retryable error); ``attempt`` counts the task's leases so far.
     """
 
     lease_id: int
     task: ShardTask
     attempt: int = 1
-    issued_at: float = 0.0
-    deadline: Optional[float] = None
 
 
 @dataclass
@@ -175,19 +171,16 @@ def plan_scenario(
     trajectories: Optional[int] = None,
     backend_override: Optional[str] = None,
     processes: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> ShardPlan:
     """Expand a scenario into the leasable remainder of its work.
 
     Args:
         completed: Unit keys already recorded (resumed partials and store
             hits) — excluded from the plan entirely, so they never run.
-        processes: The executor's capacity; with ``chunk_size=None`` the
-            plan is split into roughly :data:`TASKS_PER_WORKER` tasks per
-            worker for load balancing.  A task never spans two shard
-            groups, so it holds at most one (engine, technique) batch.
-        chunk_size: Explicit maximum units per task (overrides the
-            automatic sizing).
+        processes: The executor's capacity; the plan is split into
+            roughly :data:`TASKS_PER_WORKER` tasks per worker for load
+            balancing.  A task never spans two shard groups, so it holds at
+            most one (engine, technique) batch.
 
     Tasks carry technique *labels*; a Mitigator instance in the scenario is
     planned under its name, for an executor that holds the instance.
@@ -203,18 +196,15 @@ def plan_scenario(
             if pending:
                 groups.append((shard.engine, units[0].mitigation_label, pending))
 
+    # Aim for TASKS_PER_WORKER tasks per worker across the whole plan, but
+    # never split below one unit per task.
     total = sum(len(pending) for _, _, pending in groups)
-    if chunk_size is None:
-        # Aim for TASKS_PER_WORKER tasks per worker across the whole plan,
-        # but never split below one unit per task.
-        target_tasks = max(1, int(processes) * TASKS_PER_WORKER)
-        chunk_size = max(1, math.ceil(total / target_tasks)) if total else 1
-    if chunk_size < 1:
-        raise DistributedError("chunk_size must be at least 1")
+    target_tasks = max(1, int(processes) * TASKS_PER_WORKER)
+    size = max(1, math.ceil(total / target_tasks))
 
     tasks: List[ShardTask] = []
     for engine, mitigation, pending in groups:
-        for chunk in _chunk(pending, chunk_size):
+        for chunk in _chunk(pending, size):
             tasks.append(
                 ShardTask(
                     task_id=f"task-{len(tasks)}",

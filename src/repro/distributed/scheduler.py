@@ -1,34 +1,28 @@
-"""Leased-shard work queue and the loop that drives it.
+"""Leased-task work queue and the loop that drives it.
 
 :class:`WorkQueue` owns the bookkeeping of a :class:`~repro.distributed.plan.ShardPlan`
-execution: which tasks are pending, which leases are in flight, how many
-attempts each task has consumed, and which *unit keys* have already been
-recorded.  Units — not leases — are the idempotency boundary: a task may be
-leased twice (crash retry, straggler re-lease) and both leases may even
-complete, but :meth:`WorkQueue.complete` hands back only the outcomes whose
-unit key is new, so double-completed leases merge deterministically (all
-execution is seed-deterministic, so duplicates carry identical payloads and
-dropping either is safe).
+execution: which tasks are pending, how many attempts each task has consumed
+and how many are done.  A task has at most one lease in flight and is leased
+again only after that lease failed, so every task completes exactly once and
+its outcomes reach the caller exactly once.
 
 :func:`run_leases` is the scheduler loop the suite runner drives: it keeps
-the executor saturated up to its capacity, collects finished leases,
-re-leases stragglers whose deadline passed, re-queues crashed leases (the
-executor contains the pool damage, see
-:class:`~repro.distributed.executor.ProcessShardExecutor`), and streams
-fresh outcomes to the caller the moment they arrive.
+the executor saturated up to its capacity, blocks until a lease finishes,
+re-queues failed leases (the executor contains the pool damage, see
+:class:`~repro.distributed.executor.ProcessShardExecutor`), and streams each
+completed lease's outcomes to the caller the moment they arrive.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from ..exceptions import DistributedError
+from ..suite.results import merge_engine_stats
 from ..telemetry import get_metrics, get_tracer
-from .plan import Lease, LeaseResult, ShardPlan, ShardTask
+from .plan import Lease, LeaseResult, ShardPlan
 
 __all__ = ["WorkQueue", "run_leases"]
 
@@ -38,252 +32,132 @@ class WorkQueue:
 
     Args:
         tasks: The plan's tasks, leased in order.
-        lease_timeout: Seconds before an in-flight lease is considered a
-            straggler and its task becomes leasable *again* (the original
-            lease keeps running; whichever completes first wins and the
-            loser's outcomes are deduplicated away).  ``None`` disables
-            straggler re-leasing.
         max_attempts: Total leases per task before a hard failure is raised.
     """
 
-    def __init__(
-        self,
-        tasks,
-        lease_timeout: Optional[float] = None,
-        max_attempts: int = 3,
-    ) -> None:
+    def __init__(self, tasks, max_attempts: int = 3) -> None:
         if max_attempts < 1:
             raise DistributedError("max_attempts must be at least 1")
-        self._tasks: Dict[str, ShardTask] = {task.task_id: task for task in tasks}
-        self._pending = deque(task.task_id for task in tasks)
-        self._queued: Set[str] = set(self._pending)
-        self._outstanding: Dict[str, Set[int]] = {}
-        self._leases: Dict[int, Lease] = {}
-        self._attempts: Dict[str, int] = {}
-        self._completed_tasks: Set[str] = set()
-        self._completed_units: Set[str] = set()
-        self._lease_ids = iter(range(1, 10**9))
-        self.lease_timeout = lease_timeout
+        #: (task, attempt number its next lease gets), in lease order.
+        self._pending = deque((task, 1) for task in tasks)
         self.max_attempts = int(max_attempts)
         # Counters surfaced in scheduler stats.
+        self.tasks = len(self._pending)
+        self.units = sum(len(task.units) for task, _ in self._pending)
+        self.tasks_done = 0
+        self.units_done = 0
         self.leases_issued = 0
         self.retries = 0
-        self.straggler_releases = 0
-        self.duplicate_units = 0
 
-    # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return len(self._completed_tasks) == len(self._tasks)
+        return self.tasks_done == self.tasks
 
     def progress(self) -> Dict[str, int]:
-        """Heartbeat snapshot: task/unit completion and lease traffic."""
+        """Task/unit completion and lease traffic."""
         return {
-            "tasks": len(self._tasks),
-            "tasks_done": len(self._completed_tasks),
-            "units": sum(len(task.units) for task in self._tasks.values()),
-            "units_done": len(self._completed_units),
-            "in_flight": len(self._leases),
+            "tasks": self.tasks,
+            "tasks_done": self.tasks_done,
+            "units": self.units,
+            "units_done": self.units_done,
             "leases_issued": self.leases_issued,
             "retries": self.retries,
-            "straggler_releases": self.straggler_releases,
         }
 
-    # ------------------------------------------------------------------
-    def next_lease(self, now: Optional[float] = None) -> Optional[Lease]:
+    def next_lease(self) -> Optional[Lease]:
         """Issue a lease for the next pending task (``None`` when drained)."""
-        now = time.monotonic() if now is None else now
-        while self._pending:
-            task_id = self._pending.popleft()
-            self._queued.discard(task_id)
-            if task_id in self._completed_tasks:
-                continue  # completed by a duplicate while queued
-            attempt = self._attempts.get(task_id, 0) + 1
-            self._attempts[task_id] = attempt
-            lease = Lease(
-                lease_id=next(self._lease_ids),
-                task=self._tasks[task_id],
-                attempt=attempt,
-                issued_at=now,
-                deadline=None if self.lease_timeout is None else now + self.lease_timeout,
-            )
-            self._leases[lease.lease_id] = lease
-            self._outstanding.setdefault(task_id, set()).add(lease.lease_id)
-            self.leases_issued += 1
-            return lease
-        return None
+        if not self._pending:
+            return None
+        task, attempt = self._pending.popleft()
+        self.leases_issued += 1
+        return Lease(lease_id=self.leases_issued, task=task, attempt=attempt)
 
-    def release_stragglers(self, now: Optional[float] = None) -> List[str]:
-        """Make tasks whose lease deadline passed leasable again.
+    def complete(self, lease: Lease) -> None:
+        """Record a finished lease."""
+        self.tasks_done += 1
+        self.units_done += len(lease.task.units)
 
-        The expired lease stays in flight (a process-pool task cannot be
-        interrupted); its completion, if it ever arrives, is deduplicated.
-        Tasks out of attempts are left to their original lease.
-        """
-        if self.lease_timeout is None:
-            return []
-        now = time.monotonic() if now is None else now
-        released = []
-        for lease in list(self._leases.values()):
-            task_id = lease.task.task_id
-            if (
-                lease.deadline is not None
-                and now >= lease.deadline
-                and task_id not in self._completed_tasks
-                and task_id not in self._queued
-                and self._attempts.get(task_id, 0) < self.max_attempts
-            ):
-                self._pending.append(task_id)
-                self._queued.add(task_id)
-                self.straggler_releases += 1
-                released.append(task_id)
-        return released
-
-    # ------------------------------------------------------------------
-    def complete(self, lease: Lease, result: LeaseResult) -> List[Dict[str, Any]]:
-        """Record a finished lease; returns only the *fresh* outcome payloads.
-
-        Idempotent per unit: outcomes whose unit key was already recorded by
-        an earlier (duplicate) lease are dropped and counted in
-        :attr:`duplicate_units`.
-        """
-        self._retire(lease)
-        task_id = lease.task.task_id
-        fresh: List[Dict[str, Any]] = []
-        for payload in result.outcomes:
-            key = payload["key"]
-            if key in self._completed_units:
-                self.duplicate_units += 1
-                continue
-            self._completed_units.add(key)
-            fresh.append(payload)
-        self._completed_tasks.add(task_id)
-        return fresh
-
-    def fail(self, lease: Lease, error: BaseException) -> bool:
-        """Handle a lease that raised; returns True when the task was re-queued.
+    def fail(self, lease: Lease, error: BaseException) -> None:
+        """Re-queue the task of a lease that raised.
 
         Raises:
-            DistributedError: when the task has consumed every attempt and
-                no duplicate lease can still save it.
+            DistributedError: when the task has consumed every attempt.
         """
-        self._retire(lease)
-        task_id = lease.task.task_id
-        if task_id in self._completed_tasks or task_id in self._queued:
-            return False  # a duplicate already finished it / it is queued again
-        if self._outstanding.get(task_id):
-            return False  # a straggler re-lease is still running; let it try
-        if self._attempts.get(task_id, 0) >= self.max_attempts:
+        task = lease.task
+        if lease.attempt >= self.max_attempts:
             raise DistributedError(
-                f"task {task_id!r} ({len(lease.task.units)} units on "
-                f"{lease.task.engine.key()}) failed after "
-                f"{self._attempts[task_id]} attempts: {error}"
+                f"task {task.task_id!r} ({len(task.units)} units on "
+                f"{task.engine.key()}) failed after {lease.attempt} attempts: {error}"
             ) from error
-        self._pending.append(task_id)
-        self._queued.add(task_id)
+        self._pending.append((task, lease.attempt + 1))
         self.retries += 1
-        return True
-
-    def _retire(self, lease: Lease) -> None:
-        self._leases.pop(lease.lease_id, None)
-        outstanding = self._outstanding.get(lease.task.task_id)
-        if outstanding is not None:
-            outstanding.discard(lease.lease_id)
 
 
 def run_leases(
     plan: ShardPlan,
     executor,
     on_outcomes: Callable[[Lease, List[Dict[str, Any]]], None],
-    lease_timeout: Optional[float] = None,
     max_attempts: int = 3,
-    heartbeat: Optional[Callable[[Dict[str, int]], None]] = None,
-    heartbeat_interval: float = 5.0,
-    poll_interval: float = 0.25,
 ) -> Dict[str, Any]:
     """Drive every task of ``plan`` through ``executor`` until completion.
 
     Args:
         executor: Anything with ``submit(lease) -> Future[LeaseResult]``,
             ``capacity`` and (optionally) crash containment on submit.
-        on_outcomes: Called once per finished lease with its *fresh*
-            (deduplicated) outcome payloads, in worker order — the suite
-            runner records them and persists its partial result here.
-        heartbeat: Optional progress observer, called at most every
-            ``heartbeat_interval`` seconds with :meth:`WorkQueue.progress`.
+        on_outcomes: Called once per completed lease with its outcome
+            payloads, in worker order — the suite runner records them and
+            persists its partial result here.
+        max_attempts: Leases per task before the sweep fails.
 
     Returns:
         Scheduler statistics: per-worker engine-stat deltas plus lease
         traffic counters.
     """
-    queue = WorkQueue(plan.tasks, lease_timeout=lease_timeout, max_attempts=max_attempts)
+    queue = WorkQueue(plan.tasks, max_attempts=max_attempts)
     inflight: Dict["Future", Lease] = {}
     worker_stats: Dict[str, Dict[str, float]] = {}
-    last_heartbeat = time.monotonic()
     tracer = get_tracer()
     metrics = get_metrics()
 
     with tracer.span("scheduler.run_leases", scenario=plan.scenario, tasks=len(plan.tasks)):
         while not queue.done:
-            queue.release_stragglers()
             while len(inflight) < max(1, int(executor.capacity)):
                 lease = queue.next_lease()
                 if lease is None:
                     break
                 inflight[executor.submit(lease)] = lease
-            if not inflight:
-                if queue.done:
-                    break
-                raise DistributedError(
-                    "scheduler stalled: tasks remain but nothing is leasable or in flight"
-                )
-            finished, _ = wait(inflight, timeout=poll_interval, return_when=FIRST_COMPLETED)
+            finished, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in finished:
                 lease = inflight.pop(future)
                 try:
                     result: LeaseResult = future.result()
-                except BrokenProcessPool as error:
-                    # One worker died abruptly; every in-flight future on the
-                    # poisoned pool fails the same way.  The executor rebuilds
-                    # its pool on the next submit; here we only re-queue.
-                    queue.fail(lease, error)
                 except DistributedError:
                     raise
                 except Exception as error:  # noqa: BLE001 - worker isolation boundary
+                    # A worker that died abruptly fails every in-flight future
+                    # of the poisoned pool with BrokenProcessPool; the executor
+                    # rebuilds its pool on the next submit, here we re-queue.
                     queue.fail(lease, error)
-                else:
-                    fresh = queue.complete(lease, result)
-                    stats = worker_stats.setdefault(result.worker, {})
-                    for key, value in result.engine_stats.items():
-                        if key.endswith("entries"):
-                            stats[key] = max(stats.get(key, 0), value)
-                        else:
-                            stats[key] = stats.get(key, 0) + value
-                    stats["seconds"] = round(stats.get("seconds", 0.0) + result.seconds, 6)
-                    stats["leases"] = stats.get("leases", 0) + 1
-                    # Fold the worker's telemetry into this process.  Metric
-                    # deltas always merge (duplicate leases did real work);
-                    # spans only when the lease contributed fresh outcomes,
-                    # so a straggler double-completion cannot double a trace.
-                    lease_span = tracer.emit(
-                        "scheduler.lease",
-                        result.seconds,
-                        worker=result.worker,
-                        task=result.task_id,
-                        attempt=lease.attempt,
-                        fresh=len(fresh),
-                    )
-                    if result.spans and (fresh or not result.outcomes):
-                        tracer.adopt(result.spans, parent=lease_span)
-                    if result.metrics:
-                        metrics.merge_snapshot(result.metrics)
-                    on_outcomes(lease, fresh)
-            now = time.monotonic()
-            if heartbeat is not None and now - last_heartbeat >= heartbeat_interval:
-                heartbeat(queue.progress())
-                last_heartbeat = now
+                    continue
+                queue.complete(lease)
+                merge_engine_stats(
+                    worker_stats.setdefault(result.worker, {}),
+                    {**result.engine_stats, "seconds": result.seconds, "leases": 1},
+                )
+                # Fold the worker's telemetry into this process.
+                lease_span = tracer.emit(
+                    "scheduler.lease",
+                    result.seconds,
+                    worker=result.worker,
+                    task=result.task_id,
+                    attempt=lease.attempt,
+                )
+                if result.spans:
+                    tracer.adopt(result.spans, parent=lease_span)
+                if result.metrics:
+                    metrics.merge_snapshot(result.metrics)
+                on_outcomes(lease, result.outcomes)
 
-    progress = queue.progress()
-    progress["duplicate_units"] = queue.duplicate_units
-    progress["pool_rebuilds"] = getattr(executor, "rebuilds", 0)
-    return {"workers": worker_stats, "scheduler": progress}
+    stats = queue.progress()
+    stats["pool_rebuilds"] = getattr(executor, "rebuilds", 0)
+    return {"workers": worker_stats, "scheduler": stats}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..benchmarks import Benchmark
 from ..circuits import Circuit
@@ -41,9 +41,6 @@ from .backends import Backend, backend_metadata, circuit_seed, resolve_backend
 from .cache import CacheEntry, TranspileCache
 from .job import Job
 from .results import BenchmarkRun
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store import ResultStore
 
 __all__ = ["ExecutionEngine", "REPETITION_STRIDE"]
 
@@ -87,11 +84,6 @@ class ExecutionEngine:
         calibration_cache: Optional shared
             :class:`~repro.mitigation.CalibrationCache` holding mitigation
             calibration data; a private cache is created when omitted.
-        store: Optional :class:`~repro.store.ResultStore`; when set,
-            :meth:`run_suite` consults it under each benchmark's content key
-            before simulating and writes every produced
-            :class:`BenchmarkRun` back (read-through caching; overridable
-            per call).
         trajectories: Trajectory count for backends constructed here from a
             name (or the default); ignored when ``backend`` is an instance.
 
@@ -109,7 +101,6 @@ class ExecutionEngine:
         mitigation: Union[Mitigator, str, None] = None,
         cache: Optional[TranspileCache] = None,
         calibration_cache: Optional[CalibrationCache] = None,
-        store: Optional["ResultStore"] = None,
         trajectories: Optional[int] = None,
     ) -> None:
         if max_workers < 1:
@@ -129,7 +120,6 @@ class ExecutionEngine:
         self.calibration_cache = (
             calibration_cache if calibration_cache is not None else CalibrationCache()
         )
-        self.store = store
         self._executor: Optional[ThreadPoolExecutor] = None
         # Engine-local counters as registry series (a store may be shared
         # across engines; these count only this engine's lookups, so
@@ -376,8 +366,8 @@ class ExecutionEngine:
     def count_store_lookup(self, hit: bool) -> None:
         """Count one content-key store lookup made for this engine.
 
-        :meth:`run_suite` counts its own lookups; a caller that looks
-        results up itself (the suite runner) reports them here, so
+        The engine never opens a store itself; the caller that looks
+        results up (the suite runner) reports each lookup here, so
         ``store_hits`` / ``store_misses`` in :meth:`stats` stay complete.
         """
         (self._store_hit_series if hit else self._store_miss_series).add(1.0)
@@ -634,7 +624,6 @@ class ExecutionEngine:
         mitigation: Union[Mitigator, str, None] = None,
         on_result: Optional[Callable[[Benchmark, BenchmarkRun], None]] = None,
         on_skip: Optional[Callable[[Benchmark, Exception], None]] = None,
-        store: Optional["ResultStore"] = None,
     ) -> List[BenchmarkRun]:
         """Run a collection of benchmarks on this engine's device.
 
@@ -644,14 +633,6 @@ class ExecutionEngine:
                 entries of Fig. 2.
             placement: Placement strategy for the whole suite; defaults to
                 the engine's :attr:`placement`.
-            store: Result store for this call; defaults to the engine's
-                :attr:`store`.  With a store attached, each benchmark's
-                content key is looked up first — a hit returns the persisted
-                :class:`BenchmarkRun` (zero compilation, zero backend
-                executions) and still fires ``on_result``; a miss simulates
-                and writes the run back.  Skips are not cached (they are
-                cheap to re-derive and device-capacity answers should track
-                the live configuration).
             mitigation: Error-mitigation technique for the whole suite;
                 defaults to the engine's :attr:`mitigation`.  Benchmarks
                 landing on the same physical qubits share calibration data
@@ -676,27 +657,12 @@ class ExecutionEngine:
         # back in.
         mitigator = self._call_mitigator(mitigation)
         resolved = mitigator if mitigator is not None else "raw"
-        store = store if store is not None else self.store
         tracer = get_tracer()
         runs: List[BenchmarkRun] = []
         for benchmark in benchmarks:
             with tracer.span(
                 "engine.benchmark", benchmark=str(benchmark), device=self.device.name
             ) as spec_span:
-                key = None
-                if store is not None:
-                    key = self.content_key(
-                        benchmark, shots, repetitions, seed,
-                        placement=placement, mitigation=resolved,
-                    )
-                    cached = store.get_run(key)
-                    self.count_store_lookup(cached is not None)
-                    if cached is not None:
-                        spec_span.set_attribute("status", "store_hit")
-                        runs.append(cached)
-                        if on_result is not None:
-                            on_result(benchmark, cached)
-                        continue
                 try:
                     run = self.run(
                         benchmark,
@@ -724,8 +690,6 @@ class ExecutionEngine:
                 else:
                     spec_span.set_attribute("status", "executed")
                     runs.append(run)
-                    if store is not None and key is not None:
-                        store.put_run(key, run)
                     if on_result is not None:
                         on_result(benchmark, run)
         return runs
@@ -738,7 +702,8 @@ class ExecutionEngine:
         (``hits``, ``misses``, ``entries``); the calibration cache adds
         ``calibration_hits`` / ``calibration_misses`` /
         ``calibration_entries``; the result store adds ``store_hits`` /
-        ``store_misses`` (zero when no store is attached) and the backend
+        ``store_misses`` (the lookups reported through
+        :meth:`count_store_lookup`) and the backend
         adds ``executions`` — the number of circuit executions actually
         dispatched — so cache effectiveness of every layer is observable
         from one call.
@@ -754,15 +719,9 @@ class ExecutionEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         transpile = self.cache.stats()
         calibration = self.calibration_cache.stats()
-        text = (
+        return (
             f"ExecutionEngine(device={self.device.name!r}, backend={self.backend.name!r}, "
             f"max_workers={self.max_workers}, "
             f"transpile_cache={transpile['hits']}h/{transpile['misses']}m, "
-            f"calibration_cache={calibration['hits']}h/{calibration['misses']}m"
+            f"calibration_cache={calibration['hits']}h/{calibration['misses']}m)"
         )
-        if self.store is not None:
-            text += (
-                f", store={int(self._store_hit_series.value())}h/"
-                f"{int(self._store_miss_series.value())}m"
-            )
-        return text + ")"

@@ -30,13 +30,18 @@ GET       ``/metrics``                Prometheus text exposition of the
      "knobs": {"shots": 100, "seed": 7, "devices": ["IonQ-11Q"]}}
 
 (names: ``figure2``, ``mitigated``) or a full declarative definition under
-``"definition"`` (the :meth:`Scenario.as_dict` shape).  ``knobs`` are passed
-to :func:`~repro.suite.runner.run_scenario` verbatim.
+``"definition"`` (the :meth:`Scenario.as_dict` shape).  ``knobs`` go to
+:func:`~repro.suite.runner.run_scenario` after :func:`validate_knobs` has
+checked them: only ``shots``, ``repetitions``, ``seed``, ``trajectories``,
+``devices``, ``executor``, ``processes`` and ``max_workers`` are accepted, so
+a request can neither name a server-side path nor start more worker
+processes than the host has CPUs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,7 +55,7 @@ from ..telemetry import get_metrics, get_tracer
 from ..telemetry.export import spans_to_ndjson, to_prometheus
 from .jobs import JobQueue
 
-__all__ = ["BenchmarkService", "resolve_scenario"]
+__all__ = ["BenchmarkService", "resolve_scenario", "validate_knobs"]
 
 #: ``GET /stats`` payload schema version — bump on breaking shape changes.
 STATS_SCHEMA = 2
@@ -72,6 +77,56 @@ _REQUEST_SECONDS = get_metrics().histogram(
     "HTTP request handling latency by method and route template.",
     ("method", "route"),
 )
+
+
+def _count(value: Any, limit: Optional[int] = None) -> bool:
+    """An int (a bool is not one) in ``1..limit``."""
+    return type(value) is int and value >= 1 and (limit is None or value <= limit)
+
+
+def _cpus(value: Any) -> bool:
+    return _count(value, os.cpu_count() or 1)
+
+
+#: The ``run_scenario`` knobs a ``POST /scenarios`` body may set, each with
+#: its check and the description a rejection quotes.
+_KNOBS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "shots": (_count, "a positive integer"),
+    "repetitions": (_count, "a positive integer"),
+    "seed": (
+        lambda value: value is None or (type(value) is int and value >= 0),
+        "a non-negative integer or null",
+    ),
+    "trajectories": (lambda value: value is None or _count(value), "a positive integer or null"),
+    "devices": (
+        lambda value: isinstance(value, list) and all(isinstance(d, str) for d in value),
+        "a list of device names",
+    ),
+    "executor": (lambda value: value in ("thread", "process"), '"thread" or "process"'),
+    "processes": (_cpus, "an integer from 1 to the server's CPU count"),
+    "max_workers": (_cpus, "an integer from 1 to the server's CPU count"),
+}
+
+
+def validate_knobs(knobs: Any) -> Dict[str, Any]:
+    """Check the ``knobs`` of a ``POST /scenarios`` body before it is queued.
+
+    Raises:
+        ServiceError: on a knob name outside the allowed set (the message
+            lists the allowed names) or a value of the wrong type or range.
+    """
+    if not isinstance(knobs, dict):
+        raise ServiceError("'knobs' must be an object")
+    unknown = sorted(set(knobs) - set(_KNOBS))
+    if unknown:
+        raise ServiceError(
+            f"unknown knobs: {', '.join(unknown)}; allowed: {', '.join(_KNOBS)}"
+        )
+    for name, value in knobs.items():
+        check, description = _KNOBS[name]
+        if not check(value):
+            raise ServiceError(f"knob {name!r} must be {description}, got {value!r}")
+    return knobs
 
 
 def _route_label(path: str) -> str:
@@ -109,7 +164,7 @@ def resolve_scenario(body: Dict[str, Any]) -> Scenario:
         raise ServiceError("'options' must be an object")
     try:
         return factory(**options)
-    except TypeError as error:
+    except (TypeError, ReproError) as error:
         raise ServiceError(f"bad options for scenario {name!r}: {error}") from error
 
 
@@ -224,19 +279,13 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/scenarios":
                 body = self._read_body()
                 scenario = resolve_scenario(body)
-                knobs = body.get("knobs", {})
-                if not isinstance(knobs, dict):
-                    raise ServiceError("'knobs' must be an object")
+                knobs = validate_knobs(body.get("knobs", {}))
                 job_id = self.service.queue.submit(scenario, **knobs)
                 self._send_json({"job_id": job_id, "scenario": scenario.name}, status=202)
             else:
                 self._send_error_json(f"no such endpoint: POST {path}", 404)
         except ServiceError as error:
             self._send_error_json(str(error), 400)
-        except TypeError as error:
-            # Unknown runner knobs surface here when the job starts; catch
-            # the obvious submission-time variant (bad keyword) too.
-            self._send_error_json(f"bad knobs: {error}", 400)
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         self._handle("DELETE", self._delete)

@@ -14,7 +14,7 @@ Semantics:
 * **submit / status / result / cancel** — the full client surface.  Queued
   jobs cancel immediately; running jobs are interrupted at the next outcome
   boundary (the lease in flight finishes first).
-* **Straggler retry** — a job whose run raises is re-queued up to
+* **Retry** — a job whose run raises is re-queued up to
   ``max_attempts`` total attempts before it is marked failed; partial
   results from a failed attempt are kept and resumed (completed units are
   not re-executed, and with a store attached not even re-simulated).
@@ -138,7 +138,6 @@ class JobQueue:
         self._changed = threading.Condition(self._lock)
         self._ids = itertools.count(1)
         self._closed = False
-        self._retries = 0
         self._id = instance_label("jobs")
         self._retry_series = _RETRIES.labels(instance=self._id)
         _JOBS.add_collector(self._gauge_rows)
@@ -149,13 +148,18 @@ class JobQueue:
         for thread in self._workers:
             thread.start()
 
+    def _by_status(self) -> Dict[str, int]:
+        """Jobs per status, every status included (caller holds the lock)."""
+        counts = dict.fromkeys(_STATUSES, 0)
+        for job in self._jobs.values():
+            counts[job.status] += 1
+        return counts
+
     def _gauge_rows(self) -> Dict[tuple, int]:
         """Occupancy rows for the ``repro_service_jobs`` gauge."""
         with self._lock:
-            by_status: Dict[str, int] = {}
-            for job in self._jobs.values():
-                by_status[job.status] = by_status.get(job.status, 0) + 1
-        return {(self._id, status): by_status.get(status, 0) for status in _STATUSES}
+            counts = self._by_status()
+        return {(self._id, status): count for status, count in counts.items()}
 
     # ------------------------------------------------------------------
     # client surface
@@ -258,17 +262,10 @@ class JobQueue:
     def stats(self) -> Dict[str, int]:
         """Queue-level counters (jobs by state, retries, workers)."""
         with self._lock:
-            by_status: Dict[str, int] = {}
-            for job in self._jobs.values():
-                by_status[job.status] = by_status.get(job.status, 0) + 1
             return {
                 "jobs": len(self._jobs),
-                "queued": by_status.get("queued", 0),
-                "running": by_status.get("running", 0),
-                "done": by_status.get("done", 0),
-                "failed": by_status.get("failed", 0),
-                "cancelled": by_status.get("cancelled", 0),
-                "retries": self._retries,
+                **self._by_status(),
+                "retries": int(self._retry_series.value()),
                 "workers": len(self._workers),
             }
 
@@ -355,7 +352,6 @@ class JobQueue:
                     job.error = f"{type(error).__name__}: {error}"
                     if job.attempts < self.max_attempts and not job.cancel_requested:
                         job.status = "queued"
-                        self._retries += 1
                         self._retry_series.add(1.0)
                         retry = True
                     else:

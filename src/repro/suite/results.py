@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from ..exceptions import AnalysisError, SchemaVersionError
 from ..execution.results import BenchmarkRun
 
-__all__ = ["SpecOutcome", "SuiteResult", "coerce_runs", "SCHEMA_VERSION"]
+__all__ = ["SpecOutcome", "SuiteResult", "coerce_runs", "merge_engine_stats", "SCHEMA_VERSION"]
 
 #: Version stamped into every persisted :class:`SpecOutcome` /
 #: :class:`SuiteResult` payload.  Loading a payload carrying a *newer*
@@ -43,6 +43,21 @@ def _check_schema_version(version, what: str) -> None:
             f"understands versions {list(_SUPPORTED_VERSIONS)} — upgrade the "
             f"library or regenerate the payload"
         )
+
+
+def merge_engine_stats(into: Dict[str, Any], stats: Mapping[str, Any]) -> None:
+    """Fold one engine-statistics map into ``into``, in place.
+
+    Counters (hits, misses, executions, seconds, leases, ...) sum, so the
+    aggregate reflects the total work of every execution folded in, while
+    occupancy gauges (``entries`` / ``calibration_entries``) take the
+    maximum, since each execution's cache held its own distinct set.
+    """
+    for key, value in stats.items():
+        if key.endswith("entries"):
+            into[key] = max(into.get(key, 0), value)
+        else:
+            into[key] = into.get(key, 0) + value
 
 
 def coerce_runs(runs) -> List[BenchmarkRun]:
@@ -231,18 +246,10 @@ class SuiteResult:
         """Attach an engine's cache statistics.
 
         Repeat shards (a resumed sweep re-running a shard's remainder on a
-        fresh engine) merge counters (hits/misses) by summing — the
-        aggregate reflects the total work across both executions — while
-        occupancy gauges (``entries`` / ``calibration_entries``) take the
-        maximum, since each execution's cache held its own distinct set.
+        fresh engine) fold into the existing entry by
+        :func:`merge_engine_stats`.
         """
-        merged = dict(self.engine_stats.get(engine_key, {}))
-        for key, value in stats.items():
-            if key.endswith("entries"):
-                merged[key] = max(merged.get(key, 0), value)
-            else:
-                merged[key] = merged.get(key, 0) + value
-        self.engine_stats[engine_key] = merged
+        merge_engine_stats(self.engine_stats.setdefault(engine_key, {}), stats)
 
     def __contains__(self, key: str) -> bool:
         return key in self._outcomes

@@ -77,12 +77,13 @@ def run_scenario(
     store: Optional["ResultStore"] = None,
     executor: Any = "thread",
     processes: int = 2,
-    lease_timeout: Optional[float] = None,
-    max_attempts: int = 3,
-    chunk_size: Optional[int] = None,
-    heartbeat: Optional[Callable[[Dict[str, int]], None]] = None,
 ) -> SuiteResult:
     """Execute a scenario lease by lease and stream the aggregated results.
+
+    The plan splits into ~4 leased tasks per unit of executor capacity (a
+    task never spans two (engine configuration, technique) groups).  A lost
+    or failed lease of an asynchronous executor is leased again, up to 3
+    leases per task; an in-process error propagates at once.
 
     Args:
         scenario: The declarative sweep × execution-axis definition.
@@ -124,16 +125,6 @@ def run_scenario(
             caller owns its lifecycle).  Scores are bit-identical across all
             strategies at a fixed seed.
         processes: Worker-process count for ``executor="process"``.
-        lease_timeout: Straggler re-lease deadline in seconds (``None``
-            disables re-leasing).
-        max_attempts: Leases per task before the sweep fails.  Only lost
-            or failed leases of an asynchronous executor are retried; an
-            in-process error propagates at once.
-        chunk_size: Units per leased task (default splits the plan into ~4
-            tasks per unit of executor capacity; a task never spans two
-            (engine configuration, technique) groups).
-        heartbeat: Progress observer, called periodically with the
-            scheduler's counters.
 
     Returns:
         The :class:`SuiteResult` (the ``partial`` instance when resuming).
@@ -239,16 +230,8 @@ def run_scenario(
                 trajectories=trajectories,
                 backend_override=backend_name,
                 processes=max(1, int(getattr(pool, "capacity", processes))),
-                chunk_size=chunk_size,
             )
-            stats = run_leases(
-                plan,
-                pool,
-                on_outcomes,
-                lease_timeout=lease_timeout,
-                max_attempts=max_attempts,
-                heartbeat=heartbeat,
-            )
+            stats = run_leases(plan, pool, on_outcomes)
         finally:
             if executor == "process":
                 pool.close()

@@ -54,14 +54,14 @@ class TestPickleRoundTrips:
         assert type(restored) is type(mitigator)
 
     def test_plan_lease_and_result_roundtrip(self):
-        plan = plan_scenario(SCENARIO, shots=77, seed=3, chunk_size=2)
+        plan = plan_scenario(SCENARIO, shots=77, seed=3, processes=1)
         restored = roundtrip(plan)
         assert restored == plan
         assert [t.unit_keys() for t in restored.tasks] == [t.unit_keys() for t in plan.tasks]
 
         from repro.distributed.plan import Lease, LeaseResult
 
-        lease = Lease(lease_id=5, task=plan.tasks[0], attempt=2, issued_at=1.0, deadline=9.0)
+        lease = Lease(lease_id=5, task=plan.tasks[0], attempt=2)
         assert roundtrip(lease) == lease
         result = LeaseResult(
             lease_id=5, task_id="task-0", worker="pid-1",
@@ -70,7 +70,7 @@ class TestPickleRoundTrips:
         assert roundtrip(result).outcomes == result.outcomes
 
     def test_task_units_rebuild_their_specs(self):
-        plan = plan_scenario(SCENARIO, chunk_size=100)
+        plan = plan_scenario(SCENARIO)
         unit = roundtrip(plan.tasks[0]).units[0]
         from repro.suite.spec import BenchmarkSpec
 
@@ -89,7 +89,7 @@ class TestSpawnSafety:
 
         plan = plan_scenario(
             SCENARIO, devices=["IonQ-11Q"], shots=40, repetitions=1,
-            trajectories=5, chunk_size=1,
+            trajectories=5, processes=4,
         )
         lease = Lease(lease_id=1, task=plan.tasks[0])
         with ProcessPoolExecutor(

@@ -44,21 +44,15 @@ class TestPlanScenario:
         assert len(plan) == min(6, 2 * TASKS_PER_WORKER)
         assert all(len(task.units) >= 1 for task in plan.tasks)
 
-    def test_explicit_chunk_size(self):
-        plan = plan_scenario(SCENARIO, chunk_size=4)
-        assert [len(task.units) for task in plan.tasks] == [4, 2]
-        with pytest.raises(DistributedError):
-            plan_scenario(SCENARIO, chunk_size=0)
-
     def test_task_ids_are_unique_and_stable(self):
-        first = plan_scenario(SCENARIO, chunk_size=2)
-        second = plan_scenario(SCENARIO, chunk_size=2)
+        first = plan_scenario(SCENARIO, processes=1)
+        second = plan_scenario(SCENARIO, processes=1)
         ids = [task.task_id for task in first.tasks]
         assert len(ids) == len(set(ids))
         assert ids == [task.task_id for task in second.tasks]
 
     def test_units_carry_spec_dict_and_canonical_index(self):
-        plan = plan_scenario(SCENARIO, chunk_size=100)
+        plan = plan_scenario(SCENARIO, processes=1)
         unit = plan.tasks[0].units[0]
         assert unit.spec_dict() == {"family": "ghz", "params": {"num_qubits": 2}}
         indices = [u.index for task in plan.tasks for u in task.units]
@@ -95,5 +89,7 @@ class TestPlanScenario:
             devices=("IonQ-11Q",),
             mitigations=("raw", "readout"),
         )
-        plan = plan_scenario(scenario, chunk_size=100)
-        assert sorted(task.mitigation for task in plan.tasks) == ["raw", "readout"]
+        plan = plan_scenario(scenario, processes=1)
+        assert {task.mitigation for task in plan.tasks} == {"raw", "readout"}
+        for task in plan.tasks:
+            assert all(key.endswith("|" + task.mitigation) for key in task.unit_keys())

@@ -1,8 +1,8 @@
-"""Tests for the leased work queue: dedupe, stragglers, retries, containment.
+"""Tests for the leased work queue: lease order, retries, containment.
 
-These tests drive :class:`WorkQueue` directly with a fake clock and
-:func:`run_leases` with stub executors, so every re-lease/retry path is
-exercised deterministically without real worker processes.
+These tests drive :class:`WorkQueue` directly and :func:`run_leases` with
+stub executors, so every retry path is exercised deterministically without
+real worker processes.
 """
 
 from concurrent.futures import Future
@@ -40,64 +40,28 @@ def make_result(lease, worker="w1") -> LeaseResult:
 class TestWorkQueue:
     def test_leases_tasks_in_order_then_drains(self):
         queue = WorkQueue([make_task("a", ["u1"]), make_task("b", ["u2"])])
-        first, second = queue.next_lease(now=0.0), queue.next_lease(now=0.0)
+        first, second = queue.next_lease(), queue.next_lease()
         assert (first.task.task_id, second.task.task_id) == ("a", "b")
-        assert queue.next_lease(now=0.0) is None
+        assert queue.next_lease() is None
         assert not queue.done
-        queue.complete(first, make_result(first))
-        queue.complete(second, make_result(second))
+        queue.complete(first)
+        queue.complete(second)
         assert queue.done
-
-    def test_double_completion_dedupes_per_unit(self):
-        queue = WorkQueue([make_task("a", ["u1", "u2"])], lease_timeout=1.0)
-        first = queue.next_lease(now=0.0)
-        queue.release_stragglers(now=5.0)  # straggler: same task leasable again
-        second = queue.next_lease(now=5.0)
-        assert second.task.task_id == "a"
-        assert second.attempt == 2
-        fresh = queue.complete(second, make_result(second))
-        assert [o["key"] for o in fresh] == ["u1", "u2"]
-        # The original straggler finishes later: everything is a duplicate.
-        assert queue.complete(first, make_result(first)) == []
-        assert queue.duplicate_units == 2
-        assert queue.done
-
-    def test_straggler_release_respects_attempt_budget(self):
-        queue = WorkQueue([make_task("a", ["u1"])], lease_timeout=1.0, max_attempts=2)
-        queue.next_lease(now=0.0)
-        assert queue.release_stragglers(now=2.0) == ["a"]
-        queue.next_lease(now=2.0)
-        # Two attempts consumed: the deadline passing again releases nothing.
-        assert queue.release_stragglers(now=10.0) == []
-
-    def test_no_timeout_means_no_straggler_release(self):
-        queue = WorkQueue([make_task("a", ["u1"])])
-        queue.next_lease(now=0.0)
-        assert queue.release_stragglers(now=1e9) == []
 
     def test_failed_lease_requeues_until_attempts_exhausted(self):
         queue = WorkQueue([make_task("a", ["u1"])], max_attempts=2)
-        lease = queue.next_lease(now=0.0)
-        assert queue.fail(lease, RuntimeError("crash")) is True
-        retry = queue.next_lease(now=0.0)
+        lease = queue.next_lease()
+        queue.fail(lease, RuntimeError("crash"))
+        retry = queue.next_lease()
+        assert retry.task.task_id == "a"
         assert retry.attempt == 2
         with pytest.raises(DistributedError, match="failed after 2 attempts"):
             queue.fail(retry, RuntimeError("crash again"))
 
-    def test_failure_of_stale_lease_is_ignored(self):
-        queue = WorkQueue([make_task("a", ["u1"])], lease_timeout=1.0)
-        first = queue.next_lease(now=0.0)
-        queue.release_stragglers(now=2.0)
-        second = queue.next_lease(now=2.0)
-        queue.complete(second, make_result(second))
-        # The superseded lease's crash must not resurrect the task.
-        assert queue.fail(first, RuntimeError("late crash")) is False
-        assert queue.done
-
     def test_progress_counters(self):
         queue = WorkQueue([make_task("a", ["u1", "u2"]), make_task("b", ["u3"])])
-        lease = queue.next_lease(now=0.0)
-        queue.complete(lease, make_result(lease))
+        lease = queue.next_lease()
+        queue.complete(lease)
         progress = queue.progress()
         assert progress["tasks"] == 2 and progress["tasks_done"] == 1
         assert progress["units"] == 3 and progress["units_done"] == 2

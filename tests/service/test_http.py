@@ -1,16 +1,17 @@
 """Integration tests for the REST surface (the `repro serve` acceptance path)."""
 
 import json
+import os
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import BenchmarkService
+from repro.service import BenchmarkService, JobQueue
 from repro.service.http import resolve_scenario
 from repro.store import ResultStore
-from repro.suite import figure2_scenario
+from repro.suite import SuiteResult, figure2_scenario
 
 KNOBS = {"shots": 60, "repetitions": 1, "seed": 99, "trajectories": 12}
 
@@ -134,6 +135,14 @@ class TestErrorHandling:
         assert code == 400
         assert "unknown scenario" in body["error"]
 
+    def test_unknown_family_option(self, service):
+        code, body = self.expect_error(
+            service, "/scenarios",
+            {"scenario": "figure2", "options": {"families": ["nope"]}}, method="POST",
+        )
+        assert code == 400
+        assert "bad options" in body["error"]
+
     def test_empty_body(self, service):
         code, body = self.expect_error(service, "/scenarios", method="POST")
         assert code == 400
@@ -142,6 +151,75 @@ class TestErrorHandling:
         code, body = self.expect_error(service, "/results?bogus=1")
         assert code == 400
         assert "unknown query parameters" in body["error"]
+
+
+class TestKnobValidation:
+    """Only execution knobs reach the runner: a request can neither name a
+    server-side path nor ask for more worker processes than the host has."""
+
+    @pytest.fixture()
+    def stub(self):
+        calls = []
+
+        def recording_runner(scenario, partial=None, on_outcome=None, **knobs):
+            calls.append(knobs)
+            return SuiteResult(scenario=scenario.name)
+
+        with BenchmarkService(queue=JobQueue(workers=1, runner=recording_runner)) as service:
+            yield service, calls
+
+    def post(self, service, knobs):
+        body = dict(SUBMISSION, knobs=knobs)
+        try:
+            return post_json(service, "/scenarios", body)
+        except urllib.error.HTTPError as error:
+            return error.code, json.loads(error.read())
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(KNOBS, executor="process", processes=(os.cpu_count() or 1) + 1),
+            dict(KNOBS, max_workers=0),
+            dict(KNOBS, shots=True),
+            dict(KNOBS, seed="7"),
+            dict(KNOBS, seed=-1),
+            dict(KNOBS, trajectories=0),
+            dict(KNOBS, devices="IonQ-11Q"),
+            dict(KNOBS, executor="carrier-pigeon"),
+        ],
+        ids=["processes", "max_workers", "bool", "seed", "negative-seed", "trajectories",
+             "devices", "executor"],
+    )
+    def test_rejected_knobs_start_nothing(self, stub, knobs):
+        service, calls = stub
+        status, body = self.post(service, knobs)
+        assert status == 400
+        assert "knob" in body["error"]
+        assert service.queue.jobs() == []
+        assert calls == []
+
+    def test_save_path_is_rejected_with_the_allowed_names(self, stub, tmp_path):
+        service, calls = stub
+        target = tmp_path / "written_by_http.json"
+        status, body = self.post(service, dict(KNOBS, save_path=str(target)))
+        assert status == 400
+        for name in ("shots", "repetitions", "seed", "trajectories", "devices",
+                     "executor", "processes", "max_workers"):
+            assert name in body["error"]
+        assert service.queue.jobs() == []
+        assert calls == []
+        assert not target.exists()
+
+    def test_valid_knobs_reach_the_runner_unchanged(self, stub):
+        service, calls = stub
+        knobs = dict(
+            KNOBS, seed=None, devices=["IonQ-11Q"], executor="process",
+            processes=1, max_workers=os.cpu_count() or 1,
+        )
+        status, body = self.post(service, knobs)
+        assert status == 202
+        service.queue.result(body["job_id"], timeout=30)
+        assert calls == [dict(knobs, store=None)]
 
 
 class TestResolveScenario:

@@ -97,20 +97,6 @@ class TestScenarioReadThrough:
 
 
 class TestEngineContentKey:
-    def test_engine_level_read_through(self, store):
-        from repro.benchmarks import GHZBenchmark
-
-        device = get_device("IonQ-11Q")
-        benchmark = GHZBenchmark(3)
-        with ExecutionEngine(device, store=store, trajectories=12) as engine:
-            first = engine.run_suite([benchmark], shots=60, repetitions=1, seed=99)
-        with ExecutionEngine(device, store=store, trajectories=12) as engine:
-            second = engine.run_suite([benchmark], shots=60, repetitions=1, seed=99)
-            stats = engine.stats()
-        assert second == first
-        assert stats["store_hits"] == 1
-        assert stats["executions"] == 0
-
     def test_content_key_is_stable_across_engines(self, store):
         from repro.benchmarks import GHZBenchmark
 

@@ -305,5 +305,5 @@ class TestInProcessExecution:
             devices=("IonQ-11Q",),
         )
         with pytest.raises(ValueError, match="cannot build"):
-            run_scenario(scenario, registry=registry, max_attempts=3, **KNOBS)
+            run_scenario(scenario, registry=registry, **KNOBS)
         assert attempts == [3]
