@@ -73,7 +73,6 @@ from .execution import (
     Backend,
     DensityMatrixBackend,
     ExecutionEngine,
-    Job,
     StatevectorBackend,
     TrajectoryBackend,
     TranspileCache,
@@ -107,7 +106,6 @@ __all__ = [
     "Backend",
     "ExecutionEngine",
     "ResultStore",
-    "Job",
     "TranspileCache",
     "StatevectorBackend",
     "TrajectoryBackend",

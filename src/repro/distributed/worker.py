@@ -1,10 +1,12 @@
 """Lease execution: the one loop that runs a leased task's units.
 
-:func:`run_lease` executes a lease's units through
-``ExecutionEngine.run_suite`` and returns one serialized
-:class:`~repro.suite.results.SpecOutcome` per unit.  Every executor runs
-units through it: the in-process executor of the thread path on the
-parent's engines, and :func:`execute_lease` inside a pool process.
+:func:`run_lease` runs a lease's units, one
+:meth:`~repro.execution.ExecutionEngine.run` per unit inside an
+``engine.benchmark`` span, and returns one serialized
+:class:`~repro.suite.results.SpecOutcome` per unit (a run or a skip).
+Every executor runs units through it: the in-process executor of the
+thread path on the parent's engines, and :func:`execute_lease` inside a
+pool process.
 
 Each pool process is initialised once via :func:`initialize_worker` (spawn
 safe: it receives only plain values and rebuilds everything from registries)
@@ -27,7 +29,8 @@ import time
 import warnings
 from typing import Any, Dict, List, Optional
 
-from ..exceptions import BackendCapacityError, MitigationError
+from ..exceptions import BackendCapacityError, DeviceError, MitigationError
+from ..mitigation import resolve_mitigator
 from ..suite.results import SpecOutcome
 from ..suite.spec import BenchmarkSpec
 from ..telemetry import configure_tracing, diff_snapshots, get_metrics, get_tracer
@@ -117,41 +120,25 @@ def _qualify_instances(delta: Dict[str, Any]) -> Dict[str, Any]:
 def run_lease(engine, lease: Lease, registry=None, mitigation=None) -> List[Dict[str, Any]]:
     """Run a lease's units on ``engine``; one outcome payload per unit.
 
-    Exactly one outcome (run or skip) per unit, in task order, produced
-    through ``ExecutionEngine.run_suite``.  Technique mismatches and backend
-    capacity limits are skipped with a warning so a sparse sweep is
-    explainable; plain oversized-circuit skips are the expected "X" entries
-    of Fig. 2.
+    Exactly one outcome (run or skip) per unit, in task order.  A benchmark
+    that does not fit the device or the backend, or that the technique
+    cannot apply to, becomes a skip outcome.  Technique mismatches and
+    backend capacity limits also warn, so a sparse sweep is explainable;
+    plain oversized-circuit skips are the expected "X" entries of Fig. 2.
 
     Args:
         registry: Benchmark registry the specs build from (default: global).
         mitigation: A Mitigator instance standing in for the task's
             technique name (in-process leases only).
+
+    Raises:
+        MitigationError: for an unknown technique name, before any unit runs.
     """
     task = lease.task
-    # run_suite fires exactly one callback (result or skip) per benchmark, in
-    # submission order; matching by position rather than object identity
-    # stays correct when the registry hands back one memoized instance for
-    # duplicate specs.
-    cursor = iter(task.units)
+    mitigator = resolve_mitigator(task.mitigation if mitigation is None else mitigation)
+    tracer = get_tracer()
     outcomes: List[Dict[str, Any]] = []
-
-    def record(run=None, error=None) -> None:
-        unit = next(cursor)
-        outcomes.append(
-            SpecOutcome.of(
-                unit.key, unit.spec_dict(), engine.device.name, task.mitigation, unit.index,
-                run=run, error=error,
-            ).as_dict()
-        )
-        _maybe_crash(len(outcomes), len(task.units))
-
-    def on_skip(benchmark, error) -> None:
-        if isinstance(error, (MitigationError, BackendCapacityError)):
-            warnings.warn(f"skipping {benchmark}: {error}", stacklevel=2)
-        record(error=error)
-
-    with get_tracer().span(
+    with tracer.span(
         "worker.lease",
         task=task.task_id,
         scenario=task.scenario,
@@ -162,15 +149,31 @@ def run_lease(engine, lease: Lease, registry=None, mitigation=None) -> List[Dict
         benchmarks = [
             BenchmarkSpec.from_dict(unit.spec_dict()).build(registry) for unit in task.units
         ]
-        engine.run_suite(
-            benchmarks,
-            shots=task.shots,
-            repetitions=task.repetitions,
-            seed=task.seed,
-            mitigation=task.mitigation if mitigation is None else mitigation,
-            on_result=lambda benchmark, run: record(run=run),
-            on_skip=on_skip,
-        )
+        for unit, benchmark in zip(task.units, benchmarks):
+            run = error = None
+            with tracer.span(
+                "engine.benchmark", benchmark=str(benchmark), device=engine.device.name
+            ) as span:
+                try:
+                    run = engine.run(
+                        benchmark,
+                        shots=task.shots,
+                        repetitions=task.repetitions,
+                        seed=task.seed,
+                        mitigation=mitigator,
+                    )
+                except (DeviceError, MitigationError) as skip:
+                    error = skip
+                    if isinstance(skip, (MitigationError, BackendCapacityError)):
+                        warnings.warn(f"skipping {benchmark}: {skip}", stacklevel=2)
+                span.set_attribute("status", "skipped" if error is not None else "executed")
+            outcomes.append(
+                SpecOutcome.of(
+                    unit.key, unit.spec_dict(), engine.device.name, task.mitigation, unit.index,
+                    run=run, error=error,
+                ).as_dict()
+            )
+            _maybe_crash(len(outcomes), len(task.units))
     return outcomes
 
 

@@ -1,4 +1,4 @@
-"""Unified execution API: pluggable backends, transpile caching, parallel jobs.
+"""Unified execution API: pluggable backends, transpile caching, one dispatch path.
 
 This package is the single seam between *what to run* (circuits, benchmarks)
 and *how it runs* (which simulator, how many workers, how noise is treated):
@@ -10,9 +10,12 @@ and *how it runs* (which simulator, how many workers, how noise is treated):
   ``(circuit fingerprint, device, pipeline fingerprint)``, so every knob
   that changes compilation (optimization level, placement strategy, custom
   device presets) separates cache entries.
-* :class:`ExecutionEngine` — owns a cache and a worker pool; ``submit()``
-  returns async :class:`Job` handles, ``run()``/``run_suite()`` produce
-  :class:`BenchmarkRun` results for the experiment drivers.
+* :class:`ExecutionEngine` — owns a cache and a worker pool and sends every
+  execution (benchmark circuits, mitigation variants, calibration circuits)
+  through one seeded dispatch; ``run_circuits()`` returns counts (or
+  mitigated quasi-distributions) per circuit, ``run()`` one benchmark's
+  :class:`BenchmarkRun`.  Sweeps call ``run()`` once per unit from
+  :func:`repro.distributed.worker.run_lease`.
 
 See ``docs/execution.md`` for the full API walkthrough.
 """
@@ -27,7 +30,6 @@ from .backends import (
 )
 from .cache import CacheEntry, TranspileCache, circuit_fingerprint
 from .engine import ExecutionEngine
-from .job import Job, JobStatus
 from .results import BenchmarkRun
 
 __all__ = [
@@ -41,7 +43,5 @@ __all__ = [
     "TranspileCache",
     "circuit_fingerprint",
     "ExecutionEngine",
-    "Job",
-    "JobStatus",
     "BenchmarkRun",
 ]

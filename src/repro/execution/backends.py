@@ -64,10 +64,9 @@ class Backend(Protocol):
             building noise models for backends that would discard them.
 
     Backends may additionally expose a ``metadata()`` method returning a
-    flat dict describing their configuration; the engine attaches it to every
-    :class:`~repro.execution.job.Job` it creates (see
-    :func:`backend_metadata`, which supplies a fallback for backends
-    without one).
+    flat dict describing their configuration; the engine hashes it into
+    every store content key (see :func:`backend_metadata`, which supplies a
+    fallback for backends without one).
     """
 
     name: str

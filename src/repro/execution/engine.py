@@ -7,14 +7,18 @@ so nothing is ever compiled twice), fans the resulting batch out across a
 worker pool, and executes it on a pluggable
 :class:`~repro.execution.backends.Backend`.
 
-Error mitigation is a first-class option: ``run(..., mitigation="readout")``
-(or ``"zne"`` / ``"dd"`` / any :class:`~repro.mitigation.Mitigator`
-instance) calibrates the device once per ``(device, qubit set, noise
-fingerprint)`` — calibration jobs go through the same worker pool and their
-digested result is memoised in a
-:class:`~repro.mitigation.CalibrationCache` — executes the technique's
-circuit variants, and scores the benchmark on the corrected
-:class:`~repro.simulation.result.QuasiDistribution`.
+Every execution the engine makes — benchmark circuits, mitigation variants
+and calibration circuits — goes through one dispatch: a list of
+``(circuit, noise model)`` pairs submitted to the worker pool, the ``i``-th
+seeded with ``circuit_seed(seed, i)``.  Raw execution is the one-variant
+case: ``mitigation=None`` (or ``"raw"``) executes each compiled circuit once
+and returns its :class:`~repro.simulation.result.Counts`.  A technique
+(``"readout"``, ``"zne"``, ``"dd"`` or any
+:class:`~repro.mitigation.Mitigator` instance) calibrates the device once
+per ``(device, qubit set, noise fingerprint)`` through a
+:class:`~repro.mitigation.CalibrationCache`, executes the technique's
+circuit variants, and folds them into one
+:class:`~repro.simulation.result.QuasiDistribution` per circuit.
 
 Determinism: per-circuit seeds are fixed functions of the batch seed and the
 circuit's position, so results are bit-identical for ``max_workers=1`` and
@@ -24,22 +28,22 @@ circuit's position, so results are bit-identical for ``max_workers=1`` and
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..benchmarks import Benchmark
 from ..circuits import Circuit
 from ..devices import Device
-from ..exceptions import BackendCapacityError, DeviceError, MitigationError
+from ..exceptions import BackendCapacityError, DeviceError
 from ..features import typical_features
-from ..mitigation import CalibrationCache, Mitigator, is_raw_spec, resolve_mitigator
+from ..mitigation import CalibrationCache, Mitigator, resolve_mitigator
 from ..mitigation.calibration import calibration_seed
-from ..simulation import Counts, QuasiDistribution
+from ..simulation import Counts
+from ..simulation.noise_model import NoiseModel
 from ..telemetry import Span, get_metrics, get_tracer, instance_label
 from .backends import Backend, backend_metadata, circuit_seed, resolve_backend
 from .cache import CacheEntry, TranspileCache
-from .job import Job
 from .results import BenchmarkRun
 
 __all__ = ["ExecutionEngine", "REPETITION_STRIDE"]
@@ -59,6 +63,10 @@ _STORE_LOOKUPS = get_metrics().counter(
 #: seeded benchmark scores are reproducible across releases).
 REPETITION_STRIDE = 104729
 
+#: One execution: a compiled circuit and the noise model it runs under
+#: (``None`` on noise-free backends).
+Execution = Tuple[Circuit, Optional[NoiseModel]]
+
 
 class ExecutionEngine:
     """Runs circuits and benchmarks on one device through one backend.
@@ -71,14 +79,8 @@ class ExecutionEngine:
         max_workers: Size of the worker pool batches (and cold compilations)
             are fanned out over.
         optimization_level: Transpiler optimization level for every circuit.
-        placement: Default placement strategy (``"noise_aware"`` or
-            ``"trivial"``); overridable per call on :meth:`run`,
-            :meth:`run_suite`, :meth:`submit` and :meth:`prepare`.
-        mitigation: Default error-mitigation technique — a
-            :class:`~repro.mitigation.Mitigator` instance or name
-            (``"readout"``, ``"zne"``, ``"dd"``, ...); ``None`` (default)
-            runs raw.  Overridable per call on :meth:`run`,
-            :meth:`run_suite` and :meth:`run_circuits`.
+        placement: Placement strategy (``"noise_aware"`` or ``"trivial"``)
+            for every circuit.
         cache: Optional shared :class:`TranspileCache`; a private cache is
             created when omitted.
         calibration_cache: Optional shared
@@ -98,7 +100,6 @@ class ExecutionEngine:
         max_workers: int = 1,
         optimization_level: int = 1,
         placement: str = "noise_aware",
-        mitigation: Union[Mitigator, str, None] = None,
         cache: Optional[TranspileCache] = None,
         calibration_cache: Optional[CalibrationCache] = None,
         trajectories: Optional[int] = None,
@@ -110,12 +111,6 @@ class ExecutionEngine:
         self.max_workers = int(max_workers)
         self.optimization_level = int(optimization_level)
         self.placement = placement
-        # "raw"/"none" are accepted everywhere a mitigation spec is, so the
-        # constructor honours them too (technique sweeps pass them through).
-        if is_raw_spec(mitigation):
-            self.mitigation: Optional[Mitigator] = None
-        else:
-            self.mitigation = resolve_mitigator(mitigation)
         self.cache = cache if cache is not None else TranspileCache()
         self.calibration_cache = (
             calibration_cache if calibration_cache is not None else CalibrationCache()
@@ -129,10 +124,6 @@ class ExecutionEngine:
         self._execution_series = _EXECUTIONS.labels(instance=self._id)
         self._store_hit_series = _STORE_LOOKUPS.labels(instance=self._id, result="hit")
         self._store_miss_series = _STORE_LOOKUPS.labels(instance=self._id, result="miss")
-        # (optimization_level, placement) -> (pipeline fingerprint, noise
-        # fingerprint): the per-engine half of the store content key, computed
-        # lazily once per placement strategy actually used.
-        self._content_fingerprints: Dict[Tuple[int, str], Tuple[str, str]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -174,32 +165,29 @@ class ExecutionEngine:
                 f"device has {self.device.num_qubits}"
             )
 
-    def prepare(
-        self, circuits: Sequence[Circuit], placement: Optional[str] = None
-    ) -> List[CacheEntry]:
+    def prepare(self, circuits: Sequence[Circuit]) -> List[CacheEntry]:
         """Fit-check and transpile every circuit (served from the cache when warm).
 
-        With ``max_workers > 1``, cold compilations of *distinct* circuits
-        are fanned out across the worker pool (distinctness judged by the
-        cache's structural fingerprint, so a batch of repeated circuits is
-        still compiled once).
+        The cache's batch API resolves the pipeline once and compiles each
+        *distinct* circuit once (distinctness judged by the structural
+        fingerprint); with ``max_workers > 1`` cold compilations of a
+        multi-circuit batch fan out across the worker pool.
 
-        Args:
-            placement: Placement strategy for this batch; defaults to the
-                engine's :attr:`placement`.
+        Raises:
+            DeviceError: when a circuit needs more qubits than the device has.
+            BackendCapacityError: when a compiled circuit is wider than the
+                backend's ``max_qubits``.
         """
-        strategy = self.placement if placement is None else placement
         for circuit in circuits:
             self.check_fits(circuit)
-        if self.max_workers > 1 and len(circuits) > 1:
-            entries = self._prepare_parallel(circuits, strategy)
-        else:
-            entries = [
-                self.cache.get_or_transpile(
-                    circuit, self.device, self.optimization_level, strategy
-                )
-                for circuit in circuits
-            ]
+        parallel = self.max_workers > 1 and len(circuits) > 1
+        entries = self.cache.get_or_transpile_many(
+            circuits,
+            self.device,
+            self.optimization_level,
+            self.placement,
+            executor=self._pool() if parallel else None,
+        )
         backend_limit = getattr(self.backend, "max_qubits", None)
         if backend_limit is not None:
             for circuit, entry in zip(circuits, entries):
@@ -212,89 +200,23 @@ class ExecutionEngine:
                     )
         return entries
 
-    def _prepare_parallel(
-        self, circuits: Sequence[Circuit], placement: str
-    ) -> List[CacheEntry]:
-        """Compile distinct circuits concurrently on the worker pool.
-
-        Delegates to the cache's batch API
-        (:meth:`~repro.execution.cache.TranspileCache.get_or_transpile_many`):
-        the preset pipeline is resolved once for the whole batch, every
-        circuit is fingerprinted (and packed) exactly once, and cold
-        compilations of *distinct* circuits fan out over the worker pool —
-        the pool never races two compilations of the same circuit, which
-        would double-count cache misses.
-        """
-        return self.cache.get_or_transpile_many(
-            circuits,
-            self.device,
-            self.optimization_level,
-            placement,
-            executor=self._pool(),
-        )
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        circuits: Sequence[Circuit],
-        shots: int = 1000,
-        seed: Optional[int] = None,
-        placement: Optional[str] = None,
-    ) -> Job:
-        """Compile (or fetch from cache) and asynchronously execute a batch.
+    def _dispatch(
+        self, executions: Sequence[Execution], shots: int, seed: Optional[int]
+    ) -> List["Future[Counts]"]:
+        """Submit executions to the worker pool; the one place anything runs.
 
-        Returns a :class:`Job` whose ``result()`` yields one
-        :class:`~repro.simulation.result.Counts` per circuit, in order.
+        The ``i``-th execution is seeded with ``circuit_seed(seed, i)``, so
+        results do not depend on ``max_workers``.
         """
-        return self._submit_prepared(
-            circuits, self.prepare(circuits, placement=placement), shots, seed
-        )
-
-    def _submit_prepared(
-        self,
-        circuits: Sequence[Circuit],
-        entries: Sequence[CacheEntry],
-        shots: int,
-        seed: Optional[int],
-    ) -> Job:
         pool = self._pool()
         parent = get_tracer().current_span()
-        futures: List["Future[Counts]"] = []
-        metadata: List[Dict[str, object]] = []
-        for index, (circuit, entry) in enumerate(zip(circuits, entries)):
-            noise = entry.noise_model() if self.backend.noisy else None
-            seed_here = circuit_seed(seed, index)
-            futures.append(
-                pool.submit(
-                    self._run_one, entry.compact, shots, noise, seed_here, parent
-                )
-            )
-            metadata.append(
-                {
-                    "index": index,
-                    "name": circuit.name,
-                    "num_qubits": circuit.num_qubits,
-                    "compiled_qubits": len(entry.physical),
-                    "physical_qubits": entry.physical,
-                    "swap_count": entry.transpiled.swap_count,
-                    "compiled_two_qubit_gates": entry.two_qubit_gates,
-                    "compiled_depth": entry.depth,
-                    "compiled_critical_two_qubit_gates": entry.transpiled.metrics.get(
-                        "critical_two_qubit_gates"
-                    ),
-                    "pipeline": entry.pipeline,
-                    "seed": seed_here,
-                }
-            )
-        return Job(
-            futures,
-            metadata,
-            shots=shots,
-            backend_name=self.backend.name,
-            backend_metadata=backend_metadata(self.backend),
-        )
+        return [
+            pool.submit(self._run_one, circuit, shots, noise, circuit_seed(seed, index), parent)
+            for index, (circuit, noise) in enumerate(executions)
+        ]
 
     def _run_one(
         self, compact: Circuit, shots: int, noise, seed: Optional[int], parent: Optional[Span]
@@ -304,11 +226,104 @@ class ExecutionEngine:
             self._execution_series.add(1.0)
             return self.backend.run_batch([compact], shots, noise_model=[noise], seed=seed)[0]
 
+    def _noise(self, entry: CacheEntry) -> Optional[NoiseModel]:
+        """The noise model one compiled circuit runs under (``None`` when ideal)."""
+        return entry.noise_model() if self.backend.noisy else None
+
+    def _calibration_for(self, mitigator: Optional[Mitigator], entry: CacheEntry):
+        """Calibration data for one compiled circuit, through the cache.
+
+        Cache misses dispatch the technique's calibration circuits (seeded
+        deterministically from the cache key, so a cleared cache reproduces
+        the identical calibration) and digest the counts via
+        :meth:`~repro.mitigation.Mitigator.calibration_from_counts`.
+        """
+        if mitigator is None or not mitigator.requires_calibration:
+            return None
+        num_qubits = entry.compact.num_qubits
+        noise = self._noise(entry)
+        key = (
+            self.device.name,
+            entry.physical,
+            noise.fingerprint() if noise is not None else "ideal",
+            mitigator.calibration_key(),
+        )
+
+        def compute():
+            circuits = mitigator.calibration_circuits(num_qubits)
+            futures = self._dispatch(
+                [(circuit, noise) for circuit in circuits],
+                mitigator.calibration_shots,
+                calibration_seed(key),
+            )
+            return mitigator.calibration_from_counts(
+                [future.result() for future in futures], num_qubits
+            )
+
+        return self.calibration_cache.get_or_compute(key, compute)
+
+    def _batch(
+        self, entries: Sequence[CacheEntry], mitigator: Optional[Mitigator]
+    ) -> Tuple[List[Execution], Callable[[Sequence["Future[Counts]"]], list]]:
+        """The executions of compiled circuits and how their counts fold back.
+
+        Each entry executes its variants, contiguously: the compiled circuit
+        itself when raw, the technique's transform otherwise (computed once,
+        reused across repetitions; a technique/circuit mismatch such as ZNE
+        folding a mid-circuit measurement raises here, before anything is
+        submitted).  The returned fold awaits one dispatch of the executions
+        and yields one result per entry: the counts when raw, the
+        technique's quasi-distribution otherwise.
+        """
+        calibrations = [self._calibration_for(mitigator, entry) for entry in entries]
+        groups = [
+            [entry.compact] if mitigator is None else mitigator.transform(entry.compact)
+            for entry in entries
+        ]
+        executions = [
+            (circuit, self._noise(entry))
+            for entry, group in zip(entries, groups)
+            for circuit in group
+        ]
+
+        def fold(futures: Sequence["Future[Counts]"]) -> list:
+            counts = iter([future.result() for future in futures])
+            results = []
+            for entry, calibration, group in zip(entries, calibrations, groups):
+                variants = [next(counts) for _ in group]
+                results.append(
+                    variants[0] if mitigator is None else mitigator.mitigate(
+                        variants, circuit=entry.compact, calibration=calibration
+                    )
+                )
+            return results
+
+        return executions, fold
+
+    def run_circuits(
+        self,
+        circuits: Sequence[Circuit],
+        shots: int = 1000,
+        seed: Optional[int] = None,
+        mitigation: Union[Mitigator, str, None] = None,
+    ) -> list:
+        """Compile and execute circuits; one result per circuit, in order.
+
+        Unmitigated (``mitigation`` ``None``, ``"raw"`` or ``"none"``) each
+        result is the circuit's :class:`Counts`.  With a technique, its
+        calibrations are scheduled (served from the calibration cache when
+        warm), its circuit variants executed, and each result is the
+        mitigated :class:`~repro.simulation.result.QuasiDistribution`.
+        """
+        executions, fold = self._batch(self.prepare(circuits), resolve_mitigator(mitigation))
+        return fold(self._dispatch(executions, shots, seed))
+
     # ------------------------------------------------------------------
     # content-addressed result caching
     # ------------------------------------------------------------------
-    def _fingerprints_for(self, placement: str) -> Tuple[str, str]:
-        """(pipeline fingerprint, noise fingerprint) of this engine + placement.
+    @cached_property
+    def _fingerprints(self) -> Tuple[str, str]:
+        """(pipeline fingerprint, noise fingerprint) of this engine.
 
         The pipeline fingerprint captures every compilation knob (preset
         level, placement strategy, device presets); the noise fingerprint is
@@ -316,18 +331,13 @@ class ExecutionEngine:
         are computed without transpiling anything, so a store hit never
         touches the compiler.
         """
-        cache_key = (self.optimization_level, placement)
-        cached = self._content_fingerprints.get(cache_key)
-        if cached is None:
-            from ..transpiler import preset_pipeline
+        from ..transpiler import preset_pipeline
 
-            pipeline = preset_pipeline(
-                self.device, optimization_level=self.optimization_level, placement=placement
-            )
-            noise = self.device.noise_model().fingerprint() if self.backend.noisy else "ideal"
-            cached = (pipeline.fingerprint, noise)
-            self._content_fingerprints[cache_key] = cached
-        return cached
+        pipeline = preset_pipeline(
+            self.device, optimization_level=self.optimization_level, placement=self.placement
+        )
+        noise = self.device.noise_model().fingerprint() if self.backend.noisy else "ideal"
+        return pipeline.fingerprint, noise
 
     def content_key(
         self,
@@ -335,7 +345,6 @@ class ExecutionEngine:
         shots: int,
         repetitions: int,
         seed: Optional[int],
-        placement: Optional[str] = None,
         mitigation: Union[Mitigator, str, None] = None,
     ) -> str:
         """Canonical store key of one benchmark execution on this engine.
@@ -347,9 +356,7 @@ class ExecutionEngine:
         """
         from ..store.keys import content_key, mitigation_identity, spec_identity
 
-        strategy = self.placement if placement is None else placement
-        pipeline, noise = self._fingerprints_for(strategy)
-        mitigator = self._call_mitigator(mitigation)
+        pipeline, noise = self._fingerprints
         spec = benchmark if isinstance(benchmark, str) else spec_identity(benchmark)
         return content_key(
             spec=spec,
@@ -357,7 +364,7 @@ class ExecutionEngine:
             backend=backend_metadata(self.backend),
             pipeline=pipeline,
             noise=noise,
-            mitigation=mitigation_identity(mitigator),
+            mitigation=mitigation_identity(mitigation),
             shots=shots,
             repetitions=repetitions,
             seed=seed,
@@ -373,146 +380,6 @@ class ExecutionEngine:
         (self._store_hit_series if hit else self._store_miss_series).add(1.0)
 
     # ------------------------------------------------------------------
-    # error mitigation
-    # ------------------------------------------------------------------
-    def _call_mitigator(self, mitigation: Union[Mitigator, str, None]) -> Optional[Mitigator]:
-        """Resolve a per-call mitigation spec against the engine default.
-
-        ``None`` means "use the engine's default"; the explicit strings
-        ``"raw"`` / ``"none"`` force unmitigated execution even on an engine
-        constructed with a default technique.
-        """
-        if mitigation is None:
-            return self.mitigation
-        if is_raw_spec(mitigation):
-            return None
-        return resolve_mitigator(mitigation)
-
-    def _noise_fingerprint(self, entry: CacheEntry) -> str:
-        """Noise identity of one compiled circuit's compact register."""
-        if not self.backend.noisy:
-            return "ideal"
-        return entry.noise_model().fingerprint()
-
-    def _calibration_for(self, mitigator: Mitigator, entry: CacheEntry):
-        """Calibration data for one compiled circuit, through the cache.
-
-        Cache misses schedule the technique's calibration circuits on the
-        worker pool (seeded deterministically from the cache key, so a
-        cleared cache reproduces the identical calibration) and digest the
-        counts via :meth:`~repro.mitigation.Mitigator.calibration_from_counts`.
-        """
-        if not mitigator.requires_calibration:
-            return None
-        num_qubits = entry.compact.num_qubits
-        key = (
-            self.device.name,
-            entry.physical,
-            self._noise_fingerprint(entry),
-            mitigator.calibration_key(),
-        )
-
-        def compute():
-            circuits = mitigator.calibration_circuits(num_qubits)
-            noise = entry.noise_model() if self.backend.noisy else None
-            seed = calibration_seed(key)
-            pool = self._pool()
-            parent = get_tracer().current_span()
-            futures = [
-                pool.submit(
-                    self._run_one, circuit, mitigator.calibration_shots, noise,
-                    circuit_seed(seed, index), parent,
-                )
-                for index, circuit in enumerate(circuits)
-            ]
-            counts = [future.result() for future in futures]
-            return mitigator.calibration_from_counts(counts, num_qubits)
-
-        return self.calibration_cache.get_or_compute(key, compute)
-
-    def _transform_variants(
-        self, entries: Sequence[CacheEntry], mitigator: Mitigator
-    ) -> List[List[Circuit]]:
-        """Apply the technique's circuit transform once per compiled entry.
-
-        Variants are pure functions of the compiled circuit, so callers
-        compute them once and reuse them across repetitions; a technique /
-        circuit mismatch (e.g. ZNE folding a mid-circuit measurement)
-        raises here, before anything is submitted to the pool.
-        """
-        return [mitigator.transform(entry.compact) for entry in entries]
-
-    def _submit_variants(
-        self,
-        entries: Sequence[CacheEntry],
-        variant_groups: Sequence[Sequence[Circuit]],
-        shots: int,
-        seed: Optional[int],
-    ) -> Tuple[List["Future[Counts]"], List[int]]:
-        """Submit every transform variant of every entry; returns futures + group sizes."""
-        pool = self._pool()
-        parent = get_tracer().current_span()
-        futures: List["Future[Counts]"] = []
-        sizes: List[int] = []
-        index = 0
-        for entry, variants in zip(entries, variant_groups):
-            noise = entry.noise_model() if self.backend.noisy else None
-            sizes.append(len(variants))
-            for variant in variants:
-                futures.append(
-                    pool.submit(
-                        self._run_one, variant, shots, noise, circuit_seed(seed, index), parent
-                    )
-                )
-                index += 1
-        return futures, sizes
-
-    def _collect_variants(
-        self,
-        futures: Sequence["Future[Counts]"],
-        sizes: Sequence[int],
-        entries: Sequence[CacheEntry],
-        mitigator: Mitigator,
-        calibrations: Sequence[object],
-    ) -> List[QuasiDistribution]:
-        """Await variant counts and fold each group back into one quasi-distribution."""
-        results = [future.result() for future in futures]
-        mitigated: List[QuasiDistribution] = []
-        cursor = 0
-        for entry, calibration, size in zip(entries, calibrations, sizes):
-            group = results[cursor : cursor + size]
-            cursor += size
-            mitigated.append(
-                mitigator.mitigate(group, circuit=entry.compact, calibration=calibration)
-            )
-        return mitigated
-
-    def run_circuits(
-        self,
-        circuits: Sequence[Circuit],
-        shots: int = 1000,
-        seed: Optional[int] = None,
-        placement: Optional[str] = None,
-        mitigation: Union[Mitigator, str, None] = None,
-    ) -> List[Counts]:
-        """Synchronous convenience wrapper around :meth:`submit`.
-
-        With ``mitigation`` set (or an engine-level default), calibration
-        jobs are scheduled (served from the calibration cache when warm),
-        the technique's circuit variants are executed, and one mitigated
-        :class:`~repro.simulation.result.QuasiDistribution` per input
-        circuit is returned instead of raw :class:`Counts`.
-        """
-        mitigator = self._call_mitigator(mitigation)
-        if mitigator is None:
-            return self.submit(circuits, shots=shots, seed=seed, placement=placement).result()
-        entries = self.prepare(circuits, placement=placement)
-        calibrations = [self._calibration_for(mitigator, entry) for entry in entries]
-        variant_groups = self._transform_variants(entries, mitigator)
-        futures, sizes = self._submit_variants(entries, variant_groups, shots, seed)
-        return self._collect_variants(futures, sizes, entries, mitigator, calibrations)
-
-    # ------------------------------------------------------------------
     # benchmark-level API
     # ------------------------------------------------------------------
     def run(
@@ -521,7 +388,6 @@ class ExecutionEngine:
         shots: int = 1000,
         repetitions: int = 3,
         seed: Optional[int] = 1234,
-        placement: Optional[str] = None,
         mitigation: Union[Mitigator, str, None] = None,
     ) -> BenchmarkRun:
         """Run one benchmark ``repetitions`` times and collect its scores.
@@ -530,69 +396,46 @@ class ExecutionEngine:
         ``max_workers > 1`` they execute concurrently.
 
         Args:
-            placement: Placement strategy for this benchmark; defaults to
-                the engine's :attr:`placement`.
-            mitigation: Error-mitigation technique for this benchmark
-                (instance or name); defaults to the engine's
-                :attr:`mitigation` and accepts ``"raw"`` to force
-                unmitigated execution.  Mitigated runs calibrate at most
-                once per ``(device, qubit set, noise fingerprint)`` across
-                the engine's lifetime and score the benchmark on the
-                corrected quasi-distributions.
+            mitigation: Error-mitigation technique (instance or name);
+                ``None``, ``"raw"`` or ``"none"`` run unmitigated.  Mitigated
+                runs calibrate at most once per ``(device, qubit set, noise
+                fingerprint)`` across the engine's lifetime and score the
+                benchmark on the corrected quasi-distributions.
 
         Raises:
-            DeviceError: when the benchmark needs more qubits than the device has.
+            DeviceError: when the benchmark needs more qubits than the device
+                has (:class:`~repro.exceptions.BackendCapacityError` when it
+                compiles wider than the backend simulates).
+            MitigationError: for an unknown technique, or one that cannot
+                apply to the benchmark's circuits.
         """
         started = time.perf_counter()
-        strategy = self.placement if placement is None else placement
-        mitigator = self._call_mitigator(mitigation)
+        mitigator = resolve_mitigator(mitigation)
+        technique = mitigator.name if mitigator is not None else "raw"
         tracer = get_tracer()
         with tracer.span(
             "engine.run",
             benchmark=str(benchmark),
             device=self.device.name,
             backend=self.backend.name,
-            mitigation=mitigator.name if mitigator is not None else "raw",
+            mitigation=technique,
             repetitions=repetitions,
         ):
             circuits = benchmark.circuits()
             with tracer.span("engine.transpile", circuits=len(circuits)):
-                entries = self.prepare(circuits, placement=strategy)
-
-            if mitigator is None:
-                with tracer.span("engine.simulate", shots=shots):
-                    jobs: List[Job] = []
-                    for repetition in range(repetitions):
-                        repetition_seed = (
-                            None if seed is None else seed + REPETITION_STRIDE * repetition
-                        )
-                        jobs.append(
-                            self._submit_prepared(circuits, entries, shots, repetition_seed)
-                        )
-                    scores = [benchmark.score(job.result()) for job in jobs]
-            else:
-                with tracer.span("engine.mitigate", technique=mitigator.name):
-                    calibrations = [
-                        self._calibration_for(mitigator, entry) for entry in entries
-                    ]
-                    variant_groups = self._transform_variants(entries, mitigator)
-                with tracer.span("engine.simulate", shots=shots):
-                    submissions = []
-                    for repetition in range(repetitions):
-                        repetition_seed = (
-                            None if seed is None else seed + REPETITION_STRIDE * repetition
-                        )
-                        submissions.append(
-                            self._submit_variants(entries, variant_groups, shots, repetition_seed)
-                        )
-                    scores = [
-                        benchmark.score(
-                            self._collect_variants(
-                                futures, sizes, entries, mitigator, calibrations
-                            )
-                        )
-                        for futures, sizes in submissions
-                    ]
+                entries = self.prepare(circuits)
+            with tracer.span("engine.mitigate", technique=technique):
+                executions, fold = self._batch(entries, mitigator)
+            with tracer.span("engine.simulate", shots=shots):
+                pending = [
+                    self._dispatch(
+                        executions,
+                        shots,
+                        None if seed is None else seed + REPETITION_STRIDE * repetition,
+                    )
+                    for repetition in range(repetitions)
+                ]
+                scores = [benchmark.score(fold(futures)) for futures in pending]
 
         first = entries[0]
         return BenchmarkRun(
@@ -607,92 +450,11 @@ class ExecutionEngine:
             swap_count=first.transpiled.swap_count,
             shots=shots,
             backend=self.backend.name,
-            placement=strategy,
+            placement=self.placement,
             pipeline=first.pipeline,
             mitigation=mitigator.name if mitigator is not None else "",
             seconds=time.perf_counter() - started,
         )
-
-    def run_suite(
-        self,
-        benchmarks: Iterable[Benchmark],
-        shots: int = 1000,
-        repetitions: int = 3,
-        seed: Optional[int] = 1234,
-        skip_oversized: bool = True,
-        placement: Optional[str] = None,
-        mitigation: Union[Mitigator, str, None] = None,
-        on_result: Optional[Callable[[Benchmark, BenchmarkRun], None]] = None,
-        on_skip: Optional[Callable[[Benchmark, Exception], None]] = None,
-    ) -> List[BenchmarkRun]:
-        """Run a collection of benchmarks on this engine's device.
-
-        Args:
-            skip_oversized: When True (default), benchmarks that do not fit on
-                the device are skipped instead of raising — the black "X"
-                entries of Fig. 2.
-            placement: Placement strategy for the whole suite; defaults to
-                the engine's :attr:`placement`.
-            mitigation: Error-mitigation technique for the whole suite;
-                defaults to the engine's :attr:`mitigation`.  Benchmarks
-                landing on the same physical qubits share calibration data
-                through the engine's calibration cache.  Benchmarks the
-                technique cannot apply to (e.g. ZNE on the mid-circuit-
-                measurement error-correction codes) are skipped with a
-                warning rather than aborting the suite.
-            on_result: Streaming hook: called as ``on_result(benchmark,
-                run)`` the moment each benchmark finishes, before the next
-                one starts — the suite layer aggregates partial results
-                through it.  Exactly one of ``on_result`` / ``on_skip``
-                fires per benchmark, in iteration order.
-            on_skip: Streaming hook: called as ``on_skip(benchmark, error)``
-                when a benchmark is skipped (oversized circuit, backend
-                capacity, technique mismatch) instead of producing a run.
-        """
-        # Resolve the spec once, before the loop: an unknown technique name
-        # is a configuration error and must raise here — the per-benchmark
-        # MitigationError handler below is only for technique/circuit
-        # mismatches.  The resolved result (or an explicit "raw" when it is
-        # None) is what run() receives, so the engine default cannot sneak
-        # back in.
-        mitigator = self._call_mitigator(mitigation)
-        resolved = mitigator if mitigator is not None else "raw"
-        tracer = get_tracer()
-        runs: List[BenchmarkRun] = []
-        for benchmark in benchmarks:
-            with tracer.span(
-                "engine.benchmark", benchmark=str(benchmark), device=self.device.name
-            ) as spec_span:
-                try:
-                    run = self.run(
-                        benchmark,
-                        shots=shots,
-                        repetitions=repetitions,
-                        seed=seed,
-                        placement=placement,
-                        mitigation=resolved,
-                    )
-                except MitigationError as error:
-                    # With a skip hook installed its owner decides how to report
-                    # (the suite runner warns itself); warn here only for direct
-                    # callers so the event is never reported twice.
-                    spec_span.set_attribute("status", "skipped")
-                    if on_skip is not None:
-                        on_skip(benchmark, error)
-                    else:
-                        warnings.warn(f"skipping {benchmark}: {error}", stacklevel=2)
-                except DeviceError as error:
-                    if not skip_oversized:
-                        raise
-                    spec_span.set_attribute("status", "skipped")
-                    if on_skip is not None:
-                        on_skip(benchmark, error)
-                else:
-                    spec_span.set_attribute("status", "executed")
-                    runs.append(run)
-                    if on_result is not None:
-                        on_result(benchmark, run)
-        return runs
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

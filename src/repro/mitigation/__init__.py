@@ -25,7 +25,7 @@ mitigated :class:`~repro.simulation.result.QuasiDistribution`.  See
 ``docs/mitigation.md``.
 """
 
-from .base import Mitigator, PassthroughMitigator, is_raw_spec, resolve_mitigator
+from .base import Mitigator, PassthroughMitigator, resolve_mitigator
 from .calibration import CalibrationCache, calibration_seed
 from .dd import DD_SEQUENCES, DynamicalDecoupling, DynamicalDecouplingMitigator
 from .readout import (
@@ -49,7 +49,6 @@ from .zne import (
 __all__ = [
     "Mitigator",
     "PassthroughMitigator",
-    "is_raw_spec",
     "resolve_mitigator",
     "CalibrationCache",
     "calibration_seed",

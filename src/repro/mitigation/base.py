@@ -19,7 +19,8 @@ engine drives in order:
    :class:`~repro.simulation.result.QuasiDistribution`.
 
 :func:`resolve_mitigator` normalises user-facing specifications (instances,
-names like ``"readout"`` / ``"zne"`` / ``"dd"``, or ``None``) the same way
+names like ``"readout"`` / ``"zne"`` / ``"dd"``, or ``None`` / ``"raw"`` /
+``"none"`` for unmitigated execution) the same way
 :func:`~repro.execution.backends.resolve_backend` does for backends.
 """
 
@@ -32,17 +33,7 @@ from ..circuits import Circuit
 from ..exceptions import MitigationError
 from ..simulation.result import Counts, QuasiDistribution, normalized_probabilities
 
-__all__ = ["Mitigator", "PassthroughMitigator", "is_raw_spec", "resolve_mitigator"]
-
-
-def is_raw_spec(mitigation: object) -> bool:
-    """True for the explicit ``"raw"`` / ``"none"`` strings forcing unmitigated runs.
-
-    The single definition every spec-accepting surface (engine constructor,
-    per-call overrides, experiment sweeps) normalises against, so a future
-    alias cannot diverge between them.
-    """
-    return isinstance(mitigation, str) and mitigation.lower() in ("raw", "none")
+__all__ = ["Mitigator", "PassthroughMitigator", "resolve_mitigator"]
 
 
 class Mitigator(abc.ABC):
@@ -149,8 +140,9 @@ def resolve_mitigator(
     """Normalise a mitigation specification into a :class:`Mitigator` (or ``None``).
 
     Args:
-        mitigation: ``None`` (no mitigation), a :class:`Mitigator` instance
-            (returned as-is), or a name: ``"readout"``/``"tensored_readout"``
+        mitigation: ``None``, ``"raw"`` or ``"none"`` (no mitigation: returns
+            ``None``), a :class:`Mitigator` instance (returned as-is), or a
+            name: ``"readout"``/``"tensored_readout"``
             (tensored confusion-matrix correction), ``"full_readout"`` (full
             ``2**n`` confusion matrix), ``"zne"`` (zero-noise extrapolation
             with the default global folding and linear extrapolation),
@@ -167,6 +159,8 @@ def resolve_mitigator(
         from .zne import ZNEMitigator
 
         canonical = mitigation.lower().replace("-", "_")
+        if canonical in ("raw", "none"):
+            return None
         if canonical in ("readout", "tensored_readout"):
             return ReadoutMitigator(method="tensored")
         if canonical == "full_readout":

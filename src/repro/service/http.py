@@ -35,7 +35,11 @@ GET       ``/metrics``                Prometheus text exposition of the
 checked them: only ``shots``, ``repetitions``, ``seed``, ``trajectories``,
 ``devices``, ``executor``, ``processes`` and ``max_workers`` are accepted, so
 a request can neither name a server-side path nor start more worker
-processes than the host has CPUs.
+processes than the host has CPUs.  :func:`validate_names` then rejects an
+unknown or ambiguous device and an unknown technique, which would fail every
+attempt of the job the same way.  Every rejection is a 400 before anything
+is queued; a body longer than :data:`MAX_BODY_BYTES` is a 413 and is never
+read.
 """
 
 from __future__ import annotations
@@ -48,17 +52,22 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..exceptions import ReproError, ServiceError
+from ..devices import get_device
+from ..exceptions import DeviceError, MitigationError, ReproError, ServiceError
+from ..mitigation import resolve_mitigator
 from ..suite.scenarios import figure2_scenario, mitigated_scenario
 from ..suite.sweep import Scenario
 from ..telemetry import get_metrics, get_tracer
 from ..telemetry.export import spans_to_ndjson, to_prometheus
 from .jobs import JobQueue
 
-__all__ = ["BenchmarkService", "resolve_scenario", "validate_knobs"]
+__all__ = ["BenchmarkService", "resolve_scenario", "validate_knobs", "validate_names"]
 
 #: ``GET /stats`` payload schema version — bump on breaking shape changes.
 STATS_SCHEMA = 2
+
+#: Largest request body the service reads (a scenario definition is a few KiB).
+MAX_BODY_BYTES = 1 << 20
 
 #: Named scenario factories the POST body may reference by string.
 _NAMED_SCENARIOS = {
@@ -127,6 +136,30 @@ def validate_knobs(knobs: Any) -> Dict[str, Any]:
         if not check(value):
             raise ServiceError(f"knob {name!r} must be {description}, got {value!r}")
     return knobs
+
+
+def validate_names(scenario: Scenario, knobs: Dict[str, Any]) -> None:
+    """Reject device and technique names that no attempt could run.
+
+    The devices checked are the ``devices`` knob's when it is given, else
+    the scenario's; :func:`~repro.devices.get_device` accepts a unique
+    prefix, so an ambiguous one fails like an unknown name.
+
+    Raises:
+        ServiceError: naming the unknown or ambiguous device or the unknown
+            technique.
+    """
+    try:
+        for device in knobs["devices"] if "devices" in knobs else scenario.devices:
+            get_device(device)
+        for technique in scenario.mitigations:
+            resolve_mitigator(technique)
+    except (DeviceError, MitigationError) as error:
+        raise ServiceError(str(error)) from error
+
+
+class _BodyTooLarge(ServiceError):
+    """A request body above :data:`MAX_BODY_BYTES` (answered with 413)."""
 
 
 def _route_label(path: str) -> str:
@@ -207,7 +240,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so this connection cannot carry another request.
+            self.close_connection = True
+            if length < 0:
+                raise ServiceError(f"Content-Length must be a non-negative integer, got {header!r}")
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("empty request body")
@@ -280,12 +325,13 @@ class _Handler(BaseHTTPRequestHandler):
                 body = self._read_body()
                 scenario = resolve_scenario(body)
                 knobs = validate_knobs(body.get("knobs", {}))
+                validate_names(scenario, knobs)
                 job_id = self.service.queue.submit(scenario, **knobs)
                 self._send_json({"job_id": job_id, "scenario": scenario.name}, status=202)
             else:
                 self._send_error_json(f"no such endpoint: POST {path}", 404)
         except ServiceError as error:
-            self._send_error_json(str(error), 400)
+            self._send_error_json(str(error), 413 if isinstance(error, _BodyTooLarge) else 400)
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         self._handle("DELETE", self._delete)

@@ -17,7 +17,11 @@ Semantics:
 * **Retry** — a job whose run raises is re-queued up to
   ``max_attempts`` total attempts before it is marked failed; partial
   results from a failed attempt are kept and resumed (completed units are
-  not re-executed, and with a store attached not even re-simulated).
+  not re-executed, and with a store attached not even re-simulated).  A
+  :class:`~repro.exceptions.ReproError` other than
+  :class:`~repro.exceptions.DistributedError` (an unknown device, a bad
+  option) would fail every attempt the same way, so it fails the job at
+  once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from ..exceptions import ServiceError
+from ..exceptions import DistributedError, ReproError, ServiceError
 from ..suite.results import SpecOutcome, SuiteResult
 from ..suite.runner import run_scenario
 from ..suite.sweep import Scenario
@@ -113,7 +117,8 @@ class JobQueue:
         store: Shared :class:`~repro.store.ResultStore` every job reads
             through and writes back to (``None`` = no persistence).
         workers: Worker-thread count (jobs run concurrently up to this).
-        max_attempts: Total attempts per job before it is marked failed.
+        max_attempts: Total attempts per job before it is marked failed
+            (a deterministic library error gets one).
         runner: The scenario runner (injectable for tests); must accept the
             keyword arguments :func:`~repro.suite.runner.run_scenario` does.
     """
@@ -348,9 +353,16 @@ class JobQueue:
                 self._observe_terminal(job)
             except Exception as error:  # noqa: BLE001 - job isolation boundary
                 retry = False
+                deterministic = isinstance(error, ReproError) and not isinstance(
+                    error, DistributedError
+                )
                 with self._changed:
                     job.error = f"{type(error).__name__}: {error}"
-                    if job.attempts < self.max_attempts and not job.cancel_requested:
+                    if (
+                        job.attempts < self.max_attempts
+                        and not job.cancel_requested
+                        and not deterministic
+                    ):
                         job.status = "queued"
                         self._retry_series.add(1.0)
                         retry = True

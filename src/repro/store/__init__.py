@@ -11,12 +11,10 @@ read instead of a re-simulation.
 
 Integration points:
 
-* :meth:`ExecutionEngine.run_suite <repro.execution.ExecutionEngine.run_suite>`
-  consults an attached store before running each benchmark and writes every
-  produced :class:`~repro.execution.results.BenchmarkRun` back.
-* :func:`run_scenario(store=...) <repro.suite.runner.run_scenario>` does the
-  same one level up for whole scenarios, persisting
-  :class:`~repro.suite.results.SpecOutcome` rows (skips included).
+* :func:`run_scenario(store=...) <repro.suite.runner.run_scenario>` looks
+  every pending unit up before planning, and writes every produced
+  :class:`~repro.execution.results.BenchmarkRun` back together with its
+  :class:`~repro.suite.results.SpecOutcome` row (skips included).
 * The service layer (:mod:`repro.service`) serves stored rows over REST.
 
 See ``docs/store.md`` for the full walkthrough.

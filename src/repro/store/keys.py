@@ -93,12 +93,10 @@ def mitigation_identity(mitigation: Any) -> str:
     :meth:`~repro.mitigation.Mitigator.calibration_key`, which parameterised
     techniques override to include their knobs.
     """
-    from ..mitigation import is_raw_spec, resolve_mitigator
+    from ..mitigation import resolve_mitigator
 
-    if mitigation is None or is_raw_spec(mitigation):
-        return "raw"
     mitigator = resolve_mitigator(mitigation)
-    return mitigator.calibration_key()
+    return "raw" if mitigator is None else mitigator.calibration_key()
 
 
 def _canonical(value: Any) -> Any:

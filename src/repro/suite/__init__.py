@@ -9,8 +9,8 @@ sweeps into *data*:
 * :class:`Sweep` / :class:`Scenario` — declarative parameter grids and
   device × backend × optimization-level × mitigation cross-products that
   expand to run units and per-engine shards.
-* :func:`run_scenario` / :class:`SuiteResult` — leased execution through
-  :meth:`~repro.execution.ExecutionEngine.run_suite`, in-process or on a
+* :func:`run_scenario` / :class:`SuiteResult` — leased execution, one
+  :meth:`~repro.execution.ExecutionEngine.run` per unit, in-process or on a
   worker-process pool, with streaming aggregation (scores, feature vectors,
   timing, cache stats) and resumable partial results.
 * :mod:`repro.suite.scenarios` — the paper's standard sweeps (Fig. 1/2

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
 from ..exceptions import DistributedError
 from ..execution import Backend
-from ..mitigation import is_raw_spec, resolve_mitigator
+from ..mitigation import resolve_mitigator
 from ..telemetry import get_tracer
 from .registry import BenchmarkRegistry, get_registry
 from .results import SpecOutcome, SuiteResult
@@ -35,14 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import ResultStore
 
 __all__ = ["run_scenario"]
-
-
-def _validate_mitigations(scenario: Scenario) -> None:
-    """Resolve every technique spec up front: an unknown name is a
-    configuration error and must raise before any lease executes."""
-    for technique in scenario.mitigations:
-        if not is_raw_spec(technique):
-            resolve_mitigator(technique)
 
 
 def _check_process_boundary(scenario: Scenario, backend: Union[Backend, str, None]) -> None:
@@ -140,7 +132,8 @@ def run_scenario(
     if executor != "thread":
         _check_process_boundary(scenario, backend)
     registry = registry if registry is not None else get_registry()
-    _validate_mitigations(scenario)
+    for technique in scenario.mitigations:
+        resolve_mitigator(technique)  # an unknown name raises before any lease runs
     result = partial if partial is not None else SuiteResult(scenario=scenario.name)
     # Pin the scenario and every score-affecting knob on the result: a
     # persisted partial resumed under different settings must fail loudly

@@ -1,8 +1,6 @@
-"""Engine tests: jobs, centralised fit checks, transpile-count guarantees,
-named versus instance backends and backend selection from the Fig. 2 driver."""
-
-import threading
-import time
+"""Engine tests: failing executions, centralised fit checks, transpile-count
+guarantees, named versus instance backends and backend selection from the
+Fig. 2 driver."""
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.execution import (
 )
 from repro.execution import cache as cache_module
 from repro.experiments import reproduce_figure2
-from repro.simulation import Counts
 
 DEVICE = "IBM-Casablanca-7Q"
 
@@ -37,24 +34,6 @@ def transpile_spy(monkeypatch):
     return calls
 
 
-class _BlockingBackend:
-    """Protocol-conforming stub whose tasks wait for an explicit release."""
-
-    name = "blocking"
-    noisy = False
-
-    def __init__(self) -> None:
-        self.release = threading.Event()
-
-    def run_batch(self, circuits, shots, *, noise_model=None, seed=None):
-        if not self.release.wait(timeout=10):  # pragma: no cover - safety net
-            raise RuntimeError("test backend never released")
-        return [
-            Counts({"0" * circuit.num_clbits: shots}, num_bits=circuit.num_clbits)
-            for circuit in circuits
-        ]
-
-
 class _FailingBackend:
     name = "failing"
     noisy = False
@@ -63,55 +42,12 @@ class _FailingBackend:
         raise RuntimeError("boom")
 
 
-class TestJobLifecycle:
-    def test_status_progression_and_result_order(self):
-        backend = _BlockingBackend()
-        circuits = [GHZBenchmark(n).circuits()[0] for n in (3, 4)]
-        with ExecutionEngine(get_device(DEVICE), backend=backend, max_workers=1) as engine:
-            job = engine.submit(circuits, shots=25, seed=0)
-            deadline = time.monotonic() + 5
-            while job.status == "queued" and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert job.status == "running"
-            assert not job.done()
-            backend.release.set()
-            results = job.result(timeout=10)
-        assert job.status == "done"
-        assert job.done()
-        assert [counts.shots for counts in results] == [25, 25]
-        assert job.exceptions() == [None, None]
-
-    def test_metadata_describes_each_circuit(self):
-        with ExecutionEngine(get_device(DEVICE), backend="statevector") as engine:
-            job = engine.submit(GHZBenchmark(3).circuits(), shots=10, seed=6)
-            job.result()
-        (meta,) = job.metadata
-        assert meta["num_qubits"] == 3
-        assert meta["compiled_qubits"] == len(meta["physical_qubits"])
-        assert meta["seed"] == 6
-        assert meta["compiled_depth"] > 0
-        assert job.backend_name == "statevector"
-
-    def test_result_timeout_bounds_the_whole_call(self):
-        backend = _BlockingBackend()
-        circuits = [GHZBenchmark(n).circuits()[0] for n in (3, 4, 5)]
-        with ExecutionEngine(get_device(DEVICE), backend=backend, max_workers=1) as engine:
-            job = engine.submit(circuits, shots=5)
-            start = time.monotonic()
-            with pytest.raises(Exception):  # concurrent.futures.TimeoutError
-                job.result(timeout=0.3)
-            elapsed = time.monotonic() - start
-            backend.release.set()
-            job.result(timeout=10)
-        # The budget is shared across futures, not multiplied by their count.
-        assert elapsed < 0.3 * len(circuits)
-
-    def test_failed_circuit_surfaces_as_error(self):
+class TestFailures:
+    def test_failed_circuit_raises_from_run_circuits(self):
         with ExecutionEngine(get_device(DEVICE), backend=_FailingBackend()) as engine:
-            job = engine.submit([GHZBenchmark(3).circuits()[0]], shots=10)
             with pytest.raises(RuntimeError, match="boom"):
-                job.result()
-            assert job.status == "error"
+                engine.run_circuits([GHZBenchmark(3).circuits()[0]], shots=10)
+            assert engine.stats()["executions"] == 1
 
 
 class TestOversizedCheck:
@@ -120,11 +56,12 @@ class TestOversizedCheck:
             with pytest.raises(DeviceError, match=r"needs 5 qubits, device has 4"):
                 engine.run(GHZBenchmark(5), shots=10)
 
-    def test_submit_checks_every_circuit(self):
+    def test_run_circuits_checks_every_circuit(self):
         oversized = Circuit(5).h(0).measure_all()
         with ExecutionEngine(get_device("AQT-4Q")) as engine:
             with pytest.raises(DeviceError, match="5-qubit circuit"):
-                engine.submit([GHZBenchmark(3).circuits()[0], oversized], shots=10)
+                engine.run_circuits([GHZBenchmark(3).circuits()[0], oversized], shots=10)
+            assert engine.stats()["executions"] == 0
 
     def test_backend_width_limit_raises_backend_capacity_error(self):
         """A compiled circuit wider than the backend's limit is a DeviceError
@@ -138,10 +75,7 @@ class TestOversizedCheck:
         with ExecutionEngine(device, backend=backend) as engine:
             with pytest.raises(BackendCapacityError, match="backend limit of 4 qubits"):
                 engine.run(GHZBenchmark(6), shots=10, repetitions=1)
-            runs = engine.run_suite(
-                [GHZBenchmark(3), GHZBenchmark(6)], shots=10, repetitions=1, seed=0
-            )
-            assert [run.typical["num_qubits"] for run in runs] == [3]
+            assert engine.stats()["executions"] == 0
 
     def test_figure2_warns_on_backend_capacity_skips(self):
         from repro.execution import DensityMatrixBackend
@@ -157,14 +91,6 @@ class TestOversizedCheck:
             )
         # ghz[3q] fits the 4-qubit backend budget; ghz[5q] was skipped loudly.
         assert [run.typical["num_qubits"] for run in runs] == [3]
-
-    def test_run_suite_skips_oversized_by_default(self):
-        benchmarks = [GHZBenchmark(3), GHZBenchmark(5), GHZBenchmark(4)]
-        with ExecutionEngine(get_device("AQT-4Q"), backend="statevector") as engine:
-            runs = engine.run_suite(benchmarks, shots=20, repetitions=1, seed=1)
-            assert [run.typical["num_qubits"] for run in runs] == [3, 4]
-            with pytest.raises(DeviceError):
-                engine.run_suite(benchmarks, shots=20, repetitions=1, skip_oversized=False)
 
 
 class TestTranspileCounts:
@@ -186,7 +112,9 @@ class TestTranspileCounts:
         instance_map = figure2_benchmarks(small=True)
         with ExecutionEngine(device, backend="statevector", max_workers=2) as engine:
             for instances in instance_map.values():
-                engine.run_suite(instances, shots=10, repetitions=repetitions, seed=1)
+                for benchmark in instances:
+                    if benchmark.num_qubits() <= device.num_qubits:
+                        engine.run(benchmark, shots=10, repetitions=repetitions, seed=1)
         engine_calls = transpile_spy["n"]
 
         seed_path_calls = 0
@@ -290,7 +218,7 @@ class TestFigure2BackendSelection:
 
 
 class TestPlacementPlumbing:
-    """placement= is selectable end-to-end: engine default, per-call, drivers."""
+    """placement= is selectable end-to-end: per engine and from the drivers."""
 
     def test_engine_default_placement(self):
         device = get_device(DEVICE)
@@ -299,27 +227,6 @@ class TestPlacementPlumbing:
             assert run.placement == "trivial"
             entries = engine.prepare(GHZBenchmark(3).circuits())
             assert entries[0].transpiled.initial_layout == {0: 0, 1: 1, 2: 2}
-
-    def test_per_call_override_beats_engine_default(self):
-        device = get_device(DEVICE)
-        with ExecutionEngine(device, backend="statevector") as engine:
-            default_run = engine.run(GHZBenchmark(3), shots=40, repetitions=1, seed=5)
-            trivial_run = engine.run(
-                GHZBenchmark(3), shots=40, repetitions=1, seed=5, placement="trivial"
-            )
-            assert default_run.placement == "noise_aware"
-            assert trivial_run.placement == "trivial"
-            assert default_run.pipeline != trivial_run.pipeline
-            # Two pipeline entries for the same circuit: no cache collision.
-            assert engine.stats()["entries"] == 2
-
-    def test_run_suite_forwards_placement(self):
-        device = get_device(DEVICE)
-        with ExecutionEngine(device, backend="statevector") as engine:
-            runs = engine.run_suite(
-                [GHZBenchmark(3)], shots=40, repetitions=1, seed=5, placement="trivial"
-            )
-            assert runs[0].placement == "trivial"
 
     def test_figure2_driver_forwards_placement(self):
         runs = reproduce_figure2(
@@ -331,16 +238,6 @@ class TestPlacementPlumbing:
             placement="trivial",
         )
         assert runs and all(run.placement == "trivial" for run in runs)
-
-    def test_job_metadata_carries_pipeline_and_backend_config(self):
-        device = get_device(DEVICE)
-        with ExecutionEngine(device, backend="statevector", max_workers=1) as engine:
-            job = engine.submit(GHZBenchmark(3).circuits(), shots=10, seed=1)
-            job.result()
-            assert job.backend_metadata["name"] == "statevector"
-            for row in job.metadata:
-                assert row["pipeline"]
-                assert row["compiled_critical_two_qubit_gates"] is not None
 
 
 class TestParallelPrepare:

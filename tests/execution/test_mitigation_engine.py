@@ -137,23 +137,15 @@ class TestCalibrationCaching:
 
 
 class TestEngineApi:
-    def test_constructor_accepts_raw_spec(self, ibm_device):
-        """Technique sweeps pass 'raw' as an engine default, like run() does."""
-        with ExecutionEngine(ibm_device, backend="density_matrix", mitigation="raw") as engine:
-            assert engine.mitigation is None
-            counts = engine.run_circuits([GHZBenchmark(3).circuits()[0]], shots=128, seed=1)
-            assert not isinstance(counts[0], QuasiDistribution)
-
-    def test_engine_level_default_and_raw_override(self, ibm_device):
-        with ExecutionEngine(
-            ibm_device, backend="density_matrix", mitigation="readout"
-        ) as engine:
-            default = engine.run_circuits([GHZBenchmark(3).circuits()[0]], shots=256, seed=1)
-            assert isinstance(default[0], QuasiDistribution)
-            raw = engine.run_circuits(
-                [GHZBenchmark(3).circuits()[0]], shots=256, seed=1, mitigation="raw"
-            )
-            assert not isinstance(raw[0], QuasiDistribution)
+    @pytest.mark.parametrize("spec", [None, "raw", "none", "RAW"])
+    def test_raw_specs_run_unmitigated(self, engine, spec):
+        """None and the explicit "raw"/"none" strings all mean unmitigated."""
+        assert resolve_mitigator(spec) is None
+        counts = engine.run_circuits([GHZBenchmark(3).circuits()[0]], shots=128, seed=1,
+                                     mitigation=spec)
+        assert not isinstance(counts[0], QuasiDistribution)
+        run = engine.run(GHZBenchmark(3), shots=128, repetitions=1, seed=1, mitigation=spec)
+        assert run.mitigation == ""
 
     def test_stats_keeps_flat_transpile_keys(self, engine):
         engine.run(GHZBenchmark(3), shots=256, repetitions=1, seed=1)
@@ -168,31 +160,6 @@ class TestEngineApi:
         rendered = repr(engine)
         assert "transpile_cache=" in rendered
         assert "calibration_cache=" in rendered
-
-    def test_run_suite_passes_mitigation_through(self, engine):
-        runs = engine.run_suite(
-            [GHZBenchmark(3), GHZBenchmark(4)],
-            shots=256, repetitions=1, seed=1, mitigation="readout",
-        )
-        assert [run.mitigation for run in runs] == ["readout", "readout"]
-
-    def test_run_suite_rejects_unknown_technique(self, engine):
-        """A misspelled technique name is a config error, not a per-benchmark skip."""
-        from repro.exceptions import MitigationError
-
-        with pytest.raises(MitigationError):
-            engine.run_suite([GHZBenchmark(3)], shots=64, repetitions=1, mitigation="readuot")
-
-    def test_run_suite_skips_unfoldable_benchmarks(self, engine):
-        """ZNE cannot fold the EC codes' mid-circuit measurements: skip, keep the rest."""
-        from repro.benchmarks import BitCodeBenchmark
-
-        with pytest.warns(UserWarning, match="cannot fold"):
-            runs = engine.run_suite(
-                [GHZBenchmark(3), BitCodeBenchmark(3, 2)],
-                shots=128, repetitions=1, seed=1, mitigation="zne",
-            )
-        assert [run.family for run in runs] == ["ghz"]
 
     def test_resolve_mitigator_names(self):
         assert resolve_mitigator(None) is None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import urllib.error
 import urllib.request
 
@@ -153,27 +154,32 @@ class TestErrorHandling:
         assert "unknown query parameters" in body["error"]
 
 
+@pytest.fixture()
+def stub():
+    """A service whose runner records its knobs instead of running anything."""
+    calls = []
+
+    def recording_runner(scenario, partial=None, on_outcome=None, **knobs):
+        calls.append(knobs)
+        return SuiteResult(scenario=scenario.name)
+
+    with BenchmarkService(queue=JobQueue(workers=1, runner=recording_runner)) as service:
+        yield service, calls
+
+
+def post_body(service, body):
+    try:
+        return post_json(service, "/scenarios", body)
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
 class TestKnobValidation:
     """Only execution knobs reach the runner: a request can neither name a
     server-side path nor ask for more worker processes than the host has."""
 
-    @pytest.fixture()
-    def stub(self):
-        calls = []
-
-        def recording_runner(scenario, partial=None, on_outcome=None, **knobs):
-            calls.append(knobs)
-            return SuiteResult(scenario=scenario.name)
-
-        with BenchmarkService(queue=JobQueue(workers=1, runner=recording_runner)) as service:
-            yield service, calls
-
     def post(self, service, knobs):
-        body = dict(SUBMISSION, knobs=knobs)
-        try:
-            return post_json(service, "/scenarios", body)
-        except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+        return post_body(service, dict(SUBMISSION, knobs=knobs))
 
     @pytest.mark.parametrize(
         "knobs",
@@ -220,6 +226,82 @@ class TestKnobValidation:
         assert status == 202
         service.queue.result(body["job_id"], timeout=30)
         assert calls == [dict(knobs, store=None)]
+
+
+class TestNameValidation:
+    """Unknown or ambiguous devices and unknown techniques would fail every
+    attempt of the job the same way: they are a 400 before queueing."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (dict(SUBMISSION, knobs=dict(KNOBS, devices=["Nope-1Q"])), "unknown device"),
+            (dict(SUBMISSION, knobs=dict(KNOBS, devices=["IBM"])), "ambiguous device"),
+            ({"scenario": "figure2", "options": {"devices": ["Nope-1Q"], "families": ["ghz"]}},
+             "unknown device"),
+            ({"scenario": "mitigated", "options": {"devices": ["IonQ-11Q"],
+                                                   "techniques": ["readuot"]}},
+             "unknown mitigation"),
+        ],
+        ids=["device-knob", "ambiguous-prefix", "scenario-device", "technique"],
+    )
+    def test_rejected_names_start_nothing(self, stub, body, message):
+        service, calls = stub
+        status, response = post_body(service, body)
+        assert status == 400
+        assert message in response["error"]
+        assert service.queue.jobs() == []
+        assert calls == []
+
+    def test_unique_prefix_and_overridden_scenario_devices_are_accepted(self, stub):
+        service, calls = stub
+        body = {
+            "scenario": "figure2",
+            "options": {"devices": ["Nope-1Q"], "families": ["ghz"]},
+            "knobs": dict(KNOBS, devices=["IonQ"]),
+        }
+        status, response = post_body(service, body)
+        assert status == 202
+        service.queue.result(response["job_id"], timeout=30)
+        assert calls[0]["devices"] == ["IonQ"]
+
+
+def raw_post(service, content_length, body=b""):
+    """POST over a raw socket; the response status, or None when the server
+    closed the connection without one.  Times out (an error) after 3 s."""
+    request = (
+        "POST /scenarios HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode() + body
+    with socket.create_connection(service.address, timeout=3) as connection:
+        connection.sendall(request)
+        response = b""
+        while b"\r\n" not in response:
+            chunk = connection.recv(4096)
+            if not chunk:
+                return None
+            response += chunk
+    return int(response.split(b"\r\n", 1)[0].split()[1])
+
+
+class TestRequestBodyLength:
+    """Content-Length comes from outside the program: bound it before reading."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_length_is_a_400(self, stub, length):
+        service, calls = stub
+        assert raw_post(service, length) == 400
+        assert service.queue.jobs() == []
+
+    def test_oversized_length_is_a_413_without_reading(self, stub):
+        service, calls = stub
+        assert raw_post(service, "99999999999") == 413
+        assert service.queue.jobs() == []
+
+    def test_normal_post_is_accepted(self, stub):
+        service, calls = stub
+        body = json.dumps(SUBMISSION).encode()
+        assert raw_post(service, str(len(body)), body) == 202
 
 
 class TestResolveScenario:

@@ -85,6 +85,17 @@ class TestJobQueueSemantics:
             assert jobs.stats()["retries"] == 2
         assert len(attempts) == 3
 
+    def test_unknown_device_fails_on_the_first_attempt(self):
+        """A library error fails every attempt the same way: no retry."""
+        with JobQueue(workers=1, max_attempts=2) as jobs:
+            job_id = jobs.submit(tiny_scenario(), devices=["Nope-1Q"], **KNOBS)
+            with pytest.raises(ServiceError, match="failed"):
+                jobs.result(job_id, timeout=60)
+            status = jobs.status(job_id)
+            assert status["attempts"] == 1
+            assert "DeviceError" in status["error"]
+            assert jobs.stats()["retries"] == 0
+
     def test_retry_resumes_partial_results(self):
         calls = []
 
