@@ -4,7 +4,8 @@ Three targets, each measured against a faithful re-implementation of the
 pre-kernel-layer code path (kept in this file so the comparison survives the
 refactor it measures):
 
-* ``statevector`` — per-gate tensordot evolution vs fused/specialised kernels;
+* ``statevector`` — per-gate tensordot evolution (``apply_matrix_reference``
+  from the ``tests/oracle.py`` baseline) vs fused/specialised kernels;
 * ``trajectories`` — the historical one-full-evolution-per-shot noisy loop vs
   the batched ``(T, 2**n)`` trajectory array;
 * ``density_matrix`` — the historical per-column Python loop vs tensorised
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 from typing import Callable, Dict
 
@@ -42,10 +44,14 @@ import pytest
 from repro.benchmarks import GHZBenchmark, VanillaQAOABenchmark
 from repro.circuits.random_circuits import quantum_volume_circuit
 from repro.simulation import DensityMatrixSimulator, NoiseModel, StatevectorSimulator
-from repro.simulation.kernels import apply_matrix_reference, qubit_axis
+from repro.simulation.kernels import qubit_axis
 from repro.simulation.statevector import _terminal_measurements, final_statevector
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_simulation.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from oracle import apply_matrix_reference  # noqa: E402  (the tensordot baseline lives with the tests)
+
+BASELINE_PATH = ROOT / "BENCH_simulation.json"
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 #: A measured speedup may drop to this fraction of the baseline before the
 #: regression gate fails (the ISSUE's 30% budget).

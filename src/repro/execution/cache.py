@@ -33,7 +33,7 @@ from ..circuits import Circuit
 from ..circuits.columnar import OPCODE_TABLE_DIGEST
 from ..devices import Device
 from ..simulation.noise_model import NoiseModel
-from ..telemetry import get_metrics, instance_label
+from ..telemetry import Span, get_metrics, get_tracer, instance_label
 from ..transpiler import TranspiledCircuit, preset_pipeline, transpile
 from ..transpiler.placement import Placement
 
@@ -241,22 +241,25 @@ class TranspileCache:
         # The exact pipeline instance the keys were fingerprinted from runs,
         # so a concurrently re-registered device preset can never produce a
         # compilation stored under another pipeline's fingerprint.
-        def _compile(circuit: Circuit) -> CacheEntry:
-            transpiled = transpile(circuit, device, pass_manager=pipeline)
-            compact, physical = transpiled.compact()
-            return CacheEntry(
-                transpiled=transpiled,
-                compact=compact,
-                physical=tuple(physical),
-                two_qubit_gates=transpiled.two_qubit_gate_count(),
-                depth=transpiled.depth(),
-                pipeline=pipeline.fingerprint,
-            )
+        def _compile(circuit: Circuit, parent: Optional[Span] = None) -> CacheEntry:
+            # ``parent`` is the submitter's span: pool-thread spans join its trace.
+            with get_tracer().resume(parent):
+                transpiled = transpile(circuit, device, pass_manager=pipeline)
+                compact, physical = transpiled.compact()
+                return CacheEntry(
+                    transpiled=transpiled,
+                    compact=compact,
+                    physical=tuple(physical),
+                    two_qubit_gates=transpiled.two_qubit_gate_count(),
+                    depth=transpiled.depth(),
+                    pipeline=pipeline.fingerprint,
+                )
 
         if missing:
             if executor is not None:
+                parent = get_tracer().current_span()
                 futures = {
-                    key: executor.submit(_compile, circuit)
+                    key: executor.submit(_compile, circuit, parent)
                     for key, circuit in missing.items()
                 }
                 compiled = {key: future.result() for key, future in futures.items()}

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..circuits import Circuit
 from ..exceptions import MitigationError
+from ..simulation.kernels import contract
 from ..simulation.result import Counts, QuasiDistribution
 from .base import Mitigator
 
@@ -224,7 +225,7 @@ def _dense_tensored_correct(
     for bit in range(num_bits):
         axis = num_bits - 1 - bit  # clbit 0 is the least significant index bit
         inverse = _invert_2x2(per_bit[bit])
-        tensor = np.moveaxis(np.tensordot(inverse, tensor, axes=([1], [axis])), 0, axis)
+        tensor = contract(tensor, inverse, (axis,))
     flat = tensor.reshape(-1)
     support = np.nonzero(np.abs(flat) > 1e-12)[0]
     return {

@@ -39,7 +39,8 @@ processes than the host has CPUs.  :func:`validate_names` then rejects an
 unknown or ambiguous device and an unknown technique, which would fail every
 attempt of the job the same way.  Every rejection is a 400 before anything
 is queued; a body longer than :data:`MAX_BODY_BYTES` is a 413 and is never
-read.
+read, and a body that stops arriving for :data:`READ_TIMEOUT_SECONDS` before
+its ``Content-Length`` is a 408.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ STATS_SCHEMA = 2
 
 #: Largest request body the service reads (a scenario definition is a few KiB).
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a handler thread waits on a silent client socket before it gives
+#: the connection up (a body cut short of its Content-Length is a 408).
+READ_TIMEOUT_SECONDS = 10.0
 
 #: Named scenario factories the POST body may reference by string.
 _NAMED_SCENARIOS = {
@@ -161,6 +166,14 @@ def validate_names(scenario: Scenario, knobs: Dict[str, Any]) -> None:
 class _BodyTooLarge(ServiceError):
     """A request body above :data:`MAX_BODY_BYTES` (answered with 413)."""
 
+    status = 413
+
+
+class _BodyTimeout(ServiceError):
+    """A request body that stopped arriving before its length (answered with 408)."""
+
+    status = 408
+
 
 def _route_label(path: str) -> str:
     """Collapse job ids so the request metrics stay low-cardinality."""
@@ -206,6 +219,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # Applied to the connection socket by StreamRequestHandler.setup().
+    timeout = READ_TIMEOUT_SECONDS
 
     # Silence per-request stderr logging (tests and long-running serves).
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -253,7 +268,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BodyTooLarge(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError as error:
+            self.close_connection = True
+            raise _BodyTimeout(
+                f"request body not received within {self.timeout:g} s"
+            ) from error
         if not raw:
             raise ServiceError("empty request body")
         try:
@@ -331,7 +352,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_error_json(f"no such endpoint: POST {path}", 404)
         except ServiceError as error:
-            self._send_error_json(str(error), 413 if isinstance(error, _BodyTooLarge) else 400)
+            self._send_error_json(str(error), getattr(error, "status", 400))
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         self._handle("DELETE", self._delete)

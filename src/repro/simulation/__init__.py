@@ -10,7 +10,7 @@ from .kernels import (
     GateKernel,
     analyze_matrix,
     apply_matrix,
-    apply_matrix_reference,
+    contract,
     fuse_circuit,
     fuse_operations,
 )
@@ -49,7 +49,7 @@ __all__ = [
     "FusedGate",
     "analyze_matrix",
     "apply_matrix",
-    "apply_matrix_reference",
+    "contract",
     "fuse_circuit",
     "fuse_operations",
     "KrausChannel",

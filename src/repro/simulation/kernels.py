@@ -7,7 +7,7 @@ matrix) are built on the primitives here:
 * **Structure-specialised apply** — :func:`analyze_matrix` classifies a
   unitary as *diagonal* (rz/cz/cp/rzz…), *permutation-like* (x/cx/swap/ccx,
   one non-zero entry per row) or *generic*, and :func:`apply_matrix` picks an
-  elementwise multiply, a gather, or the tensordot contraction accordingly.
+  elementwise multiply, a gather, or the dense :func:`contract` accordingly.
   The diagonal path mutates the state in place; the permutation path performs
   a single gather with no matrix arithmetic at all.
 * **Axis-addressed tensors** — every primitive operates on an ndarray whose
@@ -20,12 +20,14 @@ matrix) are built on the primitives here:
   number of kernel launches per circuit.
 
 Bit-compatibility: the seeded *noiseless* sampling path promises bit-identical
-results across releases.  ``exact_compatible`` kernels (permutations and
-diagonals whose entries are exactly ``±1``/``±i``) produce the same bits as
-the historical tensordot reference, so :func:`apply_matrix` with
-``strict=True`` only takes a fast path when it cannot change a single bit of
-the output probabilities; everything else falls back to
-:func:`apply_matrix_reference`.  The noisy/batched paths use ``strict=False``
+results across releases.  :func:`contract` makes the same ``np.dot`` call on
+the same operands as the historical reference contraction (kept as
+``apply_matrix_reference`` in ``tests/oracle.py``), and ``exact_compatible``
+kernels (permutations and diagonals whose entries are exactly ``±1``/``±i``)
+produce the same bits as it but for the sign of a zero amplitude, so
+:func:`apply_matrix` with ``strict=True`` only takes a fast path when it
+cannot change a single bit of the output probabilities; everything else
+falls back to :func:`contract`.  The noisy/batched paths use ``strict=False``
 and are validated statistically against the density-matrix reference.
 
 Indexing convention (shared with :mod:`~repro.simulation.statevector`): qubit
@@ -54,7 +56,7 @@ __all__ = [
     "operation_matrix",
     "kernel_for_operation",
     "apply_matrix",
-    "apply_matrix_reference",
+    "contract",
     "apply_kernel",
     "FusedGate",
     "fuse_operations",
@@ -94,8 +96,8 @@ class GateKernel:
             basis state feeding output basis state ``i``.
         phase: For permutation-like matrices, the non-zero entry per row.
         exact_compatible: True when the fast path is guaranteed bit-identical
-            to the tensordot reference (all arithmetic is exact: entries are
-            ``±1``/``±i`` or plain gathers).
+            to :func:`contract` up to the sign of zero (all arithmetic is
+            exact: entries are ``±1``/``±i`` or plain gathers).
     """
 
     matrix: np.ndarray
@@ -200,39 +202,56 @@ def conjugate_kernel_for_gate(gate: Gate) -> GateKernel:
 # ---------------------------------------------------------------------------
 
 
-def apply_matrix_reference(
-    tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]
-) -> np.ndarray:
-    """Historical tensordot kernel: contract ``matrix`` over ``axes``.
+@lru_cache(maxsize=4096)
+def _axis_orders(ndim: int, axes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Transpose bringing ``axes`` to the front in the given order, and its inverse."""
+    order = axes + tuple(axis for axis in range(ndim) if axis not in axes)
+    return order, tuple(order.index(axis) for axis in range(ndim))
 
-    This is the bit-compatibility reference for the seeded noiseless path.
-    ``axes[i]`` is the tensor axis carrying the i-th (most significant first)
-    qubit of the matrix index.  Returns a new array (a strided view of the
-    contraction result); the input is never modified.
+
+def contract(tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Contract ``matrix`` over ``axes``; returns a new C-contiguous array.
+
+    ``axes[i]`` is the tensor axis carrying the i-th (most significant
+    first) qubit of the matrix index.  The target axes are transposed to the
+    front, flattened into one ``np.dot(matrix, operand)`` and transposed
+    back: the same transposes and the same ``np.dot`` call as the historical
+    reference contraction (``apply_matrix_reference`` in ``tests/oracle.py``),
+    so every output bit is the same, without its per-call argument
+    handling.  The input is never modified.
     """
-    k = len(axes)
-    gate = matrix.reshape((2,) * (2 * k))
-    moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    # tensordot puts the gate's output axes first, in target order; move back.
-    return np.moveaxis(moved, list(range(k)), list(axes))
+    order, inverse = _axis_orders(tensor.ndim, tuple(axes))
+    moved = tensor.transpose(order)
+    # The reshaped operand is a temporary freed when np.dot returns, before
+    # the output copy below is allocated.
+    product = np.dot(matrix, moved.reshape(1 << len(axes), -1))
+    return np.ascontiguousarray(product.reshape(moved.shape).transpose(inverse))
 
 
 def _apply_diagonal(
     tensor: np.ndarray, diagonal: np.ndarray, axes: Sequence[int], in_place: bool = True
 ) -> np.ndarray:
     """Elementwise multiply by a diagonal gate over ``axes`` (in place by default)."""
+    _order, inverse = _axis_orders(tensor.ndim, tuple(axes))
     k = len(axes)
-    factor = diagonal.reshape((2,) * k)
-    order = np.argsort(axes)
-    factor = np.transpose(factor, order)
-    shape = [1] * tensor.ndim
-    for axis in axes:
-        shape[axis] = 2
-    factor = factor.reshape(shape)
+    factor = diagonal.reshape((2,) * k + (1,) * (tensor.ndim - k)).transpose(inverse)
     if in_place:
         tensor *= factor
         return tensor
     return tensor * factor
+
+
+@lru_cache(maxsize=8)
+def _basis_indices(k: int) -> Tuple[Tuple[object, ...], ...]:
+    """Index of each of the ``2**k`` gate-basis slices of a front-transposed tensor.
+
+    The trailing ``Ellipsis`` keeps a slice an array view (0-d when the gate
+    covers every axis), so it can be an ``out=`` argument.
+    """
+    return tuple(
+        tuple((basis >> (k - 1 - i)) & 1 for i in range(k)) + (Ellipsis,)
+        for basis in range(1 << k)
+    )
 
 
 def _apply_permutation(
@@ -247,20 +266,18 @@ def _apply_permutation(
     C-contiguous output array — one data pass total, no transposition of the
     full tensor and no post-hoc contiguity copy.
     """
-    k = len(axes)
-    dim = 1 << k
+    order, _inverse = _axis_orders(tensor.ndim, tuple(axes))
+    indices = _basis_indices(len(axes))
     out = np.empty(tensor.shape, dtype=tensor.dtype)
-    in_view = np.moveaxis(tensor, list(axes), list(range(k)))
-    out_view = np.moveaxis(out, list(axes), list(range(k)))
-    for dest in range(dim):
-        dest_index = tuple((dest >> (k - 1 - i)) & 1 for i in range(k))
-        src = int(source[dest])
-        src_index = tuple((src >> (k - 1 - i)) & 1 for i in range(k))
+    in_view = tensor.transpose(order)
+    out_view = out.transpose(order)
+    for dest, index in enumerate(indices):
+        src_index = indices[source[dest]]
         factor = phase[dest]
         if factor == 1.0:
-            out_view[dest_index] = in_view[src_index]
+            out_view[index] = in_view[src_index]
         else:
-            np.multiply(in_view[src_index], factor, out=out_view[dest_index])
+            np.multiply(in_view[src_index], factor, out=out_view[index])
     return out
 
 
@@ -276,22 +293,19 @@ def apply_kernel(
     With ``in_place=True`` (the default) the diagonal fast path mutates
     ``tensor`` and returns it; the other paths always return a new
     C-contiguous array (keeping evolution loops on contiguous memory, which
-    is what makes back-to-back tensordot contractions fast).  Pass
-    ``in_place=False`` when the input must be preserved.
+    is what makes back-to-back contractions fast).  Pass ``in_place=False``
+    when the input must be preserved.
 
     Args:
         strict: Restrict fast paths to ones that are bit-identical to
-            :func:`apply_matrix_reference` (see module docstring).
+            :func:`contract` (see module docstring).
     """
-    if kernel.kind == _KIND_DIAGONAL:
-        if not strict or kernel.exact_compatible:
-            return _apply_diagonal(tensor, kernel.diagonal, axes, in_place=in_place)
-        return np.ascontiguousarray(apply_matrix_reference(tensor, kernel.matrix, axes))
-    if kernel.kind == _KIND_PERMUTATION:
-        if not strict or kernel.exact_compatible:
-            return _apply_permutation(tensor, kernel.source, kernel.phase, axes)
-        return np.ascontiguousarray(apply_matrix_reference(tensor, kernel.matrix, axes))
-    return np.ascontiguousarray(apply_matrix_reference(tensor, kernel.matrix, axes))
+    fast = not strict or kernel.exact_compatible
+    if fast and kernel.kind == _KIND_DIAGONAL:
+        return _apply_diagonal(tensor, kernel.diagonal, axes, in_place=in_place)
+    if fast and kernel.kind == _KIND_PERMUTATION:
+        return _apply_permutation(tensor, kernel.source, kernel.phase, axes)
+    return contract(tensor, kernel.matrix, axes)
 
 
 def apply_matrix(

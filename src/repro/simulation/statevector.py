@@ -9,7 +9,7 @@ Two entry points:
 
 Evolution runs on the structure-specialised kernels in
 :mod:`~repro.simulation.kernels`: diagonal and permutation gates take exact
-fast paths, generic gates use the tensordot contraction, and noisy shots are
+fast paths, generic gates use the dense contraction, and noisy shots are
 simulated as a *batched* ``(T, 2**n)`` trajectory array — the deterministic
 prefix of a circuit is evolved once and only the stochastic suffix is paid
 per trajectory.  The seeded noiseless sampling path is bit-identical to the
@@ -37,7 +37,7 @@ from .kernels import (
     FusedGate,
     GateKernel,
     apply_kernel,
-    apply_matrix_reference,
+    contract,
     counts_from_samples,
     fuse_operations,
     kernel_for_operation,
@@ -82,8 +82,8 @@ def apply_unitary(
 
     The matrix uses the convention that ``targets[0]`` is the most significant
     bit of the matrix index (textbook ordering).  Dispatches to the
-    structure-specialised kernels (bit-compatible with the historical
-    tensordot implementation); the input array is never modified.
+    structure-specialised kernels in strict mode (bit-identical to the
+    dense contraction); the input array is never modified.
     """
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
@@ -155,16 +155,16 @@ def final_statevector(
             axes = [qubit_axis(q, num_qubits) for q in fused.qubits]
             psi = apply_kernel(psi, fused.kernel, axes, strict=False)
     else:
-        # Strict kernels keep this path bit-identical to the historical
-        # per-gate tensordot evolution (the seeded sampling contract).
-        # Parameterised rows skip kernel analysis and the caches: an
-        # optimiser's angles are seen once, and strict mode only takes fast
-        # paths that are bit-identical to the reference contraction anyway.
+        # Strict kernels keep this path bit-identical to per-gate dense
+        # contraction (the seeded sampling contract).  Parameterised rows
+        # skip kernel analysis and the caches: an optimiser's angles are
+        # seen once, and strict mode only takes fast paths that are
+        # bit-identical to the contraction anyway.
         for opcode, qubits, params in gate_rows:
             axes = [qubit_axis(q, num_qubits) for q in qubits]
             if params:
                 matrix = operation_matrix.__wrapped__(opcode, params)
-                psi = np.ascontiguousarray(apply_matrix_reference(psi, matrix, axes))
+                psi = contract(psi, matrix, axes)
             else:
                 psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
     return np.ascontiguousarray(psi).reshape(-1)

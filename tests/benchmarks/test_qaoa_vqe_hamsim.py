@@ -14,6 +14,7 @@ from repro.benchmarks import (
 from repro.exceptions import BenchmarkError
 from repro.simulation import Counts, StatevectorSimulator, final_statevector
 from repro.suite import Scenario, Sweep, run_scenario
+from repro.suite.registry import BenchmarkRegistry, get_registry
 from repro.telemetry import configure_tracing, get_tracer
 from repro.utils import equivalent_up_to_global_phase
 
@@ -167,6 +168,15 @@ class TestHamiltonianSimulation:
         assert 0.0 <= benchmark.score([Counts({"111": 5})]) <= 1.0
 
 
+def _fresh_registry() -> BenchmarkRegistry:
+    """Every family, no memoised instances: earlier tests cannot pre-build a spec."""
+    registry = BenchmarkRegistry()
+    default = get_registry()
+    for family in default.families():
+        registry.register(family)(default.family(family))
+    return registry
+
+
 class TestOptimizeSpan:
     @pytest.mark.parametrize(
         "module, sweep, restarts",
@@ -192,7 +202,14 @@ class TestOptimizeSpan:
         tracer.clear()
         try:
             scenario = Scenario(name="optimize", sweeps=(sweep,), devices=("IonQ-11Q",))
-            run_scenario(scenario, shots=40, repetitions=1, seed=3, trajectories=5)
+            run_scenario(
+                scenario,
+                shots=40,
+                repetitions=1,
+                seed=3,
+                trajectories=5,
+                registry=_fresh_registry(),
+            )
             spans = [span for span in tracer.finished() if span.name == "benchmark.optimize"]
         finally:
             tracer.clear()

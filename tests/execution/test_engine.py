@@ -274,3 +274,25 @@ class TestParallelPrepare:
         with ExecutionEngine(device, backend="statevector", max_workers=4) as pooled:
             observed = pooled.run_circuits(circuits, shots=60, seed=9)
         assert [dict(c) for c in observed] == [dict(c) for c in expected]
+
+
+class TestTracing:
+    def test_pool_compiles_join_the_callers_trace(self):
+        from repro.benchmarks import MerminBellBenchmark
+        from repro.telemetry import configure_tracing, get_tracer
+
+        tracer = get_tracer()
+        previous = tracer.enabled
+        configure_tracing(enabled=True)
+        tracer.clear()
+        try:
+            with ExecutionEngine(
+                get_device("IonQ-11Q"), backend="trajectory", max_workers=2, trajectories=5
+            ) as engine:
+                engine.run(MerminBellBenchmark(3), shots=40, repetitions=1, seed=1)
+            spans = tracer.finished()
+        finally:
+            tracer.clear()
+            tracer.enabled = previous
+        assert sum(span.name == "transpiler.pass" for span in spans) > 1
+        assert len({span.trace_id for span in spans}) == 1

@@ -1,19 +1,25 @@
-"""Object-walk reference implementations: the oracle parity checks compare against.
+"""Reference implementations: the oracle parity checks compare against.
 
 The library implements the five Closed-Division optimization passes, the
 interaction graph, ASAP moment scheduling, circuit depth and the two-qubit
 critical path once, over the packed columnar IR (``repro.transpiler.packed``,
 ``PackedCircuit.interaction_graph`` and ``repro.features.packed_profile``).
 This module keeps the per-instruction Python walks those implementations
-replaced and must reproduce gate for gate, so that:
+replaced and must reproduce gate for gate.  It also keeps the
+``np.tensordot`` gate contraction (:func:`apply_matrix_reference`) that
+``repro.simulation.kernels.contract`` inlines and must reproduce bit for
+bit.  So:
 
 * the randomized, five-pass-chain and preset-family parity tests
-  (``tests/transpiler/test_packed_passes.py``) and the interaction-graph /
-  depth / moment / critical-path / feature parity tests compare the library
-  against code it does not share;
-* the micro-benchmarks that time the packed code against the object walks
-  (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``)
-  keep measuring the baseline their committed ratios were recorded against.
+  (``tests/transpiler/test_packed_passes.py``), the interaction-graph /
+  depth / moment / critical-path / feature parity tests and the kernel
+  parity tests (``tests/simulation/test_kernels.py``,
+  ``tests/simulation/test_channel_parity.py``) compare the library against
+  code it does not share;
+* the micro-benchmarks that time the library against these baselines
+  (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``,
+  ``benchmarks/bench_simulation_kernels.py``) keep measuring the baseline
+  their committed ratios were recorded against.
 
 Under pytest this directory is on ``sys.path`` (it holds ``conftest.py``), so
 tests ``import oracle``; the benchmark scripts put it there themselves.
@@ -21,7 +27,7 @@ tests ``import oracle``; the benchmark scripts put it there themselves.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -58,6 +64,7 @@ __all__ = [
     "depth",
     "two_qubit_critical_path",
     "liveness_matrix",
+    "apply_matrix_reference",
 ]
 
 
@@ -444,3 +451,19 @@ def liveness_matrix(circuit: Circuit) -> np.ndarray:
             for q in instruction.qubits:
                 matrix[q, t] = 1
     return matrix
+
+
+def apply_matrix_reference(
+    tensor: np.ndarray, matrix: np.ndarray, axes: Sequence[int]
+) -> np.ndarray:
+    """The tensordot gate contraction: contract ``matrix`` over ``axes``.
+
+    ``axes[i]`` is the tensor axis carrying the i-th (most significant first)
+    qubit of the matrix index.  Returns a new array (a strided view of the
+    contraction result); the input is never modified.
+    """
+    k = len(axes)
+    gate = matrix.reshape((2,) * (2 * k))
+    moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    # tensordot puts the gate's output axes first, in target order; move back.
+    return np.moveaxis(moved, list(range(k)), list(axes))

@@ -10,7 +10,7 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service import BenchmarkService, JobQueue
-from repro.service.http import resolve_scenario
+from repro.service.http import _Handler, resolve_scenario
 from repro.store import ResultStore
 from repro.suite import SuiteResult, figure2_scenario
 
@@ -302,6 +302,12 @@ class TestRequestBodyLength:
         service, calls = stub
         body = json.dumps(SUBMISSION).encode()
         assert raw_post(service, str(len(body)), body) == 202
+
+    def test_short_body_is_a_408_after_the_read_timeout(self, stub, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        service, calls = stub
+        assert raw_post(service, "10", b'{"sc') == 408
+        assert service.queue.jobs() == []
 
 
 class TestResolveScenario:

@@ -8,6 +8,7 @@ reference contraction of its chosen operator.
 
 import numpy as np
 import pytest
+from oracle import apply_matrix_reference
 
 from repro.benchmarks import BitCodeBenchmark, GHZBenchmark, VanillaQAOABenchmark
 from repro.circuits import Circuit
@@ -21,12 +22,7 @@ from repro.simulation import (
     thermal_relaxation_channel,
     two_qubit_depolarizing_channel,
 )
-from repro.simulation.kernels import (
-    analyze_matrix,
-    apply_kernel,
-    apply_matrix_reference,
-    qubit_axis,
-)
+from repro.simulation.kernels import analyze_matrix, apply_kernel, qubit_axis
 from repro.simulation.statevector import (
     _channel_step,
     _choice_cdf,

@@ -7,14 +7,20 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import apply_matrix_reference
 
 from repro.circuits import Circuit, gate_matrix
-from repro.simulation import StatevectorSimulator, final_statevector
+from repro.simulation import (
+    StatevectorSimulator,
+    apply_unitary,
+    final_statevector,
+    sample_statevector,
+)
 from repro.simulation.kernels import (
     analyze_matrix,
     apply_kernel,
     apply_matrix,
-    apply_matrix_reference,
+    contract,
     fuse_circuit,
     fuse_operations,
     kernel_for_gate,
@@ -73,6 +79,48 @@ def _reference_statevector(circuit: Circuit) -> np.ndarray:
     return np.ascontiguousarray(psi).reshape(-1)
 
 
+def _bits(array: np.ndarray) -> np.ndarray:
+    """The raw IEEE-754 words of an array, so ``-0.0`` and ``0.0`` differ."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _random_tensor(rng, shape, real: bool = False) -> np.ndarray:
+    tensor = rng.normal(size=shape)
+    return tensor if real else tensor + 1j * rng.normal(size=shape)
+
+
+def _random_matrix(rng, k: int, layout: str) -> np.ndarray:
+    dim = 1 << k
+    if layout == "real":
+        return rng.normal(size=(dim, dim))
+    matrix = _random_tensor(rng, (dim, dim))
+    if layout == "fortran":
+        return np.asfortranarray(matrix)
+    if layout == "conjugated":
+        return matrix.conj()
+    return matrix
+
+
+def _exact_permutation(rng, k: int) -> np.ndarray:
+    """A non-diagonal permutation matrix with random ``±1``/``±i`` phases."""
+    dim = 1 << k
+    source = np.arange(dim)
+    while np.array_equal(source, np.arange(dim)):
+        source = rng.permutation(dim)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[np.arange(dim), source] = np.array([1, -1, 1j, -1j])[rng.integers(4, size=dim)]
+    return matrix
+
+
+def _exact_diagonal(rng, k: int) -> np.ndarray:
+    return np.diag(np.array([1, -1, 1j, -1j])[rng.integers(4, size=1 << k)])
+
+
+def _target_axes(rng, num_qubits: int, k: int, offset: int) -> list:
+    qubits = rng.choice(num_qubits, size=k, replace=False)  # any order
+    return [qubit_axis(int(q), num_qubits, offset=offset) for q in qubits]
+
+
 class TestAnalyzeMatrix:
     def test_diagonal_classification(self):
         kernel = analyze_matrix(gate_matrix("rz", 0.5))
@@ -121,7 +169,7 @@ class TestApplyAgainstReference:
         assert np.allclose(fast, reference, atol=1e-12)
 
     def test_strict_mode_is_bit_identical(self):
-        """Strict kernels must not change a single bit of the probabilities."""
+        """Strict kernels must not change a single bit of the state."""
         rng = np.random.default_rng(7)
         n = 5
         state = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
@@ -132,9 +180,7 @@ class TestApplyAgainstReference:
             matrix = gate_matrix(name, *params)
             strict = apply_matrix(state.copy(), matrix, axes, strict=True)
             reference = apply_matrix_reference(state, matrix, axes)
-            probs_strict = np.abs(np.ascontiguousarray(strict).reshape(-1)) ** 2
-            probs_ref = np.abs(np.ascontiguousarray(reference).reshape(-1)) ** 2
-            assert np.array_equal(probs_strict, probs_ref), name
+            assert np.array_equal(_bits(strict), _bits(reference)), name
 
     def test_batched_apply_matches_per_row(self):
         rng = np.random.default_rng(3)
@@ -160,6 +206,104 @@ class TestApplyAgainstReference:
         mutated = apply_kernel(state, kernel, [1], in_place=True)
         assert mutated is state
         assert np.allclose(mutated, preserved)
+
+
+class TestContractionParity:
+    """``contract`` against the tensordot oracle, compared word for word."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_random_matrices_match_the_oracle(self, num_qubits, batched):
+        rng = np.random.default_rng(100 * num_qubits + batched)
+        offset = int(batched)
+        shape = (3,) * offset + (2,) * num_qubits
+        for k in range(1, min(3, num_qubits) + 1):
+            for layout in ("c", "fortran", "conjugated", "real"):
+                for _ in range(3):
+                    tensor = _random_tensor(rng, shape)
+                    before = tensor.copy()
+                    matrix = _random_matrix(rng, k, layout)
+                    axes = _target_axes(rng, num_qubits, k, offset)
+                    out = contract(tensor, matrix, axes)
+                    expected = apply_matrix_reference(tensor, matrix, axes)
+                    assert out.flags.c_contiguous
+                    assert np.array_equal(_bits(out), _bits(expected)), (k, layout, axes)
+                    assert np.array_equal(_bits(tensor), _bits(before))
+
+    def test_real_matrix_on_real_tensor_matches_the_oracle(self):
+        """The readout correction's case: real inverses over real probabilities."""
+        rng = np.random.default_rng(8)
+        tensor = _random_tensor(rng, (2,) * 6, real=True)
+        for axis in range(6):
+            matrix = _random_matrix(rng, 1, "real")
+            out = contract(tensor, matrix, (axis,))
+            expected = apply_matrix_reference(tensor, matrix, [axis])
+            assert out.dtype == np.float64
+            assert np.array_equal(_bits(out), _bits(expected))
+            tensor = out
+
+    @pytest.mark.parametrize("kind", ["permutation", "diagonal"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    def test_exact_strict_kernels_match_the_oracle(self, kind, batched):
+        """Fast paths with ``±1``/``±i`` entries, up to gates covering every axis."""
+        rng = np.random.default_rng(17 + batched)
+        offset = int(batched)
+        factory = _exact_permutation if kind == "permutation" else _exact_diagonal
+        for num_qubits in range(1, 9):
+            shape = (3,) * offset + (2,) * num_qubits
+            for k in range(1, min(3, num_qubits) + 1):
+                for _ in range(3):
+                    matrix = factory(rng, k)
+                    kernel = analyze_matrix(matrix)
+                    assert kernel.kind == kind and kernel.exact_compatible
+                    tensor = _random_tensor(rng, shape)
+                    axes = _target_axes(rng, num_qubits, k, offset)
+                    out = apply_kernel(tensor, kernel, axes, strict=True, in_place=False)
+                    expected = apply_matrix_reference(tensor, matrix, axes)
+                    assert np.array_equal(_bits(out), _bits(expected)), (num_qubits, axes)
+
+
+class TestPhasedPermutationOnEveryQubit:
+    """A phased permutation gate covering every axis of an unbatched state."""
+
+    CASES = [("y", 1), ("cy", 2), ("iswap", 2)]
+
+    @staticmethod
+    def _circuit(name: str, num_qubits: int, measure: bool = False) -> Circuit:
+        circuit = Circuit(num_qubits, num_qubits if measure else 0)
+        for qubit in range(num_qubits):
+            circuit.rx(0.3 + qubit, qubit)
+        circuit.add_gate(name, list(range(num_qubits)))
+        if measure:
+            circuit.measure_all()
+        return circuit
+
+    @pytest.mark.parametrize("name,num_qubits", CASES)
+    def test_final_statevector(self, name, num_qubits):
+        circuit = self._circuit(name, num_qubits)
+        assert np.array_equal(final_statevector(circuit), _reference_statevector(circuit))
+
+    @pytest.mark.parametrize("name,num_qubits", CASES)
+    def test_noiseless_run(self, name, num_qubits):
+        circuit = self._circuit(name, num_qubits, measure=True)
+        counts = StatevectorSimulator(seed=5).run(circuit, shots=200)
+        qubits = list(range(num_qubits))
+        expected = sample_statevector(
+            _reference_statevector(circuit), 200, qubits, qubits, num_qubits,
+            np.random.default_rng(5),
+        )
+        assert dict(counts) == dict(expected)
+
+    @pytest.mark.parametrize("name,num_qubits", CASES)
+    def test_apply_unitary(self, name, num_qubits):
+        rng = np.random.default_rng(3)
+        state = _random_tensor(rng, (1 << num_qubits,))
+        matrix = gate_matrix(name)
+        targets = list(range(num_qubits))
+        out = apply_unitary(state, matrix, targets, num_qubits)
+        axes = [qubit_axis(q, num_qubits) for q in targets]
+        expected = apply_matrix_reference(state.reshape((2,) * num_qubits), matrix, axes)
+        assert np.array_equal(_bits(out), _bits(expected).reshape(-1))
 
 
 class TestFusion:
