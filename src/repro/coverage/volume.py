@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ..circuits import Circuit
 from ..exceptions import AnalysisError
@@ -41,6 +40,9 @@ def coverage_volume(vectors: Sequence[Sequence[float]] | np.ndarray) -> float:
     a lower-dimensional affine subspace) are handled by joggling the input;
     sets that are still too small to span any volume return 0.0.
     """
+    # Imported here so that ``import repro`` does not load scipy.
+    from scipy.spatial import ConvexHull, QhullError
+
     points = np.asarray(vectors, dtype=float)
     if points.ndim != 2:
         raise AnalysisError("expected a 2D array of feature vectors")

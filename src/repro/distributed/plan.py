@@ -143,8 +143,9 @@ class LeaseResult:
             merges into one coherent trace.  Empty when tracing is disabled
             and for in-process leases, whose spans are already recorded.
         metrics: :func:`~repro.telemetry.diff_snapshots` of the worker's
-            metrics registry across the lease; the scheduler folds it into
-            the parent registry.  Empty for in-process leases.
+            metrics registry across the lease (counters and histograms; no
+            gauges); the scheduler folds it into the parent registry.  Empty
+            for in-process leases.
     """
 
     lease_id: int

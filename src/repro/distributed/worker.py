@@ -67,10 +67,16 @@ def initialize_worker(crash_marker: Optional[str] = None, trace: bool = False) -
             adopt them.  The worker id becomes the span-id prefix so merged
             traces never collide, and any spans inherited through a ``fork``
             start are discarded (they belong to the parent's buffer).
+
+    A ``fork`` child also drops the executor it may inherit from a parent
+    that ran :func:`execute_lease` itself: that executor's engine pool
+    threads do not exist in the child, so work submitted to them would
+    never run.
     """
-    global _CRASH_MARKER
+    global _CRASH_MARKER, _LOCAL
     import repro.benchmarks  # noqa: F401 - registers the benchmark families
 
+    _LOCAL = None
     tracer = configure_tracing(enabled=trace, id_prefix=f"{worker_id()}-")
     tracer.clear()
     tracer.reset_context()  # a fork child inherits the parent's open spans
@@ -96,25 +102,6 @@ def _maybe_crash(completed_units: int, total_units: int) -> None:
         with open(_CRASH_MARKER, "w") as handle:
             handle.write(worker_id())
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _qualify_instances(delta: Dict[str, Any]) -> Dict[str, Any]:
-    """Prefix ``instance`` label values with the worker id before shipping.
-
-    Under the ``fork`` start method a worker inherits the parent's instance
-    counter, so a cache built in the worker can carry the same instance
-    label as one built later in the parent; qualifying with the worker id
-    keeps merged series unambiguous and per-worker attributable.
-    """
-    wid = worker_id()
-    for entry in delta.values():
-        if "instance" not in entry.get("labelnames", ()):
-            continue
-        for row in entry["series"]:
-            labels = row.get("labels", {})
-            if "instance" in labels and not str(labels["instance"]).startswith(wid):
-                labels["instance"] = f"{wid}/{labels['instance']}"
-    return delta
 
 
 def run_lease(engine, lease: Lease, registry=None, mitigation=None) -> List[Dict[str, Any]]:
@@ -181,9 +168,9 @@ def execute_lease(lease: Lease) -> LeaseResult:
     """Pool-process entry point: run one lease and ship its telemetry.
 
     Telemetry rides back on the :class:`LeaseResult`: the lease's finished
-    spans (drained, so the next lease starts clean) and the metrics-registry
-    delta across the lease — the scheduler adopts/merges both into the
-    parent process.
+    spans (drained, so the next lease starts clean) and the counter and
+    histogram delta of the metrics registry across the lease — the scheduler
+    adopts/merges both into the parent process.
     """
     task = lease.task
     started = time.perf_counter()
@@ -191,7 +178,7 @@ def execute_lease(lease: Lease) -> LeaseResult:
     stats_before = engine.stats()
     tracer = get_tracer()
     metrics = get_metrics()
-    metrics_before = metrics.snapshot()
+    metrics_before = metrics.totals()
     tracer.clear()  # ship only this lease's spans, whatever ran before
 
     outcomes = run_lease(engine, lease)
@@ -214,5 +201,5 @@ def execute_lease(lease: Lease) -> LeaseResult:
         engine_stats=delta,
         seconds=time.perf_counter() - started,
         spans=[span.as_dict() for span in tracer.drain()],
-        metrics=_qualify_instances(diff_snapshots(metrics.snapshot(), metrics_before)),
+        metrics=diff_snapshots(metrics.totals(), metrics_before),
     )

@@ -33,7 +33,7 @@ from ..circuits import Circuit
 from ..circuits.columnar import OPCODE_TABLE_DIGEST
 from ..devices import Device
 from ..simulation.noise_model import NoiseModel
-from ..telemetry import Span, get_metrics, get_tracer, instance_label
+from ..telemetry import LiveSet, Span, get_metrics, get_tracer
 from ..transpiler import TranspiledCircuit, preset_pipeline, transpile
 from ..transpiler.placement import Placement
 
@@ -112,13 +112,15 @@ class CacheEntry:
 _LOOKUPS = get_metrics().counter(
     "repro_transpile_cache_lookups_total",
     "Transpile-cache lookups by result.",
-    ("instance", "result"),
+    ("result",),
 )
-_ENTRIES = get_metrics().gauge(
+_HITS = _LOOKUPS.labels(result="hit")
+_MISSES = _LOOKUPS.labels(result="miss")
+_LIVE = LiveSet()
+get_metrics().gauge(
     "repro_transpile_cache_entries",
-    "Compiled entries currently held per transpile cache.",
-    ("instance",),
-)
+    "Compiled entries held by the live transpile caches of this process.",
+).set_callback(lambda: _LIVE.total(len))
 
 
 class TranspileCache:
@@ -128,34 +130,20 @@ class TranspileCache:
         hits: Number of lookups answered from the cache.
         misses: Number of lookups that had to invoke the transpiler.
 
-    Both counters are series of the process-wide metrics registry
-    (``repro_transpile_cache_lookups_total``, labeled per instance), read
-    back here so ``stats()`` stays the historical flat dict while
-    ``GET /metrics`` sees every cache at once.
+    Every lookup also adds to the process total
+    ``repro_transpile_cache_lookups_total``, which :meth:`clear` leaves
+    alone.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str, str], CacheEntry] = {}
         self._lock = threading.Lock()
-        self._id = instance_label("tc")
-        self._hit_series = _LOOKUPS.labels(instance=self._id, result="hit")
-        self._miss_series = _LOOKUPS.labels(instance=self._id, result="miss")
-        # clear() baselines: registry counters are monotonic, the cache's
-        # historical counters reset — stats report (series - baseline).
-        self._hits_base = 0.0
-        self._misses_base = 0.0
-        _ENTRIES.set_callback(self.__len__, instance=self._id)
+        self.hits = 0
+        self.misses = 0
+        _LIVE.add(self)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        return int(self._hit_series.value() - self._hits_base)
-
-    @property
-    def misses(self) -> int:
-        return int(self._miss_series.value() - self._misses_base)
 
     def get_or_transpile(
         self,
@@ -228,10 +216,12 @@ class TranspileCache:
                     continue
                 entry = self._entries.get(key)
                 if entry is not None:
-                    self._hit_series.add(1.0)
+                    self.hits += 1
+                    _HITS.add(1.0)
                     resolved[key] = entry
                 else:
-                    self._miss_series.add(1.0)
+                    self.misses += 1
+                    _MISSES.add(1.0)
                     missing[key] = circuit
         # Compile outside the lock so a slow compilation does not serialise
         # unrelated lookups; each distinct missing circuit compiles exactly
@@ -273,8 +263,7 @@ class TranspileCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._hits_base = self._hit_series.value()
-            self._misses_base = self._miss_series.value()
+            self.hits = self.misses = 0
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters plus current size, for logging and tests."""

@@ -27,6 +27,7 @@ circuit's position, so results are bit-identical for ``max_workers=1`` and
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import cached_property
@@ -41,7 +42,7 @@ from ..mitigation import CalibrationCache, Mitigator, resolve_mitigator
 from ..mitigation.calibration import calibration_seed
 from ..simulation import Counts
 from ..simulation.noise_model import NoiseModel
-from ..telemetry import Span, get_metrics, get_tracer, instance_label
+from ..telemetry import Span, get_metrics, get_tracer
 from .backends import Backend, backend_metadata, circuit_seed, resolve_backend
 from .cache import CacheEntry, TranspileCache
 from .results import BenchmarkRun
@@ -51,13 +52,14 @@ __all__ = ["ExecutionEngine", "REPETITION_STRIDE"]
 _EXECUTIONS = get_metrics().counter(
     "repro_engine_executions_total",
     "Circuit executions dispatched to the backend.",
-    ("instance",),
-)
+).labels()
 _STORE_LOOKUPS = get_metrics().counter(
     "repro_engine_store_lookups_total",
-    "Per-engine content-key store lookups by result.",
-    ("instance", "result"),
+    "Content-key store lookups made for engines, by result.",
+    ("result",),
 )
+_STORE_HITS = _STORE_LOOKUPS.labels(result="hit")
+_STORE_MISSES = _STORE_LOOKUPS.labels(result="miss")
 
 #: Per-repetition seed stride (kept identical to the historical runner so
 #: seeded benchmark scores are reproducible across releases).
@@ -116,14 +118,11 @@ class ExecutionEngine:
             calibration_cache if calibration_cache is not None else CalibrationCache()
         )
         self._executor: Optional[ThreadPoolExecutor] = None
-        # Engine-local counters as registry series (a store may be shared
-        # across engines; these count only this engine's lookups, so
-        # per-engine stats compose correctly when the suite layer aggregates
-        # them per engine configuration).
-        self._id = instance_label("engine")
-        self._execution_series = _EXECUTIONS.labels(instance=self._id)
-        self._store_hit_series = _STORE_LOOKUPS.labels(instance=self._id, result="hit")
-        self._store_miss_series = _STORE_LOOKUPS.labels(instance=self._id, result="miss")
+        # This engine's own counts (a store may be shared across engines;
+        # these count only this engine's lookups, so per-engine stats compose
+        # when the suite layer aggregates them per engine configuration).
+        self._counts_lock = threading.Lock()
+        self._counts = {"store_hits": 0, "store_misses": 0, "executions": 0}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -211,6 +210,9 @@ class ExecutionEngine:
         The ``i``-th execution is seeded with ``circuit_seed(seed, i)``, so
         results do not depend on ``max_workers``.
         """
+        with self._counts_lock:
+            self._counts["executions"] += len(executions)
+        _EXECUTIONS.add(len(executions))
         pool = self._pool()
         parent = get_tracer().current_span()
         return [
@@ -223,7 +225,6 @@ class ExecutionEngine:
     ) -> Counts:
         # ``parent`` is the submitter's span: pool-thread spans join its trace.
         with get_tracer().resume(parent):
-            self._execution_series.add(1.0)
             return self.backend.run_batch([compact], shots, noise_model=[noise], seed=seed)[0]
 
     def _noise(self, entry: CacheEntry) -> Optional[NoiseModel]:
@@ -377,7 +378,9 @@ class ExecutionEngine:
         results up (the suite runner) reports each lookup here, so
         ``store_hits`` / ``store_misses`` in :meth:`stats` stay complete.
         """
-        (self._store_hit_series if hit else self._store_miss_series).add(1.0)
+        with self._counts_lock:
+            self._counts["store_hits" if hit else "store_misses"] += 1
+        (_STORE_HITS if hit else _STORE_MISSES).add(1.0)
 
     # ------------------------------------------------------------------
     # benchmark-level API
@@ -473,9 +476,8 @@ class ExecutionEngine:
         stats = dict(self.cache.stats())
         for key, value in self.calibration_cache.stats().items():
             stats[f"calibration_{key}"] = value
-        stats["store_hits"] = int(self._store_hit_series.value())
-        stats["store_misses"] = int(self._store_miss_series.value())
-        stats["executions"] = int(self._execution_series.value())
+        with self._counts_lock:
+            stats.update(self._counts)
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

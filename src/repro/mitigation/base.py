@@ -32,8 +32,17 @@ from typing import List, Optional, Sequence, Union
 from ..circuits import Circuit
 from ..exceptions import MitigationError
 from ..simulation.result import Counts, QuasiDistribution, normalized_probabilities
+from ..telemetry import get_metrics
 
 __all__ = ["Mitigator", "PassthroughMitigator", "resolve_mitigator"]
+
+#: Process totals of the times a method gave way to a simpler one, by the
+#: site that fell back and why.
+FALLBACKS = get_metrics().counter(
+    "repro_fallbacks_total",
+    "Fallbacks from a method to a simpler one, by site and reason.",
+    ("site", "reason"),
+)
 
 
 class Mitigator(abc.ABC):

@@ -26,7 +26,7 @@ import hashlib
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
-from ..telemetry import get_metrics, instance_label
+from ..telemetry import LiveSet, get_metrics
 
 __all__ = ["CalibrationCache", "calibration_seed"]
 
@@ -49,13 +49,15 @@ def calibration_seed(key: CalibrationKey) -> int:
 _LOOKUPS = get_metrics().counter(
     "repro_calibration_cache_lookups_total",
     "Calibration-cache lookups by result.",
-    ("instance", "result"),
+    ("result",),
 )
-_ENTRIES = get_metrics().gauge(
+_HITS = _LOOKUPS.labels(result="hit")
+_MISSES = _LOOKUPS.labels(result="miss")
+_LIVE = LiveSet()
+get_metrics().gauge(
     "repro_calibration_cache_entries",
-    "Calibration entries currently held per calibration cache.",
-    ("instance",),
-)
+    "Calibration entries held by the live calibration caches of this process.",
+).set_callback(lambda: _LIVE.total(len))
 
 
 class CalibrationCache:
@@ -65,31 +67,20 @@ class CalibrationCache:
         hits: Lookups answered from the cache.
         misses: Lookups that had to issue calibration jobs.
 
-    Counters live in the process-wide metrics registry
-    (``repro_calibration_cache_lookups_total``) and are read back here so
-    ``stats()`` keeps its historical flat keys.
+    Every lookup also adds to the process total
+    ``repro_calibration_cache_lookups_total``, which :meth:`clear` leaves
+    alone.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[CalibrationKey, object] = {}
         self._lock = threading.Lock()
-        self._id = instance_label("cc")
-        self._hit_series = _LOOKUPS.labels(instance=self._id, result="hit")
-        self._miss_series = _LOOKUPS.labels(instance=self._id, result="miss")
-        self._hits_base = 0.0
-        self._misses_base = 0.0
-        _ENTRIES.set_callback(self.__len__, instance=self._id)
+        self.hits = 0
+        self.misses = 0
+        _LIVE.add(self)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        return int(self._hit_series.value() - self._hits_base)
-
-    @property
-    def misses(self) -> int:
-        return int(self._miss_series.value() - self._misses_base)
 
     def get_or_compute(
         self, key: CalibrationKey, compute: Callable[[], object]
@@ -106,9 +97,11 @@ class CalibrationCache:
         """
         with self._lock:
             if key in self._entries:
-                self._hit_series.add(1.0)
+                self.hits += 1
+                _HITS.add(1.0)
                 return self._entries[key]
-            self._miss_series.add(1.0)
+            self.misses += 1
+            _MISSES.add(1.0)
         value = compute()
         with self._lock:
             if key in self._entries:
@@ -124,8 +117,7 @@ class CalibrationCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._hits_base = self._hit_series.value()
-            self._misses_base = self._miss_series.value()
+            self.hits = self.misses = 0
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters plus current size, for logging and tests."""

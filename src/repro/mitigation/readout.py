@@ -42,7 +42,7 @@ from ..circuits import Circuit
 from ..exceptions import MitigationError
 from ..simulation.kernels import contract
 from ..simulation.result import Counts, QuasiDistribution
-from .base import Mitigator
+from .base import FALLBACKS, Mitigator
 
 __all__ = [
     "ReadoutCalibration",
@@ -55,6 +55,9 @@ __all__ = [
 #: Registers wider than this are corrected on the observed-bitstring
 #: subspace instead of the dense ``(2,)*n`` probability tensor.
 DENSE_QUBIT_CUTOFF = 12
+
+#: Counts the tensored corrections too wide for the dense tensor.
+_WIDTH_FALLBACK = FALLBACKS.labels(site="readout.tensored", reason="width")
 
 #: The full method needs one calibration circuit per basis state.
 FULL_METHOD_MAX_QUBITS = 10
@@ -404,6 +407,7 @@ class ReadoutMitigator(Mitigator):
             if num_bits <= DENSE_QUBIT_CUTOFF:
                 quasi = _dense_tensored_correct(counts, num_bits, per_bit)
             else:
+                _WIDTH_FALLBACK.add(1.0)
                 quasi = _subspace_tensored_correct(counts, num_bits, per_bit)
         else:
             quasi = _full_correct(counts, num_bits, calibration.matrices, qubit_for_clbit)

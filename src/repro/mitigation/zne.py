@@ -34,7 +34,7 @@ import numpy as np
 from ..circuits import Circuit, Instruction
 from ..exceptions import MitigationError
 from ..simulation.result import Counts, QuasiDistribution, normalized_probabilities
-from .base import Mitigator
+from .base import FALLBACKS, Mitigator
 
 __all__ = [
     "fold_global",
@@ -220,9 +220,11 @@ class ExponentialExtrapolator(Extrapolator):
     """Fit ``y = a + b * exp(-c * x)`` and evaluate at zero.
 
     Matches the exponential decay of fidelity with gate count under
-    depolarizing noise.  Needs at least three scale factors; when the
-    nonlinear fit fails to converge (noisy data, degenerate geometry) it
-    falls back to linear extrapolation.
+    depolarizing noise.  Needs at least three scale factors and values that
+    are not all equal; without them, or when the nonlinear fit fails (noisy
+    data, degenerate geometry), it falls back to linear extrapolation and
+    counts the fallback in ``repro_fallbacks_total`` with its reason
+    (``too_few_scales``, ``flat_values`` or the fit's exception class).
     """
 
     name = "exponential"
@@ -230,8 +232,10 @@ class ExponentialExtrapolator(Extrapolator):
     def extrapolate(self, scales: Sequence[float], values: Sequence[float]) -> float:
         x = np.asarray(scales, float)
         y = np.asarray(values, float)
-        if len(x) < 3 or np.allclose(y, y[0]):
-            return LinearExtrapolator().extrapolate(scales, values)
+        if len(x) < 3:
+            return self._linear("too_few_scales", scales, values)
+        if np.allclose(y, y[0]):
+            return self._linear("flat_values", scales, values)
         try:
             from scipy.optimize import curve_fit
 
@@ -246,8 +250,13 @@ class ExponentialExtrapolator(Extrapolator):
             if not np.isfinite(estimate):
                 raise ValueError("non-finite fit")
             return estimate
-        except Exception:
-            return LinearExtrapolator().extrapolate(scales, values)
+        except Exception as error:
+            return self._linear(type(error).__name__, scales, values)
+
+    @staticmethod
+    def _linear(reason: str, scales: Sequence[float], values: Sequence[float]) -> float:
+        FALLBACKS.inc(site="zne.exponential", reason=reason)
+        return LinearExtrapolator().extrapolate(scales, values)
 
 
 def resolve_extrapolator(extrapolator: Union[Extrapolator, str, None]) -> Extrapolator:

@@ -38,29 +38,35 @@ from ..exceptions import DistributedError, ReproError, ServiceError
 from ..suite.results import SpecOutcome, SuiteResult
 from ..suite.runner import run_scenario
 from ..suite.sweep import Scenario
-from ..telemetry import get_metrics, get_tracer, instance_label
+from ..telemetry import LiveSet, get_metrics, get_tracer
 
 __all__ = ["JobQueue", "JobRecord", "JobCancelled"]
 
-_JOBS = get_metrics().gauge(
-    "repro_service_jobs",
-    "Job-queue occupancy by job status.",
-    ("instance", "status"),
-)
 _RETRIES = get_metrics().counter(
     "repro_service_job_retries_total",
     "Jobs re-queued after a failed attempt.",
-    ("instance",),
-)
+).labels()
 _JOB_SECONDS = get_metrics().histogram(
     "repro_service_job_seconds",
     "Wall-clock job duration from first start to terminal state.",
-    ("instance", "status"),
+    ("status",),
 )
 
 #: Every job status a record can hold (the gauge reports all of them, zeroes
 #: included, so dashboards get stable series).
 _STATUSES = ("queued", "running", "done", "failed", "cancelled")
+
+_LIVE = LiveSet()
+_JOBS = get_metrics().gauge(
+    "repro_service_jobs",
+    "Jobs of the live job queues of this process, by job status.",
+    ("status",),
+)
+for _status in _STATUSES:
+    _JOBS.set_callback(
+        lambda status=_status: _LIVE.total(lambda queue: queue.stats()[status]),
+        status=_status,
+    )
 
 
 class JobCancelled(Exception):
@@ -143,15 +149,14 @@ class JobQueue:
         self._changed = threading.Condition(self._lock)
         self._ids = itertools.count(1)
         self._closed = False
-        self._id = instance_label("jobs")
-        self._retry_series = _RETRIES.labels(instance=self._id)
-        _JOBS.add_collector(self._gauge_rows)
+        self._retries = 0
         self._workers = [
             threading.Thread(target=self._worker, name=f"repro-job-{i}", daemon=True)
             for i in range(int(workers))
         ]
         for thread in self._workers:
             thread.start()
+        _LIVE.add(self)
 
     def _by_status(self) -> Dict[str, int]:
         """Jobs per status, every status included (caller holds the lock)."""
@@ -159,12 +164,6 @@ class JobQueue:
         for job in self._jobs.values():
             counts[job.status] += 1
         return counts
-
-    def _gauge_rows(self) -> Dict[tuple, int]:
-        """Occupancy rows for the ``repro_service_jobs`` gauge."""
-        with self._lock:
-            counts = self._by_status()
-        return {(self._id, status): count for status, count in counts.items()}
 
     # ------------------------------------------------------------------
     # client surface
@@ -270,7 +269,7 @@ class JobQueue:
             return {
                 "jobs": len(self._jobs),
                 **self._by_status(),
-                "retries": int(self._retry_series.value()),
+                "retries": self._retries,
                 "workers": len(self._workers),
             }
 
@@ -364,7 +363,8 @@ class JobQueue:
                         and not deterministic
                     ):
                         job.status = "queued"
-                        self._retry_series.add(1.0)
+                        self._retries += 1
+                        _RETRIES.add(1.0)
                         retry = True
                     else:
                         job.status = "failed"
@@ -388,11 +388,7 @@ class JobQueue:
         """Record the job's total duration under its terminal status."""
         if job.started_at is None or job.finished_at is None:
             return
-        _JOB_SECONDS.observe(
-            max(0.0, job.finished_at - job.started_at),
-            instance=self._id,
-            status=job.status,
-        )
+        _JOB_SECONDS.observe(max(0.0, job.finished_at - job.started_at), status=job.status)
 
     def _run(self, job: JobRecord, partial: Optional[SuiteResult]) -> SuiteResult:
         def on_outcome(outcome: SpecOutcome) -> None:

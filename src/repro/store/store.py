@@ -21,8 +21,8 @@ Storage properties:
   and is migrated forward step-by-step on open; a database written by a
   *newer* release fails loudly with :class:`~repro.exceptions.SchemaVersionError`.
 * **Counters** — per-instance ``hits`` / ``misses`` / ``puts`` /
-  ``evictions``, surfaced by :meth:`stats` and folded into
-  :meth:`repro.execution.ExecutionEngine.stats`.
+  ``evictions``, surfaced by :meth:`stats`; every event also adds to the
+  process totals ``repro_store_*``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..exceptions import SchemaVersionError, StoreError
 from ..execution.results import BenchmarkRun
-from ..telemetry import get_metrics, get_tracer, instance_label
+from ..telemetry import LiveSet, get_metrics, get_tracer
 from .keys import KEY_SCHEMA
 
 __all__ = ["ResultStore", "STORE_SCHEMA_VERSION", "PAYLOAD_VERSION"]
@@ -46,22 +46,27 @@ __all__ = ["ResultStore", "STORE_SCHEMA_VERSION", "PAYLOAD_VERSION"]
 _LOOKUPS = get_metrics().counter(
     "repro_store_lookups_total",
     "Result-store reads by result.",
-    ("instance", "result"),
+    ("result",),
 )
-_PUTS = get_metrics().counter(
-    "repro_store_puts_total", "Result-store row upserts.", ("instance",)
-)
+_HITS = _LOOKUPS.labels(result="hit")
+_MISSES = _LOOKUPS.labels(result="miss")
+_PUTS = get_metrics().counter("repro_store_puts_total", "Result-store row upserts.").labels()
 _EVICTIONS = get_metrics().counter(
-    "repro_store_evictions_total", "Rows evicted past the row cap.", ("instance",)
-)
-_ROWS = get_metrics().gauge(
-    "repro_store_rows", "Rows currently in the backing database.", ("instance",)
-)
+    "repro_store_evictions_total", "Rows evicted past the row cap."
+).labels()
 _OP_SECONDS = get_metrics().histogram(
     "repro_store_op_seconds",
     "Result-store operation latency by operation.",
-    ("instance", "op"),
+    ("op",),
 )
+_OP_GET = _OP_SECONDS.labels(op="get")
+_OP_PUT = _OP_SECONDS.labels(op="put")
+_OP_QUERY = _OP_SECONDS.labels(op="query")
+#: Open stores (a store leaves in :meth:`ResultStore.close`).
+_LIVE = LiveSet()
+get_metrics().gauge(
+    "repro_store_rows", "Rows in the databases of the open stores of this process."
+).set_callback(lambda: _LIVE.total(len))
 
 #: Version of the *database* schema (tables, columns, indexes).  Bump it by
 #: appending to :data:`_MIGRATIONS`.
@@ -134,17 +139,10 @@ class ResultStore:
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
         self._counter_lock = threading.Lock()
-        self._id = instance_label("store")
-        self._hit_series = _LOOKUPS.labels(instance=self._id, result="hit")
-        self._miss_series = _LOOKUPS.labels(instance=self._id, result="miss")
-        self._put_series = _PUTS.labels(instance=self._id)
-        self._eviction_series = _EVICTIONS.labels(instance=self._id)
-        self._op_get = _OP_SECONDS.labels(instance=self._id, op="get")
-        self._op_put = _OP_SECONDS.labels(instance=self._id, op="put")
-        self._op_query = _OP_SECONDS.labels(instance=self._id, op="query")
-        # The rows gauge reads __len__ lazily (weakly held, pruned once this
-        # instance is garbage-collected or its connections are closed).
-        _ROWS.set_callback(self.__len__, instance=self._id)
+        self.hits = 0
+        self.misses = 0
+        self.puts = 0
+        self.evictions = 0
         if not self._memory:
             parent = pathlib.Path(self.path).resolve().parent
             parent.mkdir(parents=True, exist_ok=True)
@@ -154,6 +152,7 @@ class ResultStore:
         if self._memory:
             self._shared = self._open()
         self._migrate()
+        _LIVE.add(self)
 
     # ------------------------------------------------------------------
     # connections & migrations
@@ -214,6 +213,7 @@ class ResultStore:
 
     def close(self) -> None:
         """Close every connection this instance opened (idempotent)."""
+        _LIVE.discard(self)
         with self._counter_lock:
             connections, self._connections = self._connections, []
         for connection in connections:
@@ -229,24 +229,11 @@ class ResultStore:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # counters (series of the process-wide metrics registry)
-    # ------------------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return int(self._hit_series.value())
-
-    @property
-    def misses(self) -> int:
-        return int(self._miss_series.value())
-
-    @property
-    def puts(self) -> int:
-        return int(self._put_series.value())
-
-    @property
-    def evictions(self) -> int:
-        return int(self._eviction_series.value())
+    def _count(self, counter: str, total, amount: int = 1) -> None:
+        """Add ``amount`` to one of this store's counters and to its process total."""
+        with self._counter_lock:
+            setattr(self, counter, getattr(self, counter) + amount)
+        total.add(float(amount))
 
     # ------------------------------------------------------------------
     # generic row access
@@ -302,12 +289,12 @@ class ResultStore:
                 now,
             ),
         )
-        self._put_series.add(1.0)
+        self._count("puts", _PUTS)
         if self.max_rows is not None:
             self._evict(connection)
         elapsed = time.perf_counter() - started
-        self._op_put.observe(elapsed)
-        get_tracer().emit("store.put", elapsed, kind=kind, store=self._id)
+        _OP_PUT.observe(elapsed)
+        get_tracer().emit("store.put", elapsed, kind=kind, store=self.path)
 
     def get(self, key: str, kind: str) -> Optional[Dict[str, Any]]:
         """The payload stored under ``(key, kind)``, or ``None`` (counted)."""
@@ -318,10 +305,10 @@ class ResultStore:
             (key, kind),
         ).fetchone()
         if row is None:
-            self._miss_series.add(1.0)
+            self._count("misses", _MISSES)
             elapsed = time.perf_counter() - started
-            self._op_get.observe(elapsed)
-            get_tracer().emit("store.get", elapsed, kind=kind, result="miss", store=self._id)
+            _OP_GET.observe(elapsed)
+            get_tracer().emit("store.get", elapsed, kind=kind, result="miss", store=self.path)
             return None
         version = int(row["schema_version"])
         if version > PAYLOAD_VERSION:
@@ -335,10 +322,10 @@ class ResultStore:
             "WHERE key = ? AND kind = ?",
             (time.time(), key, kind),
         )
-        self._hit_series.add(1.0)
+        self._count("hits", _HITS)
         elapsed = time.perf_counter() - started
-        self._op_get.observe(elapsed)
-        get_tracer().emit("store.get", elapsed, kind=kind, result="hit", store=self._id)
+        _OP_GET.observe(elapsed)
+        get_tracer().emit("store.get", elapsed, kind=kind, result="hit", store=self.path)
         return json.loads(row["payload"])
 
     def _evict(self, connection: sqlite3.Connection) -> None:
@@ -355,7 +342,7 @@ class ResultStore:
                 "DELETE FROM results WHERE key = ? AND kind = ?",
                 (victim["key"], victim["kind"]),
             )
-        self._eviction_series.add(float(len(victims)))
+        self._count("evictions", _EVICTIONS, len(victims))
 
     def purge_stale_keys(self) -> int:
         """Delete rows whose keys were derived under an older ``KEY_SCHEMA``.
@@ -507,7 +494,7 @@ class ResultStore:
             record = {name: row[name] for name in row.keys()}
             record["payload"] = json.loads(record["payload"])
             results.append(record)
-        self._op_query.observe(time.perf_counter() - started)
+        _OP_QUERY.observe(time.perf_counter() - started)
         return results
 
     def __len__(self) -> int:
@@ -525,16 +512,15 @@ class ResultStore:
         """Hit/miss/put/eviction counters plus the current row count.
 
         Counters are per-instance (other processes sharing the file keep
-        their own); ``rows`` reflects the shared database.  The values are
-        views over the process-wide metrics registry — the same numbers
-        ``GET /metrics`` exports under ``repro_store_*``.
+        their own); ``rows`` reflects the shared database.
         """
-        counters = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-        }
+        with self._counter_lock:
+            counters = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "puts": self.puts,
+                "evictions": self.evictions,
+            }
         counters["rows"] = len(self)
         return counters
 

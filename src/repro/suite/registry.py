@@ -24,7 +24,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Type
 
 from ..exceptions import BenchmarkError, unknown_benchmark
-from ..telemetry import get_metrics, instance_label
+from ..telemetry import LiveSet, get_metrics
 from .spec import BenchmarkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,11 +33,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["BenchmarkRegistry", "register_family", "get_registry", "DEFAULT_REGISTRY"]
 
+_LIVE = LiveSet()
 _ENTRIES = get_metrics().gauge(
     "repro_registry_entries",
-    "Benchmark-registry occupancy (registered families, memoized instances).",
-    ("instance", "kind"),
+    "Occupancy of the live benchmark registries of this process "
+    "(registered families, memoized instances).",
+    ("kind",),
 )
+_ENTRIES.set_callback(lambda: _LIVE.total(lambda r: len(r._families)), kind="families")
+_ENTRIES.set_callback(lambda: _LIVE.total(lambda r: len(r._instances)), kind="instances")
 
 
 class BenchmarkRegistry:
@@ -47,16 +51,7 @@ class BenchmarkRegistry:
         self._families: Dict[str, Type["Benchmark"]] = {}
         self._instances: Dict[BenchmarkSpec, "Benchmark"] = {}
         self._lock = threading.RLock()
-        self._id = instance_label("registry")
-        _ENTRIES.add_collector(self._gauge_rows)
-
-    def _gauge_rows(self) -> Dict[Tuple[str, str], int]:
-        """Occupancy rows for the ``repro_registry_entries`` gauge."""
-        with self._lock:
-            return {
-                (self._id, "families"): len(self._families),
-                (self._id, "instances"): len(self._instances),
-            }
+        _LIVE.add(self)
 
     # ------------------------------------------------------------------
     # registration

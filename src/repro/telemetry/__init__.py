@@ -3,7 +3,8 @@
 The observability layer every subsystem instruments into: a process-wide
 :class:`MetricsRegistry` of typed :class:`Counter` / :class:`Gauge` /
 :class:`Histogram` instruments (lock-free thread-sharded writes, labeled
-series, snapshot/merge/diff for cross-process aggregation), a process-wide
+series holding process totals, gauges summed over the live components of
+one class, snapshot/merge/diff for cross-process aggregation), a process-wide
 :class:`Tracer` producing nested :class:`Span` records (wall + CPU time,
 deterministic ids under a fixed seed, near-zero cost when disabled), and
 exporters for the three surfaces: Prometheus text (``GET /metrics``),
@@ -19,10 +20,10 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
+    LiveSet,
     MetricsRegistry,
     diff_snapshots,
     get_metrics,
-    instance_label,
 )
 from .tracing import NULL_SPAN, Span, Tracer, configure_tracing, get_tracer
 
@@ -33,7 +34,7 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "diff_snapshots",
-    "instance_label",
+    "LiveSet",
     "DEFAULT_BUCKETS",
     "Span",
     "Tracer",

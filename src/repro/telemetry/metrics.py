@@ -8,20 +8,24 @@ increments it without any synchronisation), so instrumenting a hot loop
 costs one ``threading.local`` attribute read plus a float add.  Reads —
 :meth:`MetricsRegistry.snapshot` — sum across cells under the registry lock.
 
-Snapshots are plain nested dicts (JSON- and pickle-safe), which is what
-makes cross-process aggregation work: a worker process snapshots its own
-registry before and after a lease, ships :func:`diff_snapshots` of the two
-inside the ``LeaseResult``, and the scheduler folds the delta into the
-parent registry via :meth:`MetricsRegistry.merge_snapshot` — counters and
-histograms sum, gauges take the maximum (the same rule
-:meth:`repro.suite.results.SuiteResult.note_engine_stats` established for
-engine cache stats).
+The registry holds process totals only.  A component that exists in
+multiples (a cache, a store, an engine) keeps its own counts for its
+``stats()`` and adds every event to one series pre-bound at module level;
+no label names an object, so the number of series does not grow with the
+number of components a process has built.
 
-Occupancy-style values that are *views of live state* (cache entry counts,
-store row counts, jobs by status) register as callback gauges
-(:meth:`Gauge.set_callback`): the callable is held by weak reference and
-evaluated at snapshot time, so a component's gauges disappear with the
-component instead of pinning it in memory.
+Snapshots are plain nested dicts (JSON- and pickle-safe), which is what
+makes cross-process aggregation work: a worker process takes the
+:meth:`MetricsRegistry.totals` of its registry (counters and histograms)
+before and after a lease, ships :func:`diff_snapshots` of the two inside
+the ``LeaseResult``, and the scheduler folds the delta into the parent
+registry via :meth:`MetricsRegistry.merge_snapshot`, which sums.
+
+Occupancy-style values (cache entry counts, store row counts, jobs by
+status) are gauges: each series is one callback, evaluated at collect time,
+that sums over the :class:`LiveSet` of the components alive in this
+process.  Gauges describe the process that collects them, so lease deltas
+never carry them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import bisect
 import threading
 import weakref
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -38,7 +42,7 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "diff_snapshots",
-    "instance_label",
+    "LiveSet",
     "DEFAULT_BUCKETS",
 ]
 
@@ -52,21 +56,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: A series key: the label values in the instrument's declared label order.
 LabelKey = Tuple[str, ...]
 
-_instance_lock = threading.Lock()
-_instance_counts: Dict[str, int] = {}
-
-
-def instance_label(prefix: str) -> str:
-    """A process-unique ``instance`` label value (``"tc1"``, ``"tc2"``, ...).
-
-    Components that exist in multiples (caches, stores, engines) tag their
-    series with one of these so per-instance ``stats()`` views and the global
-    aggregate coexist on the same instruments.
-    """
-    with _instance_lock:
-        _instance_counts[prefix] = _instance_counts.get(prefix, 0) + 1
-        return f"{prefix}{_instance_counts[prefix]}"
-
 
 def _label_key(labelnames: Sequence[str], labels: Mapping[str, str]) -> LabelKey:
     if set(labels) != set(labelnames):
@@ -76,80 +65,102 @@ def _label_key(labelnames: Sequence[str], labels: Mapping[str, str]) -> LabelKey
     return tuple(str(labels[name]) for name in labelnames)
 
 
-class _CounterCells:
-    """Thread-sharded float accumulator: the lock-free write fast path.
+class _ThreadCells:
+    """Per-thread cells behind one lock: the lock-free write fast path.
 
-    Each thread owns one single-element list cell; ``add`` touches only the
-    calling thread's cell, so no two threads ever write the same object.
-    Cells outlive their thread (a finished worker thread's increments stay
-    counted), and ``value`` sums every cell under the shared lock.
+    Each writing thread owns one cell and only that thread writes it, so no
+    two threads ever write the same object.  A thread registers its cell
+    once, under the shared lock; registering first folds the cells of
+    finished threads into one retired cell, so a process that keeps
+    starting threads (one per HTTP request) holds as many cells as it has
+    live writers, and their counts stay in the total.  Reads sum every cell
+    under the lock.
     """
 
-    __slots__ = ("_cells", "_local", "_lock")
+    __slots__ = ("_cells", "_local", "_lock", "_retired")
 
     def __init__(self, lock: threading.Lock) -> None:
-        self._cells: List[List[float]] = []
+        self._cells: List[Tuple[threading.Thread, Any]] = []
         self._local = threading.local()
         self._lock = lock
+        self._retired = self._new_cell()
+
+    def _new_cell(self) -> Any:
+        raise NotImplementedError
+
+    def _fold(self, into: Any, cell: Any) -> None:
+        raise NotImplementedError
+
+    def _register(self) -> Any:
+        """A new cell for the calling thread (its first write to this series)."""
+        cell = self._new_cell()
+        with self._lock:
+            live = []
+            for thread, other in self._cells:
+                if thread.is_alive():
+                    live.append((thread, other))
+                else:  # a finished thread never writes its cell again
+                    self._fold(self._retired, other)
+            live.append((threading.current_thread(), cell))
+            self._cells = live
+        self._local.cell = cell
+        return cell
+
+    def _all(self) -> List[Any]:
+        """The retired cell and every live one (caller holds the lock)."""
+        return [self._retired] + [cell for _, cell in self._cells]
+
+
+class _CounterCells(_ThreadCells):
+    """Thread-sharded float accumulator; a cell is a one-element list."""
+
+    __slots__ = ()
+
+    def _new_cell(self) -> List[float]:
+        return [0.0]
+
+    def _fold(self, into: List[float], cell: List[float]) -> None:
+        into[0] += cell[0]
 
     def add(self, amount: float) -> None:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = [0.0]
-            with self._lock:
-                self._cells.append(cell)
-            self._local.cell = cell
+        cell = getattr(self._local, "cell", None) or self._register()
         cell[0] += amount
 
     def value(self) -> float:
         with self._lock:
-            return sum(cell[0] for cell in self._cells)
-
-    def reset(self) -> None:
-        with self._lock:
-            for cell in self._cells:
-                cell[0] = 0.0
+            return sum(cell[0] for cell in self._all())
 
 
-class _HistogramCells:
+class _HistogramCells(_ThreadCells):
     """Thread-sharded histogram state: per-thread bucket counts + sum/count."""
 
-    __slots__ = ("_cells", "_local", "_lock", "_bounds")
+    __slots__ = ("_bounds",)
 
     def __init__(self, lock: threading.Lock, bounds: Tuple[float, ...]) -> None:
-        self._cells: List[List[Any]] = []  # [bucket counts list, sum, count]
-        self._local = threading.local()
-        self._lock = lock
         self._bounds = bounds
+        super().__init__(lock)
+
+    def _new_cell(self) -> List[Any]:
+        return [[0] * (len(self._bounds) + 1), 0.0, 0]  # bucket counts, sum, count
+
+    def _fold(self, into: List[Any], cell: List[Any]) -> None:
+        into[0] = [a + b for a, b in zip(into[0], cell[0])]
+        into[1] += cell[1]
+        into[2] += cell[2]
 
     def observe(self, value: float) -> None:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = [[0] * (len(self._bounds) + 1), 0.0, 0]
-            with self._lock:
-                self._cells.append(cell)
-            self._local.cell = cell
+        cell = getattr(self._local, "cell", None) or self._register()
         cell[0][bisect.bisect_left(self._bounds, value)] += 1
         cell[1] += value
         cell[2] += 1
 
     def collect(self) -> Dict[str, Any]:
-        counts = [0] * (len(self._bounds) + 1)
-        total, count = 0.0, 0
+        total = self._new_cell()
         with self._lock:
-            for cell in self._cells:
-                for index, bucket in enumerate(cell[0]):
-                    counts[index] += bucket
-                total += cell[1]
-                count += cell[2]
-        return {"buckets": list(self._bounds), "counts": counts, "sum": total, "count": count}
-
-    def reset(self) -> None:
-        with self._lock:
-            for cell in self._cells:
-                cell[0] = [0] * (len(self._bounds) + 1)
-                cell[1] = 0.0
-                cell[2] = 0
+            for cell in self._all():
+                self._fold(total, cell)
+        counts, total_sum, count = total
+        return {"buckets": list(self._bounds), "counts": counts, "sum": total_sum, "count": count}
 
 
 class _Instrument:
@@ -179,6 +190,15 @@ class _Instrument:
     def _labels_dict(self, key: LabelKey) -> Dict[str, str]:
         return dict(zip(self.labelnames, key))
 
+    def entry(self) -> Dict[str, Any]:
+        """This instrument as one snapshot entry."""
+        return {
+            "type": self.kind,
+            "help": self.help,
+            "labelnames": list(self.labelnames),
+            "series": self.collect(),
+        }
+
 
 class Counter(_Instrument):
     """A monotonically increasing value (events: hits, misses, executions)."""
@@ -207,129 +227,36 @@ class Counter(_Instrument):
             for key, series in sorted(self._series.items())
         ]
 
-    def reset(self) -> None:
-        for series in list(self._series.values()):
-            series.reset()
-
-
-class _GaugeSlot:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
 
 class Gauge(_Instrument):
     """A point-in-time value (occupancy: cache entries, rows, queue depth).
 
-    Two write modes: :meth:`set` stores a value directly (a single attribute
-    store — atomic under the GIL, last write wins), and :meth:`set_callback`
-    registers a zero-argument callable evaluated lazily at collect time.
-    Callbacks are held weakly via ``weakref.WeakMethod`` when given a bound
-    method, so registering ``cache._entry_count`` does not keep ``cache``
-    alive; dead callbacks are pruned silently.
+    Each series is one zero-argument callback (:meth:`set_callback`),
+    evaluated at every collect, typically a :meth:`LiveSet.total` over the
+    live components of one class.
     """
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, labelnames: Sequence[str]) -> None:  # noqa: A002
-        super().__init__(name, help, labelnames)
-        #: Weakly-held bound methods returning whole row sets at collect time.
-        self._collectors: List[Any] = []
-
-    def set(self, value: float, **labels: str) -> None:
-        self._series_for(labels, _GaugeSlot).value = float(value)
-
-    def add(self, amount: float, **labels: str) -> None:
-        """Adjust a gauge in place (callers serialise their own transitions)."""
-        slot = self._series_for(labels, _GaugeSlot)
-        slot.value += amount
-
     def set_callback(self, callback: Callable[[], float], **labels: str) -> None:
         """Evaluate ``callback`` at every collect for this series."""
-        try:
-            reference: Callable[[], Optional[Callable[[], float]]] = weakref.WeakMethod(callback)
-        except TypeError:  # plain function / lambda: hold it strongly
-            reference = lambda: callback  # noqa: E731
         key = _label_key(self.labelnames, labels)
         with self._lock:
-            self._series[key] = reference
-
-    def add_collector(self, method: Callable[[], Mapping[LabelKey, float]]) -> None:
-        """Register a bound method yielding many series rows at collect time.
-
-        The method must return ``{label-values-tuple: value}`` with tuples in
-        this instrument's declared label order (e.g. the job queue returns one
-        row per status).  Held via ``weakref.WeakMethod`` like single-series
-        callbacks, so the owning component stays collectable.
-        """
-        reference = weakref.WeakMethod(method)
-        with self._lock:
-            self._collectors.append(reference)
+            self._series[key] = callback
 
     def value(self, **labels: str) -> float:
         key = _label_key(self.labelnames, labels)
         with self._lock:
-            series = self._series.get(key)
-        resolved = self._resolve(series)
-        return 0.0 if resolved is None else resolved
-
-    @staticmethod
-    def _resolve(series: Any) -> Optional[float]:
-        if series is None:
-            return None
-        if isinstance(series, _GaugeSlot):
-            return series.value
-        target = series()
-        if target is None:
-            return None  # component was garbage-collected
-        try:
-            return float(target())
-        except Exception:
-            return None  # component torn down (e.g. closed store) — prune
+            callback = self._series.get(key)
+        return 0.0 if callback is None else float(callback())
 
     def collect(self) -> List[Dict[str, Any]]:
-        values: Dict[LabelKey, float] = {}
-        dead = []
-        for key, series in sorted(self._series.items()):
-            value = self._resolve(series)
-            if value is None:
-                dead.append(key)
-                continue
-            values[key] = value
-        if dead:
-            with self._lock:
-                for key in dead:
-                    self._series.pop(key, None)
         with self._lock:
-            collectors = list(self._collectors)
-        live = []
-        for reference in collectors:
-            method = reference()
-            if method is None:
-                continue
-            live.append(reference)
-            try:
-                rows = method()
-            except Exception:
-                continue  # component torn down mid-collect
-            for key, value in rows.items():
-                values[tuple(str(part) for part in key)] = float(value)
-        if len(live) != len(collectors):
-            with self._lock:
-                self._collectors = [ref for ref in self._collectors if ref() is not None]
+            series = sorted(self._series.items())
         return [
-            {"labels": self._labels_dict(key), "value": values[key]}
-            for key in sorted(values)
+            {"labels": self._labels_dict(key), "value": float(callback())}
+            for key, callback in series
         ]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series = {
-                key: series
-                for key, series in self._series.items()
-                if not isinstance(series, _GaugeSlot)
-            }
 
 
 class Histogram(_Instrument):
@@ -365,9 +292,33 @@ class Histogram(_Instrument):
             for key, series in sorted(self._series.items())
         ]
 
-    def reset(self) -> None:
-        for series in list(self._series.values()):
-            series.reset()
+
+class LiveSet:
+    """The live components of one class: what that class's gauges sum over.
+
+    A ``weakref.WeakSet`` behind a lock.  A component adds itself when it is
+    built and leaves when it is garbage-collected, or earlier through
+    :meth:`discard` (a store does, in ``close()``).  :meth:`total` measures
+    the members under the lock, so a component that discards itself before
+    tearing down is never measured half torn down.
+    """
+
+    def __init__(self) -> None:
+        self._members: "weakref.WeakSet[Any]" = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def add(self, component: Any) -> None:
+        with self._lock:
+            self._members.add(component)
+
+    def discard(self, component: Any) -> None:
+        with self._lock:
+            self._members.discard(component)
+
+    def total(self, measure: Callable[[Any], float]) -> float:
+        """The sum of ``measure(component)`` over the live components."""
+        with self._lock:
+            return float(sum(measure(component) for component in list(self._members)))
 
 
 class MetricsRegistry:
@@ -377,8 +328,8 @@ class MetricsRegistry:
     asking for the same counter name share the instrument (a kind or label
     mismatch raises — one name, one meaning).  :meth:`snapshot` renders the
     whole registry as plain data; :meth:`merge_snapshot` folds a (worker)
-    snapshot back in, keeping merged series separate from live cells so a
-    reset never loses remote contributions mid-merge.
+    delta back in, kept apart from the local cells and summed with them at
+    snapshot time.
     """
 
     def __init__(self) -> None:
@@ -426,69 +377,53 @@ class MetricsRegistry:
             return list(self._instruments.values())
 
     # ------------------------------------------------------------------
-    # snapshot / merge / reset
+    # snapshot / merge
     # ------------------------------------------------------------------
+    def totals(self) -> Dict[str, Dict[str, Any]]:
+        """The counters and histograms of :meth:`snapshot`: what sums across processes.
+
+        Series merged in from other processes are folded into the same rows.
+        A worker diffs this across a lease; it evaluates no gauge callback.
+        """
+        data = {
+            instrument.name: instrument.entry()
+            for instrument in self.instruments()
+            if not isinstance(instrument, Gauge)
+        }
+        with self._lock:
+            merged = dict(self._merged)
+        for name, entry in merged.items():
+            local = data.setdefault(name, {**entry, "series": []})
+            local["series"] = _merge_series(local["type"], local["series"], entry["series"])
+        return data
+
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """The whole registry as plain nested dicts (JSON/pickle-safe).
 
-        Shape: ``{name: {"type", "help", "series": [{"labels", ...}, ...]}}``
+        Shape: ``{name: {"type", "help", "labelnames", "series": [...]}}``
         where counter/gauge series carry ``"value"`` and histogram series
-        carry ``"buckets"/"counts"/"sum"/"count"``.  Series merged in from
-        other processes are folded into the same rows.
+        carry ``"buckets"/"counts"/"sum"/"count"``: :meth:`totals` plus every
+        gauge, evaluated now.
         """
-        data: Dict[str, Dict[str, Any]] = {}
+        data = self.totals()
         for instrument in self.instruments():
-            data[instrument.name] = {
-                "type": instrument.kind,
-                "help": instrument.help,
-                "labelnames": list(instrument.labelnames),
-                "series": instrument.collect(),
-            }
-        with self._lock:
-            merged = {name: entry for name, entry in self._merged.items()}
-        for name, entry in merged.items():
-            local = data.setdefault(
-                name,
-                {
-                    "type": entry["type"],
-                    "help": entry.get("help", ""),
-                    "labelnames": list(entry.get("labelnames", [])),
-                    "series": [],
-                },
-            )
-            local["series"] = _merge_series(
-                local["type"], local["series"], entry["series"]
-            )
+            if isinstance(instrument, Gauge):
+                data[instrument.name] = instrument.entry()
         return data
 
-    def merge_snapshot(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a snapshot from another registry (typically another process).
+    def merge_snapshot(self, delta: Mapping[str, Mapping[str, Any]]) -> None:
+        """Fold counters and histograms from another registry into this one.
 
-        Counters and histograms accumulate (every call adds), gauges keep
-        the maximum — matching the engine-stats merge rule, where occupancy
-        gauges from distinct caches cannot meaningfully sum.
+        ``delta`` is :func:`diff_snapshots` of two :meth:`totals` of a worker
+        process; every call adds.
         """
         with self._lock:
-            for name, entry in snapshot.items():
+            for name, entry in delta.items():
                 mine = self._merged.get(name)
                 if mine is None:
-                    self._merged[name] = {
-                        "type": entry["type"],
-                        "help": entry.get("help", ""),
-                        "labelnames": list(entry.get("labelnames", [])),
-                        "series": [dict(row) for row in entry["series"]],
-                    }
+                    self._merged[name] = {**entry, "series": [dict(row) for row in entry["series"]]}
                     continue
-                mine["series"] = _merge_series(
-                    entry["type"], mine["series"], entry["series"]
-                )
-
-    def reset(self) -> None:
-        """Zero every local series and drop merged remote data (tests)."""
-        for instrument in self.instruments():
-            instrument.reset()
-        with self._lock:
-            self._merged.clear()
+                mine["series"] = _merge_series(entry["type"], mine["series"], entry["series"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MetricsRegistry(instruments={len(self._instruments)})"
@@ -499,7 +434,7 @@ def _merge_series(
     ours: Iterable[Mapping[str, Any]],
     theirs: Iterable[Mapping[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """Merge two collected-series lists under the kind's accumulation rule."""
+    """Merge two collected counter or histogram series lists by summing."""
     by_labels: Dict[Tuple[Tuple[str, str], ...], Dict[str, Any]] = {}
     for row in ours:
         by_labels[tuple(sorted(row["labels"].items()))] = dict(row)
@@ -511,8 +446,6 @@ def _merge_series(
             continue
         if kind == "counter":
             mine["value"] = mine["value"] + row["value"]
-        elif kind == "gauge":
-            mine["value"] = max(mine["value"], row["value"])
         else:  # histogram: pointwise bucket sums
             mine["counts"] = [a + b for a, b in zip(mine["counts"], row["counts"])]
             mine["sum"] = mine["sum"] + row["sum"]
@@ -524,43 +457,39 @@ def diff_snapshots(
     after: Mapping[str, Mapping[str, Any]],
     before: Mapping[str, Mapping[str, Any]],
 ) -> Dict[str, Dict[str, Any]]:
-    """The telemetry delta between two snapshots of one registry.
+    """The counter and histogram delta between two :meth:`MetricsRegistry.totals`.
 
     Counters and histogram counts subtract (events that happened between the
-    snapshots); gauges keep their ``after`` value (a gauge *is* its latest
-    reading).  Series absent from ``before`` pass through unchanged.  This is
-    what a worker ships per lease, so a long-lived worker process reports
-    only the lease's own traffic however many leases preceded it.
+    two); series absent from ``before`` pass through unchanged, and series
+    that did not move are dropped.  This is what a worker ships per lease,
+    so a long-lived worker process reports only the lease's own traffic
+    however many leases preceded it.
     """
     delta: Dict[str, Dict[str, Any]] = {}
     for name, entry in after.items():
-        previous = before.get(name)
-        old_rows: Dict[Tuple[Tuple[str, str], ...], Mapping[str, Any]] = {}
-        if previous is not None:
-            for row in previous["series"]:
-                old_rows[tuple(sorted(row["labels"].items()))] = row
+        old_rows = {
+            tuple(sorted(row["labels"].items())): row
+            for row in before.get(name, {}).get("series", [])
+        }
         series: List[Dict[str, Any]] = []
         for row in entry["series"]:
             row = dict(row)
             old = old_rows.get(tuple(sorted(row["labels"].items())))
-            if old is not None and entry["type"] == "counter":
-                row["value"] = row["value"] - old["value"]
-            elif old is not None and entry["type"] == "histogram":
-                row["counts"] = [a - b for a, b in zip(row["counts"], old["counts"])]
-                row["sum"] = row["sum"] - old["sum"]
-                row["count"] = row["count"] - old["count"]
-            if entry["type"] == "counter" and row["value"] == 0:
-                continue
-            if entry["type"] == "histogram" and row["count"] == 0:
-                continue
+            if entry["type"] == "counter":
+                if old is not None:
+                    row["value"] = row["value"] - old["value"]
+                if row["value"] == 0:
+                    continue
+            else:
+                if old is not None:
+                    row["counts"] = [a - b for a, b in zip(row["counts"], old["counts"])]
+                    row["sum"] = row["sum"] - old["sum"]
+                    row["count"] = row["count"] - old["count"]
+                if row["count"] == 0:
+                    continue
             series.append(row)
         if series:
-            delta[name] = {
-                "type": entry["type"],
-                "help": entry.get("help", ""),
-                "labelnames": list(entry.get("labelnames", [])),
-                "series": series,
-            }
+            delta[name] = {**entry, "series": series}
     return delta
 
 

@@ -77,16 +77,21 @@ class BasePass:
     """
 
     is_analysis = False
+    _snake_name = "base_pass"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        out = []
+        for char in cls.__name__:
+            if char.isupper() and out:
+                out.append("_")
+            out.append(char.lower())
+        cls._snake_name = "".join(out)
 
     @property
     def name(self) -> str:
         """Stable machine-readable pass name (snake_case class name)."""
-        out = []
-        for char in type(self).__name__:
-            if char.isupper() and out:
-                out.append("_")
-            out.append(char.lower())
-        return "".join(out)
+        return self._snake_name
 
     def signature(self) -> Tuple:
         """Hashable configuration tuple; part of the pipeline fingerprint.

@@ -3,7 +3,8 @@
 The tentpole invariant of the distributed telemetry path: a multi-process
 sweep renders as ONE coherent trace — worker spans ship inside each
 ``LeaseResult``, the scheduler adopts them under its own ``scheduler.lease``
-spans, and worker metric deltas fold into the parent registry.
+spans, and worker counter and histogram deltas fold into the parent
+registry, which does not grow from one sweep to the next.
 """
 
 from collections import Counter
@@ -11,8 +12,10 @@ from collections import Counter
 import pytest
 
 import repro.benchmarks  # noqa: F401 - registers benchmark families
-from repro.distributed import ProcessShardExecutor
+from repro.distributed import Lease, ProcessShardExecutor, ShardTask, UnitPlan
+from repro.distributed.worker import execute_lease
 from repro.suite import Scenario, Sweep, run_scenario
+from repro.suite.sweep import EngineConfig
 from repro.telemetry import configure_tracing, get_metrics, get_tracer
 
 SCENARIO = Scenario(
@@ -105,24 +108,64 @@ class TestMergedTrace:
         assert under_mitigate, "no calibration run joined its engine.mitigate span"
 
     def test_worker_metric_deltas_merge_into_parent_registry(self, traced):
-        before = get_metrics().snapshot()
+        def executions():
+            (row,) = get_metrics().snapshot()["repro_engine_executions_total"]["series"]
+            return row["value"]
 
-        def executions(snapshot):
-            total = 0.0
-            for row in snapshot.get("repro_engine_executions_total", {}).get("series", []):
-                if "/" in row["labels"].get("instance", ""):  # worker-qualified
-                    total += row["value"]
-            return total
-
-        baseline = executions(before)
-        _run(traced)
-        assert executions(get_metrics().snapshot()) >= baseline + 4
+        baseline = executions()
+        result = run_scenario(SCENARIO, executor="process", processes=2, **KNOBS)
+        shipped = sum(
+            stats["executions"]
+            for key, stats in result.engine_stats.items()
+            if key.startswith("worker-pid-")
+        )
+        assert shipped >= 4
+        assert executions() == baseline + shipped
 
     def test_span_name_counts_are_stable_at_fixed_seed(self, traced):
         first = Counter(span.name for span in _run(traced))
         traced.clear()
         second = Counter(span.name for span in _run(traced))
         assert first == second
+
+
+def _series_count():
+    return sum(len(entry["series"]) for entry in get_metrics().snapshot().values())
+
+
+class TestBoundedTelemetry:
+    def test_repeated_process_sweeps_add_no_series(self):
+        run_scenario(SCENARIO, executor="process", processes=2, **KNOBS)
+        first = _series_count()
+        for _ in range(2):
+            run_scenario(SCENARIO, executor="process", processes=2, **KNOBS)
+        assert _series_count() == first
+
+    def test_lease_deltas_ship_the_same_keys_and_no_gauge(self):
+        units = tuple(
+            UnitPlan(key=f"unit-{n}", spec=(("family", "ghz"), ("params", (("num_qubits", n),))),
+                     index=index)
+            for index, n in enumerate((2, 3))
+        )
+        task = ShardTask(
+            task_id="task-0", scenario="lease-delta", engine=EngineConfig("IonQ-11Q"),
+            mitigation="raw", units=units, shots=40, repetitions=1, seed=21, trajectories=5,
+        )
+
+        def shipped_keys():
+            delta = execute_lease(Lease(lease_id=1, task=task)).metrics
+            assert all(entry["type"] != "gauge" for entry in delta.values())
+            return {
+                (name, tuple(sorted(row["labels"].items())))
+                for name, entry in delta.items()
+                for row in entry["series"]
+            }
+
+        shipped_keys()  # warm this process's engine for the task
+        keys = shipped_keys()
+        assert ("repro_engine_executions_total", ()) in keys
+        assert shipped_keys() == keys
+        assert not any("instance" in dict(labels) for _, labels in keys)
 
 
 class TestCrashSafety:

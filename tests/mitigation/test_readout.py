@@ -14,7 +14,9 @@ from repro.mitigation import (
     project_to_simplex,
     readout_calibration_circuits,
 )
+from repro.mitigation.readout import DENSE_QUBIT_CUTOFF
 from repro.simulation import Counts, NoiseModel, QuasiDistribution, StatevectorSimulator
+from repro.telemetry import get_metrics
 
 #: Readout-only noise: per-qubit flip probabilities, no gate noise.
 PER_QUBIT_ERRORS = [0.03, 0.08, 0.05, 0.12]
@@ -174,6 +176,24 @@ class TestCorrection:
         quasi = mitigator.mitigate([raw], calibration=calibration)
         ideal = {"0" * n: 0.5, "1" * n: 0.5}
         assert hellinger_fidelity(quasi, ideal) > hellinger_fidelity(raw, ideal)
+
+    def test_only_registers_past_the_dense_cutoff_count_a_width_fallback(self):
+        def widths():
+            (row,) = [
+                row
+                for row in get_metrics().snapshot()["repro_fallbacks_total"]["series"]
+                if row["labels"] == {"site": "readout.tensored", "reason": "width"}
+            ]
+            return row["value"]
+
+        mitigator = ReadoutMitigator(method="tensored")
+        for n, fallbacks in ((DENSE_QUBIT_CUTOFF, 0), (DENSE_QUBIT_CUTOFF + 1, 1)):
+            calibration = mitigator.calibration_from_counts(
+                [Counts({"0" * n: 95, "1" + "0" * (n - 1): 5}), Counts({"1" * n: 100})], n
+            )
+            before = widths()
+            mitigator.mitigate([Counts({"0" * n: 60, "1" * n: 40})], calibration=calibration)
+            assert widths() - before == fallbacks
 
     def test_qubit_to_clbit_permutation_respected(self):
         """A circuit measuring qubit q into clbit != q uses qubit q's matrix."""

@@ -18,6 +18,16 @@ from repro.mitigation import (
     resolve_extrapolator,
 )
 from repro.simulation import Counts, NoiseModel, StatevectorSimulator
+from repro.telemetry import get_metrics
+
+
+def fallbacks(site, reason=None):
+    """``repro_fallbacks_total`` of one site, for one reason or all of them."""
+    return sum(
+        row["value"]
+        for row in get_metrics().snapshot().get("repro_fallbacks_total", {}).get("series", [])
+        if row["labels"]["site"] == site and reason in (None, row["labels"]["reason"])
+    )
 
 
 def ghz_circuit(n, measure=True):
@@ -113,6 +123,25 @@ class TestExtrapolators:
         scales = [1.0, 3.0]
         values = [0.8, 0.6]
         assert ExponentialExtrapolator().extrapolate(scales, values) == pytest.approx(0.9)
+
+    def test_each_exponential_fallback_is_counted_with_its_reason(self):
+        def counted(reason, scales, values):
+            before = fallbacks("zne.exponential", reason)
+            estimate = ExponentialExtrapolator().extrapolate(scales, values)
+            assert fallbacks("zne.exponential", reason) - before == 1
+            return estimate
+
+        assert counted("too_few_scales", [1.0, 3.0], [0.8, 0.6]) == pytest.approx(0.9)
+        assert counted("flat_values", [1.0, 2.0, 3.0], [0.7, 0.7, 0.7]) == pytest.approx(0.7)
+        # curve_fit refuses non-finite data with a ValueError
+        nan = counted("ValueError", [1.0, 2.0, 3.0], [0.9, float("nan"), 0.5])
+        assert np.isnan(nan)
+
+    def test_a_converged_fit_counts_no_fallback(self):
+        before = fallbacks("zne.exponential")
+        scales = [1.0, 2.0, 3.0, 4.0]
+        ExponentialExtrapolator().extrapolate(scales, [0.5 + 0.4 * np.exp(-s) for s in scales])
+        assert fallbacks("zne.exponential") == before
 
     def test_resolve(self):
         assert resolve_extrapolator(None).name == "linear"

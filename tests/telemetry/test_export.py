@@ -22,7 +22,7 @@ _SAMPLE = re.compile(
 def _registry():
     registry = MetricsRegistry()
     registry.counter("repro_events_total", "Events.", ("kind",)).inc(3, kind="run")
-    registry.gauge("repro_entries", "Entries.").set(7)
+    registry.gauge("repro_entries", "Entries.").set_callback(lambda: 7)
     hist = registry.histogram("repro_op_seconds", "Ops.", buckets=(0.1, 1.0))
     hist.observe(0.05)
     hist.observe(0.5)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.telemetry import diff_snapshots, get_metrics, instance_label
+from repro.telemetry import LiveSet, diff_snapshots, get_metrics
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -55,51 +55,68 @@ class TestCounter:
         assert counter.value() == 40_000
 
 
-class TestGauge:
-    def test_set_and_add(self):
+class TestFinishedThreads:
+    def test_cells_of_finished_threads_fold_into_one(self):
+        """A thread per write (an HTTP server's) leaves no cell behind."""
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth", "Depth.")
-        gauge.set(5.0)
-        gauge.add(2.0)
-        assert gauge.value() == 7.0
+        counter = registry.counter("c_total", "C.").labels()
+        histogram = registry.histogram("h_seconds", "H.", buckets=(1.0,)).labels()
 
+        def write():
+            counter.add(1.0)
+            histogram.observe(0.5)
+
+        for _ in range(50):
+            thread = threading.Thread(target=write)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        write()  # registering here folds the last finished thread's cells
+        assert counter.value() == 51
+        assert histogram.collect()["counts"] == [51, 0]
+        assert histogram.collect()["sum"] == pytest.approx(25.5)
+        assert len(counter._cells) == len(histogram._cells) == 1
+
+
+class TestGauge:
     def test_callback_tracks_live_object(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("entries", "Entries.", ("instance",))
+        gauge = registry.gauge("entries", "Entries.")
         items = ["a", "b"]
-        gauge.set_callback(items.__len__, instance="i1")
-        rows = {tuple(sorted(r["labels"].items())): r["value"] for r in gauge.collect()}
-        assert rows[(("instance", "i1"),)] == 2
+        gauge.set_callback(items.__len__)
+        assert [row["value"] for row in gauge.collect()] == [2]
         items.append("c")
-        rows = {tuple(sorted(r["labels"].items())): r["value"] for r in gauge.collect()}
-        assert rows[(("instance", "i1"),)] == 3
+        assert gauge.value() == 3
 
-    def test_collector_yields_multiple_series(self):
+    def test_one_callback_per_labelled_series(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("occupancy", "Occupancy.", ("instance", "kind"))
+        gauge = registry.gauge("occupancy", "Occupancy.", ("kind",))
+        gauge.set_callback(lambda: 4, kind="families")
+        gauge.set_callback(lambda: 9, kind="instances")
+        rows = {row["labels"]["kind"]: row["value"] for row in gauge.collect()}
+        assert rows == {"families": 4.0, "instances": 9.0}
 
-        class Holder:
-            def rows(self):
-                return {("h1", "families"): 4, ("h1", "instances"): 9}
 
-        holder = Holder()
-        gauge.add_collector(holder.rows)
-        rows = {tuple(r["labels"].values()): r["value"] for r in gauge.collect()}
-        assert rows[("h1", "families")] == 4
-        assert rows[("h1", "instances")] == 9
+class TestLiveSet:
+    class Component:
+        def __init__(self, size):
+            self.size = size
 
-    def test_dead_callback_is_pruned_not_raised(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("entries", "Entries.", ("instance",))
+    def test_total_sums_over_live_members(self):
+        live = LiveSet()
+        first, second = self.Component(2), self.Component(3)
+        live.add(first)
+        live.add(second)
+        assert live.total(lambda component: component.size) == 5
 
-        class Transient:
-            def size(self):
-                return 1
-
-        obj = Transient()
-        gauge.set_callback(obj.size, instance="gone")
-        del obj
-        assert all(row["labels"].get("instance") != "gone" for row in gauge.collect())
+    def test_collected_and_discarded_members_leave(self):
+        live = LiveSet()
+        kept, dropped, closed = self.Component(1), self.Component(10), self.Component(100)
+        for component in (kept, dropped, closed):
+            live.add(component)
+        live.discard(closed)
+        del dropped  # the last reference: the set forgets it at once
+        assert live.total(lambda component: component.size) == 1
 
 
 class TestHistogram:
@@ -129,7 +146,7 @@ class TestSnapshotMergeDiff:
     def _simple(self):
         registry = MetricsRegistry()
         registry.counter("c_total", "C.").inc(2.0)
-        registry.gauge("g", "G.").set(5.0)
+        registry.gauge("g", "G.").set_callback(lambda: 5.0)
         hist = registry.histogram("h_seconds", "H.", buckets=(1.0,))
         hist.observe(0.5)
         return registry
@@ -141,38 +158,36 @@ class TestSnapshotMergeDiff:
         assert snap["h_seconds"]["type"] == "histogram"
         assert snap["c_total"]["series"][0]["value"] == 2.0
 
-    def test_merge_counter_sums_gauge_maxes_histogram_adds(self):
+    def test_merge_sums_counters_and_histograms(self):
         ours = self._simple()
-        theirs = self._simple().snapshot()
-        ours.merge_snapshot(theirs)
+        ours.merge_snapshot(self._simple().totals())
         merged = ours.snapshot()
         assert merged["c_total"]["series"][0]["value"] == 4.0
-        assert merged["g"]["series"][0]["value"] == 5.0  # max, not sum
         assert merged["h_seconds"]["series"][0]["count"] == 2
+        # a gauge describes the process that collected it: ours stays ours
+        assert merged["g"]["series"] == [{"labels": {}, "value": 5.0}]
 
     def test_diff_reports_only_the_delta(self):
         registry = self._simple()
-        before = registry.snapshot()
+        before = registry.totals()
         registry.counter("c_total", "C.").inc(3.0)
-        delta = diff_snapshots(registry.snapshot(), before)
+        delta = diff_snapshots(registry.totals(), before)
         assert delta["c_total"]["series"][0]["value"] == 3.0
         # untouched histogram series vanish from the delta entirely
         assert "h_seconds" not in delta
 
-    def test_diff_keeps_gauge_after_value(self):
+    def test_totals_leave_gauges_out_and_evaluate_none(self):
         registry = self._simple()
-        before = registry.snapshot()
-        registry.gauge("g", "G.").set(9.0)
-        delta = diff_snapshots(registry.snapshot(), before)
-        assert delta["g"]["series"][0]["value"] == 9.0
+
+        def unreadable():
+            raise AssertionError("totals() evaluated a gauge")
+
+        registry.gauge("broken", "B.").set_callback(unreadable)
+        assert set(registry.totals()) == {"c_total", "h_seconds"}
+        with pytest.raises(AssertionError):
+            registry.snapshot()
 
 
-class TestInstanceLabel:
-    def test_labels_are_unique_per_prefix(self):
-        a = instance_label("t")
-        b = instance_label("t")
-        assert a != b
-        assert a.startswith("t") and b.startswith("t")
-
+class TestDefaultRegistry:
     def test_default_registry_is_process_wide(self):
         assert get_metrics() is get_metrics()

@@ -179,3 +179,30 @@ class TestDepthAnalysis:
         assert result.metrics["two_qubit_gates"] == result.circuit.num_two_qubit_gates()
         assert result.metrics["critical_two_qubit_gates"] >= 2
         assert result.depth() == result.metrics["depth"]
+
+
+class TestPassNames:
+    def test_names_are_snake_case_class_names_fixed_per_class(self):
+        assert [cls().name for cls in TRANSFORMATION_PASSES] == [
+            "decompose_to_canonical",
+            "drop_negligible",
+            "merge_rotations",
+            "cancel_adjacent_inverses",
+            "fuse_single_qubit_runs",
+            "commuting_two_qubit_cancellation",
+        ]
+        assert all("_snake_name" in vars(cls) for cls in TRANSFORMATION_PASSES)
+
+    def test_subclass_gets_its_own_name_and_overrides_keep_working(self):
+        class MyTinyPass(DropNegligible):
+            pass
+
+        class Renamed(DropNegligible):
+            @property
+            def name(self):
+                return "custom"
+
+        assert MyTinyPass().name == "my_tiny_pass"
+        assert DropNegligible().name == "drop_negligible"
+        assert Renamed().name == "custom"
+        assert Renamed().fingerprint_token().startswith("custom")
