@@ -37,6 +37,12 @@ The package provides:
   table and figure.
 """
 
+import time as _time
+
+#: Wall, monotonic and CPU clocks read as ``import repro`` began; ``repro run
+#: --trace`` reports everything from here to the sweep as ``cli.startup``.
+_IMPORT_CLOCKS = (_time.time(), _time.perf_counter(), _time.process_time())
+
 from . import (
     analysis,
     benchmarks,
@@ -50,7 +56,6 @@ from . import (
     mitigation,
     optimize,
     paulis,
-    service,
     simulation,
     store,
     suite,
@@ -84,6 +89,17 @@ from .suite import BenchmarkSpec, Scenario, Sweep, get_registry, register_family
 from .transpiler import PassManager, preset_pipeline, transpile
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str):
+    # The HTTP service pulls in http.server and ssl, which nothing else needs:
+    # ``repro.service`` loads on first use rather than with the package.
+    if name == "service":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.service")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

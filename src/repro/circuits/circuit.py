@@ -10,14 +10,16 @@ graph and the two-qubit critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import CircuitError
 from .columnar import PackedCircuit, pack_circuit
 from .gates import BARRIER, GATE_DEFINITIONS, Gate, MEASURE, NON_UNITARY_NAMES, RESET
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only inside interaction_graph()
+    import networkx as nx
 
 __all__ = ["Instruction", "Circuit"]
 
@@ -428,7 +430,7 @@ class Circuit:
             active.update(instruction.qubits)
         return tuple(sorted(active))
 
-    def interaction_graph(self) -> nx.Graph:
+    def interaction_graph(self) -> "nx.Graph":
         """Graph with one node per qubit and an edge per interacting pair.
 
         Every pair of qubits that share at least one multi-qubit unitary is

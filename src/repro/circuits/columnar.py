@@ -199,24 +199,34 @@ class PackedCircuit:
                 qubits = tuple(q for q in qubit_rows[row] if q >= 0)
             yield row, opcode, qubits, tuple(pool[offsets[row] : offsets[row + 1]]), clbits[row]
 
+    def interaction_pairs(self) -> List[Tuple[int, int]]:
+        """Every pair of operands of a multi-qubit unitary row, in row order.
+
+        Within a row, pairs ``(i, j)`` with ``i < j`` by operand position.
+        This order fixes each qubit's interaction neighbour order (see
+        :func:`~repro.devices.coupling.neighbour_table`), by which
+        noise-aware placement breaks ties.
+        """
+        pairs: List[Tuple[int, int]] = []
+        multi = OP_IS_UNITARY[self.opcodes] & (self.qubits[:, 1] >= 0)
+        for q0, q1, q2 in self.qubits[multi].tolist():
+            pairs.append((q0, q1))
+            if q2 >= 0:
+                pairs.append((q0, q2))
+                pairs.append((q1, q2))
+        return pairs
+
     def interaction_graph(self) -> "nx.Graph":
         """Graph with one node per qubit and an edge per interacting pair.
 
-        Every pair of operands of a multi-qubit unitary row is connected.
-        Edges are added in row order, pairs ``(i, j)`` with ``i < j`` by
-        operand position within a row, which fixes networkx's neighbour
-        order (noise-aware placement breaks ties by it).
+        Edges are added in :meth:`interaction_pairs` order, so networkx's
+        neighbour order is the one placement reads.
         """
         import networkx as nx
 
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_qubits))
-        multi = OP_IS_UNITARY[self.opcodes] & (self.qubits[:, 1] >= 0)
-        for q0, q1, q2 in self.qubits[multi].tolist():
-            graph.add_edge(q0, q1)
-            if q2 >= 0:
-                graph.add_edge(q0, q2)
-                graph.add_edge(q1, q2)
+        graph.add_edges_from(self.interaction_pairs())
         return graph
 
     # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Device models: topologies, calibration and the Table II device library."""
 
+from .coupling import CouplingMap
 from .device import Calibration, Device
 from .library import DEVICE_LIBRARY, all_devices, device_names, get_device
 from .topology import (
@@ -17,6 +18,7 @@ from .topology import (
 __all__ = [
     "Calibration",
     "Device",
+    "CouplingMap",
     "DEVICE_LIBRARY",
     "get_device",
     "all_devices",

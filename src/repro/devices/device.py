@@ -8,14 +8,18 @@ gate durations and error rates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..exceptions import DeviceError
 from ..simulation.noise_model import NoiseModel
+from .coupling import CouplingMap
 from .topology import all_to_all_topology, topology_from_edges
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only inside topology()
+    import networkx as nx
 
 __all__ = ["Calibration", "Device"]
 
@@ -83,8 +87,19 @@ class Device:
     def all_to_all(self) -> bool:
         return self.edges is None
 
-    def topology(self) -> nx.Graph:
-        """Coupling graph of the device."""
+    @cached_property
+    def coupling(self) -> CouplingMap:
+        """The coupling map as lookup tables, built on first use and kept.
+
+        Placement and routing read these tables; a device's ``num_qubits``
+        and ``edges`` are not reassigned after construction.  All-to-all
+        devices list their pairs in ``nx.complete_graph`` order.
+        """
+        edges = combinations(range(self.num_qubits), 2) if self.edges is None else self.edges
+        return CouplingMap.from_edges(self.num_qubits, edges)
+
+    def topology(self) -> "nx.Graph":
+        """Coupling graph of the device, as a new networkx graph per call."""
         if self.edges is None:
             return all_to_all_topology(self.num_qubits)
         return topology_from_edges(self.num_qubits, self.edges)
@@ -92,13 +107,10 @@ class Device:
     def are_connected(self, a: int, b: int) -> bool:
         if self.all_to_all:
             return a != b
-        return self.topology().has_edge(a, b)
+        return self.coupling.has_edge(a, b)
 
     def average_degree(self) -> float:
-        graph = self.topology()
-        if graph.number_of_nodes() == 0:
-            return 0.0
-        return 2.0 * graph.number_of_edges() / graph.number_of_nodes()
+        return sum(self.coupling.degrees) / self.num_qubits
 
     # ------------------------------------------------------------------
     def noise_model(self, qubits: Sequence[int] | None = None) -> NoiseModel:

@@ -2,17 +2,21 @@
 
 A topology is an undirected :class:`networkx.Graph` whose nodes are physical
 qubit indices.  Helpers here build the generic families (line, ring, grid,
-all-to-all, heavy-hex) and the concrete coupling maps of the devices in the
-paper's Table II.
+all-to-all, heavy-hex) and hold the concrete coupling maps of the devices in
+the paper's Table II.  networkx is imported inside the helpers, on first
+use: placement and routing read :class:`~repro.devices.coupling.CouplingMap`
+tables instead, so no compile loads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Tuple
 
 from ..exceptions import DeviceError
+from .coupling import check_edges
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = [
     "line_topology",
@@ -89,25 +93,24 @@ FALCON_27_EDGES: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def topology_from_edges(num_qubits: int, edges: Iterable[Tuple[int, int]]) -> nx.Graph:
+def topology_from_edges(num_qubits: int, edges: Iterable[Tuple[int, int]]) -> "nx.Graph":
     """Build a topology graph from an explicit edge list."""
+    import networkx as nx
+
+    edges = list(edges)
+    check_edges(num_qubits, edges)
     graph = nx.Graph()
     graph.add_nodes_from(range(num_qubits))
-    for a, b in edges:
-        if not (0 <= a < num_qubits and 0 <= b < num_qubits):
-            raise DeviceError(f"edge ({a}, {b}) outside a {num_qubits}-qubit device")
-        if a == b:
-            raise DeviceError("self-loop edges are not allowed")
-        graph.add_edge(a, b)
+    graph.add_edges_from(edges)
     return graph
 
 
-def line_topology(num_qubits: int) -> nx.Graph:
+def line_topology(num_qubits: int) -> "nx.Graph":
     """Nearest-neighbour chain 0-1-2-...-(n-1)."""
     return topology_from_edges(num_qubits, [(i, i + 1) for i in range(num_qubits - 1)])
 
 
-def ring_topology(num_qubits: int) -> nx.Graph:
+def ring_topology(num_qubits: int) -> "nx.Graph":
     """Nearest-neighbour ring."""
     if num_qubits < 3:
         return line_topology(num_qubits)
@@ -115,7 +118,7 @@ def ring_topology(num_qubits: int) -> nx.Graph:
     return topology_from_edges(num_qubits, edges)
 
 
-def grid_topology(rows: int, columns: int) -> nx.Graph:
+def grid_topology(rows: int, columns: int) -> "nx.Graph":
     """2D square lattice with row-major qubit numbering."""
     edges: List[Tuple[int, int]] = []
     for r in range(rows):
@@ -128,14 +131,16 @@ def grid_topology(rows: int, columns: int) -> nx.Graph:
     return topology_from_edges(rows * columns, edges)
 
 
-def all_to_all_topology(num_qubits: int) -> nx.Graph:
+def all_to_all_topology(num_qubits: int) -> "nx.Graph":
     """Complete graph — trapped-ion style connectivity."""
+    import networkx as nx
+
     graph = nx.complete_graph(num_qubits)
     graph.add_nodes_from(range(num_qubits))
     return graph
 
 
-def heavy_hex_topology(num_qubits: int) -> nx.Graph:
+def heavy_hex_topology(num_qubits: int) -> "nx.Graph":
     """The IBM heavy-hex coupling map for the supported device sizes (7/16/27)."""
     if num_qubits == 7:
         return topology_from_edges(7, HUMMINGBIRD_7_EDGES)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Any, Dict, List, Optional
 
 from ..store import ResultStore
@@ -105,6 +106,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_startup_span(tracer) -> None:
+    """Record import and warm-up, up to the start of the sweep, as ``cli.startup``."""
+    from .. import _IMPORT_CLOCKS
+
+    wall, monotonic, cpu = _IMPORT_CLOCKS
+    tracer.emit(
+        "cli.startup",
+        time.perf_counter() - monotonic,
+        cpu=time.process_time() - cpu,
+        start=wall,
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from ..experiments import reproduce_figure2_result, reproduce_mitigated_scores_result
     from ..experiments.figure2 import render_figure2
@@ -120,6 +134,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tracer = configure_tracing(enabled=True, seed=args.seed)
     store = ResultStore(args.store) if args.store else None
     try:
+        if tracer is not None:
+            _emit_startup_span(tracer)
         result = driver(
             devices=args.devices,
             small=not args.full,

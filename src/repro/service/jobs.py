@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..exceptions import DistributedError, ReproError, ServiceError
-from ..suite.results import SpecOutcome, SuiteResult
+from ..suite.results import SpecOutcome, SuiteResult, merge_engine_stats
 from ..suite.runner import run_scenario
 from ..suite.sweep import Scenario
 from ..telemetry import LiveSet, get_metrics, get_tracer
@@ -55,6 +55,7 @@ _JOB_SECONDS = get_metrics().histogram(
 #: Every job status a record can hold (the gauge reports all of them, zeroes
 #: included, so dashboards get stable series).
 _STATUSES = ("queued", "running", "done", "failed", "cancelled")
+_TERMINAL = ("done", "failed", "cancelled")
 
 _LIVE = LiveSet()
 _JOBS = get_metrics().gauge(
@@ -144,12 +145,17 @@ class JobQueue:
         self.max_attempts = int(max_attempts)
         self._runner = runner
         self._jobs: Dict[str, JobRecord] = {}
+        #: The jobs not yet in a terminal state.
+        self._active: Dict[str, JobRecord] = {}
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._ids = itertools.count(1)
         self._closed = False
         self._retries = 0
+        #: Engine statistics of every job in a terminal state, folded in once
+        #: when it got there (see :meth:`engine_stats`).
+        self._finished_engine_stats: Dict[str, Dict[str, float]] = {}
         self._workers = [
             threading.Thread(target=self._worker, name=f"repro-job-{i}", daemon=True)
             for i in range(int(workers))
@@ -157,6 +163,16 @@ class JobQueue:
         for thread in self._workers:
             thread.start()
         _LIVE.add(self)
+
+    def _finish(self, job: JobRecord, status: str) -> None:
+        """Move ``job`` to a terminal ``status`` (caller holds the lock)."""
+        job.status = status
+        job.finished_at = time.time()
+        del self._active[job.id]
+        if job.result is not None:
+            for engine_key, stats in job.result.engine_stats.items():
+                merge_engine_stats(self._finished_engine_stats.setdefault(engine_key, {}), stats)
+        self._changed.notify_all()
 
     def _by_status(self) -> Dict[str, int]:
         """Jobs per status, every status included (caller holds the lock)."""
@@ -180,7 +196,8 @@ class JobQueue:
             if self._closed:
                 raise ServiceError("job queue is closed")
             job_id = f"job-{next(self._ids)}"
-            self._jobs[job_id] = JobRecord(id=job_id, scenario=scenario, knobs=dict(knobs))
+            job = JobRecord(id=job_id, scenario=scenario, knobs=dict(knobs))
+            self._jobs[job_id] = self._active[job_id] = job
         self._queue.put(job_id)
         return job_id
 
@@ -223,13 +240,11 @@ class JobQueue:
         """
         with self._changed:
             job = self._job(job_id)
-            if job.status in ("done", "failed", "cancelled"):
+            if job.status in _TERMINAL:
                 return False
             job.cancel_requested = True
             if job.status == "queued":
-                job.status = "cancelled"
-                job.finished_at = time.time()
-                self._changed.notify_all()
+                self._finish(job, "cancelled")
             return True
 
     def iter_outcomes(
@@ -247,7 +262,7 @@ class JobQueue:
             with self._changed:
                 job = self._job(job_id)
                 while position >= len(job.outcomes):
-                    if job.status in ("done", "failed", "cancelled"):
+                    if job.status in _TERMINAL:
                         return
                     remaining = None if deadline is None else deadline - time.monotonic()
                     if remaining is not None and remaining <= 0:
@@ -274,25 +289,27 @@ class JobQueue:
             }
 
     def engine_stats(self) -> Dict[str, Dict[str, float]]:
-        """Engine/worker statistics aggregated across every finished job.
+        """Engine/worker statistics aggregated across every job.
 
         Keys are the suite results' ``engine_stats`` keys — an engine
         configuration key per configuration the parent built engines for
         (thread-path leases and store lookups), a ``worker-pid-<n>`` entry
         per worker process on the process-executor path, and one
         ``"scheduler"`` entry on every path — merged by
-        :meth:`SuiteResult.note_engine_stats` (counters sum, gauges take the
-        maximum), so the service's ``GET /stats`` shows per-engine and
+        :func:`~repro.suite.results.merge_engine_stats` (counters sum, gauges
+        take the maximum), so the service's ``GET /stats`` shows per-engine and
         per-worker cache traffic and lease counts across the queue's
-        lifetime.
+        lifetime.  A job's statistics are folded into a running total once,
+        when it reaches a terminal state, so a call merges only the jobs
+        still queued or running and costs the same however many finished.
         """
         with self._lock:
-            results = [job.result for job in self._jobs.values() if job.result is not None]
-        merged = SuiteResult()
-        for result in results:
+            merged = {key: dict(stats) for key, stats in self._finished_engine_stats.items()}
+            pending = [job.result for job in self._active.values() if job.result is not None]
+        for result in pending:
             for engine_key, stats in result.engine_stats.items():
-                merged.note_engine_stats(engine_key, stats)
-        return merged.engine_stats
+                merge_engine_stats(merged.setdefault(engine_key, {}), stats)
+        return merged
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting jobs and shut the workers down (idempotent)."""
@@ -346,9 +363,7 @@ class JobQueue:
                     result = self._run(job, partial)
             except JobCancelled:
                 with self._changed:
-                    job.status = "cancelled"
-                    job.finished_at = time.time()
-                    self._changed.notify_all()
+                    self._finish(job, "cancelled")
                 self._observe_terminal(job)
             except Exception as error:  # noqa: BLE001 - job isolation boundary
                 retry = False
@@ -367,9 +382,8 @@ class JobQueue:
                         _RETRIES.add(1.0)
                         retry = True
                     else:
-                        job.status = "failed"
                         job.error += "\n" + traceback.format_exc(limit=5)
-                        job.finished_at = time.time()
+                        self._finish(job, "failed")
                     self._changed.notify_all()
                 if retry:
                     self._queue.put(job_id)
@@ -378,10 +392,8 @@ class JobQueue:
             else:
                 with self._changed:
                     job.result = result
-                    job.status = "done"
                     job.error = ""
-                    job.finished_at = time.time()
-                    self._changed.notify_all()
+                    self._finish(job, "done")
                 self._observe_terminal(job)
 
     def _observe_terminal(self, job: JobRecord) -> None:

@@ -33,6 +33,7 @@ import pathlib
 import sqlite3
 import threading
 import time
+import weakref
 from dataclasses import asdict
 from typing import Any, Dict, List, Mapping, Optional, Union
 
@@ -113,6 +114,23 @@ _MIGRATIONS: List[List[str]] = [
 ]
 
 
+class _ThreadConnection:
+    """One thread's connection, closed as soon as the thread's locals go.
+
+    A sqlite3 connection sits in a reference cycle with its statement cache,
+    so dropping the last reference to it leaves it open until the next
+    garbage collection; this holder has no cycle and closes it at once.
+    """
+
+    __slots__ = ("connection", "__weakref__")
+
+    def __init__(self, connection: sqlite3.Connection) -> None:
+        self.connection = connection
+
+    def __del__(self) -> None:
+        self.connection.close()
+
+
 class ResultStore:
     """A thread- and process-safe content-addressed result store.
 
@@ -122,8 +140,10 @@ class ResultStore:
         max_rows: Optional row cap.  When a put pushes the row count past the
             cap, the least-recently-accessed rows are evicted (and counted).
 
-    The store can be used as a context manager; :meth:`close` drops every
-    thread-local connection.
+    Each thread opens its own connection on first use.  The connection
+    closes when its thread ends (the store holds it only weakly), so a
+    thread per request does not accumulate connections; :meth:`close`
+    closes the ones still open.  The store can be used as a context manager.
     """
 
     def __init__(
@@ -137,7 +157,7 @@ class ResultStore:
             raise StoreError("max_rows must be at least 1 (or None for unbounded)")
         self.max_rows = max_rows
         self._local = threading.local()
-        self._connections: List[sqlite3.Connection] = []
+        self._connections: "weakref.WeakSet[_ThreadConnection]" = weakref.WeakSet()
         self._counter_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -178,13 +198,15 @@ class ResultStore:
     def _connection(self) -> sqlite3.Connection:
         if self._shared is not None:
             return self._shared
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._open()
-            self._local.connection = connection
+        holder = getattr(self._local, "holder", None)
+        if holder is None:
+            # The thread-local holds the only strong reference: when the
+            # thread ends, the holder goes and closes the connection.
+            holder = _ThreadConnection(self._open())
+            self._local.holder = holder
             with self._counter_lock:
-                self._connections.append(connection)
-        return connection
+                self._connections.add(holder)
+        return holder.connection
 
     def _migrate(self) -> None:
         connection = self._connection()
@@ -212,12 +234,13 @@ class ResultStore:
             version += 1
 
     def close(self) -> None:
-        """Close every connection this instance opened (idempotent)."""
+        """Close every connection of this instance still open (idempotent)."""
         _LIVE.discard(self)
         with self._counter_lock:
-            connections, self._connections = self._connections, []
-        for connection in connections:
-            connection.close()
+            holders = list(self._connections)
+            self._connections.clear()
+        for holder in holders:
+            holder.connection.close()
         if self._shared is not None:
             self._shared.close()
             self._shared = None

@@ -11,12 +11,11 @@ compilers apply it automatically.  Two strategies are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import networkx as nx
+from typing import Dict, List
 
 from ..circuits.columnar import PackedCircuit
 from ..devices import Device
+from ..devices.coupling import CouplingMap, Neighbours, neighbour_table
 from ..exceptions import TranspilerError
 
 __all__ = ["trivial_placement", "noise_aware_placement", "Placement"]
@@ -49,37 +48,38 @@ def noise_aware_placement(packed: PackedCircuit, device: Device) -> Placement:
     qubit that is adjacent to the most already-placed interaction partners
     (ties broken by physical degree), so that chains map onto chains and
     densely interacting cliques land on the densest part of the region.
+
+    The device side reads :attr:`Device.coupling`; the circuit side reads
+    the interaction neighbours of :meth:`PackedCircuit.interaction_pairs`.
     """
     _check_fits(packed, device)
     needed = packed.num_qubits
     if needed == 0:
         return {}
-    topology = device.topology()
     if device.all_to_all:
         return {q: q for q in range(needed)}
+    coupling = device.coupling
     if needed == device.num_qubits:
         region = list(range(device.num_qubits))
     else:
-        region = _grow_region(topology, needed)
+        region = _grow_region(coupling, needed)
 
-    interaction = packed.interaction_graph()
-    region_subgraph = topology.subgraph(region)
-    logical_order = _interaction_bfs_order(interaction, needed)
+    partners = neighbour_table(needed, packed.interaction_pairs())
+    inside = set(region)
+    region_degree = {
+        node: sum(1 for other in coupling.neighbours[node] if other in inside) for node in region
+    }
 
     placement: Placement = {}
     free = set(region)
-    for logical in logical_order:
-        placed_partners = [
-            placement[other]
-            for other in interaction.neighbors(logical)
-            if other in placement
-        ]
+    for logical in _interaction_bfs_order(partners):
+        placed_partners = [placement[other] for other in partners[logical] if other in placement]
         best = max(
             free,
             key=lambda candidate: (
-                sum(1 for partner in placed_partners if topology.has_edge(candidate, partner)),
-                region_subgraph.degree(candidate),
-                topology.degree(candidate),
+                sum(1 for partner in placed_partners if coupling.has_edge(candidate, partner)),
+                region_degree[candidate],
+                coupling.degrees[candidate],
                 -candidate,
             ),
         )
@@ -88,60 +88,56 @@ def noise_aware_placement(packed: PackedCircuit, device: Device) -> Placement:
     return placement
 
 
-def _interaction_bfs_order(interaction: nx.Graph, num_qubits: int) -> List[int]:
+def _interaction_bfs_order(partners: Neighbours) -> List[int]:
     """Logical qubits in BFS order over the interaction graph, busiest first."""
+
+    def busiest_first(qubits) -> List[int]:
+        return sorted(qubits, key=lambda q: len(partners[q]), reverse=True)
+
     order: List[int] = []
     seen: set[int] = set()
-    remaining = sorted(range(num_qubits), key=lambda q: interaction.degree(q), reverse=True)
-    for seed in remaining:
+    for seed in busiest_first(range(len(partners))):
         if seed in seen:
             continue
         queue = [seed]
         seen.add(seed)
-        while queue:
-            node = queue.pop(0)
+        for node in queue:  # grows while iterated: a FIFO queue
             order.append(node)
-            neighbors = sorted(
-                (n for n in interaction.neighbors(node) if n not in seen),
-                key=lambda q: interaction.degree(q),
-                reverse=True,
-            )
-            for neighbor in neighbors:
+            for neighbor in busiest_first(n for n in partners[node] if n not in seen):
                 seen.add(neighbor)
                 queue.append(neighbor)
     return order
 
 
-def _grow_region(topology: nx.Graph, size: int) -> List[int]:
+def _grow_region(coupling: CouplingMap, size: int) -> List[int]:
     """Grow a connected set of ``size`` nodes greedily by internal connectivity."""
-    if size > topology.number_of_nodes():
+    if size > coupling.num_qubits:
         raise TranspilerError("device too small for requested region")
+    neighbours, degrees = coupling.neighbours, coupling.degrees
     best_region: List[int] | None = None
-    best_score = -1.0
+    best_score = -1
     # Try growing from the few highest-degree seeds and keep the densest region.
-    seeds = sorted(topology.nodes, key=lambda n: topology.degree(n), reverse=True)[:4]
+    seeds = sorted(range(coupling.num_qubits), key=lambda n: degrees[n], reverse=True)[:4]
     for seed in seeds:
         region = {seed}
         while len(region) < size:
             boundary = {
                 neighbor
                 for node in region
-                for neighbor in topology.neighbors(node)
+                for neighbor in neighbours[node]
                 if neighbor not in region
             }
             if not boundary:
                 break
             choice = max(
                 boundary,
-                key=lambda n: (
-                    sum(1 for m in topology.neighbors(n) if m in region),
-                    topology.degree(n),
-                ),
+                key=lambda n: (sum(1 for m in neighbours[n] if m in region), degrees[n]),
             )
             region.add(choice)
         if len(region) < size:
             continue
-        score = topology.subgraph(region).number_of_edges()
+        # Twice the region's edge count: every internal edge is seen from both ends.
+        score = sum(1 for node in region for m in neighbours[node] if m in region)
         if score > best_score:
             best_score = score
             best_region = sorted(region)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import networkx as nx
-
 from ..circuits.columnar import BARRIER_OP, OPCODES, PackedBuilder, PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
@@ -47,27 +45,21 @@ def route_circuit(packed: PackedCircuit, device: Device, placement: Placement) -
     """Insert SWAPs so every multi-qubit gate acts on coupled qubits.
 
     The output register has ``max(num_clbits, 1)`` classical bits, and a
-    qubit-less barrier becomes a barrier over every device qubit.
+    qubit-less barrier becomes a barrier over every device qubit.  Paths
+    come from the device's cached :attr:`~repro.devices.Device.coupling`
+    tables (networkx's breadth-first shortest paths).
     """
     missing = [q for q in range(packed.num_qubits) if q not in placement]
     if missing:
         raise TranspilerError(f"placement is missing logical qubits {missing}")
 
-    topology = device.topology()
+    coupling = None if device.all_to_all else device.coupling
     logical_to_physical: Dict[int, int] = dict(placement)
     physical_to_logical: Dict[int, int] = {p: l for l, p in logical_to_physical.items()}
 
     routed = PackedBuilder(device.num_qubits, max(packed.num_clbits, 1), packed.name)
     all_qubits = tuple(range(device.num_qubits))
     swap_count = 0
-
-    if not device.all_to_all:
-        try:
-            paths = dict(nx.all_pairs_shortest_path(topology))
-        except nx.NetworkXError as exc:  # pragma: no cover - defensive
-            raise TranspilerError("device topology is unusable for routing") from exc
-    else:
-        paths = {}
 
     def physical(logical: int) -> int:
         return logical_to_physical[logical]
@@ -104,18 +96,17 @@ def route_circuit(packed: PackedCircuit, device: Device, placement: Placement) -
             )
         a, b = qubits
         pa, pb = physical(a), physical(b)
-        if not device.all_to_all and not topology.has_edge(pa, pb):
-            try:
-                path = paths[pa][pb]
-            except KeyError as exc:
+        if coupling is not None and not coupling.has_edge(pa, pb):
+            path = coupling.shortest_path(pa, pb)
+            if path is None:
                 raise TranspilerError(
                     f"no path between physical qubits {pa} and {pb} on {device.name}"
-                ) from exc
+                )
             # Move qubit `a` along the path until it neighbours `b`.
             for step in path[1:-1]:
                 apply_swap(physical(a), step)
             pa, pb = physical(a), physical(b)
-            if not topology.has_edge(pa, pb):  # pragma: no cover - defensive
+            if not coupling.has_edge(pa, pb):  # pragma: no cover - defensive
                 raise TranspilerError("routing failed to make qubits adjacent")
         routed.append(opcode, (physical(a), physical(b)), params, clbit)
 

@@ -8,14 +8,18 @@ This module keeps the per-instruction Python walks those implementations
 replaced and must reproduce gate for gate.  It also keeps the
 ``np.tensordot`` gate contraction (:func:`apply_matrix_reference`) that
 ``repro.simulation.kernels.contract`` inlines and must reproduce bit for
-bit.  So:
+bit, and the networkx noise-aware placement and shortest-path router
+(:func:`noise_aware_placement`, :func:`route_circuit`) that the cached
+coupling tables of ``repro.devices.coupling`` replaced and must reproduce
+qubit for qubit.  So:
 
 * the randomized, five-pass-chain and preset-family parity tests
   (``tests/transpiler/test_packed_passes.py``), the interaction-graph /
   depth / moment / critical-path / feature parity tests and the kernel
   parity tests (``tests/simulation/test_kernels.py``,
-  ``tests/simulation/test_channel_parity.py``) compare the library against
-  code it does not share;
+  ``tests/simulation/test_channel_parity.py``) and the placement and routing
+  parity tests (``tests/transpiler/test_placement_routing.py``) compare the
+  library against code it does not share;
 * the micro-benchmarks that time the library against these baselines
   (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``,
   ``benchmarks/bench_simulation_kernels.py``) keep measuring the baseline
@@ -33,7 +37,8 @@ import networkx as nx
 import numpy as np
 
 from repro.circuits import Circuit, Gate, Instruction
-from repro.circuits.columnar import PackedCircuit
+from repro.circuits.columnar import BARRIER_OP, OPCODES, PackedBuilder, PackedCircuit
+from repro.devices import Device
 from repro.circuits.gates import ADDITIVE_ROTATIONS, SELF_INVERSE
 from repro.transpiler import (
     BasePass,
@@ -65,6 +70,8 @@ __all__ = [
     "two_qubit_critical_path",
     "liveness_matrix",
     "apply_matrix_reference",
+    "noise_aware_placement",
+    "route_circuit",
 ]
 
 
@@ -467,3 +474,140 @@ def apply_matrix_reference(
     moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(axes)))
     # tensordot puts the gate's output axes first, in target order; move back.
     return np.moveaxis(moved, list(range(k)), list(axes))
+
+
+# ---------------------------------------------------------------------------
+# placement and routing over networkx graphs
+# ---------------------------------------------------------------------------
+
+
+def noise_aware_placement(circuit: Circuit, device: Device) -> Dict[int, int]:
+    """The greedy noise-aware placement over ``device.topology()`` and the
+    circuit's interaction graph (see ``repro.transpiler.placement``)."""
+    needed = circuit.num_qubits
+    if needed == 0:
+        return {}
+    topology = device.topology()
+    if device.all_to_all:
+        return {q: q for q in range(needed)}
+    if needed == device.num_qubits:
+        region = list(range(device.num_qubits))
+    else:
+        region = _grow_region(topology, needed)
+
+    interaction = interaction_graph(circuit)
+    region_subgraph = topology.subgraph(region)
+    placement: Dict[int, int] = {}
+    free = set(region)
+    for logical in _interaction_bfs_order(interaction, needed):
+        placed_partners = [
+            placement[other] for other in interaction.neighbors(logical) if other in placement
+        ]
+        best = max(
+            free,
+            key=lambda candidate: (
+                sum(1 for partner in placed_partners if topology.has_edge(candidate, partner)),
+                region_subgraph.degree(candidate),
+                topology.degree(candidate),
+                -candidate,
+            ),
+        )
+        placement[logical] = best
+        free.remove(best)
+    return placement
+
+
+def _interaction_bfs_order(interaction: nx.Graph, num_qubits: int) -> List[int]:
+    order: List[int] = []
+    seen: set = set()
+    remaining = sorted(range(num_qubits), key=lambda q: interaction.degree(q), reverse=True)
+    for seed in remaining:
+        if seed in seen:
+            continue
+        queue = [seed]
+        seen.add(seed)
+        while queue:
+            node = queue.pop(0)
+            order.append(node)
+            neighbors = sorted(
+                (n for n in interaction.neighbors(node) if n not in seen),
+                key=lambda q: interaction.degree(q),
+                reverse=True,
+            )
+            for neighbor in neighbors:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return order
+
+
+def _grow_region(topology: nx.Graph, size: int) -> List[int]:
+    best_region: Optional[List[int]] = None
+    best_score = -1.0
+    seeds = sorted(topology.nodes, key=lambda n: topology.degree(n), reverse=True)[:4]
+    for seed in seeds:
+        region = {seed}
+        while len(region) < size:
+            boundary = {
+                neighbor
+                for node in region
+                for neighbor in topology.neighbors(node)
+                if neighbor not in region
+            }
+            if not boundary:
+                break
+            choice = max(
+                boundary,
+                key=lambda n: (
+                    sum(1 for m in topology.neighbors(n) if m in region),
+                    topology.degree(n),
+                ),
+            )
+            region.add(choice)
+        if len(region) < size:
+            continue
+        score = topology.subgraph(region).number_of_edges()
+        if score > best_score:
+            best_score = score
+            best_region = sorted(region)
+    assert best_region is not None, "no connected region of the requested size"
+    return best_region
+
+
+def route_circuit(
+    packed: PackedCircuit, device: Device, placement: Dict[int, int]
+) -> Tuple[PackedCircuit, Dict[int, int], int]:
+    """Greedy SWAP routing along ``nx.all_pairs_shortest_path`` paths.
+
+    Returns the routed circuit, the final layout and the SWAP count.
+    """
+    topology = device.topology()
+    paths = {} if device.all_to_all else dict(nx.all_pairs_shortest_path(topology))
+    logical_to_physical = dict(placement)
+    physical_to_logical = {p: l for l, p in logical_to_physical.items()}
+    routed = PackedBuilder(device.num_qubits, max(packed.num_clbits, 1), packed.name)
+    swaps = 0
+
+    def swap(a: int, b: int) -> None:
+        nonlocal swaps
+        routed.append(OPCODES["swap"], (a, b))
+        swaps += 1
+        la, lb = physical_to_logical.pop(a, None), physical_to_logical.pop(b, None)
+        if la is not None:
+            logical_to_physical[la] = b
+            physical_to_logical[b] = la
+        if lb is not None:
+            logical_to_physical[lb] = a
+            physical_to_logical[a] = lb
+
+    for _row, opcode, qubits, params, clbit in packed.iter_rows():
+        if opcode == BARRIER_OP and not qubits:
+            routed.append(BARRIER_OP, tuple(range(device.num_qubits)))
+            continue
+        if opcode != BARRIER_OP and len(qubits) == 2 and not device.all_to_all:
+            a, b = qubits
+            if not topology.has_edge(logical_to_physical[a], logical_to_physical[b]):
+                path = paths[logical_to_physical[a]][logical_to_physical[b]]
+                for step in path[1:-1]:
+                    swap(logical_to_physical[a], step)
+        routed.append(opcode, tuple(logical_to_physical[q] for q in qubits), params, clbit)
+    return routed.build(), logical_to_physical, swaps

@@ -9,7 +9,7 @@ from repro.exceptions import ServiceError
 from repro.service import JobQueue
 from repro.store import ResultStore
 from repro.suite import figure2_scenario
-from repro.suite.results import SpecOutcome, SuiteResult
+from repro.suite.results import SpecOutcome, SuiteResult, merge_engine_stats
 from repro.suite.sweep import Scenario, Sweep
 
 KNOBS = dict(shots=60, repetitions=1, seed=99, trajectories=12)
@@ -187,3 +187,87 @@ class TestJobQueueSemantics:
             JobQueue(workers=0)
         with pytest.raises(ServiceError):
             JobQueue(max_attempts=0)
+
+
+def _integer_counters(engine_stats):
+    return {
+        key: {name: value for name, value in stats.items() if isinstance(value, int)}
+        for key, stats in engine_stats.items()
+    }
+
+
+class TestEngineStatsFolding:
+    def test_matches_a_full_re_merge_of_every_job(self):
+        """Done, failed, cancelled, retried and running jobs: the running total
+        folded at each terminal state equals re-merging every job's stats."""
+        attempts = {}
+        cancel_ready = threading.Event()
+        release = threading.Event()
+
+        def runner(scenario, partial=None, on_outcome=None, mode="done", engine="a", **knobs):
+            attempts[mode] = attempts.get(mode, 0) + 1
+            partial.note_engine_stats("scheduler", {"leases": 1, "seconds": 0.25})
+            partial.note_engine_stats(
+                f"engine-{engine}", {"hits": 3, "misses": 1, "entries": len(mode), "seconds": 0.5}
+            )
+            if mode == "fail" or (mode == "retried" and attempts[mode] == 1):
+                raise RuntimeError("boom")
+            if mode == "cancel":
+                cancel_ready.set()
+                release.wait(timeout=30)
+                on_outcome(make_outcome("unit-1"))  # raises JobCancelled
+            if mode == "running":
+                release.wait(timeout=30)
+            return partial
+
+        with JobQueue(workers=1, max_attempts=2, runner=runner) as jobs:
+            done = jobs.submit(tiny_scenario(), mode="done", engine="a")
+            failed = jobs.submit(tiny_scenario(), mode="fail", engine="b")
+            retried = jobs.submit(tiny_scenario(), mode="retried", engine="a")
+            cancelled = jobs.submit(tiny_scenario(), mode="cancel", engine="c")
+            assert cancel_ready.wait(timeout=30)
+            jobs.cancel(cancelled)
+            never_ran = jobs.submit(tiny_scenario(), mode="done", engine="d")
+            jobs.cancel(never_ran)
+            running = jobs.submit(tiny_scenario(), mode="running", engine="a")
+            release.set()
+            jobs.result(done, timeout=30)
+            jobs.result(retried, timeout=30)
+            for job_id in (failed, cancelled):
+                with pytest.raises(ServiceError):
+                    jobs.result(job_id, timeout=30)
+            assert jobs.status(never_ran)["status"] == "cancelled"
+            jobs.result(running, timeout=30)
+            assert attempts == {"done": 1, "fail": 2, "retried": 2, "cancel": 1, "running": 1}
+
+            full = {}
+            for job in jobs._jobs.values():
+                if job.result is not None:
+                    for engine_key, stats in job.result.engine_stats.items():
+                        merge_engine_stats(full.setdefault(engine_key, {}), stats)
+            folded = jobs.engine_stats()
+            assert folded.keys() == full.keys() == {
+                "scheduler", "engine-a", "engine-b", "engine-c"
+            }
+            assert _integer_counters(folded) == _integer_counters(full)
+            assert folded["scheduler"]["leases"] == 7  # every attempt that ran
+            # Folding happens once per job, not once per call.
+            assert _integer_counters(jobs.engine_stats()) == _integer_counters(full)
+
+    def test_running_jobs_are_merged_per_call(self):
+        noted = threading.Event()
+        release = threading.Event()
+
+        def runner(scenario, partial=None, on_outcome=None, **knobs):
+            partial.note_engine_stats("engine", {"hits": 2})
+            noted.set()
+            release.wait(timeout=30)
+            return partial
+
+        with JobQueue(workers=1, runner=runner) as jobs:
+            first = jobs.submit(tiny_scenario())
+            assert noted.wait(timeout=30)
+            assert jobs.engine_stats() == {"engine": {"hits": 2}}
+            release.set()
+            jobs.result(first, timeout=30)
+            assert jobs.engine_stats() == {"engine": {"hits": 2}}

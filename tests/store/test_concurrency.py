@@ -6,7 +6,11 @@ locked``, and converge on one row per key under idempotent re-puts.
 """
 
 import multiprocessing
+import sqlite3
+import sys
 import threading
+
+import pytest
 
 from repro.store import ResultStore
 
@@ -93,6 +97,62 @@ class TestThreadConcurrency:
             thread.join(timeout=30)
             assert not errors
             assert store.get_run("from-thread") is not None
+
+
+class TestThreadConnections:
+    """A connection lives as long as its thread: a thread per request (as
+    ``repro serve`` runs them) must not leave connections open behind it."""
+
+    def test_finished_readers_leave_only_live_connections(self, tmp_path):
+        with ResultStore(tmp_path / "readers.sqlite") as store:
+            store.put_run("k", make_run())
+            opened, errors = [], []
+
+            def read():
+                try:
+                    opened.append(store._connection())
+                    assert store.get_run("k") == make_run()
+                except Exception as error:  # noqa: BLE001 - collected for the assertion
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for _ in range(5):  # 50 readers, 10 at a time
+                    threads = [threading.Thread(target=read) for _ in range(10)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                        assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert not errors and len(opened) == 50
+            # Only the constructing thread's connection is still held...
+            assert len(store._connections) == 1
+            # ...and the readers' connections are closed, not just dropped.
+            for connection in opened:
+                with pytest.raises(sqlite3.ProgrammingError):
+                    connection.execute("SELECT 1")
+
+            holding, release = threading.Event(), threading.Event()
+
+            def hold():
+                read()
+                holding.set()
+                release.wait(timeout=30)
+
+            live = threading.Thread(target=hold)
+            live.start()
+            assert holding.wait(timeout=30)
+            assert len(store._connections) == 2
+            store.close()  # closes the live thread's connection too
+            with pytest.raises(sqlite3.ProgrammingError):
+                opened[-1].execute("SELECT 1")
+            release.set()
+            live.join(timeout=30)
+            assert not live.is_alive()
+        assert len(store._connections) == 0
 
 
 class TestProcessConcurrency:

@@ -1,5 +1,13 @@
-"""Importing the package stays light: optional heavy dependencies load on use."""
+"""Importing the package stays light: optional heavy dependencies load on use.
 
+scipy loads only inside ``coverage_volume``; networkx only inside
+``Device.topology()``, the ``*_topology`` helpers and ``interaction_graph()``;
+the HTTP service (``http.server``) on first access to ``repro.service``.
+Placement and routing read the devices' cached coupling maps, so neither a
+compile nor a sweep loads networkx.
+"""
+
+import json
 import os
 import subprocess
 import sys
@@ -8,15 +16,58 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_repro_does_not_load_scipy():
+def _packages_loaded_by(code: str, prefix: str) -> list:
+    """Run ``code`` in a fresh interpreter; the loaded modules starting with ``prefix``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    loaded = subprocess.run(
+    probe = (
+        f"{code}\n"
+        "import json, sys\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
+    )
+    stdout = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.strip()
-    assert loaded == "[]"
+    ).stdout
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def test_import_repro_does_not_load_scipy():
+    assert _packages_loaded_by("import repro", "scipy") == []
+
+
+def test_import_repro_does_not_load_networkx():
+    assert _packages_loaded_by("import repro", "networkx") == []
+
+
+def test_the_http_service_loads_on_first_use():
+    assert _packages_loaded_by("import repro", "http.server") == []
+    probe = "import repro; assert repro.service.BenchmarkService"
+    assert _packages_loaded_by(probe, "repro.service.http") == ["repro.service.http"]
+
+
+def test_noise_aware_compiles_and_a_sweep_do_not_load_networkx():
+    code = """
+from repro.circuits import Circuit
+from repro.devices import all_devices, device_names
+from repro.suite import Scenario, Sweep, run_scenario
+from repro.transpiler import transpile
+
+for device in all_devices():
+    size = min(device.num_qubits, 6)
+    circuit = Circuit(size, size)
+    for q in range(size):
+        circuit.h(q)
+    for q in range(size - 2):
+        circuit.cx(q, q + 2)
+    transpile(circuit.measure_all(), device, placement="noise_aware")
+scenario = Scenario(
+    name="guard", sweeps=(Sweep.of("ghz", num_qubits=(3,)),), devices=tuple(device_names())
+)
+result = run_scenario(scenario, shots=16, repetitions=1, seed=0, trajectories=4)
+assert len(result.runs()) == len(device_names())
+"""
+    assert _packages_loaded_by(code, "networkx") == []

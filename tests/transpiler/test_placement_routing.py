@@ -1,10 +1,12 @@
 """Tests for placement, routing and the full transpilation pipeline."""
 
 import numpy as np
+import oracle
 import pytest
 
+from repro.benchmarks import figure2_benchmarks
 from repro.circuits import BARRIER, Circuit, Instruction, ghz_ladder
-from repro.devices import get_device
+from repro.devices import all_devices, get_device
 from repro.exceptions import TranspilerError
 from repro.simulation import StatevectorSimulator, circuit_unitary, final_statevector
 from repro.transpiler import (
@@ -169,3 +171,80 @@ class TestTranspilePipeline:
     def test_unknown_placement_rejected(self, ibm_device):
         with pytest.raises(TranspilerError):
             transpile(ghz_ladder(3), ibm_device, placement="magic")
+
+
+def _random_circuit(rng, num_qubits, depth, three_qubit=True):
+    circuit = Circuit(num_qubits, num_qubits)
+    for _ in range(depth):
+        kind = int(rng.integers(0, 7)) if num_qubits > 1 else 0
+        if kind == 0:
+            circuit.h(int(rng.integers(0, num_qubits)))
+        elif kind == 1 and three_qubit and num_qubits >= 3:
+            a, b, c = (int(q) for q in rng.choice(num_qubits, 3, replace=False))
+            circuit.ccx(a, b, c)
+        elif kind == 2:
+            operands = rng.choice(num_qubits, int(rng.integers(0, num_qubits + 1)), replace=False)
+            circuit.barrier(*(int(q) for q in operands))
+        else:
+            a, b = (int(q) for q in rng.choice(num_qubits, 2, replace=False))
+            if kind == 3:
+                circuit.rzz(float(rng.normal()), a, b)
+            elif kind == 4:
+                circuit.swap(a, b)
+            else:
+                circuit.cx(a, b)
+    return circuit.measure_all()
+
+
+def _rows(packed):
+    return list(packed.iter_rows())
+
+
+class TestNetworkxParity:
+    """Placement and routing read cached coupling tables; they must choose
+    exactly what the networkx implementations in ``tests/oracle.py`` choose."""
+
+    @pytest.mark.parametrize("device", all_devices(), ids=lambda device: device.name)
+    def test_placement_matches_oracle(self, device):
+        rng = np.random.default_rng(sum(map(ord, device.name)))
+        for num_qubits in range(1, device.num_qubits + 1):
+            for _ in range(3):
+                circuit = _random_circuit(rng, num_qubits, int(rng.integers(0, 25)))
+                assert noise_aware_placement(circuit.packed(), device) == (
+                    oracle.noise_aware_placement(circuit, device)
+                )
+
+    @pytest.mark.parametrize("device", all_devices(), ids=lambda device: device.name)
+    def test_routing_matches_oracle(self, device):
+        rng = np.random.default_rng(sum(map(ord, device.name)) + 1)
+        for num_qubits in range(1, min(device.num_qubits, 12) + 1):
+            for trial in range(3):
+                circuit = _random_circuit(
+                    rng, num_qubits, int(rng.integers(0, 30)), three_qubit=False
+                )
+                packed = circuit.packed()
+                if trial == 0:
+                    layout = noise_aware_placement(packed, device)
+                else:
+                    physical = rng.choice(device.num_qubits, num_qubits, replace=False)
+                    layout = {q: int(p) for q, p in enumerate(physical)}
+                routed = route_circuit(packed, device, layout)
+                expected, final_layout, swaps = oracle.route_circuit(packed, device, layout)
+                assert _rows(routed.circuit) == _rows(expected)
+                assert routed.final_layout == final_layout
+                assert routed.swap_count == swaps
+
+    def test_figure2_circuits_place_as_the_oracle(self):
+        """The paper's small Figure 2 instances, on every device they fit."""
+        circuits = [
+            circuit
+            for benchmarks in figure2_benchmarks(small=True).values()
+            for benchmark in benchmarks
+            for circuit in benchmark.circuits()
+        ]
+        for device in all_devices():
+            for circuit in circuits:
+                if circuit.num_qubits <= device.num_qubits:
+                    assert noise_aware_placement(circuit.packed(), device) == (
+                        oracle.noise_aware_placement(circuit, device)
+                    )
