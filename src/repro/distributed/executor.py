@@ -24,11 +24,9 @@ values and must return :class:`~repro.distributed.plan.LeaseResult`.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, Optional, Tuple
+from concurrent.futures import Future
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..devices import get_device
 from ..exceptions import DistributedError
@@ -37,6 +35,9 @@ from ..suite.sweep import EngineConfig
 from ..telemetry import get_tracer
 from .plan import Lease, LeaseResult
 from .worker import execute_lease, initialize_worker, run_lease
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["InProcessExecutor", "ProcessShardExecutor", "default_start_method"]
 
@@ -122,6 +123,8 @@ def default_start_method() -> str:
     """``"fork"`` where available (cheap worker start — no re-import of
     numpy/scipy), ``"spawn"`` elsewhere.  Worker initialisation is spawn-safe
     either way; the choice is purely a startup-latency optimisation."""
+    import multiprocessing  # the process path only: thread sweeps never load it
+
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return "spawn"
@@ -165,6 +168,9 @@ class ProcessShardExecutor:
         return self.processes
 
     def _make_pool(self) -> ProcessPoolExecutor:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Tracing state is sampled at pool creation: workers only record
         # spans when the parent tracer is enabled (someone will adopt them).
         return ProcessPoolExecutor(
@@ -180,6 +186,8 @@ class ProcessShardExecutor:
             raise DistributedError("executor is closed")
         if self._pool is None:
             self._pool = self._make_pool()
+        from concurrent.futures.process import BrokenProcessPool  # loaded with the pool
+
         try:
             return self._pool.submit(execute_lease, lease)
         except BrokenProcessPool:

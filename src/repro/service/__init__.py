@@ -8,7 +8,23 @@ shared content-addressed :class:`~repro.store.ResultStore`, and results
 stream back as NDJSON while the sweep runs.
 """
 
-from .http import BenchmarkService, resolve_scenario
-from .jobs import JobQueue, JobRecord
-
 __all__ = ["BenchmarkService", "JobQueue", "JobRecord", "resolve_scenario"]
+
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    "BenchmarkService": "http",
+    "resolve_scenario": "http",
+    "JobQueue": "jobs",
+    "JobRecord": "jobs",
+}
+
+
+def __getattr__(name: str):
+    # ``repro run`` enters through ``repro.service.cli`` and needs neither the
+    # HTTP server (http.server, ssl) nor the job queue: each loads on first use.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -153,6 +153,9 @@ class JobQueue:
         self._ids = itertools.count(1)
         self._closed = False
         self._retries = 0
+        #: Jobs per terminal status, counted once when they get there (see
+        #: :meth:`_by_status`).
+        self._finished = dict.fromkeys(_TERMINAL, 0)
         #: Engine statistics of every job in a terminal state, folded in once
         #: when it got there (see :meth:`engine_stats`).
         self._finished_engine_stats: Dict[str, Dict[str, float]] = {}
@@ -169,15 +172,22 @@ class JobQueue:
         job.status = status
         job.finished_at = time.time()
         del self._active[job.id]
+        self._finished[status] += 1
         if job.result is not None:
             for engine_key, stats in job.result.engine_stats.items():
                 merge_engine_stats(self._finished_engine_stats.setdefault(engine_key, {}), stats)
         self._changed.notify_all()
 
     def _by_status(self) -> Dict[str, int]:
-        """Jobs per status, every status included (caller holds the lock)."""
+        """Jobs per status, every status included (caller holds the lock).
+
+        Terminal statuses come from the counts :meth:`_finish` keeps, so this
+        walks only the jobs still queued or running and costs the same
+        however many finished.
+        """
         counts = dict.fromkeys(_STATUSES, 0)
-        for job in self._jobs.values():
+        counts.update(self._finished)
+        for job in self._active.values():
             counts[job.status] += 1
         return counts
 

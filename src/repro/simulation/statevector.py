@@ -252,14 +252,30 @@ class _PreparedChannel:
     ``(r, r ^ s)``.  General channels add their Gram matrices ``K†K`` and
     the masks those use; mixtures add the ``Generator.choice`` CDF of their
     branch probabilities and per-branch identity flags.
+
+    ``no_jump`` bounds branch 0's share ``w_0 / Σ w`` of a general channel
+    from below over every state: ``λ_min(K_0†K_0) / λ_max(Σ K†K)`` when
+    ``K_0`` is diagonal, else 0.  A trajectory whose uniform draw is at most
+    :meth:`no_jump_bound` takes branch 0 whatever its state.
     """
 
     operators: np.ndarray
     terms: Tuple[int, ...]
     grams: Optional[np.ndarray] = None
     gram_terms: Tuple[int, ...] = ()
+    no_jump: float = 0.0
     cdf: Optional[np.ndarray] = None
     identity: Optional[np.ndarray] = None
+
+    def no_jump_bound(self, num_qubits: int) -> float:
+        """``no_jump`` less the rounding of the share computed on ``num_qubits`` qubits.
+
+        The computed ``w_0 / Σ w`` is off the exact share by at most one
+        rounding per summed term: ``2**n`` per pair of Gram masks in each
+        weight, and one per branch in the total.
+        """
+        summed = (len(self.gram_terms) ** 2 << num_qubits) + len(self.operators) + 8
+        return self.no_jump - _SHARE_ROUNDING * summed
 
 
 @dataclass(frozen=True)
@@ -307,6 +323,10 @@ def _xor_terms(matrices: np.ndarray) -> Tuple[int, ...]:
 #: ``Generator.choice``'s tolerance on a distribution's sum.
 _CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
+#: Rounding of a computed branch share ``w_0 / Σ w`` per summed term, with a
+#: factor 2 to spare (the weights are sums of products of rounded squares).
+_SHARE_ROUNDING = 4 * float(np.finfo(np.float64).eps)
+
 
 def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:
     """Inverse-CDF table of distributions on the last axis, as ``Generator.choice`` builds it.
@@ -345,11 +365,17 @@ def _prepare_channel(channel: KrausChannel) -> _PreparedChannel:
         if not len(kraus):
             raise SimulationError(f"channel {channel.name!r} has only zero Kraus operators")
         grams = kraus.conj().transpose(0, 2, 1) @ kraus
+        diagonal = np.diag(kraus[0])
+        no_jump = 0.0
+        if np.array_equal(kraus[0], np.diag(diagonal)):
+            lowest = float((np.abs(diagonal) ** 2).min())
+            no_jump = lowest / float(np.linalg.eigvalsh(grams.sum(axis=0)).max())
         prepared = _PreparedChannel(
             operators=kraus.reshape(len(kraus), dim * dim),
             terms=_xor_terms(kraus),
             grams=grams.reshape(len(grams), dim * dim),
             gram_terms=_xor_terms(grams),
+            no_jump=no_jump,
         )
     else:
         probabilities, unitaries = mixture
@@ -479,10 +505,25 @@ class StatevectorSimulator:
     deterministic prefix of the compiled circuit is evolved once, the
     stochastic suffix is evolved as a ``(T, 2**n)`` trajectory array with
     vectorised Kraus sampling, and terminal measurements are sampled with
-    vectorised readout error.  Each noise channel is one XOR-gather pass
-    over the batch; unitary-mixture channels (depolarizing, Pauli flips)
-    sample their branch from a state-independent distribution and leave the
-    batch untouched when every trajectory drew an identity branch.
+    vectorised readout error.
+
+    A noise channel step computes only on the trajectories (batch rows)
+    whose draw can change them, writing them in place.  Unitary-mixture
+    channels (depolarizing, Pauli flips) sample their branch from a
+    state-independent distribution, leave the batch untouched when every
+    trajectory drew the identity branch 0 (one ``draws.max() < cdf[0]``
+    compare), and otherwise apply the XOR gather to the rows that drew a
+    non-identity branch alone.  A general channel whose first Kraus
+    operator ``K_0`` is diagonal (thermal relaxation, amplitude and phase
+    damping) gives branch 0 at least the share ``λ_min(K_0†K_0) / λ_max(Σ
+    K†K)`` of every state, so a row whose uniform draw is within that
+    bound, less a rounding margin that grows with ``2**n``, takes branch 0
+    as one elementwise multiply by ``K_0 / sqrt(w_0)``; only the other rows
+    go through the cumulative-weight choice and the gather.  Every row gets
+    the arithmetic the whole-batch gather gave it, so the output bytes are
+    unchanged but for the sign of a zero.  The branch weights stay one
+    matmul over the whole batch: on one row numpy takes another BLAS path,
+    and the weights of a row subset are other bytes.
 
     Args:
         noise_model: Optional :class:`~repro.simulation.noise_model.NoiseModel`.
@@ -662,26 +703,33 @@ class StatevectorSimulator:
     def _apply_channel_batch(
         self, batch: np.ndarray, step: _ChannelStep, num_qubits: int
     ) -> np.ndarray:
-        """Sample one Kraus branch per trajectory and apply it in one flat pass.
+        """Sample one Kraus branch per trajectory and apply it to the rows it changes.
 
         Consumes the draws of a per-branch implementation, in the same
         order: a mixture takes one ``Generator.choice`` index per trajectory
         (none when it has a single branch), a general channel one uniform
-        per trajectory.  Every trajectory's chosen operator -- ``K_c /
-        sqrt(w_c)`` for a general channel -- is applied through the
-        :func:`_xor_table` gather.
+        per trajectory.  The chosen operator -- ``K_c / sqrt(w_c)`` for a
+        general channel -- is applied through the :func:`_xor_table` gather
+        to the rows it changes and written in place; the class docstring
+        says which rows skip the gather and why the bytes stay the same.
         """
         prepared = step.prepared
         size = batch.shape[0]
-        flat = batch.reshape(size, -1)
+        batch = np.ascontiguousarray(batch)
+        flat = batch.reshape(size, -1)  # a view: row writes land in the batch
         if prepared.cdf is not None:
             if len(prepared.cdf) == 1:
                 choices = np.zeros(size, dtype=np.intp)
             else:
-                choices = prepared.cdf.searchsorted(self._rng.random(size), side="right")
-            if prepared.identity[choices].all():
-                return batch  # the overwhelmingly common no-error draw
-            operators = prepared.operators[choices]
+                draws = self._rng.random(size)
+                if prepared.identity[0] and draws.max() < prepared.cdf[0]:
+                    return batch  # the overwhelmingly common no-error draw
+                choices = prepared.cdf.searchsorted(draws, side="right")
+            rows = np.flatnonzero(~prepared.identity[choices])
+            if not rows.size:
+                return batch
+            source = flat[rows]
+            operators = prepared.operators[choices[rows]]
         else:
             # Branch weights <psi|K†K|psi>: the Grams' diagonal term
             # |psi|^2 @ G_0, plus their off-diagonal XOR terms, if any.
@@ -696,23 +744,35 @@ class StatevectorSimulator:
             totals = weights.sum(axis=1)
             if not totals.min() > 1e-15:
                 raise SimulationError("noise channel annihilated the state")
-            cumulative = np.cumsum(weights / totals[:, None], axis=1)
             draws = self._rng.random(size)
-            choices = (draws[:, None] > cumulative[:, :-1]).sum(axis=1)
-            chosen = weights[np.arange(size), choices]
+            rows = np.flatnonzero(draws > prepared.no_jump_bound(num_qubits))
+            source = flat
+            if rows.size < size:
+                # Some draw is within the bound, so K_0 is diagonal and every
+                # w_0 > 0: copy out the rows that jump, for the gather below,
+                # then scale every row by K_0 / sqrt(w_0) (mask 0's columns
+                # pick K_0's diagonal).
+                source = flat[rows]
+                scale = prepared.operators[0] / np.sqrt(weights[:, :1])
+                flat *= scale[:, columns[0]]
+                if not rows.size:
+                    return batch
+            cumulative = np.cumsum(weights / totals[:, None], axis=1)[rows]
+            choices = (draws[rows, None] > cumulative[:, :-1]).sum(axis=1)
+            chosen = weights[rows, choices]
             if not chosen.all():
                 # Rounding left a draw past the last boundary, on a trailing
                 # zero-weight branch (or a zero draw on a leading one): move
                 # it to the nearest branch with weight.
-                positive = weights > 0
+                positive = weights[rows] > 0
                 first = positive.argmax(axis=1)
                 last = positive.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
                 choices = np.clip(choices, first, last)
-                chosen = weights[np.arange(size), choices]
+                chosen = weights[rows, choices]
             operators = prepared.operators[choices] / np.sqrt(chosen)[:, None]
         gather, columns = _xor_table(num_qubits, step.qubits, prepared.terms)
-        out = (flat[:, gather] * operators[:, columns]).sum(axis=1)
-        return out.reshape(batch.shape)
+        flat[rows] = (source[:, gather] * operators[:, columns]).sum(axis=1)
+        return batch
 
 
 # ---------------------------------------------------------------------------

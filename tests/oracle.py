@@ -8,7 +8,10 @@ This module keeps the per-instruction Python walks those implementations
 replaced and must reproduce gate for gate.  It also keeps the
 ``np.tensordot`` gate contraction (:func:`apply_matrix_reference`) that
 ``repro.simulation.kernels.contract`` inlines and must reproduce bit for
-bit, and the networkx noise-aware placement and shortest-path router
+bit, the whole-batch XOR-gather noise-channel step
+(:func:`apply_channel_batch_reference`) that the trajectory simulator's
+row-only step replaced and must reproduce byte for byte (up to the sign of a
+zero), and the networkx noise-aware placement and shortest-path router
 (:func:`noise_aware_placement`, :func:`route_circuit`) that the cached
 coupling tables of ``repro.devices.coupling`` replaced and must reproduce
 qubit for qubit.  So:
@@ -23,7 +26,9 @@ qubit for qubit.  So:
 * the micro-benchmarks that time the library against these baselines
   (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``,
   ``benchmarks/bench_simulation_kernels.py``) keep measuring the baseline
-  their committed ratios were recorded against.
+  their committed ratios were recorded against, and the width scripts
+  (``benchmarks/bench_contraction_width.py``,
+  ``benchmarks/bench_channel_width.py``) time the library against them.
 
 Under pytest this directory is on ``sys.path`` (it holds ``conftest.py``), so
 tests ``import oracle``; the benchmark scripts put it there themselves.
@@ -39,6 +44,7 @@ import numpy as np
 from repro.circuits import Circuit, Gate, Instruction
 from repro.circuits.columnar import BARRIER_OP, OPCODES, PackedBuilder, PackedCircuit
 from repro.devices import Device
+from repro.exceptions import SimulationError
 from repro.circuits.gates import ADDITIVE_ROTATIONS, SELF_INVERSE
 from repro.transpiler import (
     BasePass,
@@ -52,6 +58,7 @@ from repro.transpiler import (
     TransformationPass,
     zyz_angles,
 )
+from repro.simulation.statevector import _xor_table
 from repro.transpiler.packed import _ANGLE_TOLERANCE, _INVERSE_PAIRS
 from repro.utils import normalize_angle
 
@@ -70,6 +77,7 @@ __all__ = [
     "two_qubit_critical_path",
     "liveness_matrix",
     "apply_matrix_reference",
+    "apply_channel_batch_reference",
     "noise_aware_placement",
     "route_circuit",
 ]
@@ -474,6 +482,54 @@ def apply_matrix_reference(
     moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(axes)))
     # tensordot puts the gate's output axes first, in target order; move back.
     return np.moveaxis(moved, list(range(k)), list(axes))
+
+
+def apply_channel_batch_reference(batch: np.ndarray, step, num_qubits: int, rng) -> np.ndarray:
+    """The whole-batch XOR-gather noise-channel step.
+
+    Samples one Kraus branch per trajectory with ``rng`` and applies every
+    trajectory's chosen operator -- ``K_c / sqrt(w_c)`` for a general
+    channel -- through the gather over all rows, as the batched simulator
+    did before it touched only the rows a draw changes.  Returns a new array
+    (or ``batch`` itself when every row drew an identity branch).
+    """
+    prepared = step.prepared
+    size = batch.shape[0]
+    flat = batch.reshape(size, -1)
+    if prepared.cdf is not None:
+        if len(prepared.cdf) == 1:
+            choices = np.zeros(size, dtype=np.intp)
+        else:
+            choices = prepared.cdf.searchsorted(rng.random(size), side="right")
+        if prepared.identity[choices].all():
+            return batch
+        operators = prepared.operators[choices]
+    else:
+        gather, columns = _xor_table(num_qubits, step.qubits, prepared.gram_terms)
+        grams = prepared.grams
+        weights = (np.abs(flat) ** 2) @ grams[:, columns[0]].real.T
+        if len(columns) > 1:
+            pairs = flat.conj()[:, None, :] * flat[:, gather[1:]]
+            off_diagonal = grams[:, columns[1:]].reshape(len(grams), -1)
+            weights += (pairs.reshape(size, -1) @ off_diagonal.T).real
+            np.maximum(weights, 0.0, out=weights)
+        totals = weights.sum(axis=1)
+        if not totals.min() > 1e-15:
+            raise SimulationError("noise channel annihilated the state")
+        cumulative = np.cumsum(weights / totals[:, None], axis=1)
+        draws = rng.random(size)
+        choices = (draws[:, None] > cumulative[:, :-1]).sum(axis=1)
+        chosen = weights[np.arange(size), choices]
+        if not chosen.all():
+            positive = weights > 0
+            first = positive.argmax(axis=1)
+            last = positive.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+            choices = np.clip(choices, first, last)
+            chosen = weights[np.arange(size), choices]
+        operators = prepared.operators[choices] / np.sqrt(chosen)[:, None]
+    gather, columns = _xor_table(num_qubits, step.qubits, prepared.terms)
+    out = (flat[:, gather] * operators[:, columns]).sum(axis=1)
+    return out.reshape(batch.shape)
 
 
 # ---------------------------------------------------------------------------

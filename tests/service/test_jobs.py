@@ -271,3 +271,90 @@ class TestEngineStatsFolding:
             release.set()
             jobs.result(first, timeout=30)
             assert jobs.engine_stats() == {"engine": {"hits": 2}}
+
+
+def _walk_statuses(jobs):
+    """Jobs per status by walking every record, as ``stats()`` once did."""
+    counts = dict.fromkeys(("queued", "running", "done", "failed", "cancelled"), 0)
+    for job in jobs._jobs.values():
+        counts[job.status] += 1
+    return counts
+
+
+class _Unwalkable(dict):
+    """A job table whose records cannot be walked, only looked up."""
+
+    def values(self):
+        raise AssertionError("stats() walked every job")
+
+    items = __iter__ = values
+
+
+class TestStatusCounts:
+    def test_equal_a_full_walk_at_every_stage(self):
+        """Done, failed, retried, cancelled-running, cancelled-queued and
+        running jobs: the per-status counts kept at each transition equal a
+        walk over every record, while jobs wait and run and after they end."""
+        cancel_ready = threading.Event()
+        running_ready = threading.Event()
+        release = threading.Event()
+        attempts = {}
+
+        def runner(scenario, partial=None, on_outcome=None, mode="done", **knobs):
+            attempts[mode] = attempts.get(mode, 0) + 1
+            if mode == "fail" or (mode == "retried" and attempts[mode] == 1):
+                raise RuntimeError("boom")
+            if mode == "cancel":
+                cancel_ready.set()
+                release.wait(timeout=30)
+                on_outcome(make_outcome("unit-1"))  # raises JobCancelled
+            if mode == "running":
+                running_ready.set()
+                release.wait(timeout=30)
+            return partial
+
+        def check(jobs):
+            # Called only while the one worker is parked in the runner or idle.
+            stats = jobs.stats()
+            walked = _walk_statuses(jobs)
+            assert {status: stats[status] for status in walked} == walked
+            assert stats["jobs"] == len(jobs._jobs)
+
+        with JobQueue(workers=1, max_attempts=2, runner=runner) as jobs:
+            done = jobs.submit(tiny_scenario(), mode="done")
+            failed = jobs.submit(tiny_scenario(), mode="fail")
+            retried = jobs.submit(tiny_scenario(), mode="retried")
+            cancelled = jobs.submit(tiny_scenario(), mode="cancel")
+            assert cancel_ready.wait(timeout=30)
+            check(jobs)  # done; failed and retried queued again; cancelled running
+            assert jobs.stats()["running"] == 1
+            jobs.cancel(cancelled)
+            never_ran = jobs.submit(tiny_scenario(), mode="done")
+            jobs.cancel(never_ran)
+            running = jobs.submit(tiny_scenario(), mode="running")
+            check(jobs)
+            release.set()
+            assert running_ready.wait(timeout=30)
+            jobs.result(done, timeout=30)
+            jobs.result(retried, timeout=30)
+            for job_id in (failed, cancelled):
+                with pytest.raises(ServiceError):
+                    jobs.result(job_id, timeout=30)
+            jobs.result(running, timeout=30)
+            check(jobs)
+            assert attempts == {"done": 1, "fail": 2, "retried": 2, "cancel": 1, "running": 1}
+            stats = jobs.stats()
+            assert (stats["done"], stats["failed"], stats["cancelled"]) == (3, 1, 2)
+            assert (stats["queued"], stats["running"], stats["retries"]) == (0, 0, 2)
+
+    def test_walk_only_the_unfinished_jobs(self):
+        def runner(scenario, partial=None, on_outcome=None, **knobs):
+            return partial
+
+        with JobQueue(workers=1, runner=runner) as jobs:
+            for job_id in [jobs.submit(tiny_scenario()) for _ in range(50)]:
+                jobs.result(job_id, timeout=30)
+            expected = jobs.stats()
+            jobs._jobs = _Unwalkable(jobs._jobs)
+            assert jobs.stats() == expected
+            assert expected["done"] == expected["jobs"] == 50

@@ -1,14 +1,18 @@
-"""The XOR-gather channel kernel against the per-branch implementation it replaced.
+"""The trajectory channel step against the implementations it replaced.
 
 ``_PerBranchSimulator`` keeps the earlier per-branch noise-channel path and
 ``Generator.choice`` terminal sampler as a test-local oracle: seeded counts
 must match it exactly, and each trajectory's output must match the
-reference contraction of its chosen operator.
+reference contraction of its chosen operator.  ``TestWholeBatchParity``
+holds the step, which touches only the rows a draw changes, to the
+whole-batch XOR-gather step it replaced (``apply_channel_batch_reference``
+in ``tests/oracle.py``): the same draws and the same output bytes, up to
+the sign of a zero.
 """
 
 import numpy as np
 import pytest
-from oracle import apply_matrix_reference
+from oracle import apply_channel_batch_reference, apply_matrix_reference
 
 from repro.benchmarks import BitCodeBenchmark, GHZBenchmark, VanillaQAOABenchmark
 from repro.circuits import Circuit
@@ -19,6 +23,7 @@ from repro.simulation import (
     StatevectorSimulator,
     amplitude_damping_channel,
     depolarizing_channel,
+    phase_damping_channel,
     thermal_relaxation_channel,
     two_qubit_depolarizing_channel,
 )
@@ -293,3 +298,167 @@ class TestChoiceCdf:
         simulator = StatevectorSimulator(seed=0)
         with pytest.raises(SimulationError):
             simulator._sample_terminal(plan, batch, bits, np.array([2, 2]))
+
+
+class _FixedDraws:
+    """Returns the given uniforms for a ``random(size)`` call and logs the sizes."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        assert size == len(self.draws)
+        return self.draws.copy()
+
+
+def _bits(array):
+    """The array's float bits, with -0.0 folded into 0.0."""
+    floats = np.ascontiguousarray(array).reshape(-1).view(np.float64) + 0.0
+    return floats.view(np.uint64)
+
+
+def _scaled_batch(rng, size, num_qubits):
+    """Random states of random norm and phase: the step normalises, the rounding varies."""
+    batch = _random_batch(rng, size, num_qubits).reshape(size, -1)
+    batch *= (rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.random(size)))[:, None]
+    return batch.reshape((size,) + (2,) * num_qubits)
+
+
+def _assert_same_step(channel, qubits, num_qubits, batch, draws):
+    """The step and the whole-batch oracle: same draws taken, same output bytes."""
+    step = _channel_step(channel, qubits)
+    oracle_draws = _FixedDraws(draws)
+    expected = apply_channel_batch_reference(batch.copy(), step, num_qubits, oracle_draws)
+    simulator = StatevectorSimulator(seed=0)
+    simulator._rng = _FixedDraws(draws)
+    observed = simulator._apply_channel_batch(batch.copy(order="K"), step, num_qubits)
+    assert simulator._rng.sizes == oracle_draws.sizes
+    assert observed.shape == batch.shape
+    assert np.array_equal(_bits(observed), _bits(expected)), (channel.name, qubits)
+
+
+def _phased_channel(rng):
+    """A diagonal K_0 with complex entries, and dense remaining operators."""
+    k0 = np.diag(np.sqrt([0.97, 0.9]) * np.exp(2j * np.pi * rng.random(2)))
+    values, vectors = np.linalg.eigh(np.eye(2) - k0.conj().T @ k0)
+    rest = vectors @ np.diag(np.sqrt(np.maximum(values, 0.0))) @ vectors.conj().T
+    mixer = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    return KrausChannel((k0, mixer @ rest / np.sqrt(2), 1j * rest / np.sqrt(2)))
+
+
+#: Widths of the parity cases, and the trajectory counts of each.
+WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
+ROWS = [1, 7, 40]
+
+
+class TestWholeBatchParity:
+    @pytest.mark.parametrize("size", ROWS)
+    @pytest.mark.parametrize("num_qubits", WIDTHS)
+    def test_general_channels(self, num_qubits, size):
+        """No row, one row and every row past the no-jump bound, on channels
+        with a diagonal K_0 and on a dense one, where every row jumps."""
+        rng = np.random.default_rng(100 * num_qubits + size)
+        qubit = (num_qubits - 1) // 2
+        channels = [
+            thermal_relaxation_channel(30.0, 25.0, 4.0),
+            amplitude_damping_channel(0.4),
+            phase_damping_channel(0.3),
+            _phased_channel(rng),
+            _random_channel(rng, 1),
+        ]
+        if num_qubits >= 2:
+            channels.append(_random_channel(rng, 2))
+        for channel in channels:
+            qubits = (qubit,) if channel.num_qubits == 1 else (num_qubits - 1, 0)
+            prepared = _channel_step(channel, qubits).prepared
+            bound = prepared.no_jump_bound(num_qubits)
+            k0 = channel.kraus_operators[0]
+            if not np.array_equal(k0, np.diag(np.diag(k0))):
+                assert prepared.no_jump == 0.0 and bound < 0.0  # every row jumps
+            within = rng.uniform(0.0, max(bound, 0.0), size)
+            past = rng.uniform(max(bound, 0.0), 1.0, size)
+            one = within.copy()
+            one[size // 2] = past[0]
+            for draws in (within, one, past):
+                batch = _scaled_batch(rng, size, num_qubits)
+                _assert_same_step(channel, qubits, num_qubits, batch, draws)
+
+    @pytest.mark.parametrize("size", ROWS)
+    @pytest.mark.parametrize("num_qubits", WIDTHS)
+    def test_unitary_mixtures(self, num_qubits, size):
+        """One- and two-qubit depolarizing with no row, one row and every row
+        moved, and a one-branch mixture that moves every row without a draw."""
+        rng = np.random.default_rng(200 * num_qubits + size)
+        channels = [depolarizing_channel(0.3), KrausChannel((np.array([[0, 1], [1, 0]]),))]
+        if num_qubits >= 2:
+            channels.append(two_qubit_depolarizing_channel(0.4))
+        for channel in channels:
+            k = channel.num_qubits
+            qubits = ((num_qubits - 1) // 2,) if k == 1 else (num_qubits - 1, 0)
+            cdf = _channel_step(channel, qubits).prepared.cdf
+            draws = rng.uniform(0.0, cdf[0], size)
+            one = draws.copy()
+            one[size // 2] = rng.uniform(cdf[0], 1.0)
+            moved = rng.uniform(cdf[0], 1.0, size)
+            for pattern in (draws, one, moved):
+                batch = _scaled_batch(rng, size, num_qubits)
+                _assert_same_step(channel, qubits, num_qubits, batch, pattern)
+
+    @pytest.mark.parametrize("num_qubits", [1, 4, 12])
+    def test_draws_on_the_bound(self, num_qubits):
+        """States wholly on K_0's smallest diagonal entry, where the exact share
+        of branch 0 is the bound itself: draws at the width's bound (taken as
+        no jump), at the exact share and an ulp either side (rounding decides)."""
+        rng = np.random.default_rng(300 + num_qubits)
+        size = 40
+        for channel in (
+            thermal_relaxation_channel(30.0, 25.0, 4.0),
+            amplitude_damping_channel(0.4),
+            thermal_relaxation_channel(30.0, 20.0, 9.0),
+        ):
+            qubits = (num_qubits // 2,)
+            prepared = _channel_step(channel, qubits).prepared
+            bound = prepared.no_jump_bound(num_qubits)
+            exact = prepared.no_jump
+            for draw in (bound, np.nextafter(exact, 0.0), exact, np.nextafter(exact, 1.0)):
+                batch = _scaled_batch(rng, size, num_qubits).reshape(size, -1)
+                low = (np.arange(batch.shape[1]) >> qubits[0]) & 1 == 0
+                batch[:, low] = 0.0  # all weight where K_0 is smallest: |1> on the qubit
+                batch = batch.reshape((size,) + (2,) * num_qubits)
+                _assert_same_step(channel, qubits, num_qubits, batch, np.full(size, draw))
+
+    @pytest.mark.parametrize(
+        "channel,draw",
+        [
+            (thermal_relaxation_channel(30.0, 20.0, 5.0), np.nextafter(1.0, 0.0)),
+            (amplitude_damping_channel(1.0), 0.0),
+            (amplitude_damping_channel(1.0), np.nextafter(1.0, 0.0)),
+            (thermal_relaxation_channel(30.0, 20.0, 5.0), 0.0),
+        ],
+        ids=["thermal-top", "full-damping-zero", "full-damping-top", "thermal-zero"],
+    )
+    def test_stuck_edge_draws(self, channel, draw):
+        """The extreme draws of ``_StuckGenerator``, on states with rows in |1>."""
+        rng = np.random.default_rng(17)
+        states = _random_batch(rng, 64, 1)
+        states[:8] = [0.0, 1.0]
+        step = _channel_step(channel, (0,))
+        simulator = StatevectorSimulator(seed=0)
+        simulator._rng = _StuckGenerator(draw)
+        observed = simulator._apply_channel_batch(states.copy(), step, 1)
+        expected = apply_channel_batch_reference(states.copy(), step, 1, _StuckGenerator(draw))
+        assert np.array_equal(_bits(observed), _bits(expected))
+
+    def test_rows_are_written_through_a_non_contiguous_batch(self):
+        """A batch whose rows do not flatten to a view is copied once, so the
+        rows written are the ones returned."""
+        rng = np.random.default_rng(29)
+        batch = np.swapaxes(_scaled_batch(rng, 40, 5), 1, 3)
+        copied = batch.copy(order="K")  # what the step is given: the same layout
+        assert not np.shares_memory(copied.reshape(40, -1), copied)
+        draws = np.full(40, 0.5)
+        draws[3] = 0.999
+        _assert_same_step(thermal_relaxation_channel(30.0, 25.0, 4.0), (2,), 5, batch, draws)
+        _assert_same_step(depolarizing_channel(0.3), (2,), 5, batch, np.r_[draws[:-1], 0.99])

@@ -2,9 +2,12 @@
 
 scipy loads only inside ``coverage_volume``; networkx only inside
 ``Device.topology()``, the ``*_topology`` helpers and ``interaction_graph()``;
-the HTTP service (``http.server``) on first access to ``repro.service``.
-Placement and routing read the devices' cached coupling maps, so neither a
-compile nor a sweep loads networkx.
+the HTTP service (``http.server``, ``ssl``) on first access to one of
+``repro.service``'s exports, so the ``repro`` CLI's ``run`` does not load it;
+the process-pool stack (``multiprocessing``, ``concurrent.futures.process``)
+only when a sweep runs on worker processes.  Placement and routing read the
+devices' cached coupling maps, so neither a compile nor a sweep loads
+networkx.
 """
 
 import json
@@ -47,6 +50,30 @@ def test_the_http_service_loads_on_first_use():
     assert _packages_loaded_by("import repro", "http.server") == []
     probe = "import repro; assert repro.service.BenchmarkService"
     assert _packages_loaded_by(probe, "repro.service.http") == ["repro.service.http"]
+
+
+def test_the_cli_module_does_not_load_the_http_service():
+    loaded = set(_packages_loaded_by("import repro.service.cli", ""))
+    assert "repro.service.cli" in loaded
+    assert not loaded & {"http.server", "ssl", "repro.service.http", "repro.service.jobs"}
+    probe = "from repro.service import BenchmarkService, JobQueue, JobRecord, resolve_scenario"
+    assert _packages_loaded_by(probe, "repro.service.") == [
+        "repro.service.http",
+        "repro.service.jobs",
+    ]
+
+
+def test_a_thread_sweep_does_not_load_the_process_pool():
+    code = """
+from repro.suite import Scenario, Sweep, run_scenario
+
+scenario = Scenario(name="guard", sweeps=(Sweep.of("ghz", num_qubits=(3,)),), devices=("IonQ-11Q",))
+result = run_scenario(scenario, shots=16, repetitions=1, seed=0, trajectories=4)
+assert len(result.runs()) == 1
+"""
+    loaded = set(_packages_loaded_by(code, ""))
+    assert "repro.distributed.executor" in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures.process"}
 
 
 def test_noise_aware_compiles_and_a_sweep_do_not_load_networkx():
