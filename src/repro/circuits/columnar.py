@@ -172,6 +172,16 @@ class PackedCircuit:
         start, stop = self.param_offsets[row], self.param_offsets[row + 1]
         return tuple(float(p) for p in self.params[start:stop])
 
+    def wide_operands(self) -> Dict[int, Tuple[int, ...]]:
+        """``row -> operand tuple`` of every wide (>``QUBIT_SLOTS``-operand) row."""
+        wide: Dict[int, Tuple[int, ...]] = {}
+        if self.wide_rows.size:
+            wide_offsets = self.wide_offsets.tolist()
+            wide_pool = self.wide_qubits.tolist()
+            for index, row in enumerate(self.wide_rows.tolist()):
+                wide[row] = tuple(wide_pool[wide_offsets[index] : wide_offsets[index + 1]])
+        return wide
+
     def iter_rows(self) -> Iterator[Tuple[int, int, Tuple[int, ...], Tuple[float, ...], int]]:
         """Yield ``(row, opcode, qubits, params, clbit)`` per instruction.
 
@@ -184,12 +194,7 @@ class PackedCircuit:
         clbits = self.clbits.tolist()
         offsets = self.param_offsets.tolist()
         pool = self.params.tolist()
-        wide: Dict[int, Tuple[int, ...]] = {}
-        if self.wide_rows.size:
-            wide_offsets = self.wide_offsets.tolist()
-            wide_pool = self.wide_qubits.tolist()
-            for index, row in enumerate(self.wide_rows.tolist()):
-                wide[row] = tuple(wide_pool[wide_offsets[index] : wide_offsets[index + 1]])
+        wide = self.wide_operands()
         for row, opcode in enumerate(opcodes):
             if wide:
                 qubits = wide.get(row)
@@ -272,12 +277,7 @@ class PackedCircuit:
         clbit_list = self.clbits.tolist()
         offsets = self.param_offsets.tolist()
         pool = self.params.tolist()
-        wide: Dict[int, Tuple[int, ...]] = {}
-        if self.wide_rows.size:
-            wide_offsets = self.wide_offsets.tolist()
-            wide_pool = self.wide_qubits.tolist()
-            for index, row in enumerate(self.wide_rows.tolist()):
-                wide[row] = tuple(wide_pool[wide_offsets[index] : wide_offsets[index + 1]])
+        wide = self.wide_operands()
         for row, opcode in enumerate(opcodes):
             slots = qubit_rows[row]
             q0, q1, q2 = slots

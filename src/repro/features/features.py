@@ -400,12 +400,7 @@ def _packed_profile_general(packed: PackedCircuit) -> CircuitProfile:
     q0_col = packed.qubits[:, 0].tolist()
     q1_col = packed.qubits[:, 1].tolist()
     q2_col = packed.qubits[:, 2].tolist()
-    wide: Dict[int, List[int]] = {}
-    if packed.wide_rows.size:
-        wide_offsets = packed.wide_offsets.tolist()
-        wide_pool = packed.wide_qubits.tolist()
-        for index, wide_row in enumerate(packed.wide_rows.tolist()):
-            wide[wide_row] = wide_pool[wide_offsets[index] : wide_offsets[index + 1]]
+    wide = packed.wide_operands()
 
     for row, opcode in enumerate(opcodes):
         q0 = q0_col[row]

@@ -373,22 +373,18 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_outcomes(self, job_id: str) -> None:
         """NDJSON stream: one outcome object per line, live until the job
         finishes, terminated by a ``{"event": "end", ...}`` line."""
-        self.service.queue.status(job_id)  # 404 before headers on unknown ids
+        outcomes = self.service.queue.iter_outcomes(
+            job_id, timeout=self.service.stream_timeout, end=True
+        )  # 404 before headers on unknown ids
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         # Chunked would need manual framing under HTTP/1.1; close-delimited
         # bodies keep the stdlib client side (urllib) trivially correct.
         self.send_header("Connection", "close")
         self.end_headers()
-        for payload in self.service.queue.iter_outcomes(
-            job_id, timeout=self.service.stream_timeout
-        ):
+        for payload in outcomes:
             self.wfile.write((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
             self.wfile.flush()
-        status = self.service.queue.status(job_id)
-        end = {"event": "end", "status": status["status"], "outcomes": status["outcomes"]}
-        self.wfile.write((json.dumps(end, sort_keys=True) + "\n").encode("utf-8"))
-        self.wfile.flush()
         self.close_connection = True
 
     def _send_trace(self, job_id: str) -> None:

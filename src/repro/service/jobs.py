@@ -22,6 +22,9 @@ Semantics:
   :class:`~repro.exceptions.DistributedError` (an unknown device, a bad
   option) would fail every attempt the same way, so it fails the job at
   once.
+* **Retention** — queued and running jobs and the newest
+  :data:`KEPT_FINISHED_JOBS` finished ones are kept; a dropped id answers
+  like an unknown one, but a stream already open keeps its record.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import queue
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -56,6 +60,9 @@ _JOB_SECONDS = get_metrics().histogram(
 #: included, so dashboards get stable series).
 _STATUSES = ("queued", "running", "done", "failed", "cancelled")
 _TERMINAL = ("done", "failed", "cancelled")
+
+#: Finished (done, failed or cancelled) job records a queue keeps.
+KEPT_FINISHED_JOBS = 100
 
 _LIVE = LiveSet()
 _JOBS = get_metrics().gauge(
@@ -147,6 +154,8 @@ class JobQueue:
         self._jobs: Dict[str, JobRecord] = {}
         #: The jobs not yet in a terminal state.
         self._active: Dict[str, JobRecord] = {}
+        #: Ids of the finished jobs still in ``_jobs``, oldest first.
+        self._kept: "deque[str]" = deque()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
@@ -173,8 +182,13 @@ class JobQueue:
         job.finished_at = time.time()
         del self._active[job.id]
         self._finished[status] += 1
+        self._kept.append(job.id)
+        if len(self._kept) > KEPT_FINISHED_JOBS:
+            del self._jobs[self._kept.popleft()]
         if job.result is not None:
             for engine_key, stats in job.result.engine_stats.items():
+                if engine_key.startswith("worker-pid-"):
+                    engine_key = "workers"
                 merge_engine_stats(self._finished_engine_stats.setdefault(engine_key, {}), stats)
         self._changed.notify_all()
 
@@ -230,8 +244,8 @@ class JobQueue:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._changed:
+            job = self._job(job_id)
             while True:
-                job = self._job(job_id)
                 if job.status == "done":
                     assert job.result is not None
                     return job.result
@@ -258,42 +272,53 @@ class JobQueue:
             return True
 
     def iter_outcomes(
-        self, job_id: str, timeout: Optional[float] = None
+        self, job_id: str, timeout: Optional[float] = None, end: bool = False
     ) -> Iterator[Dict[str, Any]]:
         """Yield the job's outcome payloads as they arrive, until it finishes.
 
-        The generator ends when the job reaches a terminal state and every
-        recorded outcome has been yielded; a timeout (seconds, across the
-        whole iteration) raises :class:`~repro.exceptions.ServiceError`.
+        The record is looked up at the call (an unknown id raises
+        :class:`~repro.exceptions.ServiceError` at once), and the stream keeps
+        it to the end.  The iterator ends when the job reaches a terminal
+        state and every recorded outcome has been yielded, with ``end`` after
+        one ``{"event": "end", "status", "outcomes"}`` object; a timeout
+        (seconds, across the whole iteration) raises ``ServiceError``.
         """
+        with self._lock:
+            job = self._job(job_id)
         deadline = None if timeout is None else time.monotonic() + timeout
-        position = 0
-        while True:
-            with self._changed:
-                job = self._job(job_id)
-                while position >= len(job.outcomes):
-                    if job.status in _TERMINAL:
-                        return
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise ServiceError(f"timed out streaming job {job_id}")
-                    self._changed.wait(timeout=remaining if remaining is not None else 1.0)
-                batch = list(job.outcomes[position:])
-                position += len(batch)
-            for payload in batch:
-                yield payload
+
+        def follow() -> Iterator[Dict[str, Any]]:
+            position = 0
+            while True:
+                with self._changed:
+                    while position >= len(job.outcomes) and job.status not in _TERMINAL:
+                        remaining = None if deadline is None else deadline - time.monotonic()
+                        if remaining is not None and remaining <= 0:
+                            raise ServiceError(f"timed out streaming job {job_id}")
+                        self._changed.wait(timeout=remaining if remaining is not None else 1.0)
+                    batch = job.outcomes[position:]
+                    position += len(batch)
+                    status = job.status
+                if not batch:  # terminal, and every outcome yielded
+                    if end:
+                        yield {"event": "end", "status": status, "outcomes": position}
+                    return
+                yield from batch
+
+        return follow()
 
     def jobs(self) -> List[Dict[str, Any]]:
-        """Snapshots of every known job, oldest first."""
+        """Snapshots of every kept job (see :data:`KEPT_FINISHED_JOBS`), oldest first."""
         with self._lock:
             return [job.snapshot() for job in self._jobs.values()]
 
     def stats(self) -> Dict[str, int]:
-        """Queue-level counters (jobs by state, retries, workers)."""
+        """Queue-level counters (every job ever submitted, by state; retries; workers)."""
         with self._lock:
+            counts = self._by_status()
             return {
-                "jobs": len(self._jobs),
-                **self._by_status(),
+                "jobs": sum(counts.values()),
+                **counts,
                 "retries": self._retries,
                 "workers": len(self._workers),
             }
@@ -307,11 +332,11 @@ class JobQueue:
         per worker process on the process-executor path, and one
         ``"scheduler"`` entry on every path — merged by
         :func:`~repro.suite.results.merge_engine_stats` (counters sum, gauges
-        take the maximum), so the service's ``GET /stats`` shows per-engine and
-        per-worker cache traffic and lease counts across the queue's
-        lifetime.  A job's statistics are folded into a running total once,
-        when it reaches a terminal state, so a call merges only the jobs
-        still queued or running and costs the same however many finished.
+        take the maximum), so the service's ``GET /stats`` shows per-engine
+        cache traffic and lease counts across the queue's lifetime.  A job's
+        statistics fold into a running total once, when it finishes, its
+        ``worker-pid-<n>`` entries into one ``"workers"`` entry, so a call
+        merges only the live jobs, and keys and cost do not grow with history.
         """
         with self._lock:
             merged = {key: dict(stats) for key, stats in self._finished_engine_stats.items()}
@@ -348,8 +373,8 @@ class JobQueue:
             if job_id is None:
                 return
             with self._changed:
-                job = self._jobs[job_id]
-                if job.status == "cancelled":
+                job = self._jobs.get(job_id)
+                if job is None or job.status == "cancelled":  # cancelled while queued
                     continue
                 job.status = "running"
                 job.started_at = job.started_at or time.time()

@@ -21,7 +21,6 @@ See ``docs/transpiler.md`` for the architecture walkthrough.
 from .decomposition import (
     SUPPORTED_BASES,
     basis_for_gates,
-    decompose_to_canonical,
     translate_to_basis,
     zyz_angles,
 )
@@ -57,7 +56,6 @@ from .transpile import TranspiledCircuit, transpile
 __all__ = [
     "SUPPORTED_BASES",
     "basis_for_gates",
-    "decompose_to_canonical",
     "translate_to_basis",
     "zyz_angles",
     "noise_aware_placement",

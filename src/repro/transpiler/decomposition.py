@@ -1,15 +1,17 @@
-"""Gate decomposition: canonical form and native basis translation.
+"""Gate decomposition: lowering to the canonical set or a native basis.
 
-The transpiler works in two stages.  First every gate is rewritten into the
-*canonical* gate set ``{u, cx}`` (plus measure/reset/barrier).  Second the
-canonical gates are translated to a device's native basis:
+Every gate has one *canonical* rule over ``{u, cx}`` (plus measure, reset and
+barrier, copied unchanged).  Each basis is a pair of emitters, one for ``u``
+and one for ``cx``, and :func:`translate_to_basis` lowers a circuit in one
+walk, sending each gate's rule through its basis's pair:
 
+* ``canonical``: ``{u, cx}`` rows as they are
 * ``ibm``-style superconducting devices: ``{rz, sx, x, cx}``
 * ``aqt``-style superconducting devices:  ``{rz, sx, x, cz}``
 * ``ionq``-style trapped-ion devices:     ``{rx, ry, rz, rxx}``
 
-Both stages read :class:`~repro.circuits.columnar.PackedCircuit` rows and
-write through :meth:`~repro.circuits.columnar.PackedBuilder.append`.  All
+The walk reads :class:`~repro.circuits.columnar.PackedCircuit` rows and
+writes through :meth:`~repro.circuits.columnar.PackedBuilder.append`.  All
 identities used here are verified (up to global phase) by the unit tests in
 ``tests/transpiler/test_decomposition.py``.
 """
@@ -17,6 +19,7 @@ identities used here are verified (up to global phase) by the unit tests in
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -36,12 +39,12 @@ from ..utils import normalize_angle
 
 __all__ = [
     "zyz_angles",
-    "decompose_to_canonical",
     "translate_to_basis",
     "basis_for_gates",
     "SUPPORTED_BASES",
 ]
 
+#: Angles closer to zero than this (after normalization) count as zero.
 _ANGLE_TOLERANCE = 1e-10
 
 #: Recognised native basis names and their gate sets.
@@ -102,9 +105,122 @@ def zyz_angles(matrix: np.ndarray) -> Tuple[float, float, float]:
     return normalize_angle(theta), normalize_angle(phi), normalize_angle(lam)
 
 
+_U = OPCODES["u"]
+_CX = OPCODES["cx"]
+_RZ = OPCODES["rz"]
+_SX = OPCODES["sx"]
+_X = OPCODES["x"]
+_RX = OPCODES["rx"]
+_RY = OPCODES["ry"]
+_CZ = OPCODES["cz"]
+_RXX = OPCODES["rxx"]
+
+#: Rows the lowering copies unchanged (operands, clbit and all).
+_PASSTHROUGH = frozenset({MEASURE_OP, RESET_OP, BARRIER_OP})
+
+_EmitU = Callable[[PackedBuilder, int, float, float, float], None]
+_EmitCX = Callable[[PackedBuilder, int, int], None]
+
+
 # ---------------------------------------------------------------------------
-# canonical decomposition: everything -> {u, cx}
+# basis emitters: how each basis writes a u and a cx
 # ---------------------------------------------------------------------------
+
+
+def _u(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
+    out.append(_U, (qubit,), (theta, phi, lam))
+
+
+def _cx(out: PackedBuilder, control: int, target: int) -> None:
+    out.append(_CX, (control, target))
+
+
+def _rz(out: PackedBuilder, qubit: int, angle: float) -> None:
+    """rz(angle), or nothing when the angle is negligible."""
+    if abs(angle) > _ANGLE_TOLERANCE:
+        out.append(_RZ, (qubit,), (angle,))
+
+
+def _u_emitter(body: _EmitU) -> _EmitU:
+    """Give a native ``u`` emitter the prologue they all share.
+
+    The angles are normalised, and a u whose theta is ~0 is written as the
+    phase rz(phi + lam); only any other u reaches ``body``.
+    """
+
+    @functools.wraps(body)
+    def emit(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
+        theta = normalize_angle(theta)
+        phi = normalize_angle(phi)
+        lam = normalize_angle(lam)
+        if abs(theta) < _ANGLE_TOLERANCE:
+            _rz(out, qubit, normalize_angle(phi + lam))
+        else:
+            body(out, qubit, theta, phi, lam)
+
+    return emit
+
+
+@_u_emitter
+def _emit_u_ibm(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
+    """u(theta, phi, lam) as rz/sx/x for IBM- and AQT-style devices."""
+    if abs(theta - math.pi / 2) < _ANGLE_TOLERANCE:
+        # u(pi/2, phi, lam) = rz(phi + pi/2) sx rz(lam - pi/2) up to phase.
+        _rz(out, qubit, normalize_angle(lam - math.pi / 2))
+        out.append(_SX, (qubit,))
+        _rz(out, qubit, normalize_angle(phi + math.pi / 2))
+        return
+    if (
+        abs(abs(theta) - math.pi) < _ANGLE_TOLERANCE
+        and abs(phi) < _ANGLE_TOLERANCE
+        and abs(abs(lam) - math.pi) < _ANGLE_TOLERANCE
+    ):
+        out.append(_X, (qubit,))
+        return
+    _rz(out, qubit, normalize_angle(lam))
+    out.append(_SX, (qubit,))
+    out.append(_RZ, (qubit,), (normalize_angle(theta + math.pi),))
+    out.append(_SX, (qubit,))
+    _rz(out, qubit, normalize_angle(phi + math.pi))
+
+
+@_u_emitter
+def _emit_u_ionq(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
+    """u(theta, phi, lam) as rz/ry/rz for trapped-ion devices."""
+    _rz(out, qubit, lam)
+    out.append(_RY, (qubit,), (theta,))
+    _rz(out, qubit, phi)
+
+
+def _emit_cx_ionq(out: PackedBuilder, control: int, target: int) -> None:
+    """CX via the Molmer-Sorensen interaction rxx(pi/2) plus local rotations."""
+    out.append(_RY, (control,), (math.pi / 2,))
+    out.append(_RXX, (control, target), (math.pi / 2,))
+    out.append(_RX, (control,), (-math.pi / 2,))
+    out.append(_RX, (target,), (-math.pi / 2,))
+    out.append(_RY, (control,), (-math.pi / 2,))
+
+
+def _emit_cx_aqt(out: PackedBuilder, control: int, target: int) -> None:
+    """CX via the native CZ: H on the target on both sides."""
+    _emit_u_ibm(out, target, math.pi / 2, 0.0, math.pi)
+    out.append(_CZ, (control, target))
+    _emit_u_ibm(out, target, math.pi / 2, 0.0, math.pi)
+
+
+#: Per basis, the ``(u, cx)`` emitter pair every canonical rule writes through.
+_EMITTERS: Dict[str, Tuple[_EmitU, _EmitCX]] = {
+    "canonical": (_u, _cx),
+    "ibm": (_emit_u_ibm, _cx),
+    "aqt": (_emit_u_ibm, _emit_cx_aqt),
+    "ionq": (_emit_u_ionq, _emit_cx_ionq),
+}
+
+
+# ---------------------------------------------------------------------------
+# canonical rules: every gate as u and cx
+# ---------------------------------------------------------------------------
+
 
 _SINGLE_QUBIT_AS_U: Dict[str, Callable[..., Tuple[float, float, float]]] = {
     "id": lambda: (0.0, 0.0, 0.0),
@@ -127,284 +243,161 @@ _SINGLE_QUBIT_AS_U: Dict[str, Callable[..., Tuple[float, float, float]]] = {
 }
 
 
-_U = OPCODES["u"]
-_CX = OPCODES["cx"]
-_RZ = OPCODES["rz"]
-_SX = OPCODES["sx"]
-_X = OPCODES["x"]
-_RX = OPCODES["rx"]
-_RY = OPCODES["ry"]
-_CZ = OPCODES["cz"]
-_RXX = OPCODES["rxx"]
-
-#: Rows every stage copies unchanged (operands, clbit and all).
-_PASSTHROUGH = frozenset({MEASURE_OP, RESET_OP, BARRIER_OP})
-
-
-def _u(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
-    out.append(_U, (qubit,), (theta, phi, lam))
-
-
-def _cx(out: PackedBuilder, control: int, target: int) -> None:
-    out.append(_CX, (control, target))
-
-
 def _emit_canonical(
-    out: PackedBuilder, name: str, qubits: Tuple[int, ...], params: Tuple[float, ...]
+    out: PackedBuilder,
+    u: _EmitU,
+    cx: _EmitCX,
+    name: str,
+    qubits: Tuple[int, ...],
+    params: Tuple[float, ...],
 ) -> None:
-    """Append gate ``name`` to ``out`` using only ``u`` and ``cx`` rows."""
+    """Append gate ``name`` to ``out`` by its rule, through a basis's ``u``/``cx`` emitters."""
     if name in _SINGLE_QUBIT_AS_U:
         theta, phi, lam = _SINGLE_QUBIT_AS_U[name](*params)
-        _u(out, qubits[0], theta, phi, lam)
+        u(out, qubits[0], theta, phi, lam)
         return
     if name == "cx":
-        _cx(out, *qubits)
+        cx(out, *qubits)
         return
     if name == "cz":
         c, t = qubits
-        _u(out, t, math.pi / 2, 0.0, math.pi)  # h
-        _cx(out, c, t)
-        _u(out, t, math.pi / 2, 0.0, math.pi)
+        u(out, t, math.pi / 2, 0.0, math.pi)  # h
+        cx(out, c, t)
+        u(out, t, math.pi / 2, 0.0, math.pi)
         return
     if name == "cy":
         c, t = qubits
-        _u(out, t, 0.0, 0.0, -math.pi / 2)  # sdg
-        _cx(out, c, t)
-        _u(out, t, 0.0, 0.0, math.pi / 2)  # s
+        u(out, t, 0.0, 0.0, -math.pi / 2)  # sdg
+        cx(out, c, t)
+        u(out, t, 0.0, 0.0, math.pi / 2)  # s
         return
     if name == "swap":
         a, b = qubits
-        _cx(out, a, b)
-        _cx(out, b, a)
-        _cx(out, a, b)
+        cx(out, a, b)
+        cx(out, b, a)
+        cx(out, a, b)
         return
     if name == "iswap":
         a, b = qubits
-        _u(out, a, 0.0, 0.0, math.pi / 2)  # s
-        _u(out, b, 0.0, 0.0, math.pi / 2)  # s
-        _u(out, a, math.pi / 2, 0.0, math.pi)  # h
-        _cx(out, a, b)
-        _cx(out, b, a)
-        _u(out, b, math.pi / 2, 0.0, math.pi)  # h
+        u(out, a, 0.0, 0.0, math.pi / 2)  # s
+        u(out, b, 0.0, 0.0, math.pi / 2)  # s
+        u(out, a, math.pi / 2, 0.0, math.pi)  # h
+        cx(out, a, b)
+        cx(out, b, a)
+        u(out, b, math.pi / 2, 0.0, math.pi)  # h
         return
     if name == "cp":
         theta = params[0]
         c, t = qubits
-        _u(out, c, 0.0, 0.0, theta / 2)
-        _cx(out, c, t)
-        _u(out, t, 0.0, 0.0, -theta / 2)
-        _cx(out, c, t)
-        _u(out, t, 0.0, 0.0, theta / 2)
+        u(out, c, 0.0, 0.0, theta / 2)
+        cx(out, c, t)
+        u(out, t, 0.0, 0.0, -theta / 2)
+        cx(out, c, t)
+        u(out, t, 0.0, 0.0, theta / 2)
         return
     if name == "crz":
         theta = params[0]
         c, t = qubits
-        _u(out, t, 0.0, 0.0, theta / 2)
-        _cx(out, c, t)
-        _u(out, t, 0.0, 0.0, -theta / 2)
-        _cx(out, c, t)
+        u(out, t, 0.0, 0.0, theta / 2)
+        cx(out, c, t)
+        u(out, t, 0.0, 0.0, -theta / 2)
+        cx(out, c, t)
         return
     if name == "cry":
         theta = params[0]
         c, t = qubits
-        _u(out, t, theta / 2, 0.0, 0.0)
-        _cx(out, c, t)
-        _u(out, t, -theta / 2, 0.0, 0.0)
-        _cx(out, c, t)
+        u(out, t, theta / 2, 0.0, 0.0)
+        cx(out, c, t)
+        u(out, t, -theta / 2, 0.0, 0.0)
+        cx(out, c, t)
         return
     if name == "crx":
         theta = params[0]
         c, t = qubits
-        _u(out, t, math.pi / 2, 0.0, math.pi)  # h
-        _u(out, t, 0.0, 0.0, theta / 2)
-        _cx(out, c, t)
-        _u(out, t, 0.0, 0.0, -theta / 2)
-        _cx(out, c, t)
-        _u(out, t, math.pi / 2, 0.0, math.pi)
+        u(out, t, math.pi / 2, 0.0, math.pi)  # h
+        u(out, t, 0.0, 0.0, theta / 2)
+        cx(out, c, t)
+        u(out, t, 0.0, 0.0, -theta / 2)
+        cx(out, c, t)
+        u(out, t, math.pi / 2, 0.0, math.pi)
         return
     if name == "rzz":
         theta = params[0]
         a, b = qubits
-        _cx(out, a, b)
-        _u(out, b, 0.0, 0.0, theta)
-        _cx(out, a, b)
+        cx(out, a, b)
+        u(out, b, 0.0, 0.0, theta)
+        cx(out, a, b)
         return
     if name == "rxx":
         theta = params[0]
         a, b = qubits
         for q in (a, b):
-            _u(out, q, math.pi / 2, 0.0, math.pi)  # h
-        _cx(out, a, b)
-        _u(out, b, 0.0, 0.0, theta)
-        _cx(out, a, b)
+            u(out, q, math.pi / 2, 0.0, math.pi)  # h
+        cx(out, a, b)
+        u(out, b, 0.0, 0.0, theta)
+        cx(out, a, b)
         for q in (a, b):
-            _u(out, q, math.pi / 2, 0.0, math.pi)
+            u(out, q, math.pi / 2, 0.0, math.pi)
         return
     if name == "ryy":
         theta = params[0]
         a, b = qubits
         for q in (a, b):
-            _u(out, q, math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(pi/2)
-        _cx(out, a, b)
-        _u(out, b, 0.0, 0.0, theta)
-        _cx(out, a, b)
+            u(out, q, math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(pi/2)
+        cx(out, a, b)
+        u(out, b, 0.0, 0.0, theta)
+        cx(out, a, b)
         for q in (a, b):
-            _u(out, q, -math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(-pi/2)
+            u(out, q, -math.pi / 2, -math.pi / 2, math.pi / 2)  # rx(-pi/2)
         return
     if name == "zzswap":
-        _emit_canonical(out, "rzz", qubits, params)
-        _emit_canonical(out, "swap", qubits, ())
+        _emit_canonical(out, u, cx, "rzz", qubits, params)
+        _emit_canonical(out, u, cx, "swap", qubits, ())
         return
     if name == "ccx":
         a, b, c = qubits
-        _u(out, c, math.pi / 2, 0.0, math.pi)  # h
-        _cx(out, b, c)
-        _u(out, c, 0.0, 0.0, -math.pi / 4)  # tdg
-        _cx(out, a, c)
-        _u(out, c, 0.0, 0.0, math.pi / 4)  # t
-        _cx(out, b, c)
-        _u(out, c, 0.0, 0.0, -math.pi / 4)
-        _cx(out, a, c)
-        _u(out, b, 0.0, 0.0, math.pi / 4)
-        _u(out, c, 0.0, 0.0, math.pi / 4)
-        _u(out, c, math.pi / 2, 0.0, math.pi)
-        _cx(out, a, b)
-        _u(out, a, 0.0, 0.0, math.pi / 4)
-        _u(out, b, 0.0, 0.0, -math.pi / 4)
-        _cx(out, a, b)
+        u(out, c, math.pi / 2, 0.0, math.pi)  # h
+        cx(out, b, c)
+        u(out, c, 0.0, 0.0, -math.pi / 4)  # tdg
+        cx(out, a, c)
+        u(out, c, 0.0, 0.0, math.pi / 4)  # t
+        cx(out, b, c)
+        u(out, c, 0.0, 0.0, -math.pi / 4)
+        cx(out, a, c)
+        u(out, b, 0.0, 0.0, math.pi / 4)
+        u(out, c, 0.0, 0.0, math.pi / 4)
+        u(out, c, math.pi / 2, 0.0, math.pi)
+        cx(out, a, b)
+        u(out, a, 0.0, 0.0, math.pi / 4)
+        u(out, b, 0.0, 0.0, -math.pi / 4)
+        cx(out, a, b)
         return
     if name == "cswap":
         control, a, b = qubits
         # CSWAP = CX(b,a) CCX(control,a,b) CX(b,a)
-        _cx(out, b, a)
-        _emit_canonical(out, "ccx", (control, a, b), ())
-        _cx(out, b, a)
+        cx(out, b, a)
+        _emit_canonical(out, u, cx, "ccx", (control, a, b), ())
+        cx(out, b, a)
         return
     raise TranspilerError(f"no canonical decomposition for gate {name!r}")
 
 
-def decompose_to_canonical(packed: PackedCircuit) -> PackedCircuit:
-    """Rewrite a circuit into the canonical gate set ``{u, cx}``."""
+def translate_to_basis(packed: PackedCircuit, basis: str) -> PackedCircuit:
+    """Lower a circuit to ``basis`` in one walk over its rows.
+
+    The input may contain any supported gate (routing adds ``swap`` rows);
+    each gate's rule writes through the basis's ``(u, cx)`` emitter pair.
+    """
+    emitters = _EMITTERS.get(basis)
+    if emitters is None:
+        raise TranspilerError(
+            f"unsupported basis {basis!r}; supported: {sorted(SUPPORTED_BASES)}"
+        )
+    u, cx = emitters
     out = PackedBuilder(packed.num_qubits, packed.num_clbits, packed.name)
     for _row, opcode, qubits, params, clbit in packed.iter_rows():
         if opcode in _PASSTHROUGH:
             out.append(opcode, qubits, params, clbit)
         else:
-            _emit_canonical(out, OP_NAMES[opcode], qubits, params)
-    return out.build()
-
-
-# ---------------------------------------------------------------------------
-# native basis translation
-# ---------------------------------------------------------------------------
-
-
-def _emit_u_ibm(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
-    """u(theta, phi, lam) as rz/sx/x for IBM- and AQT-style devices."""
-    theta = normalize_angle(theta)
-    phi = normalize_angle(phi)
-    lam = normalize_angle(lam)
-    if abs(theta) < _ANGLE_TOLERANCE:
-        angle = normalize_angle(phi + lam)
-        if abs(angle) > _ANGLE_TOLERANCE:
-            out.append(_RZ, (qubit,), (angle,))
-        return
-    if abs(theta - math.pi / 2) < _ANGLE_TOLERANCE:
-        # u(pi/2, phi, lam) = rz(phi + pi/2) sx rz(lam - pi/2) up to phase.
-        first = normalize_angle(lam - math.pi / 2)
-        second = normalize_angle(phi + math.pi / 2)
-        if abs(first) > _ANGLE_TOLERANCE:
-            out.append(_RZ, (qubit,), (first,))
-        out.append(_SX, (qubit,))
-        if abs(second) > _ANGLE_TOLERANCE:
-            out.append(_RZ, (qubit,), (second,))
-        return
-    if (
-        abs(abs(theta) - math.pi) < _ANGLE_TOLERANCE
-        and abs(phi) < _ANGLE_TOLERANCE
-        and abs(abs(lam) - math.pi) < _ANGLE_TOLERANCE
-    ):
-        out.append(_X, (qubit,))
-        return
-    first = normalize_angle(lam)
-    middle = normalize_angle(theta + math.pi)
-    last = normalize_angle(phi + math.pi)
-    if abs(first) > _ANGLE_TOLERANCE:
-        out.append(_RZ, (qubit,), (first,))
-    out.append(_SX, (qubit,))
-    out.append(_RZ, (qubit,), (middle,))
-    out.append(_SX, (qubit,))
-    if abs(last) > _ANGLE_TOLERANCE:
-        out.append(_RZ, (qubit,), (last,))
-
-
-def _emit_u_ionq(out: PackedBuilder, qubit: int, theta: float, phi: float, lam: float) -> None:
-    """u(theta, phi, lam) as rz/ry/rz for trapped-ion devices."""
-    theta = normalize_angle(theta)
-    phi = normalize_angle(phi)
-    lam = normalize_angle(lam)
-    if abs(theta) < _ANGLE_TOLERANCE:
-        angle = normalize_angle(phi + lam)
-        if abs(angle) > _ANGLE_TOLERANCE:
-            out.append(_RZ, (qubit,), (angle,))
-        return
-    if abs(lam) > _ANGLE_TOLERANCE:
-        out.append(_RZ, (qubit,), (lam,))
-    out.append(_RY, (qubit,), (theta,))
-    if abs(phi) > _ANGLE_TOLERANCE:
-        out.append(_RZ, (qubit,), (phi,))
-
-
-def _emit_cx_ionq(out: PackedBuilder, control: int, target: int) -> None:
-    """CX via the Molmer-Sorensen interaction rxx(pi/2) plus local rotations."""
-    out.append(_RY, (control,), (math.pi / 2,))
-    out.append(_RXX, (control, target), (math.pi / 2,))
-    out.append(_RX, (control,), (-math.pi / 2,))
-    out.append(_RX, (target,), (-math.pi / 2,))
-    out.append(_RY, (control,), (-math.pi / 2,))
-
-
-def _emit_cx_aqt(out: PackedBuilder, control: int, target: int) -> None:
-    """CX via the native CZ: H on the target on both sides."""
-    _emit_u_ibm(out, target, math.pi / 2, 0.0, math.pi)
-    out.append(_CZ, (control, target))
-    _emit_u_ibm(out, target, math.pi / 2, 0.0, math.pi)
-
-
-def translate_to_basis(packed: PackedCircuit, basis: str) -> PackedCircuit:
-    """Translate a circuit to a native basis.
-
-    The input may contain any supported gate (routing adds ``swap`` rows);
-    it is first rewritten to the canonical set and then mapped to the
-    requested basis.
-    """
-    if basis not in SUPPORTED_BASES:
-        raise TranspilerError(
-            f"unsupported basis {basis!r}; supported: {sorted(SUPPORTED_BASES)}"
-        )
-    canonical = decompose_to_canonical(packed)
-    if basis == "canonical":
-        return canonical
-    out = PackedBuilder(packed.num_qubits, packed.num_clbits, packed.name)
-    for _row, opcode, qubits, params, clbit in canonical.iter_rows():
-        if opcode in _PASSTHROUGH:
-            out.append(opcode, qubits, params, clbit)
-            continue
-        if opcode == _U:
-            theta, phi, lam = params
-            if basis == "ionq":
-                _emit_u_ionq(out, qubits[0], theta, phi, lam)
-            else:
-                _emit_u_ibm(out, qubits[0], theta, phi, lam)
-            continue
-        if opcode == _CX:
-            control, target = qubits
-            if basis == "ibm":
-                _cx(out, control, target)
-            elif basis == "aqt":
-                _emit_cx_aqt(out, control, target)
-            else:
-                _emit_cx_ionq(out, control, target)
-            continue
-        raise TranspilerError(f"unexpected canonical gate {OP_NAMES[opcode]!r}")
+            _emit_canonical(out, u, cx, OP_NAMES[opcode], qubits, params)
     return out.build()

@@ -50,6 +50,7 @@ from ..circuits.columnar import (
 )
 from ..circuits.gates import ADDITIVE_ROTATIONS, GATE_DEFINITIONS, SELF_INVERSE
 from ..utils import normalize_angle
+from .decomposition import _ANGLE_TOLERANCE, zyz_angles
 
 __all__ = [
     "drop_negligible_packed",
@@ -58,9 +59,6 @@ __all__ = [
     "fuse_single_qubit_runs_packed",
     "commuting_cancellation_packed",
 ]
-
-#: Angles closer to zero than this (after normalization) count as zero.
-_ANGLE_TOLERANCE = 1e-10
 
 #: Distinct-name inverse pairs (self-inverse gates cancel with themselves).
 _INVERSE_PAIRS = {("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t"), ("sx", "sxdg"), ("sxdg", "sx")}
@@ -94,17 +92,6 @@ _X_AXIS_OPS = frozenset(OPCODES[n] for n in ("rx", "x", "sx", "sxdg"))
 #: Per-opcode commutation-class lookup tables, indexed by opcode id.
 _DIAGONAL_ARR = np.array([op in _DIAGONAL_OPS for op in range(_NUM_OPS)], dtype=bool)
 _X_AXIS_ARR = np.array([op in _X_AXIS_OPS for op in range(_NUM_OPS)], dtype=bool)
-
-
-def _wide_qubit_map(packed: PackedCircuit) -> Dict[int, Tuple[int, ...]]:
-    """``row -> full operand tuple`` for the wide (>3-operand) barrier rows."""
-    wide: Dict[int, Tuple[int, ...]] = {}
-    if packed.wide_rows.size:
-        wide_offsets = packed.wide_offsets.tolist()
-        wide_pool = packed.wide_qubits.tolist()
-        for index, row in enumerate(packed.wide_rows.tolist()):
-            wide[row] = tuple(wide_pool[wide_offsets[index] : wide_offsets[index + 1]])
-    return wide
 
 
 def _negligible(values: np.ndarray) -> np.ndarray:
@@ -372,8 +359,6 @@ def _fused_run(run: Tuple[Tuple[int, Tuple[float, ...]], ...]) -> Optional[Tuple
     repeat 1q-run patterns heavily, making the fold + ``zyz_angles`` cost
     one-time per distinct run.
     """
-    from .decomposition import zyz_angles
-
     matrix = _gate_matrix(*run[0])
     for key in run[1:]:
         matrix = _gate_matrix(*key) @ matrix
@@ -405,7 +390,7 @@ def fuse_single_qubit_runs_packed(packed: PackedCircuit) -> PackedCircuit:
     clbit_list = packed.clbits.tolist()
     offsets = packed.param_offsets.tolist()
     pool = packed.params.tolist()
-    wide = _wide_qubit_map(packed)
+    wide = packed.wide_operands()
     builder = PackedBuilder(packed.num_qubits, packed.num_clbits, packed.name)
     append = builder.append
     pending: Dict[int, List[Tuple[int, Tuple[float, ...]]]] = {}

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 from ..circuits.columnar import PackedCircuit
 from ..devices import Device
 from ..exceptions import TranspilerError
-from .decomposition import basis_for_gates, decompose_to_canonical, translate_to_basis
+from .decomposition import basis_for_gates, translate_to_basis
 from .packed import (
     cancel_adjacent_inverses_packed,
     commuting_cancellation_packed,
@@ -134,7 +134,7 @@ class DecomposeToCanonical(TransformationPass):
     """Rewrite every gate into the canonical ``{u, cx}`` set."""
 
     def run(self, packed: PackedCircuit, property_set: PropertySet) -> PackedCircuit:
-        return decompose_to_canonical(packed)
+        return translate_to_basis(packed, "canonical")
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,111 @@ class TestEngineStatsFolding:
             assert jobs.engine_stats() == {"engine": {"hits": 2}}
 
 
+class TestWorkerStatsFolding:
+    def test_worker_pids_fold_into_one_entry(self):
+        """Process jobs name new ``worker-pid-<n>`` keys every time; once a job
+        finishes they fold into ``workers``, so the keys stop growing."""
+        pids = iter(range(1000, 2000))
+
+        def runner(scenario, partial=None, on_outcome=None, **knobs):
+            partial.note_engine_stats("scheduler", {"leases": 2})
+            for _ in range(2):
+                partial.note_engine_stats(
+                    f"worker-pid-{next(pids)}", {"executions": 3, "seconds": 0.5, "entries": 4}
+                )
+            return partial
+
+        with JobQueue(workers=1, runner=runner) as jobs:
+            keys = []
+            for _ in range(5):
+                jobs.result(jobs.submit(tiny_scenario()), timeout=30)
+                keys.append(sorted(jobs.engine_stats()))
+            assert keys == [["scheduler", "workers"]] * 5
+            assert jobs.engine_stats() == {
+                "scheduler": {"leases": 10},
+                "workers": {"executions": 30, "seconds": 5.0, "entries": 4},
+            }
+
+    def test_live_jobs_keep_their_pid_entries(self):
+        noted = threading.Event()
+        release = threading.Event()
+
+        def runner(scenario, partial=None, on_outcome=None, **knobs):
+            partial.note_engine_stats("worker-pid-7", {"executions": 1})
+            noted.set()
+            release.wait(timeout=30)
+            return partial
+
+        with JobQueue(workers=1, runner=runner) as jobs:
+            job_id = jobs.submit(tiny_scenario())
+            assert noted.wait(timeout=30)
+            assert jobs.engine_stats() == {"worker-pid-7": {"executions": 1}}
+            release.set()
+            jobs.result(job_id, timeout=30)
+            assert jobs.engine_stats() == {"workers": {"executions": 1}}
+
+
+def _instant(scenario, partial=None, on_outcome=None, **knobs):
+    return partial
+
+
+class TestRetention:
+    def test_keeps_the_newest_finished_records(self):
+        with JobQueue(workers=1, runner=_instant) as jobs:
+            for _ in range(105):
+                jobs.result(jobs.submit(tiny_scenario()), timeout=30)
+            assert len(jobs._jobs) == len(jobs.jobs()) == 100
+            stats = jobs.stats()
+            assert stats["done"] == stats["jobs"] == 105
+            for call in (jobs.status, jobs.result, jobs.cancel, jobs.iter_outcomes):
+                with pytest.raises(ServiceError, match="unknown job id"):
+                    call("job-5")
+            assert jobs.status("job-6")["status"] == "done"
+            assert [job["id"] for job in jobs.jobs()][0] == "job-6"
+
+    def test_running_jobs_are_never_dropped(self):
+        started = threading.Event()
+        release = threading.Event()
+
+        def runner(scenario, partial=None, on_outcome=None, hold=False, **knobs):
+            if hold:
+                started.set()
+                release.wait(timeout=30)
+            return partial
+
+        with JobQueue(workers=2, runner=runner) as jobs:
+            held = jobs.submit(tiny_scenario(), hold=True)
+            assert started.wait(timeout=30)
+            for _ in range(150):
+                jobs.result(jobs.submit(tiny_scenario()), timeout=30)
+            assert jobs.status(held)["status"] == "running"
+            assert len(jobs._jobs) == 101
+            release.set()
+            jobs.result(held, timeout=30)
+            assert len(jobs._jobs) == 100
+            assert jobs.status(held)["status"] == "done"
+            stats = jobs.stats()
+            assert stats["done"] == stats["jobs"] == 151
+
+    def test_an_open_stream_keeps_its_record(self):
+        def runner(scenario, partial=None, on_outcome=None, outcomes=0, **knobs):
+            for index in range(outcomes):
+                on_outcome(make_outcome(f"unit-{index}", index))
+            return partial
+
+        with JobQueue(workers=1, runner=runner) as jobs:
+            streamed = jobs.submit(tiny_scenario(), outcomes=2)
+            jobs.result(streamed, timeout=30)
+            stream = jobs.iter_outcomes(streamed, timeout=30, end=True)
+            for _ in range(100):
+                jobs.result(jobs.submit(tiny_scenario()), timeout=30)
+            with pytest.raises(ServiceError):
+                jobs.status(streamed)
+            payloads = list(stream)
+            assert [payload.get("key") for payload in payloads[:2]] == ["unit-0", "unit-1"]
+            assert payloads[2] == {"event": "end", "status": "done", "outcomes": 2}
+
+
 def _walk_statuses(jobs):
     """Jobs per status by walking every record, as ``stats()`` once did."""
     counts = dict.fromkeys(("queued", "running", "done", "failed", "cancelled"), 0)

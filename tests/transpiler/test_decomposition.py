@@ -28,10 +28,6 @@ from repro.utils import equivalent_up_to_global_phase
 UNITARY_GATES = [name for name, definition in GATE_DEFINITIONS.items() if definition.is_unitary]
 
 
-def decompose_to_canonical(circuit: Circuit) -> Circuit:
-    return decomposition.decompose_to_canonical(circuit.packed()).unpack()
-
-
 def translate_to_basis(circuit: Circuit, basis: str) -> Circuit:
     return decomposition.translate_to_basis(circuit.packed(), basis).unpack()
 
@@ -76,7 +72,7 @@ class TestCanonicalDecomposition:
     @pytest.mark.parametrize("name", UNITARY_GATES)
     def test_every_gate_decomposes_equivalently(self, name):
         circuit = _one_gate_circuit(name)
-        canonical = decompose_to_canonical(circuit)
+        canonical = translate_to_basis(circuit, "canonical")
         assert set(op for op in canonical.count_ops()) <= {"u", "cx"}
         assert equivalent_up_to_global_phase(
             circuit_unitary(circuit), circuit_unitary(canonical), atol=1e-8
@@ -84,17 +80,19 @@ class TestCanonicalDecomposition:
 
     def test_measure_and_reset_pass_through(self):
         circuit = Circuit(1, 1).h(0).measure(0, 0)
-        canonical = decompose_to_canonical(circuit)
+        canonical = translate_to_basis(circuit, "canonical")
         assert canonical.num_measurements() == 1
 
     def test_gate_without_a_rule_rejected(self):
         # Every gate has a rule, so drive the emitter with a name it lacks.
         with pytest.raises(TranspilerError, match="no canonical decomposition"):
-            decomposition._emit_canonical(PackedBuilder(2, 0), "unknown", (0, 1), ())
+            decomposition._emit_canonical(
+                PackedBuilder(2, 0), decomposition._u, decomposition._cx, "unknown", (0, 1), ()
+            )
 
     def test_barriers_pass_through_unchanged(self):
         circuit = Circuit(3).h(0).barrier(0, 2).barrier().cx(0, 1)
-        canonical = decompose_to_canonical(circuit)
+        canonical = translate_to_basis(circuit, "canonical")
         barriers = [i.qubits for i in canonical if i.is_barrier()]
         assert barriers == [(0, 2), (0, 1, 2)]
 
