@@ -7,8 +7,8 @@ Public API:
 * :meth:`Circuit.depth` / :meth:`Circuit.two_qubit_critical_path` — ASAP
   depth and the critical path, read off the packed profile.
 * :func:`circuit_to_qasm`, :func:`circuit_from_qasm` — OpenQASM 2.0 round trip.
-* :class:`PackedCircuit`, :func:`pack_circuit` — the columnar (packed) form
-  behind ``Circuit.packed()`` (see ``docs/ir.md``).
+* :class:`PackedCircuit`, :class:`PackedBuilder` — the columnar (packed)
+  form every ``Circuit`` stores its rows in (see ``docs/ir.md``).
 * Random circuit generators in :mod:`repro.circuits.random_circuits`.
 """
 
@@ -26,7 +26,6 @@ from .columnar import (
     PackedCircuit,
     QUBIT_SLOTS,
     RESET_OP,
-    pack_circuit,
 )
 from .gates import (
     BARRIER,
@@ -62,7 +61,6 @@ __all__ = [
     "standard_gate",
     "PackedBuilder",
     "PackedCircuit",
-    "pack_circuit",
     "OPCODES",
     "OP_NAMES",
     "OP_ARITY",

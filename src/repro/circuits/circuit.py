@@ -1,22 +1,35 @@
 """The quantum circuit intermediate representation.
 
-A :class:`Circuit` is an ordered list of :class:`Instruction` objects over a
-fixed number of qubits and classical bits.  The class exposes a fluent
-builder API (``circuit.h(0).cx(0, 1).measure(1, 0)``) plus the structural
-queries the SupermarQ feature vectors need: depth, gate counts, interaction
-graph and the two-qubit critical path.
+A :class:`Circuit` is an ordered sequence of operations over a fixed number
+of qubits and classical bits, stored as the rows of its packed form
+(:class:`~repro.circuits.columnar.PackedCircuit`).  The class exposes a
+fluent builder API (``circuit.h(0).cx(0, 1).measure(1, 0)``) plus the
+structural queries the SupermarQ feature vectors need: depth, gate counts,
+interaction graph and the two-qubit critical path.  :class:`Instruction`
+objects are a read-only view of the rows, made on first use.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import CircuitError
-from .columnar import PackedCircuit, pack_circuit
-from .gates import BARRIER, GATE_DEFINITIONS, Gate, MEASURE, NON_UNITARY_NAMES, RESET
+from .columnar import (
+    BARRIER_OP,
+    MEASURE_OP,
+    OP_IS_UNITARY,
+    OP_NAMES,
+    OPCODES,
+    RESET_OP,
+    PackedBuilder,
+    PackedCircuit,
+)
+from .gates import BARRIER, Gate, MEASURE, RESET
 
 if TYPE_CHECKING:  # pragma: no cover - networkx loads only inside interaction_graph()
     import networkx as nx
@@ -104,12 +117,42 @@ class Instruction:
         return f"{self.gate} {bits}"
 
 
+@lru_cache(maxsize=16384)
+def _gate_for(opcode: int, params: Tuple[float, ...]) -> Gate:
+    """Shared frozen :class:`Gate` per ``(opcode, params)`` row of a view."""
+    return Gate(OP_NAMES[opcode], params)
+
+
+def _instructions_of(packed: PackedCircuit) -> Tuple[Instruction, ...]:
+    """One :class:`Instruction` per row of ``packed``, in row order.
+
+    The rows were written by :meth:`Circuit.append` (which validated them) or
+    by a :class:`PackedBuilder` trusted the same way, so gate arities and
+    register bounds already hold and the instructions skip re-validation.
+    Equal gates share one frozen :class:`Gate`.
+    """
+    new = Instruction.__new__
+    set_attr = object.__setattr__
+    view = []
+    for _row, opcode, qubits, params, clbit in packed.iter_rows():
+        instruction = new(Instruction)
+        set_attr(instruction, "gate", _gate_for(opcode, params))
+        set_attr(instruction, "qubits", qubits)
+        set_attr(instruction, "clbits", (clbit,) if clbit >= 0 else ())
+        view.append(instruction)
+    return tuple(view)
+
+
 class Circuit:
     """A quantum circuit over ``num_qubits`` qubits and ``num_clbits`` bits.
 
     The builder methods return ``self`` so calls can be chained::
 
         circuit = Circuit(3).h(0).cx(0, 1).cx(1, 2).measure_all()
+
+    The rows live in one store, the packed form (see :meth:`packed`);
+    :attr:`instructions`, iteration, indexing and ``==`` read a tuple of
+    :class:`Instruction` objects made from the pack on first use.
     """
 
     def __init__(self, num_qubits: int, num_clbits: int | None = None, name: str = "") -> None:
@@ -118,28 +161,32 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.num_clbits = int(num_clbits) if num_clbits is not None else int(num_qubits)
         self.name = name
-        self._instructions: List[Instruction] = []
-        # Tallies maintained on append so the counter queries are O(1).
-        self._num_multi_qubit = 0
-        self._num_measurements = 0
-        self._num_resets = 0
+        # The one store: rows, frozen into `_packed` on demand; `_view` is
+        # the instruction tuple made from that pack on first use.
+        self._rows = PackedBuilder(self.num_qubits, self.num_clbits, name)
         self._packed: PackedCircuit | None = None
+        self._view: Tuple[Instruction, ...] | None = None
 
     # ------------------------------------------------------------------
     # container protocol
     # ------------------------------------------------------------------
     @property
     def instructions(self) -> Tuple[Instruction, ...]:
-        return tuple(self._instructions)
+        view = self._view
+        if view is None:
+            view = self._view = _instructions_of(self.packed())
+        return view
 
     def __len__(self) -> int:
-        return len(self._instructions)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Instruction]:
-        return iter(self._instructions)
+        return iter(self.instructions)
 
     def __getitem__(self, index):
-        return self._instructions[index]
+        if isinstance(index, slice):
+            return list(self.instructions[index])
+        return self.instructions[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -147,7 +194,7 @@ class Circuit:
         return (
             self.num_qubits == other.num_qubits
             and self.num_clbits == other.num_clbits
-            and self._instructions == other._instructions
+            and self.instructions == other.instructions
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -160,12 +207,8 @@ class Circuit:
     # construction
     # ------------------------------------------------------------------
     def copy(self) -> "Circuit":
-        new = Circuit(self.num_qubits, self.num_clbits, self.name)
-        new._instructions = list(self._instructions)
-        new._num_multi_qubit = self._num_multi_qubit
-        new._num_measurements = self._num_measurements
-        new._num_resets = self._num_resets
-        new._packed = self._packed  # immutable, safe to share
+        new = self.packed().unpack()  # the pack is immutable, safe to share
+        new._view = self._view
         return new
 
     def _check_qubits(self, qubits: Sequence[int]) -> None:
@@ -183,18 +226,15 @@ class Circuit:
                 )
 
     def append(self, instruction: Instruction) -> "Circuit":
-        """Append a fully formed instruction to the circuit."""
+        """Append a fully formed instruction to the circuit (as one row)."""
         self._check_qubits(instruction.qubits)
         self._check_clbits(instruction.clbits)
-        self._instructions.append(instruction)
-        name = instruction.gate.name
-        if name == "measure":
-            self._num_measurements += 1
-        elif name == "reset":
-            self._num_resets += 1
-        elif len(instruction.qubits) >= 2 and name not in NON_UNITARY_NAMES:
-            self._num_multi_qubit += 1
+        gate, clbits = instruction.gate, instruction.clbits
+        self._rows.append(
+            OPCODES[gate.name], instruction.qubits, gate.params, clbits[0] if clbits else -1
+        )
         self._packed = None
+        self._view = None
         return self
 
     def add_gate(self, name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> "Circuit":
@@ -229,7 +269,7 @@ class Circuit:
     def inverse(self) -> "Circuit":
         """Return the inverse circuit (unitary circuits only)."""
         new = Circuit(self.num_qubits, self.num_clbits, self.name + "_dg")
-        for instruction in reversed(self._instructions):
+        for instruction in reversed(self.instructions):
             if instruction.is_barrier():
                 new.append(instruction)
                 continue
@@ -359,76 +399,67 @@ class Circuit:
     # columnar form
     # ------------------------------------------------------------------
     def packed(self) -> PackedCircuit:
-        """The circuit lowered to its columnar form (cached, lossless).
+        """The circuit's rows as a frozen :class:`PackedCircuit` (cached).
 
-        The cache is invalidated by :meth:`append` (the single mutation
-        funnel every builder goes through) and additionally validated
-        against the instruction count and register sizes, so late
-        ``num_clbits`` growth (``measure_all`` on a narrow register) or
-        direct attribute mutation never serves a stale pack.
+        :meth:`append` drops the cache.  A late change of ``num_qubits``,
+        ``num_clbits`` (``measure_all`` on a narrow register) or ``name``
+        rebuilds it too, so a stale pack is never served.  Each build
+        becomes the base of the row store, so no row is held twice.
         """
-        cached = self._packed
+        packed = self._packed
         if (
-            cached is not None
-            and len(cached) == len(self._instructions)
-            and cached.num_qubits == self.num_qubits
-            and cached.num_clbits == self.num_clbits
-            and cached.name == self.name
+            packed is not None
+            and packed.num_qubits == self.num_qubits
+            and packed.num_clbits == self.num_clbits
+            and packed.name == self.name
         ):
-            return cached
-        packed = pack_circuit(self)
-        self._packed = packed
+            return packed
+        rows = self._rows
+        rows.num_qubits, rows.num_clbits, rows.name = self.num_qubits, self.num_clbits, self.name
+        packed = self._packed = rows.build()
+        self._rows = PackedBuilder.from_packed(packed)
         return packed
 
     # ------------------------------------------------------------------
-    # structural queries
+    # structural queries (read off the pack's columns)
     # ------------------------------------------------------------------
+    def _count(self, opcode: int) -> int:
+        return int(np.count_nonzero(self.packed().opcodes == opcode))
+
     def count_ops(self) -> Dict[str, int]:
-        """Histogram of operation names (barriers excluded)."""
-        counts: Dict[str, int] = {}
-        for instruction in self._instructions:
-            if instruction.is_barrier():
-                continue
-            counts[instruction.name] = counts.get(instruction.name, 0) + 1
-        return counts
+        """Histogram of operation names (barriers excluded), in first-use order."""
+        counts = Counter(self.packed().opcodes.tolist())
+        counts.pop(BARRIER_OP, None)
+        return {OP_NAMES[opcode]: count for opcode, count in counts.items()}
 
     def num_gates(self, include_measurements: bool = True) -> int:
         """Total number of operations, excluding barriers."""
-        total = 0
-        for instruction in self._instructions:
-            if instruction.is_barrier():
-                continue
-            if not include_measurements and (instruction.is_measurement() or instruction.is_reset()):
-                continue
-            total += 1
+        total = len(self) - self._count(BARRIER_OP)
+        if not include_measurements:
+            total -= self.num_measurements() + self.num_resets()
         return total
 
     def num_two_qubit_gates(self) -> int:
-        """Number of unitary operations touching two or more qubits (O(1))."""
-        return self._num_multi_qubit
+        """Number of unitary operations touching two or more qubits."""
+        packed = self.packed()
+        return int(np.count_nonzero(OP_IS_UNITARY[packed.opcodes] & (packed.qubits[:, 1] >= 0)))
 
     def num_measurements(self) -> int:
-        return self._num_measurements
+        return self._count(MEASURE_OP)
 
     def num_resets(self) -> int:
-        return self._num_resets
+        return self._count(RESET_OP)
 
     def measured_qubits(self) -> Tuple[int, ...]:
         """Qubits measured at least once, in first-measurement order."""
-        seen: List[int] = []
-        for instruction in self._instructions:
-            if instruction.is_measurement() and instruction.qubits[0] not in seen:
-                seen.append(instruction.qubits[0])
-        return tuple(seen)
+        packed = self.packed()
+        return tuple(dict.fromkeys(packed.qubits[packed.opcodes == MEASURE_OP, 0].tolist()))
 
     def active_qubits(self) -> Tuple[int, ...]:
         """Qubits touched by at least one non-barrier operation, sorted."""
-        active = set()
-        for instruction in self._instructions:
-            if instruction.is_barrier():
-                continue
-            active.update(instruction.qubits)
-        return tuple(sorted(active))
+        packed = self.packed()
+        operands = packed.qubits[packed.opcodes != BARRIER_OP]
+        return tuple(np.unique(operands[operands >= 0]).tolist())
 
     def interaction_graph(self) -> "nx.Graph":
         """Graph with one node per qubit and an edge per interacting pair.

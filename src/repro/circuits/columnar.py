@@ -22,13 +22,15 @@ column              contents
 
 plus the per-circuit metadata (``num_qubits``, ``num_clbits``, ``name``).
 
-The representation is **lossless**: :meth:`PackedCircuit.unpack` rebuilds an
-equal :class:`~repro.circuits.circuit.Circuit` instruction for instruction
+It is the one store of a :class:`~repro.circuits.circuit.Circuit`:
+``Circuit.append`` writes each instruction as a row through a
+:class:`PackedBuilder`, :meth:`~repro.circuits.circuit.Circuit.packed`
+freezes the rows into a cached pack, and :meth:`PackedCircuit.unpack` wraps
+a pack in a circuit without copying a row.  The representation is
+**lossless**: a circuit's instruction view round-trips through it exactly
 (property-tested over every gate arity, measure/reset/barrier and parameter
-shapes).  Circuits expose a cached accessor —
-:meth:`~repro.circuits.circuit.Circuit.packed` — invalidated on append, so
-consumers (feature extraction, kernel plan compilation, analysis passes,
-fingerprinting) share one pack per circuit.
+shapes), and consumers (feature extraction, kernel plan compilation,
+analysis passes, fingerprinting) share one pack per circuit.
 
 **Opcode table versioning.**  Opcode ids are assigned from the insertion
 order of :data:`~repro.circuits.gates.GATE_DEFINITIONS`, which is therefore
@@ -43,13 +45,12 @@ with pre-change ones.  See ``docs/ir.md`` for the full migration story.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .gates import GATE_DEFINITIONS, Gate
+from .gates import GATE_DEFINITIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (circuit imports us)
     import networkx as nx
@@ -69,7 +70,6 @@ __all__ = [
     "OPCODE_TABLE_DIGEST",
     "PackedCircuit",
     "PackedBuilder",
-    "pack_circuit",
 ]
 
 #: Fixed operand columns; the only variable-arity operation (``barrier``)
@@ -186,8 +186,9 @@ class PackedCircuit:
         """Yield ``(row, opcode, qubits, params, clbit)`` per instruction.
 
         The shared row iterator of every packed consumer that still needs a
-        Python-level walk (plan compilation, unpacking); materialises the
-        columns as lists once instead of per-element array indexing.
+        Python-level walk (plan compilation, the instruction view);
+        materialises the columns as lists once instead of per-element array
+        indexing.
         """
         opcodes = self.opcodes.tolist()
         qubit_rows = self.qubits.tolist()
@@ -248,114 +249,19 @@ class PackedCircuit:
         yield "wide_offsets", self.wide_offsets
         yield "wide_qubits", self.wide_qubits
 
-    @staticmethod
-    @lru_cache(maxsize=16384)
-    def _gate_for(opcode: int, params: Tuple[float, ...]) -> Gate:
-        """Shared frozen :class:`Gate` per ``(opcode, params)`` (see unpack)."""
-        return Gate(OP_NAMES[opcode], params)
-
     def unpack(self) -> "Circuit":
-        """Rebuild an equal :class:`Circuit` (exact instruction round trip).
+        """The :class:`Circuit` whose rows are this pack (no row is copied).
 
-        Hot path of every packed-pipeline run (the final packed -> object
-        conversion), so instructions are constructed directly instead of
-        re-validating through ``Circuit.append``: the pack was lowered from a
-        valid circuit (or built by a :class:`PackedBuilder` trusted the same
-        way), so gate arities, qubit bounds and clbit bounds already hold.
-        Gate objects are shared via :func:`_cached_gate` — they are frozen,
-        and structurally equal gates are interchangeable everywhere.
+        The circuit's ``packed()`` is this object, so fingerprint and feature
+        consumers downstream reuse it; appending to the circuit builds a new
+        pack and leaves this one as it is.
         """
-        from .circuit import Circuit, Instruction
+        from .circuit import Circuit
 
         circuit = Circuit(self.num_qubits, self.num_clbits, self.name)
-        instructions = circuit._instructions
-        set_attr = object.__setattr__
-        new_instruction = Instruction.__new__
-        cached_gate = PackedCircuit._gate_for
-        opcodes = self.opcodes.tolist()
-        qubit_rows = self.qubits.tolist()
-        clbit_list = self.clbits.tolist()
-        offsets = self.param_offsets.tolist()
-        pool = self.params.tolist()
-        wide = self.wide_operands()
-        for row, opcode in enumerate(opcodes):
-            slots = qubit_rows[row]
-            q0, q1, q2 = slots
-            if q2 >= 0:
-                qubits = (q0, q1, q2)
-            elif q1 >= 0:
-                qubits = (q0, q1)
-            elif q0 >= 0:
-                qubits = (q0,)
-            else:
-                qubits = wide.get(row, ())
-            instruction = new_instruction(Instruction)
-            set_attr(
-                instruction, "gate", cached_gate(opcode, tuple(pool[offsets[row] : offsets[row + 1]]))
-            )
-            set_attr(instruction, "qubits", qubits)
-            clbit = clbit_list[row]
-            set_attr(instruction, "clbits", (clbit,) if clbit >= 0 else ())
-            instructions.append(instruction)
-        circuit._num_measurements = int(np.count_nonzero(self.opcodes == MEASURE_OP))
-        circuit._num_resets = int(np.count_nonzero(self.opcodes == RESET_OP))
-        circuit._num_multi_qubit = int(
-            np.count_nonzero((self.qubits[:, 1] >= 0) & OP_IS_UNITARY[self.opcodes])
-        )
-        # The unpack is lossless, so this pack IS the circuit's pack: seed the
-        # cache so downstream consumers (fingerprints, features) never re-pack.
+        circuit._rows = PackedBuilder.from_packed(self)
         circuit._packed = self
         return circuit
-
-
-def pack_circuit(circuit: "Circuit") -> PackedCircuit:
-    """Lower a :class:`Circuit` to its columnar form (lossless)."""
-    opcode_ids = OPCODES
-    pad = _PAD
-    opcode_list: List[int] = []
-    qubit_list: List[Tuple[int, ...]] = []
-    clbit_list: List[int] = []
-    offsets: List[int] = [0]
-    param_pool: List[float] = []
-    wide_rows: List[int] = []
-    wide_offsets: List[int] = [0]
-    wide_pool: List[int] = []
-
-    for row, instruction in enumerate(circuit):
-        gate = instruction.gate
-        opcode_list.append(opcode_ids[gate.name])
-        qubits = instruction.qubits
-        arity = len(qubits)
-        if arity <= QUBIT_SLOTS:
-            qubit_list.append(qubits + pad[arity])
-        else:
-            qubit_list.append(pad[0])
-            wide_rows.append(row)
-            wide_pool.extend(qubits)
-            wide_offsets.append(len(wide_pool))
-        clbits = instruction.clbits
-        clbit_list.append(clbits[0] if clbits else -1)
-        params = gate.params
-        if params:
-            param_pool.extend(params)
-        offsets.append(len(param_pool))
-
-    m = len(opcode_list)
-    return PackedCircuit(
-        num_qubits=circuit.num_qubits,
-        num_clbits=circuit.num_clbits,
-        opcodes=_frozen(np.array(opcode_list, dtype=np.uint16)),
-        qubits=_frozen(
-            np.array(qubit_list, dtype=np.int32).reshape(m, QUBIT_SLOTS)
-        ),
-        clbits=_frozen(np.array(clbit_list, dtype=np.int32)),
-        param_offsets=_frozen(np.array(offsets, dtype=np.int64)),
-        params=_frozen(np.array(param_pool, dtype=np.float64)),
-        wide_rows=_frozen(np.array(wide_rows, dtype=np.int64)),
-        wide_offsets=_frozen(np.array(wide_offsets, dtype=np.int64)),
-        wide_qubits=_frozen(np.array(wide_pool, dtype=np.int32)),
-        name=circuit.name,
-    )
 
 
 class PackedBuilder:
@@ -372,13 +278,14 @@ class PackedBuilder:
       rows, e.g. rotation merging);
     * **tail** — rows appended one by one via :meth:`append` (opcode ids,
       not gate objects), overflowing >``QUBIT_SLOTS``-operand rows into the
-      wide pool exactly like :func:`pack_circuit`.
+      wide pool.
 
     :meth:`build` consolidates both stores into a frozen
-    :class:`PackedCircuit` whose buffers are **byte-identical** to packing
-    the equivalent instruction sequence from scratch — a property the
-    transpiler's golden-parity tests rely on, since circuit fingerprints
-    hash those buffers directly.
+    :class:`PackedCircuit` whose buffers are **byte-identical** to a fresh
+    build of the same row sequence — a property the transpiler's
+    golden-parity tests rely on, since circuit fingerprints hash those
+    buffers directly.  Every :class:`~repro.circuits.circuit.Circuit` keeps
+    its rows in one of these.
     """
 
     def __init__(self, num_qubits: int, num_clbits: int, name: str = "") -> None:
@@ -446,9 +353,8 @@ class PackedBuilder:
             wide_offsets = new_wide_offsets
             wide_qubits = wide_qubits[np.repeat(wide_keep, wide_counts)]
 
-        self._base = PackedCircuit(
-            num_qubits=base.num_qubits,
-            num_clbits=base.num_clbits,
+        self._base = replace(
+            base,
             opcodes=_frozen(base.opcodes[mask]),
             qubits=_frozen(base.qubits[mask]),
             clbits=_frozen(base.clbits[mask]),
@@ -457,7 +363,6 @@ class PackedBuilder:
             wide_rows=_frozen(np.ascontiguousarray(wide_rows)),
             wide_offsets=_frozen(np.ascontiguousarray(wide_offsets)),
             wide_qubits=_frozen(np.ascontiguousarray(wide_qubits)),
-            name=base.name,
         )
         self._base_params = None
         return self
@@ -492,7 +397,7 @@ class PackedBuilder:
         params: Tuple[float, ...] = (),
         clbit: int = -1,
     ) -> "PackedBuilder":
-        """Append one row (opcode id + operands), mirroring :func:`pack_circuit`."""
+        """Append one row (opcode id + operands)."""
         arity = len(qubits)
         row = len(self._opcodes)
         self._opcodes.append(int(opcode))
@@ -514,20 +419,7 @@ class PackedBuilder:
         """Freeze the builder into an immutable :class:`PackedCircuit`."""
         base = self._base
         if base is not None and self._base_params is not None:
-            base = PackedCircuit(
-                num_qubits=base.num_qubits,
-                num_clbits=base.num_clbits,
-                opcodes=base.opcodes,
-                qubits=base.qubits,
-                clbits=base.clbits,
-                param_offsets=base.param_offsets,
-                params=_frozen(self._base_params),
-                wide_rows=base.wide_rows,
-                wide_offsets=base.wide_offsets,
-                wide_qubits=base.wide_qubits,
-                name=base.name,
-            )
-            self._base = base
+            base = self._base = replace(base, params=_frozen(self._base_params))
             self._base_params = None
 
         m = len(self._opcodes)
@@ -547,18 +439,8 @@ class PackedBuilder:
         if base is None:
             return tail
         if m == 0:
-            return PackedCircuit(
-                num_qubits=self.num_qubits,
-                num_clbits=self.num_clbits,
-                opcodes=base.opcodes,
-                qubits=base.qubits,
-                clbits=base.clbits,
-                param_offsets=base.param_offsets,
-                params=base.params,
-                wide_rows=base.wide_rows,
-                wide_offsets=base.wide_offsets,
-                wide_qubits=base.wide_qubits,
-                name=self.name,
+            return replace(
+                base, num_qubits=self.num_qubits, num_clbits=self.num_clbits, name=self.name
             )
         shift = len(base)
         return PackedCircuit(

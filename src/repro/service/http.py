@@ -372,7 +372,9 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _stream_outcomes(self, job_id: str) -> None:
         """NDJSON stream: one outcome object per line, live until the job
-        finishes, terminated by a ``{"event": "end", ...}`` line."""
+        finishes or ``stream_timeout`` passes, terminated by a
+        ``{"event": "end", ...}`` line (``"status": "timeout"`` for the latter:
+        the headers are sent, so no error response can follow)."""
         outcomes = self.service.queue.iter_outcomes(
             job_id, timeout=self.service.stream_timeout, end=True
         )  # 404 before headers on unknown ids

@@ -280,8 +280,10 @@ class JobQueue:
         :class:`~repro.exceptions.ServiceError` at once), and the stream keeps
         it to the end.  The iterator ends when the job reaches a terminal
         state and every recorded outcome has been yielded, with ``end`` after
-        one ``{"event": "end", "status", "outcomes"}`` object; a timeout
-        (seconds, across the whole iteration) raises ``ServiceError``.
+        one ``{"event": "end", "status", "outcomes"}`` object.  A timeout
+        (seconds, across the whole iteration) ends it too: with ``end``, the
+        end object's ``status`` is ``"timeout"``; without, it raises
+        ``ServiceError``.
         """
         with self._lock:
             job = self._job(job_id)
@@ -291,15 +293,19 @@ class JobQueue:
             position = 0
             while True:
                 with self._changed:
+                    timed_out = False
                     while position >= len(job.outcomes) and job.status not in _TERMINAL:
                         remaining = None if deadline is None else deadline - time.monotonic()
-                        if remaining is not None and remaining <= 0:
-                            raise ServiceError(f"timed out streaming job {job_id}")
+                        timed_out = remaining is not None and remaining <= 0
+                        if timed_out:
+                            break
                         self._changed.wait(timeout=remaining if remaining is not None else 1.0)
                     batch = job.outcomes[position:]
                     position += len(batch)
-                    status = job.status
-                if not batch:  # terminal, and every outcome yielded
+                    status = "timeout" if timed_out else job.status
+                if timed_out and not end:
+                    raise ServiceError(f"timed out streaming job {job_id}")
+                if not batch:  # terminal or timed out, and every outcome yielded
                     if end:
                         yield {"event": "end", "status": status, "outcomes": position}
                     return

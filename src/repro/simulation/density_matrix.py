@@ -19,14 +19,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits import Circuit
+from ..circuits.columnar import BARRIER_OP, MEASURE_OP, RESET_OP
 from ..exceptions import SimulationError
 from . import kernels
 from .kernels import (
     apply_kernel,
-    conjugate_kernel_for_gate,
     counts_from_samples,
     fuse_operations,
-    kernel_for_gate,
+    kernel_for_operation,
+    operation_matrix,
     qubit_axis,
 )
 from .result import Counts
@@ -144,12 +145,6 @@ def apply_kraus_to_density_matrix(
     return result.reshape(dim, dim)
 
 
-def apply_unitary_to_density_matrix(
-    rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    return apply_kraus_to_density_matrix(rho, [matrix], qubits, num_qubits)
-
-
 def _apply_depolarizing(
     tensor: np.ndarray,
     qubits: Sequence[int],
@@ -238,24 +233,27 @@ class DensityMatrixSimulator:
         tensor = rho.reshape((2,) * (2 * num_qubits))
         measured: List[Tuple[int, int]] = []
         measured_qubits: set[int] = set()
-        unitary_run: List = []  # Instruction objects
+        unitary_run: List[Tuple[int, Tuple[float, ...], Tuple[int, ...]]] = []
 
         def flush_run() -> None:
             nonlocal tensor
             if not unitary_run:
                 return
             if len(unitary_run) == 1:
-                instruction = unitary_run[0]
+                opcode, params, qubits = unitary_run[0]
                 tensor = _apply_sandwich(
                     tensor,
-                    kernel_for_gate(instruction.gate),
-                    conjugate_kernel_for_gate(instruction.gate),
-                    instruction.qubits,
+                    kernel_for_operation(opcode, params),
+                    kernels.analyze_matrix(operation_matrix(opcode, params).conj()),
+                    qubits,
                     num_qubits,
                     in_place=True,
                 )
             else:
-                operations = [(i.gate.matrix(), i.qubits) for i in unitary_run]
+                operations = [
+                    (operation_matrix(opcode, params), qubits)
+                    for opcode, params, qubits in unitary_run
+                ]
                 for fused in fuse_operations(operations):
                     bra_kernel = kernels.analyze_matrix(fused.matrix.conj())
                     tensor = _apply_sandwich(
@@ -263,11 +261,11 @@ class DensityMatrixSimulator:
                     )
             unitary_run.clear()
 
-        for instruction in circuit:
-            if instruction.is_barrier():
+        for _row, opcode, qubits, params, clbit in circuit.packed().iter_rows():
+            if opcode == BARRIER_OP:
                 continue
-            if instruction.is_measurement():
-                qubit = instruction.qubits[0]
+            if opcode == MEASURE_OP:
+                qubit = qubits[0]
                 if qubit in measured_qubits:
                     raise SimulationError(
                         "DensityMatrixSimulator does not support measuring the same qubit twice"
@@ -275,31 +273,29 @@ class DensityMatrixSimulator:
                 flush_run()
                 # Non-selective measurement = dephasing in the computational basis.
                 tensor = self._dephase(tensor, qubit, num_qubits)
-                measured.append((qubit, instruction.clbits[0]))
+                measured.append((qubit, clbit))
                 measured_qubits.add(qubit)
                 continue
-            if any(q in measured_qubits for q in instruction.qubits):
+            if any(q in measured_qubits for q in qubits):
                 raise SimulationError(
                     "DensityMatrixSimulator does not support operations after measurement "
                     "on the same qubit"
                 )
-            if instruction.is_reset():
+            if opcode == RESET_OP:
                 flush_run()
-                tensor = self._reset(tensor, instruction.qubits[0], num_qubits)
+                tensor = self._reset(tensor, qubits[0], num_qubits)
                 if self.noise_model is not None:
-                    for channel, qubits in self.noise_model.reset_channels(instruction.qubits[0]):
-                        tensor = self._apply_channel(tensor, channel, qubits, num_qubits)
+                    for channel, channel_qubits in self.noise_model.reset_channels(qubits[0]):
+                        tensor = self._apply_channel(tensor, channel, channel_qubits, num_qubits)
                 continue
             channels = (
-                self.noise_model.gate_channels(instruction)
-                if self.noise_model is not None
-                else []
+                self.noise_model.channels_for_gate(qubits) if self.noise_model is not None else []
             )
-            unitary_run.append(instruction)
+            unitary_run.append((opcode, params, qubits))
             if channels:
                 flush_run()
-                for channel, qubits in channels:
-                    tensor = self._apply_channel(tensor, channel, qubits, num_qubits)
+                for channel, channel_qubits in channels:
+                    tensor = self._apply_channel(tensor, channel, channel_qubits, num_qubits)
         flush_run()
         return np.ascontiguousarray(tensor).reshape(dim, dim), measured
 

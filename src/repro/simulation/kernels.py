@@ -46,13 +46,12 @@ import numpy as np
 
 from ..circuits import Circuit
 from ..circuits.columnar import BARRIER_OP, OP_IS_UNITARY, OP_NAMES
-from ..circuits.gates import GATE_DEFINITIONS, Gate
+from ..circuits.gates import GATE_DEFINITIONS
 from ..exceptions import SimulationError
 
 __all__ = [
     "GateKernel",
     "analyze_matrix",
-    "kernel_for_gate",
     "operation_matrix",
     "kernel_for_operation",
     "apply_matrix",
@@ -156,12 +155,6 @@ def analyze_matrix(matrix: np.ndarray) -> GateKernel:
     return GateKernel(matrix, _KIND_GENERIC)
 
 
-@lru_cache(maxsize=4096)
-def kernel_for_gate(gate: Gate) -> GateKernel:
-    """Cached kernel for a (hashable, immutable) :class:`Gate` instance."""
-    return analyze_matrix(gate.matrix())
-
-
 #: Matrix factory per opcode id (None for measure/reset/barrier).
 _OP_MATRIX_FNS = tuple(definition.matrix_fn for definition in GATE_DEFINITIONS.values())
 
@@ -185,16 +178,6 @@ def operation_matrix(opcode: int, params: Tuple[float, ...] = ()) -> np.ndarray:
 def kernel_for_operation(opcode: int, params: Tuple[float, ...] = ()) -> GateKernel:
     """Cached kernel for a packed ``(opcode, params)`` row."""
     return analyze_matrix(operation_matrix(opcode, params))
-
-
-@lru_cache(maxsize=4096)
-def conjugate_kernel_for_gate(gate: Gate) -> GateKernel:
-    """Cached kernel of the elementwise conjugate of a gate's matrix.
-
-    Applying it to the bra axes of a density tensor implements
-    ``rho -> rho U†``.
-    """
-    return analyze_matrix(gate.matrix().conj())
 
 
 # ---------------------------------------------------------------------------

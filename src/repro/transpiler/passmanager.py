@@ -203,8 +203,8 @@ class PassManager:
         record_tuple = tuple(records)
         properties["pass_records"] = record_tuple
         self.last_records = record_tuple
-        # The unpack seeds the produced circuit's pack cache, so fingerprint
-        # and feature consumers downstream reuse this pack for free.
+        # The unpack wraps this pack (no row copied, no Instruction made), so
+        # fingerprint and feature consumers downstream reuse it for free.
         return packed.unpack()
 
     # ------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 Three concerns:
 
-* **Losslessness** — ``Circuit -> pack -> unpack`` is an exact instruction
-  round trip, exercised over every registered gate arity, measure/reset,
-  narrow and wide barriers, and randomized instruction streams.
+* **Losslessness** — the rows ``Circuit.append`` writes read back as the
+  same instructions, and ``pack -> unpack`` is an exact round trip,
+  exercised over every registered gate arity, measure/reset, narrow and
+  wide barriers, and randomized instruction streams.
 * **Opcode-table stability** — opcode ids and :data:`OPCODE_TABLE_DIGEST`
   are pinned; a reorder or mid-table insertion (which would silently change
   every persisted fingerprint) fails loudly here instead.
-* **Cache semantics** — ``Circuit.packed()`` returns one shared immutable
-  object until the circuit mutates, survives ``copy()`` without re-packing,
-  and re-packs when register sizes drift out from under the cache.
+* **One store** — ``Circuit.packed()`` returns one shared immutable object
+  until the circuit mutates, survives ``copy()`` without re-packing, and
+  re-packs when register sizes or the name drift out from under the cache;
+  ``unpack()`` and the counters make no ``Instruction``.
 """
 
 import numpy as np
@@ -32,21 +34,20 @@ from repro.circuits import (
     PackedCircuit,
     QUBIT_SLOTS,
     RESET_OP,
-    pack_circuit,
     random_clifford_circuit,
 )
 from repro.circuits.gates import GATE_DEFINITIONS
 
 
-def _random_circuit(num_qubits: int, seed: int, *, barriers: bool = True) -> Circuit:
+def _random_instructions(num_qubits: int, seed: int, *, barriers: bool = True):
     """Instruction stream covering every packing shape, from a seed."""
     rng = np.random.default_rng(seed)
-    circuit = Circuit(num_qubits, num_qubits, name=f"rand{seed}")
     gate_names = [
         name
         for name, definition in GATE_DEFINITIONS.items()
         if definition.is_unitary and 0 < definition.num_qubits <= num_qubits
     ]
+    instructions = []
     for _ in range(int(rng.integers(0, 40))):
         roll = rng.random()
         if roll < 0.70:
@@ -54,16 +55,22 @@ def _random_circuit(num_qubits: int, seed: int, *, barriers: bool = True) -> Cir
             definition = GATE_DEFINITIONS[name]
             qubits = rng.choice(num_qubits, size=definition.num_qubits, replace=False)
             params = tuple(float(p) for p in rng.uniform(-np.pi, np.pi, definition.num_params))
-            circuit.add_gate(name, [int(q) for q in qubits], params)
+            instructions.append(Instruction(Gate(name, params), tuple(qubits)))
         elif roll < 0.82:
-            circuit.measure(int(rng.integers(num_qubits)), int(rng.integers(num_qubits)))
+            qubit, clbit = int(rng.integers(num_qubits)), int(rng.integers(num_qubits))
+            instructions.append(Instruction(Gate("measure"), (qubit,), (clbit,)))
         elif roll < 0.90:
-            circuit.reset(int(rng.integers(num_qubits)))
+            instructions.append(Instruction(Gate("reset"), (int(rng.integers(num_qubits)),)))
         elif barriers:
             count = int(rng.integers(1, num_qubits + 1))
             qubits = rng.choice(num_qubits, size=count, replace=False)
-            circuit.barrier(*(int(q) for q in qubits))
-    return circuit
+            instructions.append(Instruction(Gate("barrier"), tuple(qubits)))
+    return instructions
+
+
+def _random_circuit(num_qubits: int, seed: int, *, barriers: bool = True) -> Circuit:
+    circuit = Circuit(num_qubits, num_qubits, name=f"rand{seed}")
+    return circuit.extend(_random_instructions(num_qubits, seed, barriers=barriers))
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +162,23 @@ class TestRoundTrip:
     @given(num_qubits=st.integers(2, 6), seed=st.integers(0, 2000))
     @settings(max_examples=80, deadline=None)
     def test_randomized_round_trip(self, num_qubits, seed):
-        circuit = _random_circuit(num_qubits, seed)
+        written = _random_instructions(num_qubits, seed)
+        circuit = Circuit(num_qubits, num_qubits, name=f"rand{seed}").extend(written)
         packed = circuit.packed()
         rebuilt = packed.unpack()
         assert rebuilt == circuit
         assert rebuilt.num_clbits == circuit.num_clbits
         assert rebuilt.name == circuit.name
-        # exact params and clbits (Circuit.__eq__ already compares these, but
-        # pin them explicitly — they are the lossy-prone columns)
-        for original, copy in zip(circuit, rebuilt):
+        # the rows read back as the appended instructions: exact params and
+        # clbits (Circuit.__eq__ already compares these, but pin them
+        # explicitly — they are the lossy-prone columns)
+        assert list(circuit) == written
+        for original, copy in zip(written, rebuilt):
             assert copy.gate.params == original.gate.params
             assert copy.qubits == original.qubits
             assert copy.clbits == original.clbits
-        # a re-pack of the rebuilt circuit is byte-identical
-        repacked = rebuilt.packed()
+        # re-appending the view packs byte-identical rows
+        repacked = Circuit(num_qubits, num_qubits, name=f"rand{seed}").extend(rebuilt).packed()
         for (label, buffer), (_, other) in zip(packed.buffers(), repacked.buffers()):
             assert buffer.tobytes() == other.tobytes(), label
 
@@ -243,50 +253,95 @@ class TestPackedCache:
         assert clone.packed() is not packed
         assert circuit.packed() is packed
 
-    def test_pack_circuit_matches_accessor(self):
+    def test_name_change_rebuilds(self):
         circuit = _random_circuit(4, seed=13)
-        direct = pack_circuit(circuit)
-        cached = circuit.packed()
-        assert isinstance(direct, PackedCircuit)
-        for (label, buffer), (_, other) in zip(direct.buffers(), cached.buffers()):
+        stale = circuit.packed()
+        circuit.name = "renamed"
+        fresh = circuit.packed()
+        assert fresh is not stale
+        assert (stale.name, fresh.name) == ("rand13", "renamed")
+        for (label, buffer), (_, other) in zip(stale.buffers(), fresh.buffers()):
             assert buffer.tobytes() == other.tobytes(), label
 
+    def test_copy_then_append_leaves_original(self):
+        circuit = Circuit(2).h(0)
+        clone = circuit.copy()
+        clone.cx(0, 1)
+        assert [i.name for i in circuit] == ["h"]
+        assert len(circuit.packed()) == 1
+        assert [i.name for i in clone] == ["h", "cx"]
+
+    def test_slice_is_a_list(self):
+        circuit = Circuit(2).h(0).x(1).cx(0, 1).measure_all()
+        window = circuit[1:3]
+        assert isinstance(window, list)
+        assert [i.name for i in window] == ["x", "cx"]
+
+
+class TestUnpack:
+    def test_unpack_wraps_the_pack_and_makes_no_instruction(self, made_instructions):
+        circuit = _random_circuit(5, seed=31)
+        circuit.barrier()  # a wide row too
+        packed = circuit.packed()
+        made_instructions.clear()
+        rebuilt = packed.unpack()
+        assert made_instructions == []
+        assert rebuilt.packed() is packed
+        assert len(rebuilt) == len(circuit)
+        # appending to the wrapper builds a new pack and leaves this one
+        rebuilt.h(0)
+        assert len(packed) == len(circuit)
+        assert len(rebuilt.packed()) == len(circuit) + 1
+
 
 # ---------------------------------------------------------------------------
-# O(1) structural counters
+# structural counters
 # ---------------------------------------------------------------------------
-class _ExplodingInstructions:
-    """Stand-in for ``Circuit._instructions`` that fails on any traversal."""
-
-    def __iter__(self):
-        raise AssertionError("counter re-walked the instruction list")
-
-    def __len__(self):
-        raise AssertionError("counter re-walked the instruction list")
-
-    def __getitem__(self, index):
-        raise AssertionError("counter re-walked the instruction list")
-
-
 class TestCounters:
     def _recount(self, circuit):
+        """Every structural query, recounted by walking the instructions."""
+        instructions = list(circuit)
         multi = sum(
             1
-            for i in circuit
+            for i in instructions
             if len(i.qubits) >= 2 and not (i.is_measurement() or i.is_reset() or i.is_barrier())
         )
-        measures = sum(1 for i in circuit if i.is_measurement())
-        resets = sum(1 for i in circuit if i.is_reset())
-        return multi, measures, resets
+        measures = sum(1 for i in instructions if i.is_measurement())
+        resets = sum(1 for i in instructions if i.is_reset())
+        ops = {}
+        for instruction in instructions:
+            if not instruction.is_barrier():
+                ops[instruction.name] = ops.get(instruction.name, 0) + 1
+        measured = [i.qubits[0] for i in instructions if i.is_measurement()]
+        active = {q for i in instructions if not i.is_barrier() for q in i.qubits}
+        return {
+            "num_two_qubit_gates": multi,
+            "num_measurements": measures,
+            "num_resets": resets,
+            "count_ops": list(ops.items()),
+            "num_gates": sum(ops.values()),
+            "num_unitary_gates": sum(ops.values()) - measures - resets,
+            "measured_qubits": tuple(dict.fromkeys(measured)),
+            "active_qubits": tuple(sorted(active)),
+        }
+
+    def _queries(self, circuit):
+        return {
+            "num_two_qubit_gates": circuit.num_two_qubit_gates(),
+            "num_measurements": circuit.num_measurements(),
+            "num_resets": circuit.num_resets(),
+            "count_ops": list(circuit.count_ops().items()),
+            "num_gates": circuit.num_gates(),
+            "num_unitary_gates": circuit.num_gates(include_measurements=False),
+            "measured_qubits": circuit.measured_qubits(),
+            "active_qubits": circuit.active_qubits(),
+        }
 
     @given(num_qubits=st.integers(2, 6), seed=st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
     def test_tallies_match_recount(self, num_qubits, seed):
         circuit = _random_circuit(num_qubits, seed)
-        multi, measures, resets = self._recount(circuit)
-        assert circuit.num_two_qubit_gates() == multi
-        assert circuit.num_measurements() == measures
-        assert circuit.num_resets() == resets
+        assert self._queries(circuit) == self._recount(circuit)
 
     def test_tallies_survive_copy_extend_compose(self):
         circuit = _random_circuit(5, seed=21)
@@ -295,31 +350,18 @@ class TestCounters:
         combined.extend(other.instructions)
         composed = circuit.copy().compose(other)
         for built in (circuit.copy(), combined, composed):
-            assert built.num_two_qubit_gates() == self._recount(built)[0]
-            assert built.num_measurements() == self._recount(built)[1]
-            assert built.num_resets() == self._recount(built)[2]
+            assert self._queries(built) == self._recount(built)
 
-    def test_counters_never_rewalk_instructions(self):
-        # Regression guard for the O(1) counters: once built, repeated counter
-        # calls must answer from the append-maintained tallies without touching
-        # the instruction list at all.
+    def test_counters_make_no_instruction(self, made_instructions):
+        # The counters read the pack's columns: no instruction view is built.
         circuit = _random_circuit(5, seed=33)
-        expected = (
-            circuit.num_two_qubit_gates(),
-            circuit.num_measurements(),
-            circuit.num_resets(),
-        )
-        circuit._instructions = _ExplodingInstructions()
-        observed = (
-            circuit.num_two_qubit_gates(),
-            circuit.num_measurements(),
-            circuit.num_resets(),
-        )
-        assert observed == expected
+        made_instructions.clear()
+        self._queries(circuit)
+        assert made_instructions == []
 
 
 # ---------------------------------------------------------------------------
-# direct PackedCircuit construction (pack_circuit is not the only producer)
+# direct PackedCircuit construction (a circuit's rows are not the only producer)
 # ---------------------------------------------------------------------------
 class TestUnpackFromForeignBuffers:
     def test_hand_built_pack_unpacks(self):

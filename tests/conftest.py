@@ -37,6 +37,28 @@ def aqt_device():
 
 
 @pytest.fixture
+def made_instructions(monkeypatch):
+    """The :class:`Instruction` objects constructed while a test runs.
+
+    Swaps the circuit module's ``Instruction`` for a subclass that records
+    each construction, including the ones made through ``__new__`` without
+    ``__init__``.  Objects made while the swap is active compare unequal to
+    plain instructions, so compare circuits after ``monkeypatch.undo()``.
+    """
+    import repro.circuits.circuit as circuit_module
+
+    made = []
+
+    class CountingInstruction(circuit_module.Instruction):
+        def __new__(cls, *args, **kwargs):
+            made.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(circuit_module, "Instruction", CountingInstruction)
+    return made
+
+
+@pytest.fixture
 def ghz3():
     """A 3-qubit GHZ circuit without measurements."""
     return Circuit(3).h(0).cx(0, 1).cx(1, 2)

@@ -20,10 +20,10 @@ from repro.benchmarks import (
     VanillaQAOABenchmark,
     ZZSwapQAOABenchmark,
 )
-from repro.circuits import Circuit, random_clifford_circuit
+from repro.circuits import OPCODES, Circuit, random_clifford_circuit
 from repro.features import packed_profile
 from repro.features.features import _packed_profile_fast, _packed_profile_general
-from repro.simulation.kernels import kernel_for_gate
+from repro.simulation.kernels import kernel_for_operation
 from repro.simulation.noise_model import NoiseModel
 from repro.simulation.statevector import (
     _ChannelStep,
@@ -179,7 +179,8 @@ def _reference_plan_shape(circuit: Circuit, noise_model):
                     shape.append(("channel", tuple(qubits)))
             continue
         channels = noise_model.gate_channels(instruction) if noise_model is not None else []
-        shape.append(("gate", instruction.qubits, kernel_for_gate(instruction.gate).kind))
+        kernel = kernel_for_operation(OPCODES[instruction.name], instruction.params)
+        shape.append(("gate", instruction.qubits, kernel.kind))
         for _channel, qubits in channels:
             shape.append(("channel", tuple(qubits)))
     return shape, sorted(terminal.items())

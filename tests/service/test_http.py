@@ -3,6 +3,7 @@
 import json
 import os
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -13,6 +14,7 @@ from repro.service import BenchmarkService, JobQueue
 from repro.service.http import _Handler, resolve_scenario
 from repro.store import ResultStore
 from repro.suite import SuiteResult, figure2_scenario
+from repro.suite.results import SpecOutcome
 
 KNOBS = {"shots": 60, "repetitions": 1, "seed": 99, "trajectories": 12}
 
@@ -308,6 +310,38 @@ class TestRequestBodyLength:
         service, calls = stub
         assert raw_post(service, "10", b'{"sc') == 408
         assert service.queue.jobs() == []
+
+
+class TestStreamTimeout:
+    def test_a_timed_out_stream_ends_with_a_timeout_line(self):
+        """The 200 headers are out before the timeout, so the body must end
+        with an NDJSON end line, not carry a second HTTP response."""
+        emitted, release = threading.Event(), threading.Event()
+
+        def blocked_runner(scenario, partial=None, on_outcome=None, **knobs):
+            on_outcome(
+                SpecOutcome(key="unit-0", spec={"family": "ghz"}, device="IonQ-11Q",
+                            mitigation="raw", index=0, status="skipped", reason="test")
+            )
+            emitted.set()
+            release.wait(timeout=30)
+            return partial
+
+        queue = JobQueue(workers=1, runner=blocked_runner)
+        with BenchmarkService(queue=queue, stream_timeout=0.5) as service:
+            try:
+                _, body = post_json(service, "/scenarios", SUBMISSION)
+                assert emitted.wait(timeout=30)
+                url = f"{service.url}/jobs/{body['job_id']}/outcomes"
+                with urllib.request.urlopen(url) as response:
+                    assert response.status == 200
+                    raw = response.read().decode("utf-8")
+            finally:
+                release.set()
+        assert "HTTP/1.1" not in raw
+        lines = [json.loads(line) for line in raw.splitlines()]
+        assert [line.get("key") for line in lines[:-1]] == ["unit-0"]
+        assert lines[-1] == {"event": "end", "status": "timeout", "outcomes": 1}
 
 
 class TestResolveScenario:

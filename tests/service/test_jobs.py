@@ -188,6 +188,27 @@ class TestJobQueueSemantics:
         with pytest.raises(ServiceError):
             JobQueue(max_attempts=0)
 
+    def test_a_stream_timeout_ends_the_stream_or_raises(self):
+        emitted, release = threading.Event(), threading.Event()
+
+        def runner(scenario, partial=None, on_outcome=None, **knobs):
+            on_outcome(make_outcome("unit-0"))
+            emitted.set()
+            release.wait(timeout=30)
+            return partial
+
+        with JobQueue(workers=1, runner=runner) as jobs:
+            try:
+                job_id = jobs.submit(tiny_scenario())
+                assert emitted.wait(timeout=30)
+                payloads = list(jobs.iter_outcomes(job_id, timeout=0.3, end=True))
+                with pytest.raises(ServiceError, match="timed out streaming"):
+                    list(jobs.iter_outcomes(job_id, timeout=0.3))
+            finally:
+                release.set()
+        assert [payload.get("key") for payload in payloads] == ["unit-0", None]
+        assert payloads[-1] == {"event": "end", "status": "timeout", "outcomes": 1}
+
 
 def _integer_counters(engine_stats):
     return {

@@ -23,7 +23,7 @@ from repro.simulation.kernels import (
     contract,
     fuse_circuit,
     fuse_operations,
-    kernel_for_gate,
+    kernel_for_operation,
     measure_qubit_batch,
     qubit_axis,
     reset_qubit_batch,
@@ -148,10 +148,10 @@ class TestAnalyzeMatrix:
         assert analyze_matrix(gate_matrix("h")).kind == "generic"
         assert analyze_matrix(gate_matrix("rxx", 0.2)).kind == "generic"
 
-    def test_kernel_for_gate_is_cached(self):
-        from repro.circuits.gates import Gate
+    def test_kernel_for_operation_is_cached(self):
+        from repro.circuits import OPCODES
 
-        assert kernel_for_gate(Gate("cx")) is kernel_for_gate(Gate("cx"))
+        assert kernel_for_operation(OPCODES["cx"]) is kernel_for_operation(OPCODES["cx"])
 
 
 class TestApplyAgainstReference:

@@ -23,7 +23,6 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.circuits.circuit as circuit_module
 from repro.benchmarks import figure2_benchmarks
 from repro.circuits import Circuit, PackedCircuit
 from repro.circuits.columnar import PackedBuilder
@@ -244,15 +243,10 @@ class TestReporting:
 
 
 class TestOneCircuitForm:
-    def test_preset_run_packs_at_most_once_and_unpacks_once(self, monkeypatch):
+    def test_preset_run_makes_no_instruction(self, monkeypatch, made_instructions):
         """A level-3 DD pipeline hands packs between passes, never objects."""
-        packs, unpacks = [], []
-        pack = circuit_module.pack_circuit
+        unpacks = []
         unpack = PackedCircuit.unpack
-
-        def counting_pack(circuit):
-            packs.append(circuit)
-            return pack(circuit)
 
         def counting_unpack(packed):
             unpacks.append(packed)
@@ -261,11 +255,12 @@ class TestOneCircuitForm:
         device = get_device("IBM-Casablanca-7Q")
         pipeline = preset_pipeline(device, optimization_level=3, dd="xy4")
         circuit = _random_circuit(5, 45)
-        monkeypatch.setattr(circuit_module, "pack_circuit", counting_pack)
+        made_instructions.clear()
         monkeypatch.setattr(PackedCircuit, "unpack", counting_unpack)
         compiled = pipeline.run(circuit)
-        assert len(packs) <= 1
+        assert made_instructions == []
         assert len(unpacks) == 1
+        assert compiled.packed() is unpacks[0]
         monkeypatch.undo()
         assert _stream(compiled) == _stream(
             transpile(circuit, device, pass_manager=pipeline).circuit
