@@ -5,15 +5,15 @@ of qubits and classical bits, stored as the rows of its packed form
 (:class:`~repro.circuits.columnar.PackedCircuit`).  The class exposes a
 fluent builder API (``circuit.h(0).cx(0, 1).measure(1, 0)``) plus the
 structural queries the SupermarQ feature vectors need: depth, gate counts,
-interaction graph and the two-qubit critical path.  :class:`Instruction`
-objects are a read-only view of the rows, made on first use.
+interaction graph and the two-qubit critical path.  Builders and rewrites
+write rows through the opcode tables; :class:`Instruction` objects are a
+read-only view of the rows, made on first use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +22,7 @@ from ..exceptions import CircuitError
 from .columnar import (
     BARRIER_OP,
     MEASURE_OP,
+    OP_ARITY,
     OP_IS_UNITARY,
     OP_NAMES,
     OPCODES,
@@ -29,12 +30,40 @@ from .columnar import (
     PackedBuilder,
     PackedCircuit,
 )
-from .gates import BARRIER, Gate, MEASURE, RESET
+from .gates import Gate, checked_params, inverse_of
 
 if TYPE_CHECKING:  # pragma: no cover - networkx loads only inside interaction_graph()
     import networkx as nx
 
 __all__ = ["Instruction", "Circuit"]
+
+
+def checked_operands(
+    opcode: int, qubits: Iterable[int], clbits: Iterable[int] = ()
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """One row's ``(qubits, clbits)`` as int tuples, after the operand rules.
+
+    In this order: distinct qubits; the opcode's arity (any for a barrier);
+    one classical bit on a measurement and none on any other row.  Raises
+    :class:`CircuitError` for the first rule broken.
+    """
+    qubits = tuple(map(int, qubits))
+    clbits = tuple(map(int, clbits))
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"duplicate qubits in instruction: {qubits}")
+    if opcode == BARRIER_OP:
+        if clbits:
+            raise CircuitError("barrier cannot address classical bits")
+        return qubits, clbits
+    name, expected = OP_NAMES[opcode], OP_ARITY[opcode]
+    if len(qubits) != expected:
+        raise CircuitError(f"gate {name!r} acts on {expected} qubits, got {len(qubits)}")
+    if opcode == MEASURE_OP:
+        if len(clbits) != 1:
+            raise CircuitError("measure requires exactly one classical bit")
+    elif clbits:
+        raise CircuitError(f"gate {name!r} cannot address classical bits")
+    return qubits, clbits
 
 
 @dataclass(frozen=True)
@@ -52,27 +81,9 @@ class Instruction:
     clbits: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        qubits = tuple(int(q) for q in self.qubits)
-        clbits = tuple(int(c) for c in self.clbits)
+        qubits, clbits = checked_operands(OPCODES[self.gate.name], self.qubits, self.clbits)
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "clbits", clbits)
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError(f"duplicate qubits in instruction: {qubits}")
-        name = self.gate.name
-        if name == "barrier":
-            if clbits:
-                raise CircuitError("barrier cannot address classical bits")
-            return
-        expected = self.gate.num_qubits
-        if len(qubits) != expected:
-            raise CircuitError(
-                f"gate {name!r} acts on {expected} qubits, got {len(qubits)}"
-            )
-        if name == "measure":
-            if len(clbits) != 1:
-                raise CircuitError("measure requires exactly one classical bit")
-        elif clbits:
-            raise CircuitError(f"gate {name!r} cannot address classical bits")
 
     @property
     def name(self) -> str:
@@ -117,26 +128,22 @@ class Instruction:
         return f"{self.gate} {bits}"
 
 
-@lru_cache(maxsize=16384)
-def _gate_for(opcode: int, params: Tuple[float, ...]) -> Gate:
-    """Shared frozen :class:`Gate` per ``(opcode, params)`` row of a view."""
-    return Gate(OP_NAMES[opcode], params)
-
-
 def _instructions_of(packed: PackedCircuit) -> Tuple[Instruction, ...]:
     """One :class:`Instruction` per row of ``packed``, in row order.
 
-    The rows were written by :meth:`Circuit.append` (which validated them) or
-    by a :class:`PackedBuilder` trusted the same way, so gate arities and
-    register bounds already hold and the instructions skip re-validation.
-    Equal gates share one frozen :class:`Gate`.
+    The rows passed the row writer's checks when they were written, so the
+    view skips validation: its gates and instructions are made with
+    ``__new__``, and each gate holds its row's own parameter tuple.
     """
-    new = Instruction.__new__
+    new_instruction, new_gate = Instruction.__new__, Gate.__new__
     set_attr = object.__setattr__
     view = []
     for _row, opcode, qubits, params, clbit in packed.iter_rows():
-        instruction = new(Instruction)
-        set_attr(instruction, "gate", _gate_for(opcode, params))
+        gate = new_gate(Gate)
+        set_attr(gate, "name", OP_NAMES[opcode])
+        set_attr(gate, "params", params)
+        instruction = new_instruction(Instruction)
+        set_attr(instruction, "gate", gate)
         set_attr(instruction, "qubits", qubits)
         set_attr(instruction, "clbits", (clbit,) if clbit >= 0 else ())
         view.append(instruction)
@@ -211,35 +218,31 @@ class Circuit:
         new._view = self._view
         return new
 
-    def _check_qubits(self, qubits: Sequence[int]) -> None:
+    def _write(
+        self, opcode: int, qubits: Iterable[int], params: Tuple = (), clbits: Iterable[int] = ()
+    ) -> "Circuit":
+        """The row writer: check one row's operands and register bounds, then write it."""
+        qubits, clbits = checked_operands(opcode, qubits, clbits)
         for q in qubits:
             if not 0 <= q < self.num_qubits:
-                raise CircuitError(
-                    f"qubit {q} out of range for a {self.num_qubits}-qubit circuit"
-                )
-
-    def _check_clbits(self, clbits: Sequence[int]) -> None:
+                raise CircuitError(f"qubit {q} out of range for a {self.num_qubits}-qubit circuit")
         for c in clbits:
             if not 0 <= c < self.num_clbits:
-                raise CircuitError(
-                    f"classical bit {c} out of range ({self.num_clbits} available)"
-                )
-
-    def append(self, instruction: Instruction) -> "Circuit":
-        """Append a fully formed instruction to the circuit (as one row)."""
-        self._check_qubits(instruction.qubits)
-        self._check_clbits(instruction.clbits)
-        gate, clbits = instruction.gate, instruction.clbits
-        self._rows.append(
-            OPCODES[gate.name], instruction.qubits, gate.params, clbits[0] if clbits else -1
-        )
+                raise CircuitError(f"classical bit {c} out of range ({self.num_clbits} available)")
+        self._rows.append(opcode, qubits, params, clbits[0] if clbits else -1)
         self._packed = None
         self._view = None
         return self
 
+    def append(self, instruction: Instruction) -> "Circuit":
+        """Append a fully formed instruction to the circuit (as one row)."""
+        gate = instruction.gate
+        return self._write(OPCODES[gate.name], instruction.qubits, gate.params, instruction.clbits)
+
     def add_gate(self, name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> "Circuit":
         """Append a gate by name, e.g. ``circuit.add_gate('rzz', [0, 1], [0.3])``."""
-        return self.append(Instruction(Gate(name, tuple(params)), tuple(qubits)))
+        params = checked_params(name, params)
+        return self._write(OPCODES[name], qubits, params)
 
     def extend(self, instructions: Iterable[Instruction]) -> "Circuit":
         for instruction in instructions:
@@ -247,36 +250,37 @@ class Circuit:
         return self
 
     def compose(self, other: "Circuit", qubits: Sequence[int] | None = None) -> "Circuit":
-        """Append another circuit, optionally remapping its qubits.
+        """Append another circuit's rows, optionally remapping its qubits.
 
         Args:
-            other: Circuit whose instructions are appended.
+            other: Circuit whose rows are appended.
             qubits: Target qubit for each of ``other``'s qubits.  Defaults to
                 the identity mapping.
         """
         if qubits is None:
             if other.num_qubits > self.num_qubits:
                 raise CircuitError("composed circuit does not fit")
-            mapping = {q: q for q in range(other.num_qubits)}
+            targets: Sequence[int] = range(other.num_qubits)
         else:
             if len(qubits) != other.num_qubits:
                 raise CircuitError("qubit mapping length mismatch")
-            mapping = {i: q for i, q in enumerate(qubits)}
-        for instruction in other:
-            self.append(instruction.remap(mapping))
+            targets = tuple(qubits)
+        for _row, opcode, operands, params, clbit in other.packed().iter_rows():
+            mapped = [targets[q] for q in operands]
+            self._write(opcode, mapped, params, (clbit,) if clbit >= 0 else ())
         return self
 
     def inverse(self) -> "Circuit":
-        """Return the inverse circuit (unitary circuits only)."""
-        new = Circuit(self.num_qubits, self.num_clbits, self.name + "_dg")
-        for instruction in reversed(self.instructions):
-            if instruction.is_barrier():
-                new.append(instruction)
-                continue
-            if not instruction.is_unitary():
-                raise CircuitError("cannot invert a circuit containing measure/reset")
-            new.append(Instruction(instruction.gate.inverse(), instruction.qubits))
-        return new
+        """The inverse circuit (unitary circuits only): rows reversed, gates inverted."""
+        rows = PackedBuilder(self.num_qubits, self.num_clbits, self.name + "_dg")
+        for _row, opcode, qubits, params, _clbit in reversed(list(self.packed().iter_rows())):
+            if opcode != BARRIER_OP:
+                if not OP_IS_UNITARY[opcode]:
+                    raise CircuitError("cannot invert a circuit containing measure/reset")
+                name, params = inverse_of(OP_NAMES[opcode], params)
+                opcode = OPCODES[name]
+            rows.append(opcode, qubits, params)
+        return rows.build().unpack()
 
     # ------------------------------------------------------------------
     # builder API (one short method per standard gate)
@@ -378,7 +382,7 @@ class Circuit:
         return self.add_gate("cswap", [control, a, b])
 
     def measure(self, qubit: int, clbit: int) -> "Circuit":
-        return self.append(Instruction(MEASURE, (qubit,), (clbit,)))
+        return self._write(MEASURE_OP, (qubit,), (), (clbit,))
 
     def measure_all(self) -> "Circuit":
         """Measure every qubit into the classical bit of the same index."""
@@ -389,11 +393,11 @@ class Circuit:
         return self
 
     def reset(self, qubit: int) -> "Circuit":
-        return self.append(Instruction(RESET, (qubit,)))
+        return self._write(RESET_OP, (qubit,))
 
     def barrier(self, *qubits: int) -> "Circuit":
         targets = tuple(qubits) if qubits else tuple(range(self.num_qubits))
-        return self.append(Instruction(BARRIER, targets))
+        return self._write(BARRIER_OP, targets)
 
     # ------------------------------------------------------------------
     # columnar form

@@ -22,8 +22,8 @@ column              contents
 
 plus the per-circuit metadata (``num_qubits``, ``num_clbits``, ``name``).
 
-It is the one store of a :class:`~repro.circuits.circuit.Circuit`:
-``Circuit.append`` writes each instruction as a row through a
+It is the one store of a :class:`~repro.circuits.circuit.Circuit`: the
+circuit's row writer writes each operation as a row through a
 :class:`PackedBuilder`, :meth:`~repro.circuits.circuit.Circuit.packed`
 freezes the rows into a cached pack, and :meth:`PackedCircuit.unpack` wraps
 a pack in a circuit without copying a row.  The representation is

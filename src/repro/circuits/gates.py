@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,9 @@ __all__ = [
     "Gate",
     "GateDefinition",
     "GATE_DEFINITIONS",
+    "checked_params",
     "gate_matrix",
+    "inverse_of",
     "is_known_gate",
     "standard_gate",
     "MEASURE",
@@ -326,14 +328,50 @@ ADDITIVE_ROTATIONS = frozenset(
 #: Self-inverse gates (used by the transpiler's cancellation pass).
 SELF_INVERSE = frozenset({"id", "x", "y", "z", "h", "cx", "cy", "cz", "swap", "ccx", "cswap"})
 
-_INVERSE_PAIRS = {
-    "s": "sdg",
-    "sdg": "s",
-    "t": "tdg",
-    "tdg": "t",
-    "sx": "sxdg",
-    "sxdg": "sx",
-}
+#: Distinct gates that invert each other.
+INVERSE_PAIRS = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t", "sx": "sxdg", "sxdg": "sx"}
+
+
+def checked_params(name: str, params: Sequence[float]) -> Tuple[float, ...]:
+    """The parameters of a gate named ``name`` as floats, after the name and count checks.
+
+    Raises:
+        GateError: for an unknown name, then for a wrong parameter count.
+    """
+    definition = GATE_DEFINITIONS.get(name)
+    if definition is None:
+        raise GateError(f"unknown gate {name!r}")
+    if len(params) != definition.num_params:
+        raise GateError(
+            f"gate {name!r} expects {definition.num_params} parameters, got {len(params)}"
+        )
+    return tuple(map(float, params))
+
+
+def inverse_of(name: str, params: Tuple[float, ...]) -> Tuple[str, Tuple[float, ...]]:
+    """The ``(name, params)`` of the gate implementing the inverse unitary.
+
+    Raises:
+        GateError: for measure/reset/barrier, and for ``iswap`` and
+            ``zzswap``, whose inverses are not standard gates.
+    """
+    if name in NON_UNITARY_NAMES:
+        raise GateError(f"operation {name!r} has no inverse")
+    if name in SELF_INVERSE:
+        return name, params
+    if name in INVERSE_PAIRS:
+        return INVERSE_PAIRS[name], params
+    if name in ADDITIVE_ROTATIONS:
+        return name, (-params[0],)
+    if name == "u":
+        theta, phi, lam = params
+        return "u", (-theta, -lam, -phi)
+    if name == "r":
+        theta, phi = params
+        return "r", (-theta, phi)
+    if name in ("iswap", "zzswap"):
+        raise GateError(f"{name} inverse is not a standard gate; decompose first")
+    raise GateError(f"no inverse rule for gate {name!r}")
 
 
 @dataclass(frozen=True)
@@ -348,15 +386,7 @@ class Gate:
     params: Tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        definition = GATE_DEFINITIONS.get(self.name)
-        if definition is None:
-            raise GateError(f"unknown gate {self.name!r}")
-        if len(self.params) != definition.num_params:
-            raise GateError(
-                f"gate {self.name!r} expects {definition.num_params} parameters, "
-                f"got {len(self.params)}"
-            )
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", checked_params(self.name, self.params))
 
     @property
     def definition(self) -> GateDefinition:
@@ -381,27 +411,8 @@ class Gate:
         return definition.matrix_fn(*self.params)
 
     def inverse(self) -> "Gate":
-        """Return a gate implementing the inverse unitary."""
-        if not self.is_unitary():
-            raise GateError(f"operation {self.name!r} has no inverse")
-        if self.name in SELF_INVERSE:
-            return self
-        if self.name in _INVERSE_PAIRS:
-            return Gate(_INVERSE_PAIRS[self.name])
-        if self.name in ADDITIVE_ROTATIONS:
-            return Gate(self.name, (-self.params[0],))
-        if self.name == "u":
-            theta, phi, lam = self.params
-            return Gate("u", (-theta, -lam, -phi))
-        if self.name == "r":
-            theta, phi = self.params
-            return Gate("r", (-theta, phi))
-        if self.name == "iswap":
-            # iswap**-1 = iswap conjugated by Z rotations; fall back to u/rz form
-            raise GateError("iswap inverse is not a standard gate; decompose first")
-        if self.name == "zzswap":
-            raise GateError("zzswap inverse is not a standard gate; decompose first")
-        raise GateError(f"no inverse rule for gate {self.name!r}")
+        """Return a gate implementing the inverse unitary (see :func:`inverse_of`)."""
+        return Gate(*inverse_of(self.name, self.params))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.params:

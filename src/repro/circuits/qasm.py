@@ -20,47 +20,12 @@ from typing import List, Tuple
 
 from ..exceptions import QasmError
 from .circuit import Circuit
+from .columnar import OP_NAMES
 from .gates import GATE_DEFINITIONS
 
 __all__ = ["circuit_to_qasm", "circuit_from_qasm"]
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-
-# Gates that are part of qelib1.inc and can be emitted directly.  Everything
-# else is emitted through an equivalent decomposition.
-_QASM_NATIVE = {
-    "id",
-    "x",
-    "y",
-    "z",
-    "h",
-    "s",
-    "sdg",
-    "t",
-    "tdg",
-    "sx",
-    "sxdg",
-    "rx",
-    "ry",
-    "rz",
-    "p",
-    "u",
-    "r",
-    "cx",
-    "cy",
-    "cz",
-    "swap",
-    "iswap",
-    "cp",
-    "crx",
-    "cry",
-    "crz",
-    "rzz",
-    "rxx",
-    "ryy",
-    "ccx",
-    "cswap",
-}
 
 
 def _format_param(value: float) -> str:
@@ -88,40 +53,29 @@ def _format_param(value: float) -> str:
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """Serialize a circuit to OpenQASM 2.0 text."""
+    """Serialize a circuit to OpenQASM 2.0 text, one statement per row.
+
+    Every unitary gate but ``zzswap`` has its ``qelib1.inc`` name;
+    ``zzswap`` is written as its definition, ``rzz`` followed by ``swap``.
+    """
     lines: List[str] = [_HEADER.rstrip("\n")]
     lines.append(f"qreg q[{max(circuit.num_qubits, 1)}];")
     if circuit.num_clbits > 0:
         lines.append(f"creg c[{circuit.num_clbits}];")
-    for instruction in circuit:
-        name = instruction.name
-        qubits = instruction.qubits
-        if name == "barrier":
-            targets = ", ".join(f"q[{q}]" for q in qubits)
-            lines.append(f"barrier {targets};" if targets else "barrier q;")
-            continue
-        if name == "measure":
-            lines.append(f"measure q[{qubits[0]}] -> c[{instruction.clbits[0]}];")
-            continue
-        if name == "reset":
-            lines.append(f"reset q[{qubits[0]}];")
-            continue
-        if name == "zzswap":
-            # Emit the definition: rzz followed by swap.
-            theta = _format_param(instruction.params[0])
-            a, b = qubits
-            lines.append(f"rzz({theta}) q[{a}], q[{b}];")
-            lines.append(f"swap q[{a}], q[{b}];")
-            continue
-        if name not in _QASM_NATIVE:
-            raise QasmError(f"gate {name!r} has no OpenQASM form")
-        if instruction.params:
-            params = ", ".join(_format_param(p) for p in instruction.params)
-            prefix = f"{name}({params})"
-        else:
-            prefix = name
+    for _row, opcode, qubits, params, clbit in circuit.packed().iter_rows():
+        name = OP_NAMES[opcode]
         targets = ", ".join(f"q[{q}]" for q in qubits)
-        lines.append(f"{prefix} {targets};")
+        if name == "barrier":
+            lines.append(f"barrier {targets};" if targets else "barrier q;")
+        elif name == "measure":
+            lines.append(f"measure {targets} -> c[{clbit}];")
+        elif name == "zzswap":
+            lines.append(f"rzz({_format_param(params[0])}) {targets};")
+            lines.append(f"swap {targets};")
+        elif params:
+            lines.append(f"{name}({', '.join(map(_format_param, params))}) {targets};")
+        else:
+            lines.append(f"{name} {targets};")
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..circuits import Circuit, Instruction
+from ..circuits import Circuit
+from ..circuits.columnar import BARRIER_OP, MEASURE_OP, OP_NAMES, OPCODES, RESET_OP, PackedBuilder
+from ..circuits.gates import inverse_of
 from ..exceptions import MitigationError
 from ..simulation.result import Counts, QuasiDistribution, normalized_probabilities
 from .base import FALLBACKS, Mitigator
@@ -53,41 +55,58 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _split_foldable(circuit: Circuit) -> Tuple[List[Instruction], List[Instruction]]:
-    """Split into the unitary body and the terminal measurement tail.
+#: A row as the folds read and write it: ``(opcode, qubits, params, clbit)``.
+Row = Tuple[int, Tuple[int, ...], Tuple[float, ...], int]
+
+
+def _check_foldable(circuit: Circuit) -> set[int]:
+    """The rows of the terminal measurements, once the circuit can be folded.
 
     Folding inverts gates, so mid-circuit measurement and reset (whose
-    effect is not unitary) are rejected.  Terminal measurements interleaved
-    with trailing gates on *other* qubits are hoisted into the tail — by
-    definition of terminal no later operation touches the measured qubit,
-    so the hoist commutes.
+    effect is not unitary) are rejected, the first such row first.
     """
     from ..simulation.statevector import _terminal_measurements
 
     terminal = _terminal_measurements(circuit)
-    body: List[Instruction] = []
-    tail: List[Instruction] = []
-    for index, instruction in enumerate(circuit):
-        if instruction.is_barrier():
-            continue
-        if instruction.is_measurement():
-            if index not in terminal:
-                raise MitigationError(
-                    "cannot fold a circuit with mid-circuit measurement"
-                )
-            tail.append(instruction)
-            continue
-        if instruction.is_reset():
+    opcodes = circuit.packed().opcodes
+    for row in np.nonzero((opcodes == MEASURE_OP) | (opcodes == RESET_OP))[0].tolist():
+        if opcodes[row] == RESET_OP:
             raise MitigationError("cannot fold a circuit containing reset")
-        body.append(instruction)
+        if row not in terminal:
+            raise MitigationError("cannot fold a circuit with mid-circuit measurement")
+    return terminal
+
+
+def _split_foldable(circuit: Circuit) -> Tuple[List[Row], List[Row]]:
+    """Split the rows into the unitary body and the terminal measurement tail.
+
+    Terminal measurements interleaved with trailing gates on *other* qubits
+    are hoisted into the tail — by definition of terminal no later operation
+    touches the measured qubit, so the hoist commutes.  Barriers are dropped.
+    """
+    terminal = _check_foldable(circuit)
+    body: List[Row] = []
+    tail: List[Row] = []
+    for row, opcode, qubits, params, clbit in circuit.packed().iter_rows():
+        if opcode != BARRIER_OP:
+            (tail if row in terminal else body).append((opcode, qubits, params, clbit))
     return body, tail
 
 
-def _inverted(instructions: Sequence[Instruction]) -> List[Instruction]:
-    return [
-        Instruction(instruction.gate.inverse(), instruction.qubits)
-        for instruction in reversed(instructions)
-    ]
+def _inverted(rows: Sequence[Row]) -> List[Row]:
+    """The rows of the inverse: reversed, each gate through :func:`inverse_of`."""
+    inverted = []
+    for opcode, qubits, params, clbit in reversed(rows):
+        name, params = inverse_of(OP_NAMES[opcode], params)
+        inverted.append((OPCODES[name], qubits, params, clbit))
+    return inverted
+
+
+def _built(circuit: Circuit, name: str, rows: Sequence[Row]) -> Circuit:
+    builder = PackedBuilder(circuit.num_qubits, circuit.num_clbits, name)
+    for row in rows:
+        builder.append(*row)
+    return builder.build().unpack()
 
 
 def _fold_counts(scale: float, units: int) -> Tuple[int, int]:
@@ -119,16 +138,13 @@ def fold_global(circuit: Circuit, scale: float) -> Tuple[Circuit, float]:
     """
     body, tail = _split_foldable(circuit)
     k, r = _fold_counts(scale, len(body))
-    folded = Circuit(circuit.num_qubits, circuit.num_clbits, f"{circuit.name}@{scale:g}x")
-    folded.extend(body)
-    for _ in range(k):
-        folded.extend(_inverted(body))
-        folded.extend(body)
+    rows = list(body)
+    if k:  # only whole folds invert the body: scale 1 folds gates without an inverse
+        rows += (_inverted(body) + body) * k
     if r:
         partial = body[-r:]
-        folded.extend(_inverted(partial))
-        folded.extend(partial)
-    folded.extend(tail)
+        rows += _inverted(partial) + partial
+    folded = _built(circuit, f"{circuit.name}@{scale:g}x", rows + tail)
     achieved = 1.0 + 2.0 * k + (2.0 * r / len(body) if body else 0.0)
     return folded, achieved
 
@@ -144,19 +160,17 @@ def fold_two_qubit_gates(circuit: Circuit, scale: float) -> Tuple[Circuit, float
         ``(folded_circuit, achieved_scale)``.
     """
     body, tail = _split_foldable(circuit)
-    multi = [i for i, instruction in enumerate(body) if instruction.is_multi_qubit()]
+    multi = [index for index, row in enumerate(body) if len(row[1]) >= 2]
     k, r = _fold_counts(scale, len(multi))
     extra_fold = set(multi[:r])
-    folded = Circuit(circuit.num_qubits, circuit.num_clbits, f"{circuit.name}@{scale:g}x2q")
-    for index, instruction in enumerate(body):
-        folded.append(instruction)
-        if instruction.is_multi_qubit():
-            folds = k + (1 if index in extra_fold else 0)
-            inverse = Instruction(instruction.gate.inverse(), instruction.qubits)
-            for _ in range(folds):
-                folded.append(inverse)
-                folded.append(instruction)
-    folded.extend(tail)
+    rows: List[Row] = []
+    for index, row in enumerate(body):
+        rows.append(row)
+        if len(row[1]) >= 2:
+            # Every multi-qubit gate is inverted, also where it folds 0 times.
+            inverse = _inverted([row])[0]
+            rows += [inverse, row] * (k + (index in extra_fold))
+    folded = _built(circuit, f"{circuit.name}@{scale:g}x2q", rows + tail)
     achieved = 1.0 + 2.0 * k + (2.0 * r / len(multi) if multi else 0.0)
     return folded, achieved
 
@@ -348,11 +362,11 @@ class ZNEMitigator(Mitigator):
         per-repetition :meth:`mitigate` calls never rebuild the folded
         circuits just to read these numbers.
         """
-        body, _ = _split_foldable(circuit)
+        _check_foldable(circuit)
         if self.folding == "global":
-            units = len(body)
+            units = circuit.num_gates(include_measurements=False)
         else:
-            units = sum(1 for instruction in body if instruction.is_multi_qubit())
+            units = circuit.num_two_qubit_gates()
         scales = []
         for scale in self.scale_factors:
             k, r = _fold_counts(scale, units)

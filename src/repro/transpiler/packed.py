@@ -48,7 +48,7 @@ from ..circuits.columnar import (
     PackedBuilder,
     PackedCircuit,
 )
-from ..circuits.gates import ADDITIVE_ROTATIONS, GATE_DEFINITIONS, SELF_INVERSE
+from ..circuits.gates import ADDITIVE_ROTATIONS, GATE_DEFINITIONS, INVERSE_PAIRS, SELF_INVERSE
 from ..utils import normalize_angle
 from .decomposition import _ANGLE_TOLERANCE, zyz_angles
 
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 #: Distinct-name inverse pairs (self-inverse gates cancel with themselves).
-_INVERSE_PAIRS = {("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t"), ("sx", "sxdg"), ("sxdg", "sx")}
+_INVERSE_PAIRS = frozenset(INVERSE_PAIRS.items())
 
 _TWO_PI = 2.0 * np.pi
 
