@@ -36,13 +36,14 @@ import json
 import os
 import pathlib
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.circuits import Circuit
 from repro.execution import circuit_fingerprint
 from repro.features import packed_profile
+from timing import time_best_of
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ir.json"
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -58,17 +59,6 @@ FLOOR_SIZE = 1000
 
 FINGERPRINT_QUBITS = 100
 FINGERPRINT_MIN_GATES = 10_000
-
-
-def _time(function: Callable[[], object], repeats: int = 3) -> float:
-    """Best-of-N wall time of ``function`` (one warmup call)."""
-    function()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def brickwork_circuit(num_qubits: int, layers: int) -> Circuit:
@@ -233,7 +223,7 @@ def measure_pack_cost() -> Dict[str, float]:
     circuits = [brickwork_circuit(1000, FEATURE_LAYERS[1000]) for _ in range(3)]
     cold = min(_first_pack_seconds(circuit) for circuit in circuits)
     circuit = circuits[-1]
-    warm = _time(lambda: circuit.packed())
+    warm = time_best_of(lambda: circuit.packed(), 3)
     rows = len(circuit)
     return {
         "rows": rows,
@@ -252,8 +242,8 @@ def measure_feature_extraction() -> Dict[str, Dict[str, float]]:
         expected = legacy_profile(circuit)
         observed = _profile_tuple(packed_profile(packed))
         assert observed == expected, f"packed profile drifted at {num_qubits} qubits"
-        legacy = _time(lambda: legacy_profile(circuit))
-        fast = _time(lambda: packed_profile(packed))
+        legacy = time_best_of(lambda: legacy_profile(circuit), 3)
+        fast = time_best_of(lambda: packed_profile(packed), 3)
         sizes[str(num_qubits)] = {
             "rows": len(circuit),
             "legacy_seconds": legacy,
@@ -271,8 +261,8 @@ def measure_fingerprint() -> Dict[str, float]:
         circuit = brickwork_circuit(FINGERPRINT_QUBITS, layers)
     circuit.packed()  # warm: every consumer shares the cached pack
     assert circuit_fingerprint(circuit) == circuit_fingerprint(circuit.copy())
-    legacy = _time(lambda: legacy_fingerprint(circuit))
-    packed = _time(lambda: circuit_fingerprint(circuit))
+    legacy = time_best_of(lambda: legacy_fingerprint(circuit), 3)
+    packed = time_best_of(lambda: circuit_fingerprint(circuit), 3)
     return {
         "rows": len(circuit),
         "num_qubits": FINGERPRINT_QUBITS,

@@ -5,7 +5,8 @@ gating (machine-independent ratios, not absolute seconds):
 
 * ``calibration_estimation`` — vectorized tensored confusion-matrix
   estimation (`confusion_matrices_from_counts`) vs a naive per-key Python
-  loop, on wide synthetic counts;
+  loop, on wide synthetic counts; the two millisecond-scale calls are timed
+  interleaved, so host drift during the run meets both alike;
 * ``correction_throughput`` — the axis-wise Kronecker correction of a batch
   of counts vs the naive dense approach (build the full ``2**n x 2**n``
   confusion matrix once, ``np.linalg.solve`` per counts object);
@@ -29,8 +30,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ import pytest
 from repro.benchmarks import GHZBenchmark
 from repro.mitigation import ReadoutMitigator, ZNEMitigator, confusion_matrices_from_counts
 from repro.simulation import Counts, NoiseModel, StatevectorSimulator
+from timing import time_best_of, time_interleaved
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_mitigation.json"
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -53,17 +54,6 @@ CORRECTION_CONFIG = {"full": (10, 32), "quick": (10, 8)}
 #: (qubits, shots, trajectories) of the ZNE-overhead target.
 ZNE_CONFIG = {"full": (7, 2048, 64), "quick": (5, 512, 16)}
 ZNE_SCALES = (1, 3, 5)
-
-
-def _time(function: Callable[[], object], repeats: int = 5) -> float:
-    """Best-of-N wall time of ``function`` (one warmup call)."""
-    function()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _synthetic_counts(num_bits: int, distinct: int, rng: np.random.Generator) -> Counts:
@@ -114,9 +104,11 @@ def measure_calibration_estimation() -> Dict[str, float]:
     num_bits, distinct = CALIBRATION_CONFIG[MODE]
     rng = np.random.default_rng(0)
     counts_list = [_synthetic_counts(num_bits, distinct, rng) for _ in range(2)]
-    naive = _time(lambda: naive_tensored_confusion(counts_list, num_bits), repeats=3)
-    vectorized = _time(
-        lambda: confusion_matrices_from_counts(counts_list, num_bits, "tensored"), repeats=3
+    naive, vectorized = time_interleaved(
+        [
+            lambda: naive_tensored_confusion(counts_list, num_bits),
+            lambda: confusion_matrices_from_counts(counts_list, num_bits, "tensored"),
+        ]
     )
     return {
         "naive_seconds": naive,
@@ -142,14 +134,12 @@ def measure_correction_throughput() -> Dict[str, float]:
     kron = np.array([[1.0]])
     for qubit in reversed(range(num_qubits)):  # index bit q = clbit q
         kron = np.kron(kron, calibration.matrices[qubit])
-    naive = _time(
-        lambda: naive_dense_correction(counts_batch, kron, num_qubits), repeats=3
-    )
-    vectorized = _time(
+    naive = time_best_of(lambda: naive_dense_correction(counts_batch, kron, num_qubits), 3)
+    vectorized = time_best_of(
         lambda: [
             mitigator.mitigate([counts], calibration=calibration) for counts in counts_batch
         ],
-        repeats=3,
+        3,
     )
     return {
         "naive_seconds": naive,
@@ -172,13 +162,13 @@ def measure_zne_overhead() -> Dict[str, float]:
             noise_model=model, seed=2, trajectories=trajectories
         ).run(target, shots=shots)
 
-    raw = _time(lambda: run(circuit), repeats=3)
+    raw = time_best_of(lambda: run(circuit), 3)
 
     def zne() -> None:
         counts = [run(variant) for variant in variants]
         mitigator.mitigate(counts, circuit=circuit)
 
-    mitigated = _time(zne, repeats=3)
+    mitigated = time_best_of(zne, 3)
     return {
         "raw_seconds": raw,
         "zne_seconds": mitigated,

@@ -35,8 +35,7 @@ import json
 import os
 import pathlib
 import sys
-import time
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from repro.circuits.random_circuits import quantum_volume_circuit
 from repro.simulation import DensityMatrixSimulator, NoiseModel, StatevectorSimulator
 from repro.simulation.kernels import qubit_axis
 from repro.simulation.statevector import _terminal_measurements, final_statevector
+from timing import time_best_of
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -65,17 +65,6 @@ DENSITY_QUBITS = {"full": 9, "quick": 6}
 #: fused-vs-legacy ratio dominated by Python overhead and noisy on shared
 #: CI runners.
 EVOLUTION_QUBITS = {"full": 12, "quick": 11}
-
-
-def _time(function: Callable[[], object], repeats: int = 5) -> float:
-    """Best-of-N wall time of ``function`` (one warmup call)."""
-    function()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +165,8 @@ def legacy_density_evolution(circuit, noise_model) -> np.ndarray:
 def measure_statevector_evolution() -> Dict[str, float]:
     num_qubits = EVOLUTION_QUBITS[MODE]
     circuit = quantum_volume_circuit(num_qubits, rng=0, measure=False)
-    legacy = _time(lambda: legacy_statevector_evolution(circuit))
-    fused = _time(lambda: final_statevector(circuit, fuse=True))
+    legacy = time_best_of(lambda: legacy_statevector_evolution(circuit), 5)
+    fused = time_best_of(lambda: final_statevector(circuit, fuse=True), 5)
     return {
         "legacy_seconds": legacy,
         "kernel_seconds": fused,
@@ -191,13 +180,13 @@ def measure_batched_trajectories() -> Dict[str, float]:
     circuit = VanillaQAOABenchmark(num_qubits, seed=0).circuits()[0]
     model = NoiseModel.uniform(num_qubits, error_1q=0.001, error_2q=0.01, readout_error=0.02)
     # The legacy loop is linear in shots; time a sample and scale.
-    legacy_sample = _time(lambda: legacy_trajectory_run(circuit, model, legacy_shots, 1), repeats=1)
+    legacy_sample = time_best_of(lambda: legacy_trajectory_run(circuit, model, legacy_shots, 1), 1)
     legacy = legacy_sample * (shots / legacy_shots)
 
     def batched():
         return StatevectorSimulator(noise_model=model, seed=1).run(circuit, shots=shots)
 
-    new = _time(batched)
+    new = time_best_of(batched, 5)
     return {
         "legacy_seconds": legacy,
         "kernel_seconds": new,
@@ -211,12 +200,12 @@ def measure_density_matrix() -> Dict[str, float]:
     num_qubits = DENSITY_QUBITS[MODE]
     circuit = GHZBenchmark(num_qubits).circuits()[0]
     model = NoiseModel.uniform(num_qubits, error_1q=0.001, error_2q=0.01, readout_error=0.02)
-    legacy = _time(lambda: legacy_density_evolution(circuit, model), repeats=1)
+    legacy = time_best_of(lambda: legacy_density_evolution(circuit, model), 1)
 
     def tensorised():
         return DensityMatrixSimulator(noise_model=model, seed=0).run(circuit, shots=1024)
 
-    new = _time(tensorised)
+    new = time_best_of(tensorised, 5)
     return {
         "legacy_seconds": legacy,
         "kernel_seconds": new,

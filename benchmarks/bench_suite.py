@@ -38,8 +38,7 @@ import json
 import os
 import pathlib
 import sys
-import time
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -47,6 +46,7 @@ import pytest
 from repro.features import compute_features_many
 from repro.suite import BenchmarkSpec, figure2_scenario, mitigated_scenario, scaling_specs
 from repro.suite.runner import run_scenario
+from timing import time_best_of, time_interleaved
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -61,43 +61,6 @@ MODE = "quick" if QUICK else "full"
 #: (all are >= 20 qubits after construction).
 FEATURE_SIZES = {"full": (27, 50, 100), "quick": (27,)}
 SUITE_DEVICES = {"full": ["IBM-Casablanca-7Q", "IonQ-11Q"], "quick": ["IonQ-11Q"]}
-
-
-def _time(function: Callable[[], object], repeats: int = 3) -> float:
-    """Best-of-N wall time of ``function`` (one warmup call)."""
-    function()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _time_interleaved(
-    functions: Sequence[Callable[[], object]], repeats: int = 15, min_seconds: float = 0.03
-) -> List[float]:
-    """Best-of-N time per call of each function, the functions sampled in turn.
-
-    Each sample loops one function for at least ``min_seconds``, so a
-    sub-millisecond call is timed over many calls, and every round samples
-    each function once, so host drift during the run meets all of them alike.
-    """
-    for function in functions:
-        function()  # warmup
-    best = [float("inf")] * len(functions)
-    for _ in range(repeats):
-        for index, function in enumerate(functions):
-            calls = 0
-            start = time.perf_counter()
-            while True:
-                function()
-                calls += 1
-                elapsed = time.perf_counter() - start
-                if elapsed >= min_seconds:
-                    break
-            best[index] = min(best[index], elapsed / calls)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +145,7 @@ def _feature_circuits() -> List:
 
 def measure_feature_extraction() -> Dict[str, float]:
     circuits = _feature_circuits()
-    legacy, single_pass = _time_interleaved(
+    legacy, single_pass = time_interleaved(
         [lambda: [legacy_compute_features(c) for c in circuits], lambda: compute_features_many(circuits)]
     )
     # Bit-identical feature golden: the digest of the raw float64 feature
@@ -213,7 +176,7 @@ def measure_scenario_expansion() -> Dict[str, float]:
         shards = scenario.shards()
         return units, shards
 
-    seconds = _time(expand)
+    seconds = time_best_of(expand, 3)
     units, shards = expand()
     assert len(units) == expected_units  # instances x registered devices x techniques
     return {
@@ -235,7 +198,7 @@ def measure_sharded_suite() -> Dict[str, float]:
         return run_scenario(scenario, shots=60, repetitions=1, seed=11, trajectories=10)
 
     result = sweep()
-    seconds = _time(sweep, repeats=1)
+    seconds = time_best_of(sweep, 1)
     stats = next(iter(result.engine_stats.values()))
     # The engine is rebuilt per call so misses equal distinct circuits; the
     # suite-level guarantee is that nothing is compiled twice within a shard.

@@ -79,17 +79,6 @@ TIMING_REPEATS = {"full": 5, "quick": 5}
 PRIMITIVE_CALLS = {"full": 100_000, "quick": 20_000}
 
 
-def _time(function: Callable[[], object], repeats: int) -> float:
-    """Best-of-N wall time of ``function`` (one warmup call)."""
-    function()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _feature_circuits():
     """Structural scaling-suite circuits at 20+ qubits (non-memoized)."""
     from repro.suite import get_registry

@@ -27,9 +27,8 @@ import os
 import pathlib
 import random
 import sys
-import time
 from collections import defaultdict
-from typing import Callable, Dict
+from typing import Dict
 
 import pytest
 
@@ -46,6 +45,7 @@ from repro.transpiler import (
     preset_pipeline,
     transpile,
 )
+from timing import time_best_of
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -69,17 +69,6 @@ SPEEDUP_FLOORS = {"full": {"pass_pipeline": 3.0}, "quick": {"pass_pipeline": 3.0
 #: The baseline's gate value is the measured speedup capped at this multiple
 #: of the floor, absorbing cross-machine ratio variance.
 GATE_CAP_MULTIPLIER = 5.0
-
-
-def _time(function: Callable[[], object], repeats: int) -> float:
-    """Best-of-N wall time of ``function`` (one warmup call)."""
-    function()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def optimization_circuit(
@@ -149,8 +138,8 @@ def measure_pass_pipeline() -> Dict[str, object]:
         (i.gate.name, i.gate.params, i.qubits, i.clbits) for i in observed.instructions
     ], "packed pipeline drifted from the object-walk oracle"
 
-    object_seconds = _time(lambda: oracle.walk_chain(passes, circuit), repeats)
-    packed_seconds = _time(lambda: packed_manager.run(circuit), repeats)
+    object_seconds = time_best_of(lambda: oracle.walk_chain(passes, circuit), repeats)
+    packed_seconds = time_best_of(lambda: packed_manager.run(circuit), repeats)
     per_pass = {
         record.name: record.seconds * 1e3 for record in packed_manager.last_records
     }

@@ -52,7 +52,7 @@ def main() -> None:
     result = minimize_spsa(noisy_energy, initial, max_iterations=40, a=0.3, c=0.2, seed=2)
     print(f"optimised noisy energy = {result.value:.4f} after {result.evaluations} evaluations")
 
-    ideal_at_result = benchmark._energy_from_statevector(result.parameters)
+    ideal_at_result = benchmark._energy(result.parameters)
     print(f"noiseless energy at the optimised parameters = {ideal_at_result:.4f}")
     print(f"fraction of ground-state energy recovered    = {ideal_at_result / exact_energy:.2%}")
 

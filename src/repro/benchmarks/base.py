@@ -19,21 +19,26 @@ instance, so one benchmark object builds its circuits exactly once no matter
 how many times the execution engine, the scorer and the feature extractor
 ask for them.  The returned circuits are shared — callers must not mutate
 them (transpilation and mitigation transforms always produce new circuits).
+
+The variational proxies (VQE and both QAOAs) derive from
+:class:`VariationalBenchmark`, which owns their classical reference: the
+optimised parameters, the ideal energy and the score against it.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuits import Circuit
 from ..exceptions import BenchmarkError
 from ..features import FeatureVector, compute_features
+from ..telemetry import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulation import Counts
 
-__all__ = ["Benchmark"]
+__all__ = ["Benchmark", "VariationalBenchmark"]
 
 
 class Benchmark(abc.ABC):
@@ -111,3 +116,79 @@ class Benchmark(abc.ABC):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}"
+
+
+class VariationalBenchmark(Benchmark):
+    """A proxy application scored against a classically optimised energy.
+
+    As in the paper, the ansatz parameters are optimised classically, once,
+    and the device is scored on a single energy measurement at those
+    parameters (:meth:`energy_score`).  This class owns that classical
+    reference: the restarts (:meth:`_best_of_restarts`, one
+    ``benchmark.optimize`` span), the cached parameters and ideal energy,
+    and the score.  A family gives its objective (:meth:`_energy`) and, in
+    :meth:`_optimize`, its starts, iteration budget, tolerance and
+    fallback.  It passes the minimiser as the global of its own module,
+    read at call time, so a wrapper installed on that global sees every
+    call.
+    """
+
+    _parameters: Any = None
+    _ideal_energy: Optional[float] = None
+
+    @abc.abstractmethod
+    def _energy(self, parameters: Sequence[float]) -> float:
+        """The objective: the noiseless ansatz energy at ``parameters``."""
+
+    @abc.abstractmethod
+    def _optimize(self) -> Tuple[Any, float]:
+        """``(parameters, ideal energy)``, from :meth:`_best_of_restarts`."""
+
+    def optimal_parameters(self) -> Any:
+        """The classically optimised parameters (optimised on first use)."""
+        if self._parameters is None:
+            self._parameters, self._ideal_energy = self._optimize()
+        return self._parameters
+
+    def ideal_energy(self) -> float:
+        """The noiseless ansatz energy at :meth:`optimal_parameters`."""
+        if self._ideal_energy is None:
+            self.optimal_parameters()
+        assert self._ideal_energy is not None
+        return self._ideal_energy
+
+    def _best_of_restarts(
+        self,
+        minimize: Callable[..., Any],
+        starts: Sequence[Sequence[float]],
+        max_iterations: int,
+        tolerance: float,
+        fallback: Any,
+    ) -> Tuple[Any, float]:
+        """Minimise :meth:`_energy` once from each start; the best ``(parameters, value)``.
+
+        ``fallback`` stands for the parameters when no run returns a value
+        below infinity.  One ``benchmark.optimize`` span covers the runs and
+        records their number and total objective evaluations.
+        """
+        best, best_value, evaluations = fallback, float("inf"), 0
+        with get_tracer().span(
+            "benchmark.optimize", benchmark=str(self), restarts=len(starts)
+        ) as span:
+            for start in starts:
+                result = minimize(
+                    self._energy, start, max_iterations=max_iterations, tolerance=tolerance
+                )
+                evaluations += result.evaluations
+                if result.value < best_value:
+                    best, best_value = result.parameters, result.value
+            span.set_attribute("evaluations", evaluations)
+        return best, float(best_value)
+
+    @staticmethod
+    def energy_score(ideal: float, measured: float) -> float:
+        """The paper's score ``1 - |E_ideal - E_measured| / |2 E_ideal|``, clipped into [0, 1]."""
+        if abs(ideal) < 1e-12:
+            # Degenerate instance: fall back to absolute deviation.
+            return Benchmark._clip_score(1.0 - abs(measured - ideal) / 2.0)
+        return Benchmark._clip_score(1.0 - abs(ideal - measured) / abs(2.0 * ideal))

@@ -17,11 +17,8 @@ on a line, at the cost of reversing the qubit order.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from ..circuits import Circuit
 from ..exceptions import BenchmarkError
@@ -30,22 +27,15 @@ from ..optimize import minimize_nelder_mead
 from ..paulis import PauliString, PauliSum
 from ..simulation import Counts, final_statevector
 from ..suite.registry import register_family
-from ..telemetry import get_tracer
-from .base import Benchmark
+from .base import VariationalBenchmark
 
 __all__ = ["VanillaQAOABenchmark", "ZZSwapQAOABenchmark"]
 
-
-def _energy_score(ideal: float, measured: float) -> float:
-    """The paper's QAOA/VQE score function, clipped into [0, 1]."""
-    if abs(ideal) < 1e-12:
-        # Degenerate instance: fall back to absolute deviation.
-        return float(min(max(1.0 - abs(measured - ideal) / 2.0, 0.0), 1.0))
-    value = 1.0 - abs(ideal - measured) / abs(2.0 * ideal)
-    return float(min(max(value, 0.0), 1.0))
+#: The ``(gamma, beta)`` starts of the classical optimisation.
+_STARTS = ((0.2, 0.2), (0.8, 0.4), (-0.4, 0.6))
 
 
-class _QAOABenchmark(Benchmark):
+class _QAOABenchmark(VariationalBenchmark):
     """Shared state and scoring of the two QAOA variants."""
 
     def __init__(self, num_qubits: int, seed: int = 0) -> None:
@@ -58,8 +48,6 @@ class _QAOABenchmark(Benchmark):
             )
         self._num_qubits = int(num_qubits)
         self.model = SKModel.random(num_qubits, seed=seed)
-        self._parameters: Optional[Tuple[float, float]] = None
-        self._ideal_energy: Optional[float] = None
 
     # -- ansatz construction (implemented by subclasses) -------------------
     def ansatz(self, gamma: float, beta: float, measure: bool = True) -> Circuit:
@@ -70,9 +58,9 @@ class _QAOABenchmark(Benchmark):
         return list(range(self._num_qubits))
 
     # -- classical pre-optimisation ----------------------------------------
-    def _ansatz_energy(self, gamma: float, beta: float) -> float:
-        circuit = self.ansatz(gamma, beta, measure=False)
-        state = final_statevector(circuit)
+    def _energy(self, parameters: Sequence[float]) -> float:
+        gamma, beta = parameters
+        state = final_statevector(self.ansatz(gamma, beta, measure=False))
         return self._physical_hamiltonian.expectation_from_statevector(state)
 
     @cached_property
@@ -84,38 +72,12 @@ class _QAOABenchmark(Benchmark):
             terms.add_term(w, PauliString.from_dict({positions[i]: "Z", positions[j]: "Z"}))
         return terms
 
-    def optimal_parameters(self) -> Tuple[float, float]:
-        """Classically optimised (gamma, beta) minimising the ansatz energy."""
-        if self._parameters is None:
-            best_value = float("inf")
-            best_params = (0.1, 0.1)
-            starts = ((0.2, 0.2), (0.8, 0.4), (-0.4, 0.6))
-            evaluations = 0
-            with get_tracer().span(
-                "benchmark.optimize", benchmark=str(self), restarts=len(starts)
-            ) as span:
-                for start in starts:
-                    result = minimize_nelder_mead(
-                        lambda p: self._ansatz_energy(p[0], p[1]),
-                        start,
-                        max_iterations=120,
-                        tolerance=1e-5,
-                    )
-                    evaluations += result.evaluations
-                    if result.value < best_value:
-                        best_value = result.value
-                        best_params = (float(result.parameters[0]), float(result.parameters[1]))
-                span.set_attribute("evaluations", evaluations)
-            self._parameters = best_params
-            self._ideal_energy = best_value
-        return self._parameters
-
-    def ideal_energy(self) -> float:
-        """<H> of the noiseless ansatz at the optimised parameters."""
-        if self._ideal_energy is None:
-            self.optimal_parameters()
-        assert self._ideal_energy is not None
-        return self._ideal_energy
+    def _optimize(self) -> Tuple[Tuple[float, float], float]:
+        """The three fixed starts, 120 iterations each."""
+        (gamma, beta), value = self._best_of_restarts(
+            minimize_nelder_mead, _STARTS, 120, 1e-5, (0.1, 0.1)
+        )
+        return (float(gamma), float(beta)), value
 
     # -- circuits and scoring ----------------------------------------------
     def _build_circuits(self) -> List[Circuit]:
@@ -132,22 +94,16 @@ class _QAOABenchmark(Benchmark):
         return self.ansatz(0.5, 0.3, measure=True)
 
     def measured_energy(self, counts: Counts) -> float:
-        """<H> estimated from measured bitstrings (respecting qubit layout)."""
+        """<H> estimated from measured bitstrings, each read in logical qubit order."""
         positions = self._logical_bit_positions()
-        total = sum(counts.values())
-        if total == 0:
-            raise BenchmarkError("empty counts")
-        energy = 0.0
-        for bitstring, shots in counts.items():
-            spins = [1.0 if bitstring[positions[q]] == "0" else -1.0 for q in range(self._num_qubits)]
-            value = sum(w * spins[i] * spins[j] for (i, j), w in self.model.weights)
-            energy += value * shots
-        return energy / total
+        return self.model.expectation_from_counts(
+            {"".join(key[p] for p in positions): shots for key, shots in counts.items()}
+        )
 
     def score(self, counts_list: Sequence[Counts]) -> float:
         if len(counts_list) != 1:
             raise BenchmarkError("QAOA benchmarks expect counts for exactly one circuit")
-        return _energy_score(self.ideal_energy(), self.measured_energy(counts_list[0]))
+        return self.energy_score(self.ideal_energy(), self.measured_energy(counts_list[0]))
 
 
 @register_family("vanilla_qaoa")
@@ -206,7 +162,6 @@ class ZZSwapQAOABenchmark(_QAOABenchmark):
                 weight = self.model.weight(a, b)
                 circuit.zzswap(2.0 * gamma * weight, position, position + 1)
                 layout[position], layout[position + 1] = layout[position + 1], layout[position]
-        self._final_layout = list(layout)
         for q in range(self._num_qubits):
             circuit.rx(2.0 * beta, q)
         if measure:
@@ -215,15 +170,7 @@ class ZZSwapQAOABenchmark(_QAOABenchmark):
 
     def _logical_bit_positions(self) -> List[int]:
         # A full SWAP network of n layers reverses the qubit order.
-        layout = getattr(self, "_final_layout", None)
-        if layout is None:
-            # Build once to learn the permutation.
-            self.ansatz(0.0, 0.0, measure=False)
-            layout = self._final_layout
-        positions = [0] * self._num_qubits
-        for position, logical in enumerate(layout):
-            positions[logical] = position
-        return positions
+        return list(range(self._num_qubits - 1, -1, -1))
 
     def __str__(self) -> str:
         return f"zzswap_qaoa[{self._num_qubits}q]"

@@ -17,7 +17,7 @@ the ``Z Z`` coupling terms and the X basis for the transverse-field terms, so
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,15 +28,13 @@ from ..optimize import minimize_nelder_mead
 from ..paulis import PauliSum
 from ..simulation import Counts, final_statevector
 from ..suite.registry import register_family
-from ..telemetry import get_tracer
-from .base import Benchmark
-from .qaoa import _energy_score
+from .base import VariationalBenchmark
 
 __all__ = ["VQEBenchmark"]
 
 
 @register_family("vqe")
-class VQEBenchmark(Benchmark):
+class VQEBenchmark(VariationalBenchmark):
     """Single-iteration VQE proxy on the 1D TFIM.
 
     Args:
@@ -67,8 +65,6 @@ class VQEBenchmark(Benchmark):
         self._num_layers = int(num_layers)
         self._seed = int(seed)
         self.model = TransverseFieldIsing(num_qubits, coupling=coupling, field=field)
-        self._parameters: Optional[np.ndarray] = None
-        self._ideal_energy: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -122,43 +118,17 @@ class VQEBenchmark(Benchmark):
     def _hamiltonian(self) -> PauliSum:
         return self.model.hamiltonian()
 
-    def _energy_from_statevector(self, parameters: Sequence[float]) -> float:
+    def _energy(self, parameters: Sequence[float]) -> float:
         state = final_statevector(self.ansatz(parameters))
         return self._hamiltonian.expectation_from_statevector(state)
 
-    def optimal_parameters(self) -> np.ndarray:
-        """Variational parameters optimised by classical simulation."""
-        if self._parameters is None:
-            rng = np.random.default_rng(self._seed)
-            best_value = float("inf")
-            best_parameters = np.zeros(self.num_parameters)
-            restarts, evaluations = 2, 0
-            with get_tracer().span(
-                "benchmark.optimize", benchmark=str(self), restarts=restarts
-            ) as span:
-                for _restart in range(restarts):
-                    start = rng.uniform(-0.5, 0.5, size=self.num_parameters)
-                    result = minimize_nelder_mead(
-                        self._energy_from_statevector,
-                        start,
-                        max_iterations=250,
-                        tolerance=1e-6,
-                    )
-                    evaluations += result.evaluations
-                    if result.value < best_value:
-                        best_value = result.value
-                        best_parameters = result.parameters
-                span.set_attribute("evaluations", evaluations)
-            self._parameters = np.asarray(best_parameters, dtype=float)
-            self._ideal_energy = float(best_value)
-        return self._parameters
-
-    def ideal_energy(self) -> float:
-        """Ansatz energy at the optimised parameters (classical reference)."""
-        if self._ideal_energy is None:
-            self.optimal_parameters()
-        assert self._ideal_energy is not None
-        return self._ideal_energy
+    def _optimize(self) -> Tuple[np.ndarray, float]:
+        """Two random starts in [-0.5, 0.5), 250 iterations each."""
+        rng = np.random.default_rng(self._seed)
+        starts = [rng.uniform(-0.5, 0.5, size=self.num_parameters) for _restart in range(2)]
+        return self._best_of_restarts(
+            minimize_nelder_mead, starts, 250, 1e-6, np.zeros(self.num_parameters)
+        )
 
     def exact_ground_energy(self) -> float:
         """The true TFIM ground-state energy, for context and testing."""
@@ -181,42 +151,18 @@ class VQEBenchmark(Benchmark):
         return self.ansatz([0.1] * self.num_parameters, measure_basis="z")
 
     def measured_energy(self, z_counts: Counts, x_counts: Counts) -> float:
-        """Combine the two measurement settings into an energy estimate."""
-        energy = 0.0
-        # ZZ coupling terms from the computational-basis counts.
-        for a, b in self.model.bonds():
-            energy += -self.model.coupling * _pair_parity_expectation(z_counts, a, b)
-        # Transverse-field terms from the X-basis counts.
-        for q in range(self._num_qubits):
-            energy += -self.model.field * _single_bit_expectation(x_counts, q)
-        return energy
+        """The TFIM energy: its ZZ terms on the Z-basis counts, its X terms on the X-basis ones."""
+        if sum(z_counts.values()) == 0 or sum(x_counts.values()) == 0:
+            raise BenchmarkError("empty counts")
+        return self._hamiltonian.expectation_from_group_counts(
+            [(self.model.zz_terms(), z_counts), (self.model.x_terms(), x_counts)]
+        )
 
     def score(self, counts_list: Sequence[Counts]) -> float:
         if len(counts_list) != 2:
             raise BenchmarkError("VQE expects counts for two circuits (Z and X bases)")
         measured = self.measured_energy(counts_list[0], counts_list[1])
-        return _energy_score(self.ideal_energy(), measured)
+        return self.energy_score(self.ideal_energy(), measured)
 
     def __str__(self) -> str:
         return f"vqe[{self._num_qubits}q,{self._num_layers}l]"
-
-
-def _single_bit_expectation(counts: Counts, bit: int) -> float:
-    total = sum(counts.values())
-    if total == 0:
-        raise BenchmarkError("empty counts")
-    value = 0.0
-    for bitstring, shots in counts.items():
-        value += (1.0 if bitstring[bit] == "0" else -1.0) * shots
-    return value / total
-
-
-def _pair_parity_expectation(counts: Counts, a: int, b: int) -> float:
-    total = sum(counts.values())
-    if total == 0:
-        raise BenchmarkError("empty counts")
-    value = 0.0
-    for bitstring, shots in counts.items():
-        parity = (int(bitstring[a]) + int(bitstring[b])) % 2
-        value += (1.0 if parity == 0 else -1.0) * shots
-    return value / total

@@ -166,10 +166,9 @@ def fold_two_qubit_gates(circuit: Circuit, scale: float) -> Tuple[Circuit, float
     rows: List[Row] = []
     for index, row in enumerate(body):
         rows.append(row)
-        if len(row[1]) >= 2:
-            # Every multi-qubit gate is inverted, also where it folds 0 times.
-            inverse = _inverted([row])[0]
-            rows += [inverse, row] * (k + (index in extra_fold))
+        folds = k + (index in extra_fold)
+        if len(row[1]) >= 2 and folds:  # a gate folded 0 times is not inverted
+            rows += [_inverted([row])[0], row] * folds
     folded = _built(circuit, f"{circuit.name}@{scale:g}x2q", rows + tail)
     achieved = 1.0 + 2.0 * k + (2.0 * r / len(multi) if multi else 0.0)
     return folded, achieved

@@ -197,19 +197,13 @@ class DensityMatrixSimulator:
         only supports circuits without mid-circuit measurement; resets are
         supported.
         """
-        rho, _pending = self._evolve(circuit, allow_pending_only=True)
+        rho, _measured = self._evolve(circuit)
         return rho
 
     # ------------------------------------------------------------------
     def _output_distribution(self, circuit: Circuit) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
         """Outcome probabilities plus the measured ``(qubit, clbit)`` pairs."""
-        num_qubits = circuit.num_qubits
-        if num_qubits > self.max_qubits:
-            raise SimulationError(
-                f"DensityMatrixSimulator limited to {self.max_qubits} qubits "
-                f"(requested {num_qubits})"
-            )
-        rho, measured = self._evolve(circuit, allow_pending_only=False)
+        rho, measured = self._evolve(circuit)
         probabilities = np.clip(np.real(np.diag(rho)), 0.0, None)
         total = probabilities.sum()
         if total <= 0:
@@ -217,10 +211,12 @@ class DensityMatrixSimulator:
         probabilities = probabilities / total
 
         if self.noise_model is not None:
-            probabilities = self._apply_readout_confusion(probabilities, measured, num_qubits)
+            probabilities = self._apply_readout_confusion(
+                probabilities, measured, circuit.num_qubits
+            )
         return probabilities, measured
 
-    def _evolve(self, circuit: Circuit, allow_pending_only: bool) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    def _evolve(self, circuit: Circuit) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
         num_qubits = circuit.num_qubits
         if num_qubits > self.max_qubits:
             raise SimulationError(

@@ -102,18 +102,6 @@ class Counts(dict):
             raise SimulationError("empty Counts object")
         return max(self.items(), key=lambda item: item[1])[0]
 
-    def expectation_parity(self, bits: Iterable[int] | None = None) -> float:
-        """Expectation of the parity observable over the given bits (all by default)."""
-        positions = list(bits) if bits is not None else list(range(self.num_bits))
-        total = self.shots
-        if total == 0:
-            raise SimulationError("empty Counts object")
-        value = 0.0
-        for key, shots in self.items():
-            parity = sum(int(key[p]) for p in positions) % 2
-            value += (1.0 if parity == 0 else -1.0) * shots
-        return value / total
-
 
 class QuasiDistribution(dict):
     """A bitstring -> signed weight mapping produced by error mitigation.
@@ -161,18 +149,6 @@ class QuasiDistribution(dict):
     def negativity(self) -> float:
         """Total negative weight ``sum_x |min(q(x), 0)|`` (0 for a true distribution)."""
         return float(sum(-value for value in self.values() if value < 0))
-
-    def expectation_parity(self, bits: Iterable[int] | None = None) -> float:
-        """Expectation of the parity observable, computed on the raw weights."""
-        positions = list(bits) if bits is not None else list(range(self.num_bits))
-        total = float(sum(self.values()))
-        if total == 0:
-            raise SimulationError("empty QuasiDistribution object")
-        value = 0.0
-        for key, weight in self.items():
-            parity = sum(int(key[p]) for p in positions) % 2
-            value += (1.0 if parity == 0 else -1.0) * weight
-        return value / total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

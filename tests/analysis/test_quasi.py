@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import hellinger_fidelity, total_variation_distance
 from repro.exceptions import AnalysisError, SimulationError
+from repro.paulis import PauliString
 from repro.simulation import Counts, QuasiDistribution, normalized_probabilities
 
 
@@ -53,7 +54,7 @@ class TestQuasiDistribution:
 
     def test_expectation_parity_uses_raw_weights(self):
         quasi = QuasiDistribution({"0": 1.1, "1": -0.1})
-        assert quasi.expectation_parity() == pytest.approx(1.2)
+        assert PauliString.from_label("Z").expectation_from_counts(quasi) == pytest.approx(1.2)
 
 
 class TestDistancesOnQuasi:

@@ -69,14 +69,14 @@ def test_objective_matches_dense_reference_exactly(spec):
                 benchmark.model.hamiltonian(),
                 reference_statevector(benchmark.ansatz(parameters)),
             )
-            assert benchmark._energy_from_statevector(parameters) == expected
+            assert benchmark._energy(parameters) == expected
         else:
             gamma, beta = rng.uniform(-np.pi, np.pi, size=2)
             expected = reference_expectation(
                 reference_qaoa_hamiltonian(benchmark),
                 reference_statevector(benchmark.ansatz(gamma, beta, measure=False)),
             )
-            assert benchmark._ansatz_energy(gamma, beta) == expected
+            assert benchmark._energy((gamma, beta)) == expected
 
 
 def test_variational_specs_cover_every_family():

@@ -38,7 +38,7 @@ class TestVanillaQAOA:
     def test_optimal_parameters_beat_random_guess(self):
         benchmark = VanillaQAOABenchmark(4, seed=1)
         optimal_energy = benchmark.ideal_energy()
-        random_energy = benchmark._ansatz_energy(0.05, 0.05)
+        random_energy = benchmark._energy((0.05, 0.05))
         assert optimal_energy <= random_energy + 1e-9
         # Optimisation should find genuinely negative energy for the SK model.
         assert optimal_energy < 0
@@ -78,8 +78,8 @@ class TestZZSwapQAOA:
         zzswap = ZZSwapQAOABenchmark(4, seed=5)
         assert vanilla.model.weights == zzswap.model.weights
         gamma, beta = 0.37, 0.21
-        assert vanilla._ansatz_energy(gamma, beta) == pytest.approx(
-            zzswap._ansatz_energy(gamma, beta), abs=1e-9
+        assert vanilla._energy((gamma, beta)) == pytest.approx(
+            zzswap._energy((gamma, beta)), abs=1e-9
         )
 
     def test_ideal_execution_scores_high(self):

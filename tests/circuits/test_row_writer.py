@@ -270,7 +270,7 @@ ERROR_CASES = [
     ),
     (
         "local fold inverts every multi-qubit gate, in row order",
-        lambda: fold_two_qubit_gates(Circuit(2).zzswap(0.2, 0, 1).iswap(0, 1), 1),
+        lambda: fold_two_qubit_gates(Circuit(2).zzswap(0.2, 0, 1).iswap(0, 1), 3),
         GateError,
         "zzswap inverse is not a standard gate; decompose first",
     ),
@@ -313,6 +313,34 @@ def test_global_fold_without_whole_folds_inverts_nothing():
     assert achieved == 1.5
     names = [instruction.name for instruction in folded]
     assert names == ["iswap", "zzswap", "h", "x", "x", "x", "measure", "measure"]
+
+
+def test_local_fold_at_scale_one_inverts_nothing():
+    """Scale 1 folds no gate, so iswap and zzswap (no inverse rule) pass through."""
+    circuit = Circuit(3, 3).iswap(0, 1).h(2).zzswap(0.2, 1, 2).cx(0, 2).measure_all()
+    folded, achieved = fold_two_qubit_gates(circuit, 1)
+    assert achieved == 1.0
+    assert list(folded.packed().iter_rows()) == list(circuit.packed().iter_rows())
+
+
+@pytest.mark.parametrize("gate", ["iswap", "zzswap"])
+@pytest.mark.parametrize("position", range(4))
+def test_partial_local_fold_inverts_only_the_gates_it_folds(gate, position):
+    """At scale 1.5 over four two-qubit gates only the first one folds (r = 1)."""
+    names = ["cx", "cz", "swap"]
+    names.insert(position, gate)
+    circuit = Circuit(2, 2).h(0)
+    for name in names:
+        circuit.add_gate(name, [0, 1], [0.2] if name == "zzswap" else [])
+    circuit.measure_all()
+    if position == 0:
+        with pytest.raises(GateError, match=f"{gate} inverse is not a standard gate"):
+            fold_two_qubit_gates(circuit, 1.5)
+        return
+    folded, achieved = fold_two_qubit_gates(circuit, 1.5)
+    assert achieved == 1.5
+    folded_names = ["h", names[0], names[0], names[0]] + names[1:] + ["measure", "measure"]
+    assert [instruction.name for instruction in folded] == folded_names
 
 
 def _signs(circuit: Circuit):

@@ -14,15 +14,20 @@ row-only step replaced and must reproduce byte for byte (up to the sign of a
 zero), and the networkx noise-aware placement and shortest-path router
 (:func:`noise_aware_placement`, :func:`route_circuit`) that the cached
 coupling tables of ``repro.devices.coupling`` replaced and must reproduce
-qubit for qubit.  So:
+qubit for qubit.  It keeps the VQE and QAOA benchmarks' inline
+measured-energy loops (:func:`vqe_measured_energy`,
+:func:`qaoa_measured_energy`), which the estimators of their Hamiltonian
+objects (``PauliSum`` over the TFIM's terms, ``SKModel``) replaced and must
+reproduce float for float.  So:
 
 * the randomized, five-pass-chain and preset-family parity tests
   (``tests/transpiler/test_packed_passes.py``), the interaction-graph /
   depth / moment / critical-path / feature parity tests and the kernel
   parity tests (``tests/simulation/test_kernels.py``,
   ``tests/simulation/test_channel_parity.py``) and the placement and routing
-  parity tests (``tests/transpiler/test_placement_routing.py``) compare the
-  library against code it does not share;
+  parity tests (``tests/transpiler/test_placement_routing.py``) and the
+  measured-energy parity tests (``tests/benchmarks/test_measured_energy.py``)
+  compare the library against code it does not share;
 * the micro-benchmarks that time the library against these baselines
   (``benchmarks/bench_transpiler_passes.py``, ``benchmarks/bench_suite.py``,
   ``benchmarks/bench_simulation_kernels.py``) keep measuring the baseline
@@ -36,7 +41,7 @@ tests ``import oracle``; the benchmark scripts put it there themselves.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -44,7 +49,7 @@ import numpy as np
 from repro.circuits import Circuit, Gate, Instruction
 from repro.circuits.columnar import BARRIER_OP, OPCODES, PackedBuilder, PackedCircuit
 from repro.devices import Device
-from repro.exceptions import SimulationError
+from repro.exceptions import BenchmarkError, SimulationError
 from repro.circuits.gates import ADDITIVE_ROTATIONS, SELF_INVERSE
 from repro.transpiler import (
     BasePass,
@@ -80,6 +85,8 @@ __all__ = [
     "apply_channel_batch_reference",
     "noise_aware_placement",
     "route_circuit",
+    "vqe_measured_energy",
+    "qaoa_measured_energy",
 ]
 
 
@@ -667,3 +674,56 @@ def route_circuit(
                     swap(logical_to_physical[a], step)
         routed.append(opcode, tuple(logical_to_physical[q] for q in qubits), params, clbit)
     return routed.build(), logical_to_physical, swaps
+
+
+# ---------------------------------------------------------------------------
+# measured energies of the variational benchmarks
+# ---------------------------------------------------------------------------
+
+
+def _single_bit_expectation(counts: Mapping[str, float], bit: int) -> float:
+    total = sum(counts.values())
+    if total == 0:
+        raise BenchmarkError("empty counts")
+    value = 0.0
+    for bitstring, shots in counts.items():
+        value += (1.0 if bitstring[bit] == "0" else -1.0) * shots
+    return value / total
+
+
+def _pair_parity_expectation(counts: Mapping[str, float], a: int, b: int) -> float:
+    total = sum(counts.values())
+    if total == 0:
+        raise BenchmarkError("empty counts")
+    value = 0.0
+    for bitstring, shots in counts.items():
+        parity = (int(bitstring[a]) + int(bitstring[b])) % 2
+        value += (1.0 if parity == 0 else -1.0) * shots
+    return value / total
+
+
+def vqe_measured_energy(
+    model, z_counts: Mapping[str, float], x_counts: Mapping[str, float]
+) -> float:
+    """The TFIM energy: bond parities of the Z-basis counts, bits of the X-basis ones."""
+    energy = 0.0
+    for a, b in model.bonds():
+        energy += -model.coupling * _pair_parity_expectation(z_counts, a, b)
+    for q in range(model.num_spins):
+        energy += -model.field * _single_bit_expectation(x_counts, q)
+    return energy
+
+
+def qaoa_measured_energy(
+    model, positions: Sequence[int], counts: Mapping[str, float]
+) -> float:
+    """The SK energy of the counts, logical qubit ``q`` read at ``positions[q]``."""
+    total = sum(counts.values())
+    if total == 0:
+        raise BenchmarkError("empty counts")
+    energy = 0.0
+    for bitstring, shots in counts.items():
+        spins = [1.0 if bitstring[positions[q]] == "0" else -1.0 for q in range(model.num_spins)]
+        value = sum(w * spins[i] * spins[j] for (i, j), w in model.weights)
+        energy += value * shots
+    return energy / total

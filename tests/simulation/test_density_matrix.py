@@ -45,8 +45,11 @@ class TestIdealSampling:
 
     def test_qubit_limit_enforced(self):
         circuit = Circuit(12, 12).h(0).measure_all()
-        with pytest.raises(SimulationError):
+        message = r"^DensityMatrixSimulator limited to 10 qubits \(requested 12\)$"
+        with pytest.raises(SimulationError, match=message):
             DensityMatrixSimulator(max_qubits=10).run(circuit, shots=10)
+        with pytest.raises(SimulationError, match=message):
+            DensityMatrixSimulator(max_qubits=10).final_density_matrix(circuit)
 
     def test_repeated_measurement_of_same_qubit_rejected(self):
         circuit = Circuit(1, 2).measure(0, 0).measure(0, 1)
