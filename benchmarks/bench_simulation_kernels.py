@@ -44,7 +44,7 @@ from repro.benchmarks import GHZBenchmark, VanillaQAOABenchmark
 from repro.circuits.random_circuits import quantum_volume_circuit
 from repro.simulation import DensityMatrixSimulator, NoiseModel, StatevectorSimulator
 from repro.simulation.kernels import qubit_axis
-from repro.simulation.statevector import _terminal_measurements, final_statevector
+from repro.simulation.statevector import final_statevector
 from timing import time_best_of
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -94,7 +94,7 @@ def legacy_trajectory_run(circuit, noise_model, shots: int, seed: int) -> Dict[s
     """One full statevector evolution per shot with per-channel Kraus sampling."""
     rng = np.random.default_rng(seed)
     num_qubits = circuit.num_qubits
-    terminal = _terminal_measurements(circuit)
+    terminal = circuit.packed().terminal_measurements()
     instructions = list(circuit)
     counts: Dict[str, int] = {}
     for _ in range(shots):
@@ -110,7 +110,7 @@ def legacy_trajectory_run(circuit, noise_model, shots: int, seed: int) -> Dict[s
             state = _legacy_apply(
                 state, instruction.gate.matrix(), instruction.qubits, num_qubits
             )
-            for channel, qubits in noise_model.gate_channels(instruction):
+            for channel, qubits in noise_model.channels_for_gate(instruction.qubits):
                 candidates = []
                 weights = []
                 for operator in channel.kraus_operators:
@@ -152,7 +152,7 @@ def legacy_density_evolution(circuit, noise_model) -> np.ndarray:
         if not instruction.is_unitary():
             continue
         rho = apply_kraus(rho, [instruction.gate.matrix()], instruction.qubits)
-        for channel, qubits in noise_model.gate_channels(instruction):
+        for channel, qubits in noise_model.channels_for_gate(instruction.qubits):
             rho = apply_kraus(rho, channel.kraus_operators, qubits)
     return rho
 

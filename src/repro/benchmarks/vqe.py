@@ -118,6 +118,14 @@ class VQEBenchmark(VariationalBenchmark):
     def _hamiltonian(self) -> PauliSum:
         return self.model.hamiltonian()
 
+    @cached_property
+    def _zz_terms(self) -> PauliSum:
+        return self.model.zz_terms()
+
+    @cached_property
+    def _x_terms(self) -> PauliSum:
+        return self.model.x_terms()
+
     def _energy(self, parameters: Sequence[float]) -> float:
         state = final_statevector(self.ansatz(parameters))
         return self._hamiltonian.expectation_from_statevector(state)
@@ -155,7 +163,7 @@ class VQEBenchmark(VariationalBenchmark):
         if sum(z_counts.values()) == 0 or sum(x_counts.values()) == 0:
             raise BenchmarkError("empty counts")
         return self._hamiltonian.expectation_from_group_counts(
-            [(self.model.zz_terms(), z_counts), (self.model.x_terms(), x_counts)]
+            [(self._zz_terms, z_counts), (self._x_terms, x_counts)]
         )
 
     def score(self, counts_list: Sequence[Counts]) -> float:

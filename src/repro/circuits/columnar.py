@@ -205,6 +205,37 @@ class PackedCircuit:
                 qubits = tuple(q for q in qubit_rows[row] if q >= 0)
             yield row, opcode, qubits, tuple(pool[offsets[row] : offsets[row + 1]]), clbits[row]
 
+    def terminal_measurements(self) -> Dict[int, Tuple[int, int]]:
+        """``row -> (qubit, clbit)`` of every terminal measurement, in row order.
+
+        A measurement at row ``r`` on qubit ``q`` is terminal exactly when
+        the last non-barrier row touching ``q`` is ``r`` itself, so a qubit
+        has at most one.  Vectorised: one last-touch scan over the qubit
+        columns.
+        """
+        measure_rows = np.nonzero(self.opcodes == MEASURE_OP)[0]
+        if not measure_rows.size:
+            return {}
+        rows = np.nonzero(self.opcodes != BARRIER_OP)[0]
+        operands = self.qubits[rows]
+        valid = operands >= 0
+        last_touch = np.full(self.num_qubits, -1, dtype=np.int64)
+        np.maximum.at(
+            last_touch,
+            operands[valid],
+            np.repeat(rows, operands.shape[1])[valid.ravel()],
+        )
+        measured = self.qubits[measure_rows, 0]
+        terminal = last_touch[measured] == measure_rows
+        return {
+            row: (qubit, clbit)
+            for row, qubit, clbit in zip(
+                measure_rows[terminal].tolist(),
+                measured[terminal].tolist(),
+                self.clbits[measure_rows[terminal]].tolist(),
+            )
+        }
+
     def interaction_pairs(self) -> List[Tuple[int, int]]:
         """Every pair of operands of a multi-qubit unitary row, in row order.
 

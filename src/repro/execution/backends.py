@@ -9,10 +9,10 @@ Three implementations cover the accuracy/cost spectrum:
 * :class:`DensityMatrixBackend` — exact mixed-state evolution; the reference
   implementation, practical only for small circuits (``4**n`` memory).
 
-Backends are deliberately stateless across calls: per-circuit seeds are
-derived inside :meth:`Backend.run_batch` from the batch seed, so splitting a
-batch across workers (as the engine does) yields bit-identical results to a
-serial run.
+Backends are deliberately stateless across calls: the three share one
+``run_batch``, which builds one simulator per circuit seeded with
+:func:`circuit_seed` from the batch seed, so splitting a batch across workers
+(as the engine does) yields bit-identical results to a serial run.
 """
 
 from __future__ import annotations
@@ -84,7 +84,36 @@ class Backend(Protocol):
         ...
 
 
-class StatevectorBackend:
+class _SimulatorBackend:
+    """The batch loop the three backends share: one seeded simulator per circuit.
+
+    A backend gives only :meth:`_simulator`, its ``metadata()`` and its repr.
+    """
+
+    noisy: bool
+
+    def run_batch(
+        self,
+        circuits: Sequence[Circuit],
+        shots: int,
+        *,
+        noise_model: NoiseSpec = None,
+        seed: Optional[int] = None,
+    ) -> List[Counts]:
+        return [
+            self._simulator(
+                _noise_for(noise_model, index) if self.noisy else None,
+                circuit_seed(seed, index),
+            ).run(circuit, shots=shots)
+            for index, circuit in enumerate(circuits)
+        ]
+
+    def _simulator(self, noise_model: Optional[NoiseModel], seed: Optional[int]):
+        """The simulator that runs one circuit of a batch."""
+        raise NotImplementedError
+
+
+class StatevectorBackend(_SimulatorBackend):
     """Ideal statevector execution; any supplied noise model is ignored.
 
     Args:
@@ -101,23 +130,10 @@ class StatevectorBackend:
     def __init__(self, trajectories: Optional[int] = None) -> None:
         self.trajectories = trajectories
 
-    def run_batch(
-        self,
-        circuits: Sequence[Circuit],
-        shots: int,
-        *,
-        noise_model: NoiseSpec = None,
-        seed: Optional[int] = None,
-    ) -> List[Counts]:
-        results: List[Counts] = []
-        for index, circuit in enumerate(circuits):
-            simulator = StatevectorSimulator(
-                noise_model=None,
-                seed=circuit_seed(seed, index),
-                trajectories=self.trajectories,
-            )
-            results.append(simulator.run(circuit, shots=shots))
-        return results
+    def _simulator(
+        self, noise_model: Optional[NoiseModel], seed: Optional[int]
+    ) -> StatevectorSimulator:
+        return StatevectorSimulator(seed=seed, trajectories=self.trajectories)
 
     def metadata(self) -> Dict[str, object]:
         """Flat configuration record attached to jobs by the engine."""
@@ -127,7 +143,7 @@ class StatevectorBackend:
         return f"StatevectorBackend(trajectories={self.trajectories})"
 
 
-class TrajectoryBackend:
+class TrajectoryBackend(_SimulatorBackend):
     """Noisy statevector execution via Monte-Carlo Kraus trajectories.
 
     Trajectories are simulated as a batched ``(T, 2**n)`` array on the
@@ -157,29 +173,17 @@ class TrajectoryBackend:
         self.trajectories = trajectories
         self.max_batch_elements = max_batch_elements
 
-    def run_batch(
-        self,
-        circuits: Sequence[Circuit],
-        shots: int,
-        *,
-        noise_model: NoiseSpec = None,
-        seed: Optional[int] = None,
-    ) -> List[Counts]:
-        results: List[Counts] = []
-        for index, circuit in enumerate(circuits):
-            extra = (
-                {"max_batch_elements": self.max_batch_elements}
-                if self.max_batch_elements is not None
-                else {}
-            )
-            simulator = StatevectorSimulator(
-                noise_model=_noise_for(noise_model, index),
-                seed=circuit_seed(seed, index),
-                trajectories=self.trajectories,
-                **extra,
-            )
-            results.append(simulator.run(circuit, shots=shots))
-        return results
+    def _simulator(
+        self, noise_model: Optional[NoiseModel], seed: Optional[int]
+    ) -> StatevectorSimulator:
+        extra = (
+            {"max_batch_elements": self.max_batch_elements}
+            if self.max_batch_elements is not None
+            else {}
+        )
+        return StatevectorSimulator(
+            noise_model=noise_model, seed=seed, trajectories=self.trajectories, **extra
+        )
 
     def metadata(self) -> Dict[str, object]:
         """Flat configuration record attached to jobs by the engine.
@@ -201,7 +205,7 @@ class TrajectoryBackend:
         )
 
 
-class DensityMatrixBackend:
+class DensityMatrixBackend(_SimulatorBackend):
     """Exact noisy execution on the density-matrix simulator.
 
     Args:
@@ -220,23 +224,12 @@ class DensityMatrixBackend:
     def __init__(self, max_qubits: int = 10) -> None:
         self.max_qubits = max_qubits
 
-    def run_batch(
-        self,
-        circuits: Sequence[Circuit],
-        shots: int,
-        *,
-        noise_model: NoiseSpec = None,
-        seed: Optional[int] = None,
-    ) -> List[Counts]:
-        results: List[Counts] = []
-        for index, circuit in enumerate(circuits):
-            simulator = DensityMatrixSimulator(
-                noise_model=_noise_for(noise_model, index),
-                seed=circuit_seed(seed, index),
-                max_qubits=self.max_qubits,
-            )
-            results.append(simulator.run(circuit, shots=shots))
-        return results
+    def _simulator(
+        self, noise_model: Optional[NoiseModel], seed: Optional[int]
+    ) -> DensityMatrixSimulator:
+        return DensityMatrixSimulator(
+            noise_model=noise_model, seed=seed, max_qubits=self.max_qubits
+        )
 
     def metadata(self) -> Dict[str, object]:
         """Flat configuration record attached to jobs by the engine."""

@@ -58,13 +58,12 @@ class TransverseFieldIsing:
         return pairs
 
     def hamiltonian(self) -> PauliSum:
-        """The Hamiltonian as a :class:`PauliSum` (energy convention: minus signs)."""
-        terms = PauliSum()
-        for a, b in self.bonds():
-            terms.add_term(-self.coupling, PauliString.from_dict({a: "Z", b: "Z"}))
-        for i in range(self.num_spins):
-            terms.add_term(-self.field, PauliString.from_dict({i: "X"}))
-        return terms
+        """The Hamiltonian as a :class:`PauliSum` (energy convention: minus signs).
+
+        Its ZZ terms followed by its X terms, term for term, so the two
+        measurement groups of :meth:`zz_terms` and :meth:`x_terms` cover it.
+        """
+        return self.zz_terms() + self.x_terms()
 
     def zz_terms(self) -> PauliSum:
         """Only the ZZ part (measured in the computational basis)."""

@@ -76,9 +76,9 @@ class SKModel:
     def energy(self, bitstring: str | Sequence[int]) -> float:
         """Classical energy of a spin configuration (bit 0 -> spin +1)."""
         if isinstance(bitstring, str):
-            spins = [1 if b == "0" else -1 for b in bitstring]
+            spins = [1.0 if b == "0" else -1.0 for b in bitstring]
         else:
-            spins = [1 if int(b) == 0 else -1 for b in bitstring]
+            spins = [1.0 if int(b) == 0 else -1.0 for b in bitstring]
         if len(spins) != self.num_spins:
             raise BenchmarkError("configuration length does not match the model size")
         return float(sum(w * spins[i] * spins[j] for (i, j), w in self.weights))

@@ -312,10 +312,7 @@ def _full_correct(
 
 def _measurement_qubit_map(circuit: Circuit) -> Dict[int, int]:
     """Classical bit -> measured qubit map of a circuit's terminal measurements."""
-    from ..simulation.statevector import _measurement_map
-
-    qubits, clbits = _measurement_map(circuit)
-    return {clbit: qubit for qubit, clbit in zip(qubits, clbits)}
+    return {clbit: qubit for qubit, clbit in circuit.packed().terminal_measurements().values()}
 
 
 class ReadoutMitigator(Mitigator):

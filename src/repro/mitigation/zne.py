@@ -59,15 +59,13 @@ __all__ = [
 Row = Tuple[int, Tuple[int, ...], Tuple[float, ...], int]
 
 
-def _check_foldable(circuit: Circuit) -> set[int]:
-    """The rows of the terminal measurements, once the circuit can be folded.
+def _check_foldable(circuit: Circuit) -> Dict[int, Tuple[int, int]]:
+    """The terminal measurements (``row -> (qubit, clbit)``), once the circuit can be folded.
 
     Folding inverts gates, so mid-circuit measurement and reset (whose
     effect is not unitary) are rejected, the first such row first.
     """
-    from ..simulation.statevector import _terminal_measurements
-
-    terminal = _terminal_measurements(circuit)
+    terminal = circuit.packed().terminal_measurements()
     opcodes = circuit.packed().opcodes
     for row in np.nonzero((opcodes == MEASURE_OP) | (opcodes == RESET_OP))[0].tolist():
         if opcodes[row] == RESET_OP:

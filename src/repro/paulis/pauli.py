@@ -10,6 +10,7 @@ a :class:`PauliSum` is a list of weighted strings.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -177,9 +178,10 @@ class PauliString:
         if not counts:
             raise AnalysisError("empty counts")
         total = sum(counts.values())
+        support = self.support
         value = 0.0
         for bitstring, shots in counts.items():
-            parity = sum(int(bitstring[qubit]) for qubit in self.support) % 2
+            parity = sum(int(bitstring[qubit]) for qubit in support) % 2
             value += (1.0 if parity == 0 else -1.0) * shots
         return value / total
 
@@ -352,7 +354,17 @@ class PauliSum:
     def expectation_from_group_counts(
         self, grouped_counts: Sequence[Tuple[Sequence[PauliTerm], Mapping[str, int]]]
     ) -> float:
-        """Combine per-group counts into the full expectation value."""
+        """Combine per-group counts into the full expectation value.
+
+        Each group's terms are estimated on that group's counts.
+
+        Raises:
+            AnalysisError: unless the groups' terms, as a multiset of
+                ``(coefficient, PauliString)``, are exactly this sum's terms.
+        """
+        grouped_terms = Counter(term for group, _counts in grouped_counts for term in group)
+        if grouped_terms != Counter(self._terms):
+            raise AnalysisError("the grouped terms are not exactly this sum's terms")
         value = 0.0
         for group, counts in grouped_counts:
             for term in group:

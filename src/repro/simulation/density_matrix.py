@@ -3,7 +3,10 @@
 The density-matrix simulator applies every noise channel exactly, which makes
 it the reference implementation the Monte-Carlo trajectory simulator is
 validated against in the test suite.  Memory scales as ``4**n`` so it is only
-practical for small circuits (roughly up to 8 qubits).
+practical for small circuits (roughly up to 8 qubits).  It evolves the same
+step plan the trajectory simulator samples, so the two differ only in how
+a channel and readout error act: exactly here (a channel as its whole Kraus
+sum), by sampling there (one branch per trajectory).
 
 Evolution is tensorised: the density matrix is kept as a ``(2,)*2n`` tensor
 whose first ``n`` axes are the ket side and last ``n`` axes the bra side, and
@@ -14,23 +17,16 @@ per-column Python loop anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits import Circuit
-from ..circuits.columnar import BARRIER_OP, MEASURE_OP, RESET_OP
 from ..exceptions import SimulationError
 from . import kernels
-from .kernels import (
-    apply_kernel,
-    counts_from_samples,
-    fuse_operations,
-    kernel_for_operation,
-    operation_matrix,
-    qubit_axis,
-)
+from .kernels import apply_kernel, counts_from_samples, qubit_axis
 from .result import Counts
+from .statevector import _ChannelStep, _compile_trajectory_plan, _GateStep, _ResetStep
 
 __all__ = ["apply_kraus_to_density_matrix", "DensityMatrixSimulator"]
 
@@ -190,18 +186,19 @@ class DensityMatrixSimulator:
         return Counts(counts, num_bits=circuit.num_clbits)
 
     def final_density_matrix(self, circuit: Circuit) -> np.ndarray:
-        """Density matrix right before any terminal measurement sampling.
+        """Density matrix right before the terminal measurements are sampled.
 
-        Mid-circuit measurements are treated as non-selective (dephasing)
-        operations followed by classically correlated branches, so this method
-        only supports circuits without mid-circuit measurement; resets are
-        supported.
+        Every terminally measured qubit is dephased (a non-selective
+        measurement).  Resets are supported; a mid-circuit measurement
+        raises :class:`SimulationError`.
         """
         rho, _measured = self._evolve(circuit)
         return rho
 
     # ------------------------------------------------------------------
-    def _output_distribution(self, circuit: Circuit) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    def _output_distribution(
+        self, circuit: Circuit
+    ) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
         """Outcome probabilities plus the measured ``(qubit, clbit)`` pairs."""
         rho, measured = self._evolve(circuit)
         probabilities = np.clip(np.real(np.diag(rho)), 0.0, None)
@@ -216,84 +213,44 @@ class DensityMatrixSimulator:
             )
         return probabilities, measured
 
-    def _evolve(self, circuit: Circuit) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    def _evolve(self, circuit: Circuit) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
+        """Evolve the circuit's trajectory plan exactly: every channel as its Kraus sum.
+
+        The plan is the one the trajectory simulator samples, so the two
+        simulators apply the same fused gates and the same channels in the
+        same order.  Its terminal measurements dephase their qubits at the
+        end; a mid-circuit measurement has no exact single-branch evolution
+        here and raises.
+        """
         num_qubits = circuit.num_qubits
         if num_qubits > self.max_qubits:
             raise SimulationError(
                 f"DensityMatrixSimulator limited to {self.max_qubits} qubits "
                 f"(requested {num_qubits})"
             )
+        plan = _compile_trajectory_plan(circuit, self.noise_model)
         dim = 2**num_qubits
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         tensor = rho.reshape((2,) * (2 * num_qubits))
-        measured: List[Tuple[int, int]] = []
-        measured_qubits: set[int] = set()
-        unitary_run: List[Tuple[int, Tuple[float, ...], Tuple[int, ...]]] = []
-
-        def flush_run() -> None:
-            nonlocal tensor
-            if not unitary_run:
-                return
-            if len(unitary_run) == 1:
-                opcode, params, qubits = unitary_run[0]
+        for step in plan.prefix + plan.suffix:
+            if isinstance(step, _GateStep):
+                bra_kernel = kernels.analyze_matrix(step.kernel.matrix.conj())
                 tensor = _apply_sandwich(
-                    tensor,
-                    kernel_for_operation(opcode, params),
-                    kernels.analyze_matrix(operation_matrix(opcode, params).conj()),
-                    qubits,
-                    num_qubits,
-                    in_place=True,
+                    tensor, step.kernel, bra_kernel, step.qubits, num_qubits, in_place=True
                 )
+            elif isinstance(step, _ChannelStep):
+                tensor = self._apply_channel(tensor, step.channel, step.qubits, num_qubits)
+            elif isinstance(step, _ResetStep):
+                tensor = self._reset(tensor, step.qubit, num_qubits)
             else:
-                operations = [
-                    (operation_matrix(opcode, params), qubits)
-                    for opcode, params, qubits in unitary_run
-                ]
-                for fused in fuse_operations(operations):
-                    bra_kernel = kernels.analyze_matrix(fused.matrix.conj())
-                    tensor = _apply_sandwich(
-                        tensor, fused.kernel, bra_kernel, fused.qubits, num_qubits, in_place=True
-                    )
-            unitary_run.clear()
-
-        for _row, opcode, qubits, params, clbit in circuit.packed().iter_rows():
-            if opcode == BARRIER_OP:
-                continue
-            if opcode == MEASURE_OP:
-                qubit = qubits[0]
-                if qubit in measured_qubits:
-                    raise SimulationError(
-                        "DensityMatrixSimulator does not support measuring the same qubit twice"
-                    )
-                flush_run()
-                # Non-selective measurement = dephasing in the computational basis.
-                tensor = self._dephase(tensor, qubit, num_qubits)
-                measured.append((qubit, clbit))
-                measured_qubits.add(qubit)
-                continue
-            if any(q in measured_qubits for q in qubits):
                 raise SimulationError(
-                    "DensityMatrixSimulator does not support operations after measurement "
-                    "on the same qubit"
+                    "DensityMatrixSimulator supports measurement only as the last "
+                    "operation on its qubit"
                 )
-            if opcode == RESET_OP:
-                flush_run()
-                tensor = self._reset(tensor, qubits[0], num_qubits)
-                if self.noise_model is not None:
-                    for channel, channel_qubits in self.noise_model.reset_channels(qubits[0]):
-                        tensor = self._apply_channel(tensor, channel, channel_qubits, num_qubits)
-                continue
-            channels = (
-                self.noise_model.channels_for_gate(qubits) if self.noise_model is not None else []
-            )
-            unitary_run.append((opcode, params, qubits))
-            if channels:
-                flush_run()
-                for channel, channel_qubits in channels:
-                    tensor = self._apply_channel(tensor, channel, channel_qubits, num_qubits)
-        flush_run()
-        return np.ascontiguousarray(tensor).reshape(dim, dim), measured
+        for qubit, _clbit in plan.terminal:
+            tensor = self._dephase(tensor, qubit, num_qubits)
+        return np.ascontiguousarray(tensor).reshape(dim, dim), plan.terminal
 
     def _apply_channel(
         self, tensor: np.ndarray, channel, qubits: Sequence[int], num_qubits: int
@@ -333,7 +290,7 @@ class DensityMatrixSimulator:
         return tensor
 
     def _apply_readout_confusion(
-        self, probabilities: np.ndarray, measured: List[Tuple[int, int]], num_qubits: int
+        self, probabilities: np.ndarray, measured: Sequence[Tuple[int, int]], num_qubits: int
     ) -> np.ndarray:
         """Mix the outcome distribution through per-qubit readout error."""
         result = probabilities.copy()

@@ -164,14 +164,18 @@ def operation_matrix(opcode: int, params: Tuple[float, ...] = ()) -> np.ndarray:
     """Cached dense matrix for a packed ``(opcode, params)`` row.
 
     The opcode-keyed twin of ``Gate.matrix()`` used by consumers reading
-    :class:`~repro.circuits.columnar.PackedCircuit` rows — no ``Gate``
-    object is materialised.  The returned array is shared across callers
-    and must not be mutated.
+    :class:`~repro.circuits.columnar.PackedCircuit` rows (the simulators and
+    the transpiler's single-qubit fusion) — no ``Gate`` object is
+    materialised.  It calls the very same ``matrix_fn``, so products built
+    from it are bit-identical to ones built from ``Gate.matrix()``.  The
+    returned array is shared across callers and read-only.
     """
     matrix_fn = _OP_MATRIX_FNS[opcode]
     if matrix_fn is None:
         raise SimulationError(f"operation {OP_NAMES[opcode]!r} has no matrix")
-    return matrix_fn(*params)
+    matrix = matrix_fn(*params)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=4096)

@@ -21,11 +21,10 @@ devices whose readout time is long relative to T1/T2.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits import Instruction
 from ..exceptions import NoiseModelError
 from .noise import (
     KrausChannel,
@@ -194,16 +193,11 @@ class NoiseModel:
         return channel
 
     # ------------------------------------------------------------------
-    def gate_channels(self, instruction: Instruction) -> ChannelList:
-        """Noise channels applied after a unitary gate."""
-        return self.channels_for_gate(instruction.qubits)
-
     def channels_for_gate(self, qubits: Tuple[int, ...]) -> ChannelList:
         """Noise channels after a unitary on ``qubits``.
 
-        The qubit-tuple entry point used by consumers reading packed circuit
-        rows (no ``Instruction`` object required); the noise model depends
-        only on the operand qubits, never on the gate identity.
+        The noise model depends only on the operand qubits, never on the
+        gate identity.
         """
         channels: ChannelList = []
         if len(qubits) == 1:
@@ -270,13 +264,6 @@ class NoiseModel:
                     channels.append((relaxation, (other,)))
         self._reset_cache[qubit] = list(channels)
         return channels
-
-    def apply_readout_error(self, qubit: int, outcome: int, rng: np.random.Generator) -> int:
-        """Classically flip a measured bit with the qubit's readout error."""
-        error = self.readout_error[qubit]
-        if error > 0 and rng.random() < error:
-            return 1 - outcome
-        return outcome
 
     # ------------------------------------------------------------------
     def restricted_to(self, qubits: Sequence[int]) -> "NoiseModel":

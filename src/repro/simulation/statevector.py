@@ -34,11 +34,11 @@ from ..exceptions import SimulationError
 from ..telemetry import get_metrics, get_tracer
 from . import kernels
 from .kernels import (
-    FusedGate,
     GateKernel,
     apply_kernel,
     contract,
     counts_from_samples,
+    fuse_circuit,
     fuse_operations,
     kernel_for_operation,
     measure_qubit_batch,
@@ -170,29 +170,20 @@ def final_statevector(
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-def circuit_unitary(circuit: Circuit, fuse: bool = True) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a measurement-free circuit (exponential cost).
 
-    Built by applying every (fused) gate kernel to the row axes of the
-    identity tensor in one shot — no per-column loop.
+    Built by applying every gate of :func:`~repro.simulation.kernels.fuse_circuit`
+    to the row axes of the identity tensor in one shot — no per-column loop.
+
+    Raises:
+        SimulationError: if the circuit contains measurement or reset.
     """
     num_qubits = circuit.num_qubits
     dim = 2**num_qubits
     # Row (output) qubit q of the unitary lives on axis num_qubits - 1 - q.
     tensor = np.eye(dim, dtype=complex).reshape((2,) * (2 * num_qubits))
-    operations: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-    for _row, opcode, qubits, params, _clbit in circuit.packed().iter_rows():
-        if opcode == BARRIER_OP:
-            continue
-        if opcode == MEASURE_OP or opcode == RESET_OP:
-            raise SimulationError("circuit_unitary requires a measurement-free circuit")
-        operations.append((operation_matrix(opcode, params), qubits))
-    fused_ops = (
-        fuse_operations(operations)
-        if fuse
-        else [FusedGate(matrix, qubits) for matrix, qubits in operations]
-    )
-    for fused in fused_ops:
+    for fused in fuse_circuit(circuit):
         axes = [qubit_axis(q, num_qubits) for q in fused.qubits]
         tensor = apply_kernel(tensor, fused.kernel, axes, strict=False)
     return np.ascontiguousarray(tensor).reshape(dim, dim)
@@ -429,38 +420,34 @@ def _xor_table(
 
 
 def _compile_trajectory_plan(circuit: Circuit, noise_model) -> _TrajectoryPlan:
-    """Lower a circuit to the step sequence the batched simulator executes.
+    """Lower a circuit to the step sequence both noisy simulators execute.
 
     Runs of consecutive noise-free unitaries are fused; every stochastic
     element (noise channel, mid-circuit measurement, reset) becomes its own
-    step.  Terminal measurements are deferred to final-state sampling.
+    step.  Terminal measurements (:meth:`PackedCircuit.terminal_measurements
+    <repro.circuits.columnar.PackedCircuit.terminal_measurements>`) are
+    deferred to final-state sampling, so a run is not split there.
     """
     steps: List[object] = []
-    run: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-    run_rows: List[Tuple[int, Tuple[int, ...], Tuple[float, ...]]] = []
+    run: List[Tuple[int, Tuple[int, ...], Tuple[float, ...]]] = []
 
     def flush_run() -> None:
-        if not run:
-            return
         if len(run) == 1:
-            opcode, qubits, params = run_rows[0]
+            opcode, qubits, params = run[0]
             steps.append(_GateStep(kernel_for_operation(opcode, params), qubits))
-        else:
-            for fused in fuse_operations(run):
+        elif run:
+            operations = [(operation_matrix(opcode, params), qubits) for opcode, qubits, params in run]
+            for fused in fuse_operations(operations):
                 steps.append(_GateStep(fused.kernel, fused.qubits))
         run.clear()
-        run_rows.clear()
 
-    terminal_indices = _terminal_measurements(circuit)
-    terminal_map: Dict[int, int] = {}
-    for index, opcode, qubits, params, clbit in circuit.packed().iter_rows():
-        if opcode == BARRIER_OP:
+    packed = circuit.packed()
+    terminal = packed.terminal_measurements()
+    for index, opcode, qubits, params, clbit in packed.iter_rows():
+        if opcode == BARRIER_OP or index in terminal:
             continue
         if opcode == MEASURE_OP:
             qubit = qubits[0]
-            if index in terminal_indices:
-                terminal_map[qubit] = clbit  # last mapping wins
-                continue
             flush_run()
             steps.append(_MeasureStep(qubit, clbit))
             if noise_model is not None:
@@ -474,16 +461,12 @@ def _compile_trajectory_plan(circuit: Circuit, noise_model) -> _TrajectoryPlan:
                 for channel, channel_qubits in noise_model.reset_channels(qubits[0]):
                     steps.append(_channel_step(channel, tuple(channel_qubits)))
             continue
+        run.append((opcode, qubits, params))
         channels = noise_model.channels_for_gate(qubits) if noise_model is not None else []
         if channels:
-            run.append((operation_matrix(opcode, params), qubits))
-            run_rows.append((opcode, qubits, params))
             flush_run()
             for channel, channel_qubits in channels:
                 steps.append(_channel_step(channel, tuple(channel_qubits)))
-        else:
-            run.append((operation_matrix(opcode, params), qubits))
-            run_rows.append((opcode, qubits, params))
     flush_run()
 
     split = 0
@@ -494,7 +477,7 @@ def _compile_trajectory_plan(circuit: Circuit, noise_model) -> _TrajectoryPlan:
         num_clbits=circuit.num_clbits,
         prefix=tuple(steps[:split]),
         suffix=tuple(steps[split:]),
-        terminal=tuple(terminal_map.items()),
+        terminal=tuple(terminal.values()),
     )
 
 
@@ -560,11 +543,12 @@ class StatevectorSimulator:
         needs_trajectories = self.noise_model is not None or _has_collapse(circuit)
         if not needs_trajectories:
             state = final_statevector(circuit)
-            qubits, clbits = _measurement_map(circuit)
-            if not qubits:
+            # qubit -> clbit; a qubit has at most one terminal measurement.
+            sampled = dict(circuit.packed().terminal_measurements().values())
+            if not sampled:
                 raise SimulationError("circuit has no measurements to sample")
             return sample_statevector(
-                state, shots, qubits, clbits, circuit.num_clbits, self._rng
+                state, shots, list(sampled), list(sampled.values()), circuit.num_clbits, self._rng
             )
         return self._run_batched_trajectories(circuit, shots)
 
@@ -784,49 +768,4 @@ def _has_collapse(circuit: Circuit) -> bool:
     """True when the circuit needs per-trajectory simulation even without noise."""
     if circuit.num_resets() > 0:
         return True
-    return circuit.num_measurements() > len(_terminal_measurements(circuit))
-
-
-def _terminal_measurements(circuit: Circuit) -> set[int]:
-    """Indices of measurements not followed by further operations on their qubit.
-
-    Vectorised over the packed rows: a measurement at row ``r`` on qubit
-    ``q`` is terminal exactly when the last non-barrier row touching ``q``
-    is ``r`` itself.
-    """
-    packed = circuit.packed()
-    opcodes = packed.opcodes
-    measure_rows = np.nonzero(opcodes == MEASURE_OP)[0]
-    if not measure_rows.size:
-        return set()
-    rows = np.nonzero(opcodes != BARRIER_OP)[0]
-    operands = packed.qubits[rows]
-    valid = operands >= 0
-    last_touch = np.full(circuit.num_qubits, -1, dtype=np.int64)
-    np.maximum.at(
-        last_touch,
-        operands[valid],
-        np.repeat(rows, operands.shape[1])[valid.ravel()],
-    )
-    measured_qubits = packed.qubits[measure_rows, 0]
-    return set(measure_rows[last_touch[measured_qubits] == measure_rows].tolist())
-
-
-def _measurement_map(circuit: Circuit) -> Tuple[List[int], List[int]]:
-    """Qubit and classical-bit lists of terminal measurements, in order.
-
-    Only measurements in the :func:`_terminal_measurements` set are included;
-    when a qubit appears in several terminal measurements (possible when two
-    map to different classical bits with nothing in between), the *last*
-    mapping wins.
-    """
-    terminal = _terminal_measurements(circuit)
-    packed = circuit.packed()
-    measure_rows = np.nonzero(packed.opcodes == MEASURE_OP)[0]
-    mapping: Dict[int, int] = {}
-    for row in measure_rows.tolist():
-        if row in terminal:
-            mapping[int(packed.qubits[row, 0])] = int(packed.clbits[row])
-    qubits = list(mapping.keys())
-    clbits = list(mapping.values())
-    return qubits, clbits
+    return circuit.num_measurements() > len(circuit.packed().terminal_measurements())

@@ -48,7 +48,8 @@ from ..circuits.columnar import (
     PackedBuilder,
     PackedCircuit,
 )
-from ..circuits.gates import ADDITIVE_ROTATIONS, GATE_DEFINITIONS, INVERSE_PAIRS, SELF_INVERSE
+from ..circuits.gates import ADDITIVE_ROTATIONS, INVERSE_PAIRS, SELF_INVERSE
+from ..simulation.kernels import operation_matrix
 from ..utils import normalize_angle
 from .decomposition import _ANGLE_TOLERANCE, zyz_angles
 
@@ -336,20 +337,6 @@ def cancel_adjacent_inverses_packed(packed: PackedCircuit) -> PackedCircuit:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _gate_matrix(opcode: int, params: Tuple[float, ...]) -> np.ndarray:
-    """Memoised ``Gate.matrix()`` by opcode + exact parameter tuple.
-
-    Calls the very same ``matrix_fn`` the object walk calls, so the fused
-    matrix products are bit-identical; the cache only removes recomputation
-    for repeated (gate, angle) combinations.
-    """
-    definition = GATE_DEFINITIONS[OP_NAMES[opcode]]
-    matrix = definition.matrix_fn(*params)
-    matrix.flags.writeable = False
-    return matrix
-
-
 @lru_cache(maxsize=65536)
 def _fused_run(run: Tuple[Tuple[int, Tuple[float, ...]], ...]) -> Optional[Tuple[float, float, float]]:
     """ZYZ angles of a fused single-qubit run, or ``None`` if it folds to identity.
@@ -359,9 +346,9 @@ def _fused_run(run: Tuple[Tuple[int, Tuple[float, ...]], ...]) -> Optional[Tuple
     repeat 1q-run patterns heavily, making the fold + ``zyz_angles`` cost
     one-time per distinct run.
     """
-    matrix = _gate_matrix(*run[0])
+    matrix = operation_matrix(*run[0])
     for key in run[1:]:
-        matrix = _gate_matrix(*key) @ matrix
+        matrix = operation_matrix(*key) @ matrix
     theta, phi, lam = zyz_angles(matrix)
     if (
         abs(theta) < _ANGLE_TOLERANCE

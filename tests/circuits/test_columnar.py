@@ -382,3 +382,35 @@ class TestUnpackFromForeignBuffers:
         assert circuit == expected
         assert circuit[1].gate == Gate("rzz", (0.5,))
         assert isinstance(circuit[2], Instruction)
+
+
+# ---------------------------------------------------------------------------
+# the terminal-measurement rule
+# ---------------------------------------------------------------------------
+class TestTerminalMeasurements:
+    def test_circuit_without_measurements_gives_empty_map(self):
+        assert Circuit(2).h(0).cx(0, 1).packed().terminal_measurements() == {}
+        assert Circuit(1).packed().terminal_measurements() == {}
+
+    def test_values_come_in_row_order(self):
+        circuit = Circuit(3, 3).h(0).measure(2, 0).cx(0, 1).measure(0, 2).measure(1, 1)
+        terminal = circuit.packed().terminal_measurements()
+        assert list(terminal.items()) == [(1, (2, 0)), (3, (0, 2)), (4, (1, 1))]
+
+    def test_barrier_after_measurement_leaves_it_terminal(self):
+        circuit = Circuit(2, 2).h(0).measure(0, 0).barrier().measure(1, 1).barrier(0, 1)
+        assert circuit.packed().terminal_measurements() == {1: (0, 0), 3: (1, 1)}
+
+    def test_second_measurement_makes_the_first_mid_circuit(self):
+        circuit = Circuit(1, 2).x(0).measure(0, 0).measure(0, 1)
+        assert circuit.packed().terminal_measurements() == {2: (0, 1)}
+
+    def test_reset_makes_a_measurement_mid_circuit(self):
+        circuit = Circuit(2, 2).h(0).measure(0, 0).reset(0).measure(1, 1)
+        assert circuit.packed().terminal_measurements() == {3: (1, 1)}
+
+    def test_gate_on_another_qubit_leaves_it_terminal(self):
+        circuit = Circuit(2, 2).h(0).measure(0, 0).x(1).measure(1, 1)
+        assert circuit.packed().terminal_measurements() == {1: (0, 0), 3: (1, 1)}
+        circuit = Circuit(2, 2).measure(0, 0).cx(1, 0).measure(1, 1)
+        assert circuit.packed().terminal_measurements() == {2: (1, 1)}

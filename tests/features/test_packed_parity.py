@@ -178,7 +178,9 @@ def _reference_plan_shape(circuit: Circuit, noise_model):
                 for _channel, qubits in noise_model.reset_channels(instruction.qubits[0]):
                     shape.append(("channel", tuple(qubits)))
             continue
-        channels = noise_model.gate_channels(instruction) if noise_model is not None else []
+        channels = (
+            noise_model.channels_for_gate(instruction.qubits) if noise_model is not None else []
+        )
         kernel = kernel_for_operation(OPCODES[instruction.name], instruction.params)
         shape.append(("gate", instruction.qubits, kernel.kind))
         for _channel, qubits in channels:

@@ -11,7 +11,10 @@ replaced and must reproduce gate for gate.  It also keeps the
 bit, the whole-batch XOR-gather noise-channel step
 (:func:`apply_channel_batch_reference`) that the trajectory simulator's
 row-only step replaced and must reproduce byte for byte (up to the sign of a
-zero), and the networkx noise-aware placement and shortest-path router
+zero), the density-matrix simulator's own row walk
+(:func:`density_matrix_walk`), which it replaced by evolving the trajectory
+plan and must reproduce byte for byte where the two fuse the same runs, and
+the networkx noise-aware placement and shortest-path router
 (:func:`noise_aware_placement`, :func:`route_circuit`) that the cached
 coupling tables of ``repro.devices.coupling`` replaced and must reproduce
 qubit for qubit.  It keeps the VQE and QAOA benchmarks' inline
@@ -24,7 +27,8 @@ reproduce float for float.  So:
   (``tests/transpiler/test_packed_passes.py``), the interaction-graph /
   depth / moment / critical-path / feature parity tests and the kernel
   parity tests (``tests/simulation/test_kernels.py``,
-  ``tests/simulation/test_channel_parity.py``) and the placement and routing
+  ``tests/simulation/test_channel_parity.py``), the density-matrix parity
+  test (``tests/simulation/test_density_matrix.py``) and the placement and routing
   parity tests (``tests/transpiler/test_placement_routing.py``) and the
   measured-energy parity tests (``tests/benchmarks/test_measured_energy.py``)
   compare the library against code it does not share;
@@ -47,7 +51,14 @@ import networkx as nx
 import numpy as np
 
 from repro.circuits import Circuit, Gate, Instruction
-from repro.circuits.columnar import BARRIER_OP, OPCODES, PackedBuilder, PackedCircuit
+from repro.circuits.columnar import (
+    BARRIER_OP,
+    MEASURE_OP,
+    OPCODES,
+    RESET_OP,
+    PackedBuilder,
+    PackedCircuit,
+)
 from repro.devices import Device
 from repro.exceptions import BenchmarkError, SimulationError
 from repro.circuits.gates import ADDITIVE_ROTATIONS, SELF_INVERSE
@@ -62,6 +73,14 @@ from repro.transpiler import (
     PropertySet,
     TransformationPass,
     zyz_angles,
+)
+from repro.simulation import DensityMatrixSimulator
+from repro.simulation.density_matrix import _apply_sandwich
+from repro.simulation.kernels import (
+    analyze_matrix,
+    fuse_operations,
+    kernel_for_operation,
+    operation_matrix,
 )
 from repro.simulation.statevector import _xor_table
 from repro.transpiler.packed import _ANGLE_TOLERANCE, _INVERSE_PAIRS
@@ -83,6 +102,8 @@ __all__ = [
     "liveness_matrix",
     "apply_matrix_reference",
     "apply_channel_batch_reference",
+    "density_matrix_walk",
+    "density_matrix_walk_distribution",
     "noise_aware_placement",
     "route_circuit",
     "vqe_measured_energy",
@@ -537,6 +558,102 @@ def apply_channel_batch_reference(batch: np.ndarray, step, num_qubits: int, rng)
     gather, columns = _xor_table(num_qubits, step.qubits, prepared.terms)
     out = (flat[:, gather] * operators[:, columns]).sum(axis=1)
     return out.reshape(batch.shape)
+
+
+def density_matrix_walk(
+    circuit: Circuit, noise_model=None
+) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """The density-matrix simulator's own row walk: ``(rho, measured pairs)``.
+
+    Walks the packed rows with its own run fusion, noise placement and
+    measurement bookkeeping, as the simulator did before it evolved the
+    trajectory plan: a measurement flushes the pending run and dephases its
+    qubit where it stands, a second measurement of a qubit or any operation
+    after one raises.  It shares only the kernels and the channel, reset and
+    dephasing primitives with the simulator.
+    """
+    simulator = DensityMatrixSimulator(noise_model)
+    num_qubits = circuit.num_qubits
+    dim = 2**num_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    tensor = rho.reshape((2,) * (2 * num_qubits))
+    measured: List[Tuple[int, int]] = []
+    measured_qubits: set = set()
+    unitary_run: List[Tuple[int, Tuple[float, ...], Tuple[int, ...]]] = []
+
+    def flush_run() -> None:
+        nonlocal tensor
+        if not unitary_run:
+            return
+        if len(unitary_run) == 1:
+            opcode, params, qubits = unitary_run[0]
+            tensor = _apply_sandwich(
+                tensor,
+                kernel_for_operation(opcode, params),
+                analyze_matrix(operation_matrix(opcode, params).conj()),
+                qubits,
+                num_qubits,
+                in_place=True,
+            )
+        else:
+            operations = [
+                (operation_matrix(opcode, params), qubits) for opcode, params, qubits in unitary_run
+            ]
+            for fused in fuse_operations(operations):
+                bra_kernel = analyze_matrix(fused.matrix.conj())
+                tensor = _apply_sandwich(
+                    tensor, fused.kernel, bra_kernel, fused.qubits, num_qubits, in_place=True
+                )
+        unitary_run.clear()
+
+    for _row, opcode, qubits, params, clbit in circuit.packed().iter_rows():
+        if opcode == BARRIER_OP:
+            continue
+        if opcode == MEASURE_OP:
+            qubit = qubits[0]
+            if qubit in measured_qubits:
+                raise SimulationError("the walk does not support measuring the same qubit twice")
+            flush_run()
+            tensor = simulator._dephase(tensor, qubit, num_qubits)
+            measured.append((qubit, clbit))
+            measured_qubits.add(qubit)
+            continue
+        if any(q in measured_qubits for q in qubits):
+            raise SimulationError("the walk does not support operations after measurement")
+        if opcode == RESET_OP:
+            flush_run()
+            tensor = simulator._reset(tensor, qubits[0], num_qubits)
+            if noise_model is not None:
+                for channel, channel_qubits in noise_model.reset_channels(qubits[0]):
+                    tensor = simulator._apply_channel(tensor, channel, channel_qubits, num_qubits)
+            continue
+        channels = noise_model.channels_for_gate(qubits) if noise_model is not None else []
+        unitary_run.append((opcode, params, qubits))
+        if channels:
+            flush_run()
+            for channel, channel_qubits in channels:
+                tensor = simulator._apply_channel(tensor, channel, channel_qubits, num_qubits)
+    flush_run()
+    return np.ascontiguousarray(tensor).reshape(dim, dim), measured
+
+
+def density_matrix_walk_distribution(
+    circuit: Circuit, noise_model=None
+) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """Outcome probabilities of :func:`density_matrix_walk`, readout error applied.
+
+    Normalises the diagonal and mixes in readout error exactly as
+    ``DensityMatrixSimulator._output_distribution`` does.
+    """
+    rho, measured = density_matrix_walk(circuit, noise_model)
+    probabilities = np.clip(np.real(np.diag(rho)), 0.0, None)
+    probabilities = probabilities / probabilities.sum()
+    if noise_model is not None:
+        probabilities = DensityMatrixSimulator(noise_model)._apply_readout_confusion(
+            probabilities, measured, circuit.num_qubits
+        )
+    return probabilities, measured
 
 
 # ---------------------------------------------------------------------------

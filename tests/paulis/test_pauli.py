@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit
 from repro.exceptions import AnalysisError
+from repro.hamiltonians import TransverseFieldIsing
 from repro.paulis import PauliString, PauliSum, PauliTerm
 from repro.simulation import Counts, final_statevector
 
@@ -161,6 +162,20 @@ class TestPauliSum:
         counts = Counts({"00": 10})
         total = PauliSum([PauliTerm(2.0, zz)])
         assert total.expectation_from_group_counts([(group, counts)]) == pytest.approx(2.0)
+
+    def test_group_counts_of_terms_outside_the_sum_rejected(self):
+        zz_terms = TransverseFieldIsing(3).zz_terms()
+        with pytest.raises(AnalysisError, match="not exactly this sum's terms"):
+            PauliSum().expectation_from_group_counts([(zz_terms, Counts({"000": 10}))])
+
+    def test_group_counts_missing_a_term_rejected(self):
+        model = TransverseFieldIsing(3)
+        x_terms = list(model.x_terms())
+        groups = [(model.zz_terms(), Counts({"000": 10})), (x_terms[:-1], Counts({"000": 10}))]
+        with pytest.raises(AnalysisError, match="not exactly this sum's terms"):
+            model.hamiltonian().expectation_from_group_counts(groups)
+        groups[1] = (x_terms, Counts({"000": 10}))
+        assert model.hamiltonian().expectation_from_group_counts(groups) == pytest.approx(-5.0)
 
 
 class TestPauliPropertyBased:

@@ -1,15 +1,10 @@
 """Tests for calibration-derived noise models."""
 
-import numpy as np
 import pytest
 
-from repro.circuits import Circuit, Gate, Instruction
+from repro.circuits import Circuit
 from repro.exceptions import NoiseModelError
 from repro.simulation import NoiseModel, StatevectorSimulator
-
-
-def _instruction(name, qubits, params=()):
-    return Instruction(Gate(name, tuple(params)), tuple(qubits))
 
 
 class TestConstruction:
@@ -33,20 +28,20 @@ class TestConstruction:
 class TestChannelSelection:
     def test_ideal_model_produces_no_channels(self):
         model = NoiseModel.ideal(2)
-        assert model.gate_channels(_instruction("cx", (0, 1))) == []
+        assert model.channels_for_gate((0, 1)) == []
         assert model.measurement_channels(0) == []
         assert model.reset_channels(0) == []
 
     def test_single_qubit_gate_channels(self):
         model = NoiseModel(2, error_1q=0.01, error_2q=0.0, t1=100, t2=100)
-        channels = model.gate_channels(_instruction("h", (0,)))
+        channels = model.channels_for_gate((0,))
         names = [channel.name for channel, _qubits in channels]
         assert "depolarizing" in names
         assert any("thermal" in name for name in names)
 
     def test_two_qubit_gate_channels(self):
         model = NoiseModel.uniform(3, error_2q=0.02)
-        channels = model.gate_channels(_instruction("cx", (0, 2)))
+        channels = model.channels_for_gate((0, 2))
         assert channels[0][0].name == "depolarizing2"
         assert channels[0][1] == (0, 2)
 
@@ -70,19 +65,6 @@ class TestChannelSelection:
         channels = model.reset_channels(0)
         assert len(channels) == 1
         assert channels[0][0].name == "bit_flip"
-
-
-class TestReadoutError:
-    def test_readout_flip_statistics(self):
-        model = NoiseModel.uniform(1, readout_error=0.3)
-        rng = np.random.default_rng(0)
-        flips = sum(model.apply_readout_error(0, 0, rng) for _ in range(5000))
-        assert 0.25 < flips / 5000 < 0.35
-
-    def test_zero_readout_error_never_flips(self):
-        model = NoiseModel.ideal(1)
-        rng = np.random.default_rng(0)
-        assert all(model.apply_readout_error(0, 1, rng) == 1 for _ in range(100))
 
 
 class TestRestriction:

@@ -92,6 +92,12 @@ class TestFinalStatevector:
         state = final_statevector(ghz3)
         assert np.allclose(unitary[:, 0], state)
 
+    def test_circuit_unitary_rejects_measurement_and_reset(self):
+        with pytest.raises(SimulationError):
+            circuit_unitary(Circuit(1, 1).h(0).measure(0, 0))
+        with pytest.raises(SimulationError):
+            circuit_unitary(Circuit(1).h(0).reset(0))
+
     def test_parameterised_rows_skip_kernel_caches_and_match_strict_kernels(self):
         def ansatz(theta):
             circuit = Circuit(3).h(0).rx(theta, 1).cx(0, 1).rzz(2 * theta, 1, 2)
