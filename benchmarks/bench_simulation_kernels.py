@@ -5,7 +5,9 @@ pre-kernel-layer code path (kept in this file so the comparison survives the
 refactor it measures):
 
 * ``statevector`` — per-gate tensordot evolution (``apply_matrix_reference``
-  from the ``tests/oracle.py`` baseline) vs fused/specialised kernels;
+  from the ``tests/oracle.py`` baseline) vs the fused walk the trajectory
+  simulator runs (``_evolve_prefix`` of the circuit's noise-free plan, which
+  compiles it to fused, specialised kernels);
 * ``trajectories`` — the historical one-full-evolution-per-shot noisy loop vs
   the batched ``(T, 2**n)`` trajectory array;
 * ``density_matrix`` — the historical per-column Python loop vs tensorised
@@ -44,7 +46,7 @@ from repro.benchmarks import GHZBenchmark, VanillaQAOABenchmark
 from repro.circuits.random_circuits import quantum_volume_circuit
 from repro.simulation import DensityMatrixSimulator, NoiseModel, StatevectorSimulator
 from repro.simulation.kernels import qubit_axis
-from repro.simulation.statevector import final_statevector
+from repro.simulation.statevector import _compile_trajectory_plan, _evolve_prefix
 from timing import time_best_of
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -166,7 +168,7 @@ def measure_statevector_evolution() -> Dict[str, float]:
     num_qubits = EVOLUTION_QUBITS[MODE]
     circuit = quantum_volume_circuit(num_qubits, rng=0, measure=False)
     legacy = time_best_of(lambda: legacy_statevector_evolution(circuit), 5)
-    fused = time_best_of(lambda: final_statevector(circuit, fuse=True), 5)
+    fused = time_best_of(lambda: _evolve_prefix(_compile_trajectory_plan(circuit, None)), 5)
     return {
         "legacy_seconds": legacy,
         "kernel_seconds": fused,

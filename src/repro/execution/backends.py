@@ -23,6 +23,7 @@ from ..circuits import Circuit
 from ..exceptions import SimulationError
 from ..simulation import Counts, DensityMatrixSimulator, StatevectorSimulator
 from ..simulation.noise_model import NoiseModel
+from ..simulation.statevector import checked_trajectories
 
 __all__ = [
     "Backend",
@@ -121,14 +122,15 @@ class StatevectorBackend(_SimulatorBackend):
             circuit contains mid-circuit measurement or reset (which forces
             per-trajectory simulation even without noise).  ``None`` (default)
             uses one trajectory per shot for such circuits; measurement-free
-            circuits always use a single final-state sampling pass.
+            circuits always use a single final-state sampling pass.  A count
+            below 1 raises :class:`~repro.exceptions.SimulationError`.
     """
 
     name = "statevector"
     noisy = False
 
     def __init__(self, trajectories: Optional[int] = None) -> None:
-        self.trajectories = trajectories
+        self.trajectories = checked_trajectories(trajectories)
 
     def _simulator(
         self, noise_model: Optional[NoiseModel], seed: Optional[int]
@@ -155,7 +157,8 @@ class TrajectoryBackend(_SimulatorBackend):
         trajectories: Number of independent trajectories the shots are spread
             over.  ``None`` (default) uses one trajectory per shot — the most
             faithful option; with batching it is no longer the slowest by
-            orders of magnitude.
+            orders of magnitude.  A count below 1 raises
+            :class:`~repro.exceptions.SimulationError`.
         max_batch_elements: Cap on ``trajectories * 2**n`` amplitudes held in
             memory at once; beyond it the batch is processed in deterministic
             chunks (seeded results do not depend on the cap's interaction
@@ -170,7 +173,7 @@ class TrajectoryBackend(_SimulatorBackend):
         trajectories: Optional[int] = None,
         max_batch_elements: Optional[int] = None,
     ) -> None:
-        self.trajectories = trajectories
+        self.trajectories = checked_trajectories(trajectories)
         self.max_batch_elements = max_batch_elements
 
     def _simulator(

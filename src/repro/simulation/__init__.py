@@ -9,9 +9,7 @@ from .kernels import (
     FusedGate,
     GateKernel,
     analyze_matrix,
-    apply_matrix,
     contract,
-    fuse_circuit,
     fuse_operations,
 )
 from .noise import (
@@ -33,7 +31,6 @@ from .result import (
 )
 from .statevector import (
     StatevectorSimulator,
-    apply_unitary,
     circuit_unitary,
     final_statevector,
     probabilities_from_statevector,
@@ -48,9 +45,7 @@ __all__ = [
     "GateKernel",
     "FusedGate",
     "analyze_matrix",
-    "apply_matrix",
     "contract",
-    "fuse_circuit",
     "fuse_operations",
     "KrausChannel",
     "depolarizing_channel",
@@ -63,7 +58,6 @@ __all__ = [
     "NoiseModel",
     "StatevectorSimulator",
     "DensityMatrixSimulator",
-    "apply_unitary",
     "final_statevector",
     "circuit_unitary",
     "probabilities_from_statevector",

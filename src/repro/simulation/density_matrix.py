@@ -28,7 +28,7 @@ from .kernels import apply_kernel, counts_from_samples, qubit_axis
 from .result import Counts
 from .statevector import _ChannelStep, _compile_trajectory_plan, _GateStep, _ResetStep
 
-__all__ = ["apply_kraus_to_density_matrix", "DensityMatrixSimulator"]
+__all__ = ["DensityMatrixSimulator"]
 
 
 def _ket_axes(qubits: Sequence[int], num_qubits: int) -> List[int]:
@@ -118,29 +118,6 @@ def _verify_uniform_depolarizing(channel) -> Optional[Tuple[float, float]]:
     return (1.0 - gamma, gamma)
 
 
-def apply_kraus_to_density_matrix(
-    rho: np.ndarray,
-    kraus_operators: Sequence[np.ndarray],
-    qubits: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Exact application of a Kraus channel to a density matrix."""
-    dim = 2**num_qubits
-    tensor = np.asarray(rho, dtype=complex).reshape((2,) * (2 * num_qubits))
-    result: Optional[np.ndarray] = None
-    for operator in kraus_operators:
-        operator = np.asarray(operator, dtype=complex)
-        ket_kernel = kernels.analyze_matrix(operator)
-        bra_kernel = kernels.analyze_matrix(operator.conj())
-        term = _apply_sandwich(tensor, ket_kernel, bra_kernel, qubits, num_qubits)
-        if result is None:
-            result = np.ascontiguousarray(term)
-        else:
-            result += term
-    assert result is not None  # KrausChannel guarantees >= 1 operator
-    return result.reshape(dim, dim)
-
-
 def _apply_depolarizing(
     tensor: np.ndarray,
     qubits: Sequence[int],
@@ -178,6 +155,8 @@ class DensityMatrixSimulator:
     # ------------------------------------------------------------------
     def run(self, circuit: Circuit, shots: int = 1024) -> Counts:
         """Execute the circuit exactly and sample ``shots`` outcomes."""
+        if shots <= 0:
+            raise SimulationError("shots must be positive")
         probabilities, measured = self._output_distribution(circuit)
         samples = self._rng.choice(len(probabilities), size=shots, p=probabilities)
         qubits = [qubit for qubit, _clbit in measured]

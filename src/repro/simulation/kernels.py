@@ -6,7 +6,7 @@ matrix) are built on the primitives here:
 
 * **Structure-specialised apply** — :func:`analyze_matrix` classifies a
   unitary as *diagonal* (rz/cz/cp/rzz…), *permutation-like* (x/cx/swap/ccx,
-  one non-zero entry per row) or *generic*, and :func:`apply_matrix` picks an
+  one non-zero entry per row) or *generic*, and :func:`apply_kernel` picks an
   elementwise multiply, a gather, or the dense :func:`contract` accordingly.
   The diagonal path mutates the state in place; the permutation path performs
   a single gather with no matrix arithmetic at all.
@@ -25,7 +25,7 @@ the same operands as the historical reference contraction (kept as
 ``apply_matrix_reference`` in ``tests/oracle.py``), and ``exact_compatible``
 kernels (permutations and diagonals whose entries are exactly ``±1``/``±i``)
 produce the same bits as it but for the sign of a zero amplitude, so
-:func:`apply_matrix` with ``strict=True`` only takes a fast path when it
+:func:`apply_kernel` with ``strict=True`` only takes a fast path when it
 cannot change a single bit of the output probabilities; everything else
 falls back to :func:`contract`.  The noisy/batched paths use ``strict=False``
 and are validated statistically against the density-matrix reference.
@@ -44,8 +44,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits import Circuit
-from ..circuits.columnar import BARRIER_OP, OP_IS_UNITARY, OP_NAMES
+from ..circuits.columnar import OP_NAMES
 from ..circuits.gates import GATE_DEFINITIONS
 from ..exceptions import SimulationError
 
@@ -54,12 +53,10 @@ __all__ = [
     "analyze_matrix",
     "operation_matrix",
     "kernel_for_operation",
-    "apply_matrix",
     "contract",
     "apply_kernel",
     "FusedGate",
     "fuse_operations",
-    "fuse_circuit",
     "qubit_axis",
     "measure_qubit_batch",
     "reset_qubit_batch",
@@ -295,17 +292,6 @@ def apply_kernel(
     return contract(tensor, kernel.matrix, axes)
 
 
-def apply_matrix(
-    tensor: np.ndarray,
-    matrix: np.ndarray,
-    axes: Sequence[int],
-    strict: bool = False,
-    in_place: bool = True,
-) -> np.ndarray:
-    """Analyse-and-apply convenience wrapper (uncached analysis)."""
-    return apply_kernel(tensor, analyze_matrix(matrix), axes, strict=strict, in_place=in_place)
-
-
 # ---------------------------------------------------------------------------
 # gate fusion
 # ---------------------------------------------------------------------------
@@ -380,28 +366,6 @@ def fuse_operations(
             fused.append(FusedGate(np.asarray(matrix, dtype=complex), tuple(qubits)))
     flush(list(pending))
     return fused
-
-
-def fuse_circuit(circuit: Circuit) -> List[FusedGate]:
-    """Fuse the unitary gates of a measurement-free circuit.
-
-    Raises:
-        SimulationError: if the circuit contains measurement or reset
-            (barriers are skipped — they carry no simulation semantics).
-    """
-    packed = circuit.packed()
-    opcodes = packed.opcodes
-    if bool(np.any(~OP_IS_UNITARY[opcodes] & (opcodes != BARRIER_OP))):
-        raise SimulationError(
-            "fuse_circuit requires a measurement-free circuit; "
-            "fuse per-segment instead"
-        )
-    operations: List[Tuple[np.ndarray, Tuple[int, ...]]] = [
-        (operation_matrix(opcode, params), qubits)
-        for _row, opcode, qubits, params, _clbit in packed.iter_rows()
-        if opcode != BARRIER_OP
-    ]
-    return fuse_operations(operations)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -72,14 +72,6 @@ class KrausChannel:
             b @ a for a in self.kraus_operators for b in other.kraus_operators
         )
         return KrausChannel(operators, name=f"{self.name}+{other.name}")
-
-    def apply_to_density_matrix(
-        self, rho: np.ndarray, qubits: Sequence[int], num_qubits: int
-    ) -> np.ndarray:
-        """Exact channel application on a density matrix (used by tests/reference)."""
-        from .density_matrix import apply_kraus_to_density_matrix
-
-        return apply_kraus_to_density_matrix(rho, self.kraus_operators, qubits, num_qubits)
 
     def kraus_kernels(self) -> Tuple[Tuple[object, object], ...]:
         """Per-operator ``(ket_kernel, bra_kernel)`` pairs, analysed once.

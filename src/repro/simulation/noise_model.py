@@ -265,37 +265,6 @@ class NoiseModel:
         self._reset_cache[qubit] = list(channels)
         return channels
 
-    # ------------------------------------------------------------------
-    def restricted_to(self, qubits: Sequence[int]) -> "NoiseModel":
-        """Project the model onto a subset of qubits (new indices 0..k-1).
-
-        Used when a transpiled circuit is compacted to its active qubits: the
-        calibration of physical qubit ``qubits[i]`` becomes the calibration of
-        compact qubit ``i``.
-        """
-        index = {old: new for new, old in enumerate(qubits)}
-        error_2q = {}
-        for pair, value in self._error_2q.items():
-            members = tuple(pair)
-            if all(m in index for m in members):
-                error_2q[(index[members[0]], index[members[1]])] = value
-        model = NoiseModel(
-            len(qubits),
-            t1=[self.t1[q] for q in qubits],
-            t2=[self.t2[q] for q in qubits],
-            gate_time_1q=self.gate_time_1q,
-            gate_time_2q=self.gate_time_2q,
-            readout_time=self.readout_time,
-            error_1q=[self.error_1q[q] for q in qubits],
-            error_2q=error_2q if error_2q else self._error_2q_default,
-            readout_error=[self.readout_error[q] for q in qubits],
-            reset_error=self.reset_error,
-            idle_during_readout=self.idle_during_readout,
-        )
-        if not error_2q:
-            model._error_2q_default = self._error_2q_default
-        return model
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"NoiseModel(num_qubits={self.num_qubits}, "

@@ -32,13 +32,11 @@ from ..circuits import Circuit
 from ..circuits.columnar import BARRIER_OP, MEASURE_OP, RESET_OP
 from ..exceptions import SimulationError
 from ..telemetry import get_metrics, get_tracer
-from . import kernels
 from .kernels import (
     GateKernel,
     apply_kernel,
     contract,
     counts_from_samples,
-    fuse_circuit,
     fuse_operations,
     kernel_for_operation,
     measure_qubit_batch,
@@ -51,7 +49,6 @@ from .noise import KrausChannel
 from .result import Counts
 
 __all__ = [
-    "apply_unitary",
     "final_statevector",
     "circuit_unitary",
     "probabilities_from_statevector",
@@ -74,26 +71,8 @@ _BATCHES = get_metrics().counter(
     "Trajectory chunks evolved by the batched simulator.",
 )
 
-
-def apply_unitary(
-    state: np.ndarray, matrix: np.ndarray, targets: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Apply a k-qubit unitary to the listed target qubits of a statevector.
-
-    The matrix uses the convention that ``targets[0]`` is the most significant
-    bit of the matrix index (textbook ordering).  Dispatches to the
-    structure-specialised kernels in strict mode (bit-identical to the
-    dense contraction); the input array is never modified.
-    """
-    k = len(targets)
-    if matrix.shape != (2**k, 2**k):
-        raise SimulationError(
-            f"matrix shape {matrix.shape} does not match {k} target qubits"
-        )
-    psi = state.reshape((2,) * num_qubits)
-    axes = [qubit_axis(q, num_qubits) for q in targets]
-    out = kernels.apply_matrix(psi, matrix, axes, strict=True, in_place=False)
-    return np.ascontiguousarray(out).reshape(-1)
+#: Rows the strict walk skips: they carry no unitary.
+_NON_GATE_OPS = frozenset((BARRIER_OP, MEASURE_OP, RESET_OP))
 
 
 def _initial_tensor(num_qubits: int, initial_state: np.ndarray | None) -> np.ndarray:
@@ -108,85 +87,62 @@ def _initial_tensor(num_qubits: int, initial_state: np.ndarray | None) -> np.nda
     return state.reshape((2,) * num_qubits)
 
 
-def final_statevector(
-    circuit: Circuit,
-    initial_state: np.ndarray | None = None,
-    fuse: bool = False,
-) -> np.ndarray:
-    """Ideal final statevector of a circuit.
+def _evolve_rows(tensor: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """The strict walk: apply each gate row of ``circuit`` on its own to ``tensor``.
 
-    Terminal measurements are ignored; mid-circuit measurements or resets
-    raise :class:`SimulationError` because the output would not be a pure
-    state (use :class:`StatevectorSimulator` instead).
-
-    Args:
-        fuse: Merge adjacent gates with :func:`~repro.simulation.kernels.fuse_operations`
-            before evolving.  Faster for deep circuits, but the result may
-            differ from the unfused evolution in the last floating-point ulp —
-            leave off where bit-reproducibility of seeded sampling matters.
+    Qubit ``q`` is axis ``qubit_axis(q, num_qubits)``; trailing axes (the
+    columns of :func:`circuit_unitary`'s identity) ride along.  Barrier,
+    measurement and reset rows are skipped, so callers reject circuits with
+    a collapse.  Strict kernels keep the result bit-identical to per-gate
+    dense contraction (the seeded sampling contract).  Parameterised rows
+    skip kernel analysis and the caches: an optimiser's angles are seen
+    once, and strict mode only takes fast paths that are bit-identical to
+    the contraction anyway.
     """
     num_qubits = circuit.num_qubits
-    psi = _initial_tensor(num_qubits, initial_state)
-
-    gate_rows: List[Tuple[int, Tuple[int, ...], Tuple[float, ...]]] = []
-    seen_measurement_qubits: set[int] = set()
     for _row, opcode, qubits, params, _clbit in circuit.packed().iter_rows():
-        if opcode == BARRIER_OP:
+        if opcode in _NON_GATE_OPS:
             continue
-        if opcode == MEASURE_OP:
-            seen_measurement_qubits.add(qubits[0])
-            continue
-        if opcode == RESET_OP:
-            raise SimulationError(
-                "circuit contains reset; use StatevectorSimulator for shot-based runs"
-            )
-        if any(q in seen_measurement_qubits for q in qubits):
-            raise SimulationError(
-                "circuit contains mid-circuit measurement; use StatevectorSimulator"
-            )
-        gate_rows.append((opcode, qubits, params))
+        axes = [qubit_axis(q, num_qubits) for q in qubits]
+        if params:
+            tensor = contract(tensor, operation_matrix.__wrapped__(opcode, params), axes)
+        else:
+            tensor = apply_kernel(tensor, kernel_for_operation(opcode, params), axes, strict=True)
+    return tensor
 
-    if fuse:
-        operations = [
-            (operation_matrix(opcode, params), qubits)
-            for opcode, qubits, params in gate_rows
-        ]
-        for fused in fuse_operations(operations):
-            axes = [qubit_axis(q, num_qubits) for q in fused.qubits]
-            psi = apply_kernel(psi, fused.kernel, axes, strict=False)
-    else:
-        # Strict kernels keep this path bit-identical to per-gate dense
-        # contraction (the seeded sampling contract).  Parameterised rows
-        # skip kernel analysis and the caches: an optimiser's angles are
-        # seen once, and strict mode only takes fast paths that are
-        # bit-identical to the contraction anyway.
-        for opcode, qubits, params in gate_rows:
-            axes = [qubit_axis(q, num_qubits) for q in qubits]
-            if params:
-                matrix = operation_matrix.__wrapped__(opcode, params)
-                psi = contract(psi, matrix, axes)
-            else:
-                psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
+
+def final_statevector(circuit: Circuit, initial_state: np.ndarray | None = None) -> np.ndarray:
+    """Ideal final statevector of a circuit.
+
+    Terminal measurements are ignored.  A reset, or a measurement that is
+    not the last operation on its qubit, raises :class:`SimulationError`
+    because the output would not be a pure state (use
+    :class:`StatevectorSimulator` instead).
+    """
+    if _has_collapse(circuit):
+        raise SimulationError(
+            "circuit contains reset or mid-circuit measurement; use StatevectorSimulator"
+        )
+    psi = _evolve_rows(_initial_tensor(circuit.num_qubits, initial_state), circuit)
     return np.ascontiguousarray(psi).reshape(-1)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of a measurement-free circuit (exponential cost).
 
-    Built by applying every gate of :func:`~repro.simulation.kernels.fuse_circuit`
-    to the row axes of the identity tensor in one shot — no per-column loop.
+    The strict row walk applied to the row axes of the identity tensor in
+    one shot — no per-column loop.
 
     Raises:
         SimulationError: if the circuit contains measurement or reset.
     """
+    if circuit.num_measurements() or circuit.num_resets():
+        raise SimulationError("circuit_unitary requires a circuit without measurement or reset")
     num_qubits = circuit.num_qubits
     dim = 2**num_qubits
     # Row (output) qubit q of the unitary lives on axis num_qubits - 1 - q.
     tensor = np.eye(dim, dtype=complex).reshape((2,) * (2 * num_qubits))
-    for fused in fuse_circuit(circuit):
-        axes = [qubit_axis(q, num_qubits) for q in fused.qubits]
-        tensor = apply_kernel(tensor, fused.kernel, axes, strict=False)
-    return np.ascontiguousarray(tensor).reshape(dim, dim)
+    return np.ascontiguousarray(_evolve_rows(tensor, circuit)).reshape(dim, dim)
 
 
 def probabilities_from_statevector(state: np.ndarray) -> np.ndarray:
@@ -419,6 +375,21 @@ def _xor_table(
     return gather, columns
 
 
+def _evolve_prefix(plan: _TrajectoryPlan) -> np.ndarray:
+    """The plan's deterministic prefix evolved from ``|0...0>``, as a ``(2,)*n`` tensor.
+
+    The fused walk: the prefix's gate steps are fused runs, applied with
+    the non-strict kernels, so the state may differ from
+    :func:`final_statevector`'s in the last ulp.
+    """
+    num_qubits = plan.num_qubits
+    psi = _initial_tensor(num_qubits, None)
+    for step in plan.prefix:
+        axes = [qubit_axis(q, num_qubits) for q in step.qubits]
+        psi = apply_kernel(psi, step.kernel, axes, strict=False)
+    return psi
+
+
 def _compile_trajectory_plan(circuit: Circuit, noise_model) -> _TrajectoryPlan:
     """Lower a circuit to the step sequence both noisy simulators execute.
 
@@ -481,6 +452,13 @@ def _compile_trajectory_plan(circuit: Circuit, noise_model) -> _TrajectoryPlan:
     )
 
 
+def checked_trajectories(trajectories: int | None) -> int | None:
+    """Return a trajectory count that is ``None`` or at least 1; raise otherwise."""
+    if trajectories is not None and trajectories < 1:
+        raise SimulationError(f"trajectories must be None or at least 1, got {trajectories}")
+    return trajectories
+
+
 class StatevectorSimulator:
     """Shot-based statevector simulator with optional Monte-Carlo noise.
 
@@ -517,7 +495,7 @@ class StatevectorSimulator:
             the requested shots over.  ``None`` (default) uses one trajectory
             per shot when the circuit is noisy or contains mid-circuit
             measurement/reset, and a single final-state sampling pass
-            otherwise.
+            otherwise.  A count below 1 raises :class:`SimulationError`.
         max_batch_elements: Memory cap on ``trajectories * 2**n`` complex
             amplitudes held at once; beyond it trajectories are processed in
             deterministic chunks.
@@ -532,7 +510,7 @@ class StatevectorSimulator:
     ) -> None:
         self.noise_model = noise_model
         self._rng = np.random.default_rng(seed)
-        self.trajectories = trajectories
+        self.trajectories = checked_trajectories(trajectories)
         self.max_batch_elements = int(max_batch_elements)
 
     # ------------------------------------------------------------------
@@ -553,11 +531,6 @@ class StatevectorSimulator:
         return self._run_batched_trajectories(circuit, shots)
 
     # ------------------------------------------------------------------
-    def statevector(self, circuit: Circuit) -> np.ndarray:
-        """Ideal statevector (no noise), for analysis and tests."""
-        return final_statevector(circuit)
-
-    # ------------------------------------------------------------------
     def _run_batched_trajectories(self, circuit: Circuit, shots: int) -> Counts:
         tracer = get_tracer()
         plan_started = time.perf_counter()
@@ -571,8 +544,7 @@ class StatevectorSimulator:
             suffix_steps=len(plan.suffix),
         )
         num_qubits = plan.num_qubits
-        num_trajectories = self.trajectories or shots
-        num_trajectories = max(1, min(num_trajectories, shots))
+        num_trajectories = min(self.trajectories or shots, shots)
         base, remainder = divmod(shots, num_trajectories)
         shots_per = np.full(num_trajectories, base, dtype=np.int64)
         shots_per[:remainder] += 1
@@ -585,11 +557,7 @@ class StatevectorSimulator:
         ):
             # Deterministic prefix: one statevector evolution for all
             # trajectories.
-            psi = _initial_tensor(num_qubits, None)
-            for step in plan.prefix:
-                axes = [qubit_axis(q, num_qubits) for q in step.qubits]
-                psi = apply_kernel(psi, step.kernel, axes, strict=False)
-
+            psi = _evolve_prefix(plan)
             dim = 2**num_qubits
             chunk = max(1, self.max_batch_elements // dim)
             counts: Dict[str, int] = {}

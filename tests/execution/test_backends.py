@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchmarks import GHZBenchmark, HamiltonianSimulationBenchmark, VanillaQAOABenchmark
+from repro.circuits import Circuit
 from repro.devices import get_device
 from repro.exceptions import SimulationError
 from repro.execution import (
@@ -13,6 +14,7 @@ from repro.execution import (
     TrajectoryBackend,
     resolve_backend,
 )
+from repro.simulation import DensityMatrixSimulator, StatevectorSimulator
 
 DEVICE = "IBM-Casablanca-7Q"
 
@@ -42,6 +44,32 @@ class TestResolveBackend:
     def test_protocol_is_runtime_checkable(self):
         assert isinstance(StatevectorBackend(), Backend)
         assert isinstance(DensityMatrixBackend(), Backend)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+class TestCountsBelowOne:
+    BELL = Circuit(2, 2).h(0).cx(0, 1).measure_all()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda circuit, shots: StatevectorSimulator(seed=1).run(circuit, shots=shots),
+            lambda circuit, shots: DensityMatrixSimulator(seed=1).run(circuit, shots=shots),
+            lambda circuit, shots: StatevectorBackend().run_batch([circuit], shots, seed=1),
+            lambda circuit, shots: TrajectoryBackend().run_batch([circuit], shots, seed=1),
+            lambda circuit, shots: DensityMatrixBackend().run_batch([circuit], shots, seed=1),
+        ],
+        ids=["statevector", "density_matrix", "statevector_backend", "trajectory_backend",
+             "density_matrix_backend"],
+    )
+    def test_shots_rejected(self, count, run):
+        with pytest.raises(SimulationError, match="shots must be positive"):
+            run(self.BELL, count)
+
+    @pytest.mark.parametrize("make", [StatevectorSimulator, StatevectorBackend, TrajectoryBackend])
+    def test_trajectories_rejected(self, count, make):
+        with pytest.raises(SimulationError, match="trajectories"):
+            make(trajectories=count)
 
 
 class TestSeedSemantics:

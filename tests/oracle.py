@@ -13,8 +13,11 @@ bit, the whole-batch XOR-gather noise-channel step
 row-only step replaced and must reproduce byte for byte (up to the sign of a
 zero), the density-matrix simulator's own row walk
 (:func:`density_matrix_walk`), which it replaced by evolving the trajectory
-plan and must reproduce byte for byte where the two fuse the same runs, and
-the networkx noise-aware placement and shortest-path router
+plan and must reproduce byte for byte where the two fuse the same runs, the
+exact Kraus sum of one channel on a density matrix
+(:func:`apply_kraus_reference`), which the channel-physics and closed-form
+depolarizing tests compare against, and the networkx noise-aware placement
+and shortest-path router
 (:func:`noise_aware_placement`, :func:`route_circuit`) that the cached
 coupling tables of ``repro.devices.coupling`` replaced and must reproduce
 qubit for qubit.  It keeps the VQE and QAOA benchmarks' inline
@@ -102,6 +105,7 @@ __all__ = [
     "liveness_matrix",
     "apply_matrix_reference",
     "apply_channel_batch_reference",
+    "apply_kraus_reference",
     "density_matrix_walk",
     "density_matrix_walk_distribution",
     "noise_aware_placement",
@@ -558,6 +562,34 @@ def apply_channel_batch_reference(batch: np.ndarray, step, num_qubits: int, rng)
     gather, columns = _xor_table(num_qubits, step.qubits, prepared.terms)
     out = (flat[:, gather] * operators[:, columns]).sum(axis=1)
     return out.reshape(batch.shape)
+
+
+def apply_kraus_reference(
+    rho: np.ndarray,
+    kraus_operators: Sequence[np.ndarray],
+    qubits: Sequence[int],
+    num_qubits: int,
+) -> np.ndarray:
+    """Exact application of a Kraus channel to a ``(2**n, 2**n)`` density matrix.
+
+    The sum of one ket/bra sandwich ``K rho K†`` per operator, each analysed
+    afresh; ``DensityMatrixSimulator._apply_channel`` is the library's one
+    exact channel application.
+    """
+    dim = 2**num_qubits
+    tensor = np.asarray(rho, dtype=complex).reshape((2,) * (2 * num_qubits))
+    result: Optional[np.ndarray] = None
+    for operator in kraus_operators:
+        operator = np.asarray(operator, dtype=complex)
+        ket_kernel = analyze_matrix(operator)
+        bra_kernel = analyze_matrix(operator.conj())
+        term = _apply_sandwich(tensor, ket_kernel, bra_kernel, qubits, num_qubits)
+        if result is None:
+            result = np.ascontiguousarray(term)
+        else:
+            result += term
+    assert result is not None  # KrausChannel guarantees >= 1 operator
+    return result.reshape(dim, dim)
 
 
 def density_matrix_walk(

@@ -12,16 +12,13 @@ from oracle import apply_matrix_reference
 from repro.circuits import Circuit, gate_matrix
 from repro.simulation import (
     StatevectorSimulator,
-    apply_unitary,
     final_statevector,
     sample_statevector,
 )
 from repro.simulation.kernels import (
     analyze_matrix,
     apply_kernel,
-    apply_matrix,
     contract,
-    fuse_circuit,
     fuse_operations,
     kernel_for_operation,
     measure_qubit_batch,
@@ -29,6 +26,7 @@ from repro.simulation.kernels import (
     reset_qubit_batch,
     sample_counts_array,
 )
+from repro.simulation.statevector import _compile_trajectory_plan, _evolve_prefix
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_noiseless_counts.json")
 
@@ -77,6 +75,11 @@ def _reference_statevector(circuit: Circuit) -> np.ndarray:
         axes = [qubit_axis(q, n) for q in instruction.qubits]
         psi = apply_matrix_reference(psi, instruction.gate.matrix(), axes)
     return np.ascontiguousarray(psi).reshape(-1)
+
+
+def _fused_statevector(circuit: Circuit) -> np.ndarray:
+    """The fused walk: a noise-free circuit's whole plan is its prefix."""
+    return _evolve_prefix(_compile_trajectory_plan(circuit, None)).reshape(-1)
 
 
 def _bits(array: np.ndarray) -> np.ndarray:
@@ -164,7 +167,7 @@ class TestApplyAgainstReference:
         qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
         axes = [qubit_axis(q, n) for q in qubits]
         matrix = gate_matrix(name, *params)
-        fast = apply_matrix(state.copy(), matrix, axes)
+        fast = apply_kernel(state.copy(), analyze_matrix(matrix), axes)
         reference = apply_matrix_reference(state, matrix, axes)
         assert np.allclose(fast, reference, atol=1e-12)
 
@@ -178,7 +181,7 @@ class TestApplyAgainstReference:
             qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
             axes = [qubit_axis(q, n) for q in qubits]
             matrix = gate_matrix(name, *params)
-            strict = apply_matrix(state.copy(), matrix, axes, strict=True)
+            strict = apply_kernel(state.copy(), analyze_matrix(matrix), axes, strict=True)
             reference = apply_matrix_reference(state, matrix, axes)
             assert np.array_equal(_bits(strict), _bits(reference)), name
 
@@ -192,7 +195,7 @@ class TestApplyAgainstReference:
             qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
             matrix = gate_matrix(name, *params)
             batched_axes = [qubit_axis(q, n, offset=1) for q in qubits]
-            out = apply_matrix(batch.copy(), matrix, batched_axes)
+            out = apply_kernel(batch.copy(), analyze_matrix(matrix), batched_axes)
             row_axes = [qubit_axis(q, n) for q in qubits]
             for t in range(batch_size):
                 expected = apply_matrix_reference(batch[t], matrix, row_axes)
@@ -297,13 +300,14 @@ class TestPhasedPermutationOnEveryQubit:
     @pytest.mark.parametrize("name,num_qubits", CASES)
     def test_apply_unitary(self, name, num_qubits):
         rng = np.random.default_rng(3)
-        state = _random_tensor(rng, (1 << num_qubits,))
+        state = _random_tensor(rng, (2,) * num_qubits)
+        before = state.copy()
         matrix = gate_matrix(name)
-        targets = list(range(num_qubits))
-        out = apply_unitary(state, matrix, targets, num_qubits)
-        axes = [qubit_axis(q, num_qubits) for q in targets]
-        expected = apply_matrix_reference(state.reshape((2,) * num_qubits), matrix, axes)
-        assert np.array_equal(_bits(out), _bits(expected).reshape(-1))
+        axes = [qubit_axis(q, num_qubits) for q in range(num_qubits)]
+        out = apply_kernel(state, analyze_matrix(matrix), axes, strict=True, in_place=False)
+        expected = apply_matrix_reference(state, matrix, axes)
+        assert np.array_equal(_bits(out), _bits(expected))
+        assert np.array_equal(_bits(state), _bits(before))
 
 
 class TestFusion:
@@ -328,20 +332,12 @@ class TestFusion:
         assert len(fused) == 1
         # Verify through full-state evolution instead of matrix juggling.
         probe = Circuit(2).h(0).cx(0, 1).cx(1, 0)
-        assert np.allclose(
-            final_statevector(probe, fuse=True), _reference_statevector(probe), atol=1e-10
-        )
+        assert np.allclose(_fused_statevector(probe), _reference_statevector(probe), atol=1e-10)
 
     def test_three_qubit_gates_flush_pending(self):
         ops = [(gate_matrix("h"), (0,)), (gate_matrix("ccx"), (0, 1, 2))]
         fused = fuse_operations(ops)
         assert [f.qubits for f in fused] == [(0,), (0, 1, 2)]
-
-    def test_fuse_circuit_rejects_measurement(self):
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            fuse_circuit(Circuit(1, 1).h(0).measure(0, 0))
 
     @given(num_qubits=st.integers(3, 6), num_gates=st.integers(5, 30), seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
@@ -349,8 +345,8 @@ class TestFusion:
         """Property: fused/specialised kernels == reference apply on random circuits."""
         circuit = _random_circuit(num_qubits, num_gates, seed)
         reference = _reference_statevector(circuit)
-        fused = final_statevector(circuit, fuse=True)
-        specialised = final_statevector(circuit, fuse=False)
+        fused = _fused_statevector(circuit)
+        specialised = final_statevector(circuit)
         assert np.allclose(fused, reference, atol=1e-10)
         # The strict (unfused) path must preserve sampling bit-for-bit.
         assert np.array_equal(np.abs(specialised) ** 2, np.abs(reference) ** 2)

@@ -67,25 +67,6 @@ class TestChannelSelection:
         assert channels[0][0].name == "bit_flip"
 
 
-class TestRestriction:
-    def test_restricted_model_reindexes_qubits(self):
-        model = NoiseModel(
-            4,
-            t1=[10.0, 20.0, 30.0, 40.0],
-            t2=[10.0, 20.0, 30.0, 40.0],
-            error_1q=[0.01, 0.02, 0.03, 0.04],
-        )
-        restricted = model.restricted_to([2, 0])
-        assert restricted.num_qubits == 2
-        assert restricted.t1 == [30.0, 10.0]
-        assert restricted.error_1q == [0.03, 0.01]
-
-    def test_restricted_pairwise_errors(self):
-        model = NoiseModel(3, t1=1e9, t2=1e9, error_2q={(0, 2): 0.07})
-        restricted = model.restricted_to([0, 2])
-        assert restricted.two_qubit_error(0, 1) == pytest.approx(0.07)
-
-
 class TestEndToEndNoise:
     def test_noisy_ghz_loses_fidelity(self):
         circuit = Circuit(3, 3).h(0).cx(0, 1).cx(1, 2).measure_all()

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import Circuit, gate_matrix, random_clifford_circuit
+from repro.circuits import Circuit, random_clifford_circuit
 from repro.exceptions import SimulationError
 from repro.simulation import (
     StatevectorSimulator,
-    apply_unitary,
     circuit_unitary,
     final_statevector,
     probabilities_from_statevector,
@@ -20,42 +19,46 @@ from repro.simulation.kernels import (
     operation_matrix,
     qubit_axis,
 )
+from repro.simulation.statevector import _has_collapse
 
 
-class TestApplyUnitary:
+def _basis_state(dim: int, index: int) -> np.ndarray:
+    state = np.zeros(dim, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
+class TestGateOrder:
+    """Single gates through ``final_statevector``: qubit order and norm."""
+
     def test_x_on_qubit_zero(self):
-        state = np.array([1, 0, 0, 0], dtype=complex)
-        result = apply_unitary(state, gate_matrix("x"), [0], 2)
+        result = final_statevector(Circuit(2).x(0))
         # Little endian: qubit 0 is the least significant bit -> index 1.
         assert np.allclose(result, [0, 1, 0, 0])
 
     def test_x_on_qubit_one(self):
-        state = np.array([1, 0, 0, 0], dtype=complex)
-        result = apply_unitary(state, gate_matrix("x"), [1], 2)
+        result = final_statevector(Circuit(2).x(1))
         assert np.allclose(result, [0, 0, 1, 0])
 
     def test_cx_control_order(self):
         # Prepare |q0=1, q1=0> = index 1, then CX(0 -> 1) should give |11> = index 3.
-        state = np.zeros(4, dtype=complex)
-        state[1] = 1.0
-        result = apply_unitary(state, gate_matrix("cx"), [0, 1], 2)
+        result = final_statevector(Circuit(2).cx(0, 1), initial_state=_basis_state(4, 1))
         assert np.allclose(result, [0, 0, 0, 1])
 
     def test_cx_does_nothing_when_control_clear(self):
-        state = np.zeros(4, dtype=complex)
-        state[2] = 1.0  # q1 = 1, q0 = 0; control is q0
-        result = apply_unitary(state, gate_matrix("cx"), [0, 1], 2)
+        state = _basis_state(4, 2)  # q1 = 1, q0 = 0; control is q0
+        result = final_statevector(Circuit(2).cx(0, 1), initial_state=state)
         assert np.allclose(result, state)
 
-    def test_dimension_mismatch_rejected(self):
+    def test_initial_state_dimension_mismatch_rejected(self):
         with pytest.raises(SimulationError):
-            apply_unitary(np.zeros(4, dtype=complex), gate_matrix("x"), [0, 1], 2)
+            final_statevector(Circuit(2).x(0), initial_state=np.zeros(2, dtype=complex))
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(0)
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
         state /= np.linalg.norm(state)
-        result = apply_unitary(state, gate_matrix("cx"), [2, 0], 3)
+        result = final_statevector(Circuit(3).cx(2, 0), initial_state=state)
         assert np.isclose(np.linalg.norm(result), 1.0)
 
 
@@ -118,6 +121,69 @@ class TestFinalStatevector:
             psi = apply_kernel(psi, kernel_for_operation(opcode, params), axes, strict=True)
         # Exact equality: the uncached contraction reproduces strict kernels.
         assert np.array_equal(state, psi.reshape(-1))
+
+
+#: Gates for the random-row circuits: fixed and parameterised, 1-3 qubits.
+ROW_GATES = [("h", 0, 1), ("x", 0, 1), ("s", 0, 1), ("rx", 1, 1), ("u", 3, 1),
+             ("cx", 0, 2), ("cz", 0, 2), ("rzz", 1, 2), ("cp", 1, 2), ("ccx", 0, 3)]
+
+
+def _random_rows(seed: int, num_qubits: int, num_rows: int, collapse: bool = True):
+    """A random circuit with barrier (and, if ``collapse``, measure and reset) rows.
+
+    Returns ``(circuit, gates)``, where ``gates`` holds the circuit's gate
+    rows alone.
+    """
+    rng = np.random.default_rng(seed)
+    circuit, gates = Circuit(num_qubits, num_qubits), Circuit(num_qubits)
+    pool = [gate for gate in ROW_GATES if gate[2] <= num_qubits]
+    for _ in range(num_rows):
+        kind = rng.integers(8 if collapse else 6)  # 0-4 gate, 5 barrier, 6 measure, 7 reset
+        qubit = int(rng.integers(num_qubits))
+        if kind == 7:
+            circuit.reset(qubit)
+        elif kind == 6:
+            circuit.measure(qubit, int(rng.integers(num_qubits)))
+        elif kind == 5:
+            circuit.barrier(*sorted({qubit, int(rng.integers(num_qubits))}))
+        else:
+            name, num_params, arity = pool[rng.integers(len(pool))]
+            qubits = [int(q) for q in rng.choice(num_qubits, size=arity, replace=False)]
+            params = list(rng.uniform(-np.pi, np.pi, size=num_params))
+            circuit.add_gate(name, qubits, params)
+            gates.add_gate(name, qubits, params)
+    return circuit, gates
+
+
+class TestStrictWalk:
+    """``final_statevector`` and ``circuit_unitary`` share one strict row walk."""
+
+    def test_double_measured_qubit_rejected(self):
+        circuit = Circuit(1, 2).h(0).measure(0, 0).measure(0, 1)
+        assert _has_collapse(circuit)  # StatevectorSimulator.run takes trajectories
+        with pytest.raises(SimulationError):
+            final_statevector(circuit)
+
+    @given(num_qubits=st.integers(1, 4), num_rows=st.integers(0, 14), seed=st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_raises_exactly_on_collapse(self, num_qubits, num_rows, seed):
+        circuit, gates = _random_rows(seed, num_qubits, num_rows)
+        if _has_collapse(circuit):
+            with pytest.raises(SimulationError):
+                final_statevector(circuit)
+        else:
+            # Terminal measurements and barriers are skipped: the gate rows' bytes.
+            assert np.array_equal(final_statevector(circuit), final_statevector(gates))
+
+    @given(num_qubits=st.integers(1, 4), num_rows=st.integers(0, 14), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_unitary_columns_are_basis_state_evolutions(self, num_qubits, num_rows, seed):
+        circuit, _gates = _random_rows(seed, num_qubits, num_rows, collapse=False)
+        unitary = circuit_unitary(circuit)
+        dim = 1 << num_qubits
+        for column in range(dim):
+            state = final_statevector(circuit, initial_state=_basis_state(dim, column))
+            assert np.abs(unitary[:, column] - state).max() <= 1e-12
 
 
 class TestSampling:
@@ -195,10 +261,6 @@ class TestStatevectorSimulator:
         circuit = Circuit(2, 2).h(0).cx(0, 1).reset(0).measure_all()
         counts = simulator.run(circuit, shots=123)
         assert sum(counts.values()) == 123
-
-    def test_statevector_accessor(self, simulator, ghz3):
-        state = simulator.statevector(ghz3)
-        assert np.isclose(np.linalg.norm(state), 1.0)
 
 
 class TestSimulatorPropertyBased:

@@ -3,6 +3,7 @@ density-matrix reference, plus unitary-mixture channel machinery."""
 
 import numpy as np
 import pytest
+from oracle import apply_kraus_reference
 
 from repro.benchmarks import GHZBenchmark, VanillaQAOABenchmark
 from repro.simulation import (
@@ -145,11 +146,7 @@ class TestDepolarizingShortcut:
 
     @pytest.mark.parametrize("probability", [0.0, 0.01, 0.3, 1.0])
     def test_single_qubit_matches_kraus_sum(self, probability):
-        from repro.simulation.density_matrix import (
-            _apply_depolarizing,
-            _depolarizing_weights,
-            apply_kraus_to_density_matrix,
-        )
+        from repro.simulation.density_matrix import _apply_depolarizing, _depolarizing_weights
 
         channel = depolarizing_channel(probability)
         weights = _depolarizing_weights(channel)
@@ -158,17 +155,13 @@ class TestDepolarizingShortcut:
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = raw @ raw.conj().T
         rho /= np.trace(rho)
-        expected = apply_kraus_to_density_matrix(rho, channel.kraus_operators, [1], 3)
+        expected = apply_kraus_reference(rho, channel.kraus_operators, [1], 3)
         tensor = rho.reshape((2,) * 6)
         fast = _apply_depolarizing(tensor, [1], 3, *weights).reshape(8, 8)
         assert np.allclose(fast, expected, atol=1e-12)
 
     def test_two_qubit_matches_kraus_sum(self):
-        from repro.simulation.density_matrix import (
-            _apply_depolarizing,
-            _depolarizing_weights,
-            apply_kraus_to_density_matrix,
-        )
+        from repro.simulation.density_matrix import _apply_depolarizing, _depolarizing_weights
 
         channel = two_qubit_depolarizing_channel(0.08)
         weights = _depolarizing_weights(channel)
@@ -177,7 +170,7 @@ class TestDepolarizingShortcut:
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = raw @ raw.conj().T
         rho /= np.trace(rho)
-        expected = apply_kraus_to_density_matrix(rho, channel.kraus_operators, [2, 0], 3)
+        expected = apply_kraus_reference(rho, channel.kraus_operators, [2, 0], 3)
         tensor = rho.reshape((2,) * 6)
         fast = _apply_depolarizing(tensor, [2, 0], 3, *weights).reshape(8, 8)
         assert np.allclose(fast, expected, atol=1e-12)
