@@ -22,6 +22,9 @@ Running under pytest asserts the floors and — when ``BENCH_ir.json``
 exists — that speedups have not regressed more than 30% against the
 committed baseline's gate values (ratios, not absolute seconds; gate values
 are capped at a multiple of the floor to absorb cross-machine variance).
+The two sides of each speedup are timed interleaved
+(:func:`timing.time_interleaved`), so host drift during a run meets both
+alike instead of moving the ratio.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the workload (used by the CI smoke job).
 Regenerate the committed baseline with::
@@ -43,7 +46,7 @@ import numpy as np
 from repro.circuits import Circuit
 from repro.execution import circuit_fingerprint
 from repro.features import packed_profile
-from timing import time_best_of
+from timing import time_best_of, time_interleaved
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ir.json"
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -242,8 +245,9 @@ def measure_feature_extraction() -> Dict[str, Dict[str, float]]:
         expected = legacy_profile(circuit)
         observed = _profile_tuple(packed_profile(packed))
         assert observed == expected, f"packed profile drifted at {num_qubits} qubits"
-        legacy = time_best_of(lambda: legacy_profile(circuit), 3)
-        fast = time_best_of(lambda: packed_profile(packed), 3)
+        legacy, fast = time_interleaved(
+            [lambda: legacy_profile(circuit), lambda: packed_profile(packed)]
+        )
         sizes[str(num_qubits)] = {
             "rows": len(circuit),
             "legacy_seconds": legacy,
@@ -261,8 +265,9 @@ def measure_fingerprint() -> Dict[str, float]:
         circuit = brickwork_circuit(FINGERPRINT_QUBITS, layers)
     circuit.packed()  # warm: every consumer shares the cached pack
     assert circuit_fingerprint(circuit) == circuit_fingerprint(circuit.copy())
-    legacy = time_best_of(lambda: legacy_fingerprint(circuit), 3)
-    packed = time_best_of(lambda: circuit_fingerprint(circuit), 3)
+    legacy, packed = time_interleaved(
+        [lambda: legacy_fingerprint(circuit), lambda: circuit_fingerprint(circuit)]
+    )
     return {
         "rows": len(circuit),
         "num_qubits": FINGERPRINT_QUBITS,

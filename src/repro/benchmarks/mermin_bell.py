@@ -111,11 +111,6 @@ class MerminBellBenchmark(Benchmark):
             circuits.append(circuit)
         return circuits
 
-    @property
-    def measurement_groups(self) -> List[List[PauliTerm]]:
-        """The qubit-wise commuting groups, aligned with :meth:`circuits`."""
-        return self._groups
-
     def mermin_expectation(self, counts_list: Sequence[Counts]) -> float:
         """Estimate ``<M>`` by combining the per-group counts."""
         if len(counts_list) != len(self._groups):

@@ -148,10 +148,6 @@ class PackedCircuit:
         return int(self.opcodes.shape[0])
 
     @property
-    def num_instructions(self) -> int:
-        return len(self)
-
-    @property
     def has_wide_rows(self) -> bool:
         return self.wide_rows.size > 0
 

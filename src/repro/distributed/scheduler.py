@@ -8,9 +8,11 @@ its outcomes reach the caller exactly once.
 
 :func:`run_leases` is the scheduler loop the suite runner drives: it keeps
 the executor saturated up to its capacity, blocks until a lease finishes,
-re-queues failed leases (the executor contains the pool damage, see
-:class:`~repro.distributed.executor.ProcessShardExecutor`), and streams each
-completed lease's outcomes to the caller the moment they arrive.
+re-queues leases lost with their worker (the executor contains the pool
+damage, see :class:`~repro.distributed.executor.ProcessShardExecutor`),
+raises a library error from inside a lease at once
+(:func:`~repro.exceptions.is_deterministic`), and streams each completed
+lease's outcomes to the caller the moment they arrive.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any, Callable, Dict, List, Optional
 
-from ..exceptions import DistributedError
+from ..exceptions import DistributedError, is_deterministic
 from ..suite.results import merge_engine_stats
 from ..telemetry import get_metrics, get_tracer
 from .plan import Lease, LeaseResult, ShardPlan
@@ -105,13 +107,17 @@ def run_leases(
         executor: Anything with ``submit(lease) -> Future[LeaseResult]``,
             ``capacity`` and (optionally) crash containment on submit.
         on_outcomes: Called once per completed lease with its outcome
-            payloads, in worker order — the suite runner records them and
-            persists its partial result here.
+            payloads, in worker order — the suite runner records them here.
         max_attempts: Leases per task before the sweep fails.
 
     Returns:
         Scheduler statistics: per-worker engine-stat deltas plus lease
         traffic counters.
+
+    Raises:
+        ReproError: a library error from inside a lease, as raised, after
+            one lease (:func:`~repro.exceptions.is_deterministic`).
+        DistributedError: when a task's leases fail ``max_attempts`` times.
     """
     queue = WorkQueue(plan.tasks, max_attempts=max_attempts)
     inflight: Dict["Future", Lease] = {}
@@ -134,6 +140,9 @@ def run_leases(
                 except DistributedError:
                     raise
                 except Exception as error:  # noqa: BLE001 - worker isolation boundary
+                    if is_deterministic(error):
+                        # Every lease of the task would raise it again.
+                        raise
                     # A worker that died abruptly fails every in-flight future
                     # of the poisoned pool with BrokenProcessPool; the executor
                     # rebuilds its pool on the next submit, here we re-queue.

@@ -115,3 +115,13 @@ class DistributedError(ReproError):
     """Raised by the process-parallel sweep scheduler: unserializable work
     (backend instances / Mitigator instances crossing a process boundary),
     exhausted lease retries, or a worker pool that cannot be (re)started."""
+
+
+def is_deterministic(error: BaseException) -> bool:
+    """Whether ``error`` would recur on a retry: a library error other than a
+    :class:`DistributedError` (which reports lost or exhausted work).
+
+    The lease scheduler raises such an error at once instead of leasing the
+    task again, and the job queue fails the job instead of retrying it.
+    """
+    return isinstance(error, ReproError) and not isinstance(error, DistributedError)

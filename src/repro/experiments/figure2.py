@@ -28,60 +28,9 @@ from .formatting import format_table
 
 __all__ = [
     "reproduce_figure2",
-    "reproduce_figure2_result",
     "figure2_records",
     "render_figure2",
 ]
-
-
-def reproduce_figure2_result(
-    devices: Optional[Sequence[str]] = None,
-    small: bool = True,
-    shots: int = 250,
-    repetitions: int = 2,
-    trajectories: int | None = 40,
-    families: Optional[Sequence[str]] = None,
-    seed: int = 1234,
-    backend: Union[Backend, str, None] = None,
-    max_workers: int = 1,
-    optimization_level: int = 1,
-    placement: str = "noise_aware",
-    partial: Optional[SuiteResult] = None,
-    store=None,
-    executor: Union[str, object] = "thread",
-    processes: int = 2,
-) -> SuiteResult:
-    """Run the Fig. 2 sweep and return the full streaming suite result.
-
-    Same knobs as :func:`reproduce_figure2` plus ``partial`` — a previously
-    returned / persisted :class:`~repro.suite.results.SuiteResult` whose
-    completed units are skipped (resumable sweeps) — and ``store`` — a
-    content-addressed :class:`~repro.store.ResultStore` answering repeated
-    runs from disk with zero backend executions.  ``executor="process"``
-    runs the sweep on ``processes`` worker processes through the leased-shard
-    scheduler (see :mod:`repro.distributed`) with bit-identical scores.
-    """
-    scenario = figure2_scenario(
-        small=small,
-        devices=devices,
-        families=families,
-        optimization_level=optimization_level,
-        placement=placement,
-        backend=backend if isinstance(backend, str) else None,
-    )
-    return run_scenario(
-        scenario,
-        shots=shots,
-        repetitions=repetitions,
-        seed=seed,
-        trajectories=trajectories,
-        max_workers=max_workers,
-        backend=backend if not isinstance(backend, str) else None,
-        partial=partial,
-        store=store,
-        executor=executor,
-        processes=processes,
-    )
 
 
 def reproduce_figure2(
@@ -121,22 +70,27 @@ def reproduce_figure2(
             ablation selectable end-to-end.
 
     Benchmarks that do not fit a device (the black "X" entries of Fig. 2) or
-    exceed the backend's capacity are skipped; use
-    :func:`reproduce_figure2_result` to see the skip records, per-run timing
-    and engine cache statistics alongside the runs.
+    exceed the backend's capacity are skipped; call
+    :func:`~repro.suite.runner.run_scenario` on a
+    :func:`~repro.suite.figure2_scenario` to see the skip records, per-run
+    timing and engine cache statistics alongside the runs.
     """
-    return reproduce_figure2_result(
-        devices=devices,
+    scenario = figure2_scenario(
         small=small,
-        shots=shots,
-        repetitions=repetitions,
-        trajectories=trajectories,
+        devices=devices,
         families=families,
-        seed=seed,
-        backend=backend,
-        max_workers=max_workers,
         optimization_level=optimization_level,
         placement=placement,
+        backend=backend if isinstance(backend, str) else None,
+    )
+    return run_scenario(
+        scenario,
+        shots=shots,
+        repetitions=repetitions,
+        seed=seed,
+        trajectories=trajectories,
+        max_workers=max_workers,
+        backend=backend if not isinstance(backend, str) else None,
     ).runs()
 
 

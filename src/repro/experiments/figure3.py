@@ -39,9 +39,9 @@ def reproduce_figure3(
 
     Args:
         runs: Output of :func:`repro.experiments.figure2.reproduce_figure2`
-            (a run list) or of the scenario-level
-            :func:`~repro.experiments.figure2.reproduce_figure2_result`
-            (a :class:`~repro.suite.results.SuiteResult`).
+            (a run list) or of :func:`~repro.suite.runner.run_scenario` on a
+            :func:`~repro.suite.figure2_scenario` (a
+            :class:`~repro.suite.results.SuiteResult`).
         include_error_correction: ``True`` reproduces Fig. 3(a); ``False``
             drops the bit/phase-code runs and reproduces Fig. 3(b).
     """

@@ -33,7 +33,6 @@ from .formatting import format_table
 
 __all__ = [
     "reproduce_mitigated_scores",
-    "reproduce_mitigated_scores_result",
     "mitigated_records",
     "render_mitigated_scores",
 ]
@@ -75,52 +74,6 @@ def reproduce_mitigated_scores(
         technique); :attr:`BenchmarkRun.mitigation` holds the technique name
         (empty for raw).
     """
-    return reproduce_mitigated_scores_result(
-        devices=devices,
-        techniques=techniques,
-        small=small,
-        shots=shots,
-        repetitions=repetitions,
-        trajectories=trajectories,
-        families=families,
-        seed=seed,
-        backend=backend,
-        max_workers=max_workers,
-        optimization_level=optimization_level,
-        placement=placement,
-    ).runs()
-
-
-def reproduce_mitigated_scores_result(
-    devices: Optional[Sequence[str]] = None,
-    techniques: Sequence[Union[str, Mitigator]] = DEFAULT_TECHNIQUES,
-    small: bool = True,
-    shots: int = 250,
-    repetitions: int = 2,
-    trajectories: Optional[int] = 40,
-    families: Optional[Sequence[str]] = None,
-    seed: int = 1234,
-    backend: Union[Backend, str, None] = None,
-    max_workers: int = 1,
-    optimization_level: int = 1,
-    placement: str = "noise_aware",
-    partial: Optional[SuiteResult] = None,
-    store=None,
-    executor: Union[str, object] = "thread",
-    processes: int = 2,
-) -> SuiteResult:
-    """The technique sweep as a streaming, resumable suite result.
-
-    Every lease on a device runs through one shared
-    :class:`~repro.execution.ExecutionEngine`, so calibration jobs are
-    shared across every benchmark landing on the same physical qubits and
-    compiled circuits are shared across techniques via the transpile cache —
-    the engine's cache statistics are recorded per engine configuration on
-    the returned result.  Unknown technique names raise before anything executes;
-    technique/benchmark mismatches (e.g. ZNE on the mid-circuit-measurement
-    error-correction codes) are skipped loudly and recorded as skip
-    outcomes.
-    """
     scenario = mitigated_scenario(
         techniques=techniques,
         small=small,
@@ -138,11 +91,7 @@ def reproduce_mitigated_scores_result(
         trajectories=trajectories,
         max_workers=max_workers,
         backend=backend if not isinstance(backend, str) else None,
-        partial=partial,
-        store=store,
-        executor=executor,
-        processes=processes,
-    )
+    ).runs()
 
 
 def mitigated_records(

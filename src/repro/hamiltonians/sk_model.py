@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,15 +44,6 @@ class SKModel:
         for i, j in itertools.combinations(range(num_spins), 2):
             weights.append(((i, j), float(rng.choice((-1.0, 1.0)))))
         return SKModel(num_spins, tuple(weights))
-
-    @staticmethod
-    def from_weights(num_spins: int, weights: Dict[Tuple[int, int], float]) -> "SKModel":
-        ordered = []
-        for (i, j), w in sorted(weights.items()):
-            if not 0 <= i < j < num_spins:
-                raise BenchmarkError(f"invalid edge ({i}, {j}) for {num_spins} spins")
-            ordered.append(((i, j), float(w)))
-        return SKModel(num_spins, tuple(ordered))
 
     # -- queries ----------------------------------------------------------
     @property

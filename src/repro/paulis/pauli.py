@@ -235,10 +235,6 @@ class PauliSum:
         self._terms: List[PauliTerm] = list(terms or [])
 
     # -- constructors -----------------------------------------------------
-    @staticmethod
-    def from_terms(terms: Sequence[Tuple[complex, PauliString]]) -> "PauliSum":
-        return PauliSum([PauliTerm(coeff, pauli) for coeff, pauli in terms])
-
     def add_term(self, coefficient: complex, pauli: PauliString) -> "PauliSum":
         self._terms.append(PauliTerm(coefficient, pauli))
         return self

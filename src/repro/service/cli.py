@@ -4,8 +4,11 @@ Installed as a console script (``[project.scripts]`` in pyproject) and
 runnable without installation via ``python -m repro.service.cli``.
 
 * ``repro serve``  — start the HTTP benchmark service over a store file.
-* ``repro run``    — execute a named scenario through the store (warm runs
-  are answered from cache with zero backend executions) and print scores.
+* ``repro run``    — execute a named scenario
+  (:data:`~repro.suite.scenarios.NAMED_SCENARIOS`) with
+  :func:`~repro.suite.runner.run_scenario`, through the store when one is
+  given (warm runs are answered from cache with zero backend executions),
+  and print scores.
 * ``repro query``  — inspect stored results: filter by family / device /
   mitigation / scenario, as a table or NDJSON.
 """
@@ -18,7 +21,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
+from ..exceptions import ReproError
 from ..store import ResultStore
+from ..suite.scenarios import NAMED_SCENARIOS
 
 __all__ = ["main", "build_parser"]
 
@@ -43,9 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run a scenario through the result store")
-    run.add_argument(
-        "scenario", choices=("figure2", "mitigated"), help="named scenario to execute"
-    )
+    run.add_argument("scenario", choices=NAMED_SCENARIOS, help="named scenario to execute")
     run.add_argument("--store", default=None, help="result-store sqlite file (default: no store)")
     run.add_argument("--devices", nargs="*", default=None, help="device names (default: all)")
     run.add_argument("--families", nargs="*", default=None, help="benchmark families")
@@ -120,13 +123,9 @@ def _emit_startup_span(tracer) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from ..experiments import reproduce_figure2_result, reproduce_mitigated_scores_result
     from ..experiments.figure2 import render_figure2
+    from ..suite.runner import run_scenario
 
-    driver = (
-        reproduce_figure2_result if args.scenario == "figure2"
-        else reproduce_mitigated_scores_result
-    )
     tracer = None
     if args.trace:
         from ..telemetry import configure_tracing
@@ -136,14 +135,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         if tracer is not None:
             _emit_startup_span(tracer)
-        result = driver(
-            devices=args.devices,
-            small=not args.full,
+        scenario = NAMED_SCENARIOS[args.scenario](
+            small=not args.full, devices=args.devices, families=args.families
+        )
+        result = run_scenario(
+            scenario,
             shots=args.shots,
             repetitions=args.repetitions,
-            trajectories=args.trajectories,
-            families=args.families,
             seed=args.seed,
+            trajectories=args.trajectories,
             max_workers=args.max_workers,
             store=store,
             executor="process" if args.processes else "thread",
@@ -234,12 +234,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; a library error is one stderr line and status 2,
+    the status argparse gives a bad argument."""
     args = build_parser().parse_args(argv)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_query(args)
+    command = {"serve": _cmd_serve, "run": _cmd_run, "query": _cmd_query}[args.command]
+    try:
+        return command(args)
+    except ReproError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,18 +29,20 @@ GET       ``/metrics``                Prometheus text exposition of the
     {"scenario": "figure2", "options": {"small": true},
      "knobs": {"shots": 100, "seed": 7, "devices": ["IonQ-11Q"]}}
 
-(names: ``figure2``, ``mitigated``) or a full declarative definition under
+(names: the keys of :data:`~repro.suite.scenarios.NAMED_SCENARIOS`, which
+``repro run`` offers too) or a full declarative definition under
 ``"definition"`` (the :meth:`Scenario.as_dict` shape).  ``knobs`` go to
 :func:`~repro.suite.runner.run_scenario` after :func:`validate_knobs` has
 checked them: only ``shots``, ``repetitions``, ``seed``, ``trajectories``,
 ``devices``, ``executor``, ``processes`` and ``max_workers`` are accepted, so
 a request can neither name a server-side path nor start more worker
-processes than the host has CPUs.  :func:`validate_names` then rejects an
-unknown or ambiguous device and an unknown technique, which would fail every
-attempt of the job the same way.  Every rejection is a 400 before anything
-is queued; a body longer than :data:`MAX_BODY_BYTES` is a 413 and is never
-read, and a body that stops arriving for :data:`READ_TIMEOUT_SECONDS` before
-its ``Content-Length`` is a 408.
+processes than the host has CPUs.  :func:`validate_names` then runs the
+sweep's own name check (:func:`~repro.suite.runner.check_names`): an
+unknown or ambiguous device, an unknown family, technique or backend would
+fail every attempt of the job the same way.  Every rejection is a 400 before
+anything is queued; a body longer than :data:`MAX_BODY_BYTES` is a 413 and
+is never read, and a body that stops arriving for
+:data:`READ_TIMEOUT_SECONDS` before its ``Content-Length`` is a 408.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..devices import get_device
-from ..exceptions import DeviceError, MitigationError, ReproError, ServiceError
-from ..mitigation import resolve_mitigator
-from ..suite.scenarios import figure2_scenario, mitigated_scenario
+from ..exceptions import ReproError, ServiceError
+from ..suite.registry import get_registry
+from ..suite.runner import check_names
+from ..suite.scenarios import NAMED_SCENARIOS
 from ..suite.sweep import Scenario
 from ..telemetry import get_metrics, get_tracer
 from ..telemetry.export import spans_to_ndjson, to_prometheus
@@ -73,13 +75,6 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds a handler thread waits on a silent client socket before it gives
 #: the connection up (a body cut short of its Content-Length is a 408).
 READ_TIMEOUT_SECONDS = 10.0
-
-#: Named scenario factories the POST body may reference by string.
-_NAMED_SCENARIOS = {
-    "figure2": figure2_scenario,
-    "mitigated": mitigated_scenario,
-    "mitigated_scores": mitigated_scenario,
-}
 
 _REQUESTS = get_metrics().counter(
     "repro_http_requests_total",
@@ -144,22 +139,21 @@ def validate_knobs(knobs: Any) -> Dict[str, Any]:
 
 
 def validate_names(scenario: Scenario, knobs: Dict[str, Any]) -> None:
-    """Reject device and technique names that no attempt could run.
+    """Reject names that no attempt could run, with the sweep's own check.
 
-    The devices checked are the ``devices`` knob's when it is given, else
-    the scenario's; :func:`~repro.devices.get_device` accepts a unique
-    prefix, so an ambiguous one fails like an unknown name.
+    :func:`~repro.suite.runner.check_names` resolves the devices (the
+    ``devices`` knob's when it is given, else the scenario's), families,
+    techniques and backends with the ``trajectories`` knob, exactly as
+    :func:`~repro.suite.runner.run_scenario` will.
 
     Raises:
-        ServiceError: naming the unknown or ambiguous device or the unknown
-            technique.
+        ServiceError: carrying the resolver's message.
     """
     try:
-        for device in knobs["devices"] if "devices" in knobs else scenario.devices:
-            get_device(device)
-        for technique in scenario.mitigations:
-            resolve_mitigator(technique)
-    except (DeviceError, MitigationError) as error:
+        check_names(
+            scenario, knobs.get("devices"), get_registry(), None, knobs.get("trajectories")
+        )
+    except ReproError as error:
         raise ServiceError(str(error)) from error
 
 
@@ -201,9 +195,9 @@ def resolve_scenario(body: Dict[str, Any]) -> Scenario:
     name = body.get("scenario")
     if not name:
         raise ServiceError("request body needs a 'scenario' name or a 'definition'")
-    factory = _NAMED_SCENARIOS.get(name)
+    factory = NAMED_SCENARIOS.get(name)
     if factory is None:
-        known = ", ".join(sorted(set(_NAMED_SCENARIOS)))
+        known = ", ".join(sorted(NAMED_SCENARIOS))
         raise ServiceError(f"unknown scenario {name!r}; known names: {known}")
     options = body.get("options", {})
     if not isinstance(options, dict):

@@ -21,7 +21,8 @@ Semantics:
   :class:`~repro.exceptions.ReproError` other than
   :class:`~repro.exceptions.DistributedError` (an unknown device, a bad
   option) would fail every attempt the same way, so it fails the job at
-  once.
+  once (:func:`~repro.exceptions.is_deterministic`, the rule the lease
+  scheduler applies to each lease).
 * **Retention** — queued and running jobs and the newest
   :data:`KEPT_FINISHED_JOBS` finished ones are kept; a dropped id answers
   like an unknown one, but a stream already open keeps its record.
@@ -38,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from ..exceptions import DistributedError, ReproError, ServiceError
+from ..exceptions import ServiceError, is_deterministic
 from ..suite.results import SpecOutcome, SuiteResult, merge_engine_stats
 from ..suite.runner import run_scenario
 from ..suite.sweep import Scenario
@@ -408,15 +409,12 @@ class JobQueue:
                 self._observe_terminal(job)
             except Exception as error:  # noqa: BLE001 - job isolation boundary
                 retry = False
-                deterministic = isinstance(error, ReproError) and not isinstance(
-                    error, DistributedError
-                )
                 with self._changed:
                     job.error = f"{type(error).__name__}: {error}"
                     if (
                         job.attempts < self.max_attempts
                         and not job.cancel_requested
-                        and not deterministic
+                        and not is_deterministic(error)
                     ):
                         job.status = "queued"
                         self._retries += 1

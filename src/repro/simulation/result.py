@@ -14,7 +14,7 @@ plain dicts) are accepted interchangeably by the score functions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -81,26 +81,6 @@ class Counts(dict):
         if not self:
             raise SimulationError("cannot normalise an empty Counts object")
         return normalized_probabilities(self)
-
-    def merged(self, other: Mapping[str, int]) -> "Counts":
-        merged = Counts(dict(self), num_bits=self.num_bits)
-        for key, value in other.items():
-            merged[key] = merged.get(key, 0) + int(value)
-        return merged
-
-    def marginal(self, bits: Iterable[int]) -> "Counts":
-        """Marginalise onto the given classical bit positions (in order)."""
-        positions = list(bits)
-        out: Dict[str, int] = {}
-        for key, value in self.items():
-            reduced = "".join(key[p] for p in positions)
-            out[reduced] = out.get(reduced, 0) + value
-        return Counts(out, num_bits=len(positions))
-
-    def most_frequent(self) -> str:
-        if not self:
-            raise SimulationError("empty Counts object")
-        return max(self.items(), key=lambda item: item[1])[0]
 
 
 class QuasiDistribution(dict):

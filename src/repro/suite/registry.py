@@ -162,11 +162,6 @@ class BenchmarkRegistry:
         """
         return self.build(spec).features()
 
-    def clear_cache(self) -> None:
-        """Drop memoized instances (registrations stay)."""
-        with self._lock:
-            self._instances.clear()
-
     def stats(self) -> Dict[str, int]:
         """Registry cache occupancy (observable from the bench harness)."""
         with self._lock:

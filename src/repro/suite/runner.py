@@ -1,12 +1,14 @@
 """Scenario execution through the leased-task scheduler.
 
-:func:`run_scenario` is the single sweep-and-score loop the experiment
-drivers used to reimplement individually.  Every executor runs the same
-pipeline: the parent looks pending units up in the result store, plans the
-rest into leased tasks (:func:`~repro.distributed.plan_scenario`), drives
-them through :func:`~repro.distributed.run_leases` on the chosen executor —
-in-process on per-configuration engines (``"thread"``) or on a worker-process
-pool (``"process"``) — and records every
+:func:`run_scenario` is the one way into a sweep: ``repro run``, the
+service's job queue and the figure drivers all call it, and it resolves
+every name the sweep uses (:func:`check_names`) before anything else.  Every
+executor runs the same pipeline: the parent looks pending units up in the
+result store, plans the rest into leased tasks
+(:func:`~repro.distributed.plan_scenario`), drives them through
+:func:`~repro.distributed.run_leases` on the chosen executor — in-process on
+per-configuration engines (``"thread"``) or on a worker-process pool
+(``"process"``) — and records every
 :class:`~repro.suite.results.SpecOutcome` into a
 :class:`~repro.suite.results.SuiteResult` in one place, which is also the
 only place the store is read and written.
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
+from ..devices import get_device
 from ..exceptions import DistributedError
-from ..execution import Backend
+from ..execution import Backend, resolve_backend
 from ..mitigation import resolve_mitigator
 from ..telemetry import get_tracer
 from .registry import BenchmarkRegistry, get_registry
@@ -34,7 +37,7 @@ from .sweep import Scenario
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import ResultStore
 
-__all__ = ["run_scenario"]
+__all__ = ["check_names", "run_scenario"]
 
 
 def _check_process_boundary(scenario: Scenario, backend: Union[Backend, str, None]) -> None:
@@ -53,6 +56,33 @@ def _check_process_boundary(scenario: Scenario, backend: Union[Backend, str, Non
         )
 
 
+def check_names(
+    scenario: Scenario,
+    devices: Optional[Sequence[str]],
+    registry: BenchmarkRegistry,
+    backend: Union[Backend, str, None],
+    trajectories: Optional[int],
+) -> None:
+    """Resolve every name a sweep looks up with the resolvers its engines
+    use, so a sweep no lease could run fails here, the same way on every
+    executor: each device of the engine axes, each sweep's family, each
+    technique, and the backend override name (else each scenario backend
+    name) built with ``trajectories``.  A backend instance is not checked.
+
+    Raises:
+        ReproError: the resolver's error for the first name it rejects.
+    """
+    for config in scenario.engine_configs(devices):
+        get_device(config.device)
+    for sweep in scenario.sweeps:
+        registry.family(sweep.family)
+    for technique in scenario.mitigations:
+        resolve_mitigator(technique)
+    if backend is None or isinstance(backend, str):
+        for name in scenario.backends if backend is None else (backend,):
+            resolve_backend(name, trajectories=trajectories)
+
+
 def run_scenario(
     scenario: Scenario,
     shots: int = 1000,
@@ -65,17 +95,19 @@ def run_scenario(
     registry: Optional[BenchmarkRegistry] = None,
     partial: Optional[SuiteResult] = None,
     on_outcome: Optional[Callable[[SpecOutcome], None]] = None,
-    save_path=None,
     store: Optional["ResultStore"] = None,
     executor: Any = "thread",
     processes: int = 2,
 ) -> SuiteResult:
     """Execute a scenario lease by lease and stream the aggregated results.
 
-    The plan splits into ~4 leased tasks per unit of executor capacity (a
-    task never spans two (engine configuration, technique) groups).  A lost
-    or failed lease of an asynchronous executor is leased again, up to 3
-    leases per task; an in-process error propagates at once.
+    Every device, family, technique and backend name and the trajectory
+    count are resolved first (:func:`check_names`).  The plan splits into ~4
+    leased tasks per unit of executor capacity (a task never spans two
+    (engine configuration, technique) groups).  A lease lost with its worker
+    is leased again, up to 3 leases per task; a library error raised inside
+    a lease is raised at once, unwrapped, on every executor
+    (:func:`~repro.exceptions.is_deterministic`).
 
     Args:
         scenario: The declarative sweep × execution-axis definition.
@@ -96,9 +128,6 @@ def run_scenario(
         on_outcome: Streaming observer called with every
             :class:`SpecOutcome` the moment it is recorded (store hits
             first, then each lease's outcomes as the lease completes).
-        save_path: When given, the (cumulative) result is re-persisted to
-            this JSON file after every completed lease, so a crash loses at
-            most one lease of work.
         store: A content-addressed :class:`~repro.store.ResultStore`.  Before
             planning, every pending unit is looked up under its content key
             (spec × pipeline × noise × mitigation × knobs); a stored unit is
@@ -124,6 +153,8 @@ def run_scenario(
     Raises:
         DistributedError: for an unknown executor name, or for a backend or
             Mitigator instance with any executor but ``"thread"``.
+        ReproError: from :func:`check_names`, before any store lookup or
+            lease.
     """
     if isinstance(executor, str) and executor not in ("thread", "process"):
         raise DistributedError(
@@ -132,8 +163,7 @@ def run_scenario(
     if executor != "thread":
         _check_process_boundary(scenario, backend)
     registry = registry if registry is not None else get_registry()
-    for technique in scenario.mitigations:
-        resolve_mitigator(technique)  # an unknown name raises before any lease runs
+    check_names(scenario, devices, registry, backend, trajectories)
     result = partial if partial is not None else SuiteResult(scenario=scenario.name)
     # Pin the scenario and every score-affecting knob on the result: a
     # persisted partial resumed under different settings must fail loudly
@@ -178,8 +208,6 @@ def run_scenario(
     def on_outcomes(lease, payloads) -> None:
         for payload in payloads:
             record(SpecOutcome.from_dict(payload), executed=True)
-        if payloads and save_path is not None:
-            result.to_json(save_path)
 
     tracer = get_tracer()
     executor_label = executor if isinstance(executor, str) else type(executor).__name__
@@ -235,6 +263,4 @@ def run_scenario(
     for worker, worker_stats in sorted(stats["workers"].items()):
         result.note_engine_stats(worker, worker_stats)
     result.note_engine_stats("scheduler", stats["scheduler"])
-    if save_path is not None:
-        result.to_json(save_path)
     return result

@@ -21,6 +21,7 @@ __all__ = [
     "FIGURE2_FULL_SWEEPS",
     "FIGURE2_SMALL_SWEEPS",
     "FIGURE1_SPECS",
+    "NAMED_SCENARIOS",
     "SCALING_SIZES",
     "SCALING_RULES",
     "figure2_sweeps",
@@ -132,6 +133,14 @@ def mitigated_scenario(
         optimization_levels=(optimization_level,),
         placements=(placement,),
     )
+
+
+#: The scenario factories ``repro run`` and ``POST /scenarios`` name.
+NAMED_SCENARIOS: Dict[str, Callable[..., Scenario]] = {
+    "figure2": figure2_scenario,
+    "mitigated": mitigated_scenario,
+    "mitigated_scores": mitigated_scenario,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,6 @@ class _Instrument:
                 series = self._series.setdefault(key, factory())
         return series
 
-    def series_keys(self) -> List[LabelKey]:
-        with self._lock:
-            return list(self._series)
-
     def _labels_dict(self, key: LabelKey) -> Dict[str, str]:
         return dict(zip(self.labelnames, key))
 

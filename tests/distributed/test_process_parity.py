@@ -4,7 +4,7 @@ import pytest
 
 import repro.benchmarks  # noqa: F401 - registers benchmark families
 from repro.distributed import ProcessShardExecutor
-from repro.exceptions import DistributedError
+from repro.exceptions import BenchmarkError, DistributedError
 from repro.execution import StatevectorBackend
 from repro.store import ResultStore
 from repro.suite import Scenario, Sweep, run_scenario
@@ -118,6 +118,16 @@ class TestProcessPathValidation:
     def test_unknown_executor_string_is_rejected(self):
         with pytest.raises(DistributedError, match="unknown executor"):
             run_scenario(SCENARIO, executor="carrier-pigeon", **KNOBS)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_library_error_inside_a_lease_is_raised_unwrapped(self, executor):
+        scenario = Scenario(
+            name="one-qubit-ghz",
+            sweeps=(Sweep.of("ghz", num_qubits=(1,)),),
+            devices=("IonQ-11Q",),
+        )
+        with pytest.raises(BenchmarkError, match="^the GHZ benchmark needs at least two qubits$"):
+            run_scenario(scenario, executor=executor, processes=1, **KNOBS)
 
     def test_resume_partial_skips_completed_units(self, thread_result):
         resumed = run_scenario(

@@ -12,7 +12,7 @@ import pytest
 
 from repro.distributed import WorkQueue, run_leases
 from repro.distributed.plan import LeaseResult, ShardPlan, ShardTask, UnitPlan
-from repro.exceptions import DistributedError
+from repro.exceptions import DistributedError, SimulationError
 from repro.suite.sweep import EngineConfig
 
 ENGINE = EngineConfig(device="IonQ-11Q")
@@ -75,11 +75,12 @@ class TestWorkQueue:
 class StubExecutor:
     """Synchronous in-process executor with scriptable failures."""
 
-    def __init__(self, capacity=2, fail_first_for=()):
+    def __init__(self, capacity=2, fail_first_for=(), error=None):
         self.capacity = capacity
         self.rebuilds = 0
         self.seen = []
         self._remaining_failures = dict(fail_first_for)
+        self._error = error
 
     def submit(self, lease) -> Future:
         self.seen.append((lease.task.task_id, lease.attempt))
@@ -87,7 +88,7 @@ class StubExecutor:
         failures = self._remaining_failures.get(lease.task.task_id, 0)
         if failures > 0:
             self._remaining_failures[lease.task.task_id] = failures - 1
-            future.set_exception(BrokenProcessPool("worker died"))
+            future.set_exception(self._error or BrokenProcessPool("worker died"))
         else:
             future.set_result(make_result(lease))
         return future
@@ -127,6 +128,13 @@ class TestRunLeases:
                 lambda lease, fresh: None,
                 max_attempts=2,
             )
+
+    def test_library_error_is_raised_as_is_after_one_lease(self):
+        plan = ShardPlan("s", (make_task("a", ["u1"]),))
+        executor = StubExecutor(fail_first_for={"a": 99}, error=SimulationError("bad knob"))
+        with pytest.raises(SimulationError, match="^bad knob$"):
+            run_leases(plan, executor, lambda lease, fresh: None, max_attempts=3)
+        assert executor.seen == [("a", 1)]
 
     def test_empty_plan_finishes_immediately(self):
         stats = run_leases(ShardPlan("s", ()), StubExecutor(), lambda lease, fresh: None)

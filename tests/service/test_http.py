@@ -230,9 +230,13 @@ class TestKnobValidation:
         assert calls == [dict(knobs, store=None)]
 
 
+GHZ_DEFINITION = figure2_scenario(small=True, devices=["IonQ-11Q"], families=["ghz"]).as_dict()
+
+
 class TestNameValidation:
-    """Unknown or ambiguous devices and unknown techniques would fail every
-    attempt of the job the same way: they are a 400 before queueing."""
+    """Unknown or ambiguous devices and unknown families, techniques and
+    backends would fail every attempt of the job the same way: they are a
+    400 before queueing."""
 
     @pytest.mark.parametrize(
         "body, message",
@@ -244,8 +248,14 @@ class TestNameValidation:
             ({"scenario": "mitigated", "options": {"devices": ["IonQ-11Q"],
                                                    "techniques": ["readuot"]}},
              "unknown mitigation"),
+            ({"definition": dict(GHZ_DEFINITION, sweeps=[
+                {"family": "no_such_family", "grid": {"num_qubits": [3]}}])},
+             "unknown benchmark family 'no_such_family'"),
+            ({"definition": dict(GHZ_DEFINITION, backends=["no_such_backend"])},
+             "unknown backend 'no_such_backend'"),
         ],
-        ids=["device-knob", "ambiguous-prefix", "scenario-device", "technique"],
+        ids=["device-knob", "ambiguous-prefix", "scenario-device", "technique",
+             "definition-family", "definition-backend"],
     )
     def test_rejected_names_start_nothing(self, stub, body, message):
         service, calls = stub

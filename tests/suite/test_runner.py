@@ -5,9 +5,17 @@ import pytest
 import repro.distributed as distributed
 from repro.benchmarks import GHZBenchmark, figure2_benchmarks
 from repro.devices import get_device
-from repro.exceptions import DistributedError, MitigationError
+from repro.distributed import ProcessShardExecutor
+from repro.exceptions import (
+    DeviceError,
+    DistributedError,
+    MitigationError,
+    SimulationError,
+    UnknownBenchmarkError,
+)
 from repro.execution import ExecutionEngine
 from repro.mitigation import ReadoutMitigator
+from repro.store import ResultStore
 from repro.suite import (
     BenchmarkRegistry,
     Scenario,
@@ -172,12 +180,6 @@ class TestResume:
         # full run compiled 2 distinct circuits, resumed tail compiled 1
         assert merged["misses"] == 3
 
-    def test_save_path_persists_after_each_shard(self, tmp_path):
-        path = tmp_path / "stream.json"
-        scenario = figure2_scenario(small=True, devices=["IonQ-11Q"], families=["ghz"])
-        result = run_scenario(scenario, save_path=path, **KNOBS)
-        assert SuiteResult.from_json(path).scores() == result.scores()
-
 
 class TestMitigatedScenario:
     def test_unknown_technique_raises_before_execution(self):
@@ -213,6 +215,48 @@ class TestMitigatedScenario:
         assert len(result.skipped()) == 1
         skip_warnings = [w for w in captured if "skipping" in str(w.message)]
         assert len(skip_warnings) == 1  # engine defers to the runner's hook
+
+
+GHZ_ON_IONQ = dict(small=True, devices=["IonQ-11Q"], families=["ghz"])
+
+
+class TestNameCheck:
+    """A name no lease could run raises its resolver's error before any store
+    lookup, plan or pool process, the same way on both executors."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "scenario, knobs, error, message",
+        [
+            (figure2_scenario(small=True, devices=["NoSuchDevice"], families=["ghz"]),
+             KNOBS, DeviceError, "unknown device"),
+            (Scenario.from_dict({
+                "name": "bad-family",
+                "sweeps": [{"family": "no_such_family", "grid": {"num_qubits": [3]}}],
+                "devices": ["IonQ-11Q"],
+            }), KNOBS, UnknownBenchmarkError, "unknown benchmark family"),
+            (mitigated_scenario(techniques=("raw", "readuot"), **GHZ_ON_IONQ),
+             KNOBS, MitigationError, "unknown mitigation"),
+            (figure2_scenario(backend="no_such_backend", **GHZ_ON_IONQ),
+             KNOBS, SimulationError, "unknown backend"),
+            (figure2_scenario(**GHZ_ON_IONQ), dict(KNOBS, trajectories=0),
+             SimulationError, "trajectories must be"),
+        ],
+        ids=["device", "family", "technique", "backend", "trajectories"],
+    )
+    def test_raises_before_any_lookup_plan_or_pool(
+        self, monkeypatch, executor, scenario, knobs, error, message
+    ):
+        planned, pools = [], []
+        monkeypatch.setattr(distributed, "plan_scenario", lambda *a, **k: planned.append(a))
+        monkeypatch.setattr(ProcessShardExecutor, "_make_pool", lambda self: pools.append(self))
+        with pytest.raises(error, match=message):
+            run_scenario(scenario, executor=executor, **knobs)
+        with ResultStore(":memory:") as store:
+            with pytest.raises(error, match=message):
+                run_scenario(scenario, executor=executor, store=store, **knobs)
+            stats = store.stats()
+        assert (planned, pools, stats["hits"], stats["misses"]) == ([], [], 0, 0)
 
 
 class TestScenarioComposition:
